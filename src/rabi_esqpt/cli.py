@@ -70,7 +70,7 @@ COMMON_OPTS = [
     Opt("--ratio", "ratio", float, 40.0, "frequency ratio R = Omega / omega0"),
     Opt("--quad-tol", "quad_tol", float, 1e-9, "relative tolerance of orbit quadratures"),
     Opt("--conv-tol", "conv_tol", float, 1e-8,
-        "truncation stability tolerance, in units of omega0"),
+        "certified eigenvalue error bound, in units of omega0"),
     Opt("--out", "out", str, ".", "output directory (created if missing)"),
     Opt("--emit-svg", "emit_svg", None, False, "also write SVG figures", is_flag=True),
     Opt("--config", "config", str, None, "JSON file with option defaults; flags override"),

@@ -28,13 +28,23 @@ Diagonalization never densifies the chain: eigenvalues come from bisection
 with Sturm sequence counts and eigenvectors from inverse iteration
 (LAPACK stebz/stein via scipy), and every returned eigenpair is certified
 by an explicit residual check.
+
+The truncated chain is certified against the untruncated one in a single
+solve.  Padding an eigenvector v of the dim-site chain with zeros, its
+residual against the infinite chain gains one component beyond the
+in-chain one: the tail residual lam sqrt(dim) |v[dim-1]|, from the only
+coupling cut off.  H is self-adjoint, so some exact eigenvalue lies within
+the total residual of the Ritz value (Parlett, The Symmetric Eigenvalue
+Problem, ch. 10-11).  converged_window and converged_levels solve once at
+a truncation sized to the classical orbit and re-solve only when a tail
+residual is not below tol * omega0.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -52,12 +62,14 @@ __all__ = [
     "converged_window",
     "converged_levels",
     "eigen_observables",
-    "default_truncation",
 ]
 
 # Residual certification threshold, relative to a cheap tridiagonal norm
 # bound max|diag| + 2 max|offdiag|.
 RESIDUAL_RTOL = 1e-9
+
+# Default truncation cap of the certified solves, in units of R max(1, g^2).
+_CAP_PER_R = 200.0
 
 
 class Parity(enum.Enum):
@@ -87,11 +99,16 @@ class ConvergenceError(RuntimeError):
 
 
 class TruncationLimitError(RuntimeError):
-    """Truncation growth hit its cap before the window converged."""
+    """The truncation cap was hit before every requested level certified.
 
-    def __init__(self, message: str, dim: int):
+    spectrum is the solve at the cap; its n_converged and tail_residual say
+    which levels did certify.
+    """
+
+    def __init__(self, message: str, dim: int, spectrum: ParitySpectrum | None = None):
         super().__init__(message)
         self.dim = dim
+        self.spectrum = spectrum
 
 
 @dataclass(frozen=True)
@@ -163,9 +180,10 @@ class ParitySpectrum:
 
     energies are bare; eps = 2 E / Omega.  vectors, when present, hold one
     orthonormal column per eigenvalue in chain-site coordinates.
-    n_converged counts leading eigenvalues certified stable against
-    truncation growth (0 for a plain diagonalize call, which certifies
-    residuals only).
+    tail_residual, set by converged_window and converged_levels, bounds
+    each eigenvalue's distance to the untruncated spectrum, and n_converged
+    counts the leading levels whose bound is below tol * omega0 (0 for a
+    plain diagonalize call, which certifies in-chain residuals only).
     """
 
     params: RabiParams
@@ -175,12 +193,12 @@ class ParitySpectrum:
     eps: np.ndarray = field(repr=False)
     vectors: np.ndarray | None = field(repr=False, default=None)
     n_converged: int = 0
+    tail_residual: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        self.energies.flags.writeable = False
-        self.eps.flags.writeable = False
-        if self.vectors is not None:
-            self.vectors.flags.writeable = False
+        for a in (self.energies, self.eps, self.vectors, self.tail_residual):
+            if a is not None:
+                a.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -232,24 +250,37 @@ def _certify_residuals(chain: ParityChain, w: np.ndarray, v: np.ndarray) -> None
         )
 
 
-def diagonalize(chain: ParityChain, k_max: int | None = None, want_vectors: bool = False) -> ParitySpectrum:
-    """Lowest k_max eigenpairs of a parity chain (all of them if k_max is None).
+def diagonalize(
+    chain: ParityChain,
+    k_max: int | None = None,
+    want_vectors: bool = False,
+    e_max: float | None = None,
+) -> ParitySpectrum:
+    """Lowest k_max eigenpairs of a parity chain, or all with E <= e_max.
 
-    Bisection/Sturm eigenvalues, inverse-iteration eigenvectors; the chain
-    is never densified.  Raises ConvergenceError (with the offending index)
-    if inverse iteration fails or a residual exceeds 1e-9 ||H||.
+    All of them if neither is given.  Bisection/Sturm eigenvalues,
+    inverse-iteration eigenvectors; the chain is never densified.  Raises
+    ConvergenceError (with the offending index) if inverse iteration fails
+    or a residual exceeds 1e-9 ||H||.
     """
-    if k_max is None:
-        k_max = chain.dim
-    if k_max < 1 or k_max > chain.dim:
-        raise ValueError(f"k_max must be in [1, dim], got {k_max}")
+    if e_max is not None:
+        if k_max is not None:
+            raise ValueError("pass k_max or e_max, not both")
+        # the lower end lies strictly below the whole spectrum
+        select, select_range = "v", (-chain.norm_bound() - 1.0, e_max)
+    else:
+        if k_max is None:
+            k_max = chain.dim
+        if k_max < 1 or k_max > chain.dim:
+            raise ValueError(f"k_max must be in [1, dim], got {k_max}")
+        select, select_range = "i", (0, k_max - 1)
     try:
         out = eigh_tridiagonal(
             chain.diag,
             chain.offdiag,
             eigvals_only=not want_vectors,
-            select="i",
-            select_range=(0, k_max - 1),
+            select=select,
+            select_range=select_range,
             check_finite=False,
             lapack_driver="stebz",
         )
@@ -270,29 +301,6 @@ def diagonalize(chain: ParityChain, k_max: int | None = None, want_vectors: bool
     )
 
 
-def _eigvals_below(chain: ParityChain, e_max: float) -> np.ndarray:
-    """All eigenvalues E <= e_max, by bisection with value selection."""
-    lo = -chain.norm_bound() - 1.0  # strictly below the whole spectrum
-    try:
-        w = eigh_tridiagonal(
-            chain.diag,
-            chain.offdiag,
-            eigvals_only=True,
-            select="v",
-            select_range=(lo, e_max),
-            check_finite=False,
-            lapack_driver="stebz",
-        )
-    except LinAlgError as exc:
-        raise ConvergenceError(f"bisection failed: {exc}", index=None) from exc
-    return w
-
-
-def default_truncation(params: RabiParams) -> int:
-    """Default Fock truncation, generous for eps up to ~0 at coupling g."""
-    return math.ceil(4.0 * params.ratio * max(1.0, params.g**2)) + 100
-
-
 def _start_dim(params: RabiParams, eps_max: float) -> int:
     # classical orbit at eps_max reaches n ~ (R/2) u+, u+ the outer turning
     # point squared; pad by 30% plus a constant floor
@@ -303,70 +311,72 @@ def _start_dim(params: RabiParams, eps_max: float) -> int:
     return max(int(math.ceil(1.3 * n_cls)) + 64, 64)
 
 
+def _certified_spectrum(
+    params: RabiParams,
+    parity: Parity,
+    tol: float,
+    want_vectors: bool,
+    dim_cap: int | None,
+    k_max: int | None = None,
+    eps_max: float | None = None,
+) -> ParitySpectrum:
+    """One certified solve: the lowest k_max levels, or every level below eps_max.
+
+    Each returned eigenvector v, padded with zeros, leaves the residual
+    lam sqrt(dim) |v[dim-1]| against the untruncated chain; a level is
+    certified when that is below tol * omega0.  Only a failed certificate
+    re-solves, at a truncation sized to the top Ritz value, up to dim_cap.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if dim_cap is None:
+        dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
+    if eps_max is not None:
+        e_max = 0.5 * eps_max * params.Omega
+        dim = _start_dim(params, eps_max)
+    else:
+        e_max = None
+        dim = max(4 * k_max, 128)
+    dim = max(min(dim, dim_cap), k_max or 0, 2)
+    while True:
+        chain = build_parity_chain(params, parity, dim)
+        spec = diagonalize(chain, k_max=k_max, want_vectors=True, e_max=e_max)
+        tail = params.lam * math.sqrt(dim) * np.abs(spec.vectors[-1])
+        certified = tail < tol * params.omega0
+        n_conv = len(spec) if certified.all() else int(np.argmin(certified))
+        spec = replace(spec, vectors=spec.vectors if want_vectors else None,
+                       n_converged=n_conv, tail_residual=tail)
+        if n_conv == len(spec):
+            return spec
+        if dim >= dim_cap:
+            raise TruncationLimitError(
+                f"{len(spec) - n_conv} of {len(spec)} levels not certified within "
+                f"dim cap {dim_cap} (tail residual {np.max(tail):.3e} >= "
+                f"{tol * params.omega0:.3e})",
+                dim=dim,
+                spectrum=spec,
+            )
+        dim = min(max(2 * dim, _start_dim(params, float(spec.eps[-1]))), dim_cap)
+
+
 def converged_window(
     params: RabiParams,
     parity: Parity,
     eps_max: float,
     tol: float = 1e-8,
     want_vectors: bool = False,
-    dim_start: int | None = None,
     dim_cap: int | None = None,
 ) -> tuple[int, ParitySpectrum]:
-    """Smallest tested truncation whose spectrum is stable below eps_max.
+    """Every level with eps <= eps_max, each certified to within tol * omega0.
 
-    Grows the truncation by 25% steps until every eigenvalue with
-    eps <= eps_max moves by less than tol * omega0 (and the level count
-    below eps_max is unchanged).  Returns (dim_required, spectrum) with
-    spectrum.n_converged set to that level count.  Raises
-    TruncationLimitError when the cap (default 200 R max(1, g^2)) is hit.
+    Solves once at a truncation sized to the classical orbit at eps_max and
+    certifies every level by its tail residual against the untruncated
+    chain.  Returns (dim, spectrum) with spectrum.n_converged the level
+    count.  Raises TruncationLimitError when the cap (default 200 R
+    max(1, g^2)) is hit first.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if dim_cap is None:
-        dim_cap = math.ceil(200.0 * params.ratio * max(1.0, params.g**2))
-    dim = dim_start if dim_start is not None else _start_dim(params, eps_max)
-    dim = max(int(dim), 2)
-    e_max = 0.5 * eps_max * params.Omega
-    w_cur = _eigvals_below(build_parity_chain(params, parity, dim), e_max)
-    while True:
-        dim_next = math.ceil(1.25 * dim)
-        if dim_next > dim_cap:
-            raise TruncationLimitError(
-                f"no converged window below eps={eps_max} within dim cap {dim_cap} "
-                f"(last dim {dim}, tol {tol})",
-                dim=dim,
-            )
-        w_next = _eigvals_below(build_parity_chain(params, parity, dim_next), e_max)
-        if len(w_next) == len(w_cur) and (
-            len(w_cur) == 0 or np.max(np.abs(w_next - w_cur)) < tol * params.omega0
-        ):
-            n_conv = len(w_cur)
-            if n_conv == 0:
-                spectrum = ParitySpectrum(
-                    params=params,
-                    parity=parity,
-                    dim=dim,
-                    energies=np.empty(0),
-                    eps=np.empty(0),
-                    n_converged=0,
-                )
-            else:
-                spectrum = diagonalize(
-                    build_parity_chain(params, parity, dim),
-                    k_max=n_conv,
-                    want_vectors=want_vectors,
-                )
-                spectrum = ParitySpectrum(
-                    params=params,
-                    parity=parity,
-                    dim=dim,
-                    energies=spectrum.energies,
-                    eps=spectrum.eps,
-                    vectors=spectrum.vectors,
-                    n_converged=n_conv,
-                )
-            return dim, spectrum
-        dim, w_cur = dim_next, w_next
+    spec = _certified_spectrum(params, parity, tol, want_vectors, dim_cap, eps_max=eps_max)
+    return spec.dim, spec
 
 
 def converged_levels(
@@ -375,45 +385,17 @@ def converged_levels(
     k_max: int,
     tol: float = 1e-8,
     want_vectors: bool = False,
-    dim_start: int | None = None,
     dim_cap: int | None = None,
 ) -> ParitySpectrum:
-    """Spectrum with the lowest k_max eigenvalues stable against truncation.
+    """The lowest k_max levels, each certified to within tol * omega0.
 
-    Count-based companion of converged_window: grows the truncation by 25%
-    steps until E_0..E_{k_max-1} each move by less than tol * omega0.
+    Count-based companion of converged_window: solves once at
+    max(4 k_max, 128) and certifies every level by its tail residual,
+    growing the truncation only when that certificate fails.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if dim_cap is None:
-        dim_cap = math.ceil(200.0 * params.ratio * max(1.0, params.g**2))
-    dim = dim_start if dim_start is not None else max(4 * k_max, 128)
-    dim = max(int(dim), k_max, 2)
-    chain = build_parity_chain(params, parity, dim)
-    w_cur = diagonalize(chain, k_max=k_max).energies
-    while True:
-        dim_next = math.ceil(1.25 * dim)
-        if dim_next > dim_cap:
-            raise TruncationLimitError(
-                f"lowest {k_max} levels not converged within dim cap {dim_cap}",
-                dim=dim,
-            )
-        chain_next = build_parity_chain(params, parity, dim_next)
-        w_next = diagonalize(chain_next, k_max=k_max).energies
-        if np.max(np.abs(w_next - w_cur)) < tol * params.omega0:
-            spec = diagonalize(chain, k_max=k_max, want_vectors=want_vectors)
-            return ParitySpectrum(
-                params=params,
-                parity=parity,
-                dim=dim,
-                energies=spec.energies,
-                eps=spec.eps,
-                vectors=spec.vectors,
-                n_converged=k_max,
-            )
-        dim, chain, w_cur = dim_next, chain_next, w_next
+    return _certified_spectrum(params, parity, tol, want_vectors, dim_cap, k_max=k_max)
 
 
 def eigen_observables(spectrum: ParitySpectrum) -> EigenObservables:

@@ -10,14 +10,13 @@ per-unit-bare-energy normalization.
 The gap map tracks the signed splitting delta_k = eps_k^+ - eps_k^- of
 parity partner levels across a coupling sweep.  Its collapse to numerical
 zero below the critical energy line is the spectral fingerprint of the
-parity-broken doublet phase; levels that fail the truncation-stability check
-are excluded from analysis but kept in the arrays and reported through the
+parity-broken doublet phase; levels whose truncation certificate fails are
+excluded from analysis but kept in the arrays and reported through the
 convergence mask.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +25,8 @@ from .quantum import (
     Parity,
     ParitySpectrum,
     RabiParams,
-    build_parity_chain,
-    default_truncation,
-    diagonalize,
+    TruncationLimitError,
+    converged_levels,
 )
 from .semiclassical import DosCurve, DosSource
 
@@ -118,8 +116,9 @@ class GapMap:
     """Signed parity splitting delta_k = eps_k^+ - eps_k^- over a coupling sweep.
 
     Arrays are shaped (n_g, k_max).  converged marks levels whose energies in
-    both sectors passed the truncation-stability check; unconverged entries
-    stay in the arrays for inspection but carry no physics claim.
+    both sectors passed the truncation certificate; unconverged entries stay
+    in the arrays for inspection but carry no physics claim.  dim holds the
+    larger of the two sector truncations per coupling.
     """
 
     omega0: float
@@ -236,22 +235,28 @@ def windowed_dos(
     )
 
 
+def _levels_or_last(params: RabiParams, parity: Parity, k_max: int,
+                    tol: float) -> ParitySpectrum:
+    try:
+        return converged_levels(params, parity, k_max=k_max, tol=tol)
+    except TruncationLimitError as exc:
+        return exc.spectrum
+
+
 def gap_map(
     omega0: float,
     Omega: float,
     g_values: np.ndarray,
     k_max: int,
     tol: float = 1e-8,
-    dim: int | None = None,
 ) -> GapMap:
     """Parity splittings of the lowest k_max doublets across a coupling sweep.
 
-    For every g the two sector chains are diagonalized at a generous
-    truncation and again at 1.25x that size; a level counts as converged when
-    it moves by less than tol * omega0, and the larger-truncation energies
-    are the ones reported.  Unconverged levels are excluded from any claim
-    via the converged mask rather than raising, so one hard point cannot
-    abort a whole sweep.
+    For every g both sectors come from converged_levels, so each level is
+    certified to within tol * omega0 of the untruncated spectrum.  A sector
+    that hits the truncation cap keeps its last solve, and its uncertified
+    levels are excluded from any claim via the converged mask rather than
+    raising, so one hard point cannot abort a whole sweep.
     """
     g_values = np.atleast_1d(np.asarray(g_values, dtype=float))
     if k_max < 1:
@@ -263,20 +268,12 @@ def gap_map(
     dims = np.empty(n_g, dtype=int)
     for i, g in enumerate(g_values):
         params = RabiParams(omega0=omega0, Omega=Omega, g=float(g))
-        d0 = dim if dim is not None else default_truncation(params)
-        d0 = max(int(d0), 2 * k_max, 64)
-        d1 = math.ceil(1.25 * d0)
-        dims[i] = d1
-        sector_eps = {}
-        sector_ok = {}
-        for parity in (Parity.MINUS, Parity.PLUS):
-            w0 = diagonalize(build_parity_chain(params, parity, d0), k_max=k_max).energies
-            w1 = diagonalize(build_parity_chain(params, parity, d1), k_max=k_max).energies
-            sector_eps[parity] = 2.0 * w1 / Omega
-            sector_ok[parity] = np.abs(w1 - w0) < tol * omega0
-        eps_m[i] = sector_eps[Parity.MINUS]
-        eps_p[i] = sector_eps[Parity.PLUS]
-        conv[i] = sector_ok[Parity.MINUS] & sector_ok[Parity.PLUS]
+        minus, plus = (_levels_or_last(params, parity, k_max, tol)
+                       for parity in (Parity.MINUS, Parity.PLUS))
+        eps_m[i] = minus.eps
+        eps_p[i] = plus.eps
+        conv[i] = np.arange(k_max) < min(minus.n_converged, plus.n_converged)
+        dims[i] = max(minus.dim, plus.dim)
     return GapMap(
         omega0=float(omega0),
         Omega=float(Omega),

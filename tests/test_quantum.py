@@ -13,7 +13,6 @@ from rabi_esqpt import (
     build_parity_chain,
     converged_levels,
     converged_window,
-    default_truncation,
     diagonalize,
     eigen_observables,
 )
@@ -143,6 +142,8 @@ class TestDiagonalize:
         for k in (0, 9):
             with pytest.raises(ValueError):
                 diagonalize(chain, k_max=k)
+        with pytest.raises(ValueError):
+            diagonalize(chain, k_max=3, e_max=0.0)
 
     def test_vectors_orthonormal_and_residuals(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
@@ -209,8 +210,16 @@ class TestConvergedWindow:
     def test_truncation_cap_raises(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
         with pytest.raises(TruncationLimitError) as err:
-            converged_window(p, Parity.MINUS, eps_max=0.0, dim_start=8, dim_cap=12)
-        assert err.value.dim >= 8
+            converged_window(p, Parity.MINUS, eps_max=0.0, dim_cap=12, want_vectors=True)
+        assert err.value.dim == 12
+        spec = err.value.spectrum
+        assert spec.dim == 12 and spec.n_converged < len(spec)
+        # the tail residual is that of the zero-padded vector on a longer chain
+        longer = build_parity_chain(p, Parity.MINUS, 17)
+        padded = np.zeros((17, len(spec)))
+        padded[:12] = spec.vectors
+        res = np.linalg.norm(longer.matvec(padded) - spec.energies * padded, axis=0)
+        np.testing.assert_allclose(res, spec.tail_residual, rtol=1e-9)
 
     def test_tol_validation(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.0)
@@ -219,11 +228,26 @@ class TestConvergedWindow:
         with pytest.raises(ValueError):
             converged_levels(p, Parity.MINUS, k_max=0)
 
-    def test_default_truncation_scales(self):
-        lo = default_truncation(RabiParams(omega0=1.0, Omega=40.0, g=1.0))
-        hi_g = default_truncation(RabiParams(omega0=1.0, Omega=40.0, g=2.0))
-        hi_r = default_truncation(RabiParams(omega0=1.0, Omega=400.0, g=1.0))
-        assert lo < hi_g and lo < hi_r
+    def test_levels_grow_past_failed_certificate(self):
+        # 20 levels at R = 40, g = 3 reach far beyond the first solve's
+        # 128 sites, so the certificate must fail once and force a re-solve
+        p = RabiParams(omega0=1.0, Omega=40.0, g=3.0)
+        tol = 1e-8
+        spec = converged_levels(p, Parity.MINUS, k_max=20, tol=tol)
+        assert spec.dim > 128
+        assert spec.n_converged == 20
+        ref = diagonalize(build_parity_chain(p, Parity.MINUS, 4 * spec.dim), k_max=20)
+        np.testing.assert_allclose(spec.energies, ref.energies, rtol=0, atol=tol)
+
+    def test_window_reports_tail_residuals(self):
+        p = RabiParams(omega0=1.0, Omega=60.0, g=1.4)
+        tol = 1e-8
+        dim, spec = converged_window(p, Parity.PLUS, eps_max=-0.5, tol=tol,
+                                     want_vectors=True)
+        assert spec.n_converged == len(spec) > 0
+        assert spec.tail_residual.shape == (len(spec),)
+        assert np.all(spec.tail_residual < tol * p.omega0)
+        assert spec.dim == dim and spec.vectors.shape == (dim, len(spec))
 
 
 class TestObservables:

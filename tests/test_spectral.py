@@ -15,6 +15,7 @@ from rabi_esqpt import (
     merged_levels,
     windowed_dos,
 )
+from rabi_esqpt import quantum
 
 P40 = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
 
@@ -163,8 +164,11 @@ class TestGapMap:
         assert np.max(np.abs(gm.delta[1])) < 1e-10
         assert np.all(gm.eps_mid[1] < -1.0)
 
-    def test_unconverged_reported_not_raised(self):
-        gm = gap_map(1.0, 40.0, np.array([2.0]), k_max=32, dim=2)  # floor lifts dim to 64
+    def test_unconverged_reported_not_raised(self, monkeypatch):
+        # cap = 0.4 R g^2 = 64 sites, too few for 32 levels at g = 2
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 0.4)
+        gm = gap_map(1.0, 40.0, np.array([2.0]), k_max=32)
+        assert gm.dim[0] == 64
         assert gm.delta.shape == (1, 32)
         assert gm.n_unconverged > 0
         assert not np.all(gm.converged)
