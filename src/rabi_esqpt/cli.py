@@ -323,6 +323,10 @@ def _cmd_gapmap(args: argparse.Namespace) -> int:
     write_csv(out / "gapmap.csv", meta,
               ["g", "k", "eps_minus", "eps_plus", "eps_mid", "delta", "converged", "dim"],
               rows)
+    # a splitting at the precision floor is roundoff; once one is, the
+    # minimum is not known
+    abs_delta = np.abs(gm.delta[gm.converged])
+    n_unresolved = int(np.count_nonzero(gm.unresolved))
     write_json(out / "gapmap_summary.json", {
         "command": "gapmap",
         "version": __version__,
@@ -330,10 +334,10 @@ def _cmd_gapmap(args: argparse.Namespace) -> int:
         "ratio": args.ratio,
         "levels": args.levels,
         "n_unconverged": gm.n_unconverged,
-        "abs_delta_min": float(np.min(np.abs(gm.delta[gm.converged])))
-        if gm.n_unconverged < gm.delta.size else None,
-        "abs_delta_max": float(np.max(np.abs(gm.delta[gm.converged])))
-        if gm.n_unconverged < gm.delta.size else None,
+        "n_unresolved": n_unresolved,
+        "abs_delta_min": float(np.min(abs_delta))
+        if abs_delta.size and not n_unresolved else None,
+        "abs_delta_max": float(np.max(abs_delta)) if abs_delta.size else None,
     })
     if args.emit_svg:
         mask = gm.converged
@@ -418,17 +422,26 @@ def _cmd_dos(args: argparse.Namespace) -> int:
     if g > 1.0:
         law = law_log_esqpt(args.omega0, g)
         w_lo = min(max(3.0 * args.window / args.ratio, 1e-3), 0.05)
-        fits: dict[str, object] = {"slope_law": law.slope, "window": [w_lo, 0.1]}
+        # below eps_c only down to 0.9 of the well depth, as in asymptotics
+        depth = abs(ground_state_eps(g) - EPS_CRITICAL)
+        w_hi = {Side.ABOVE: 0.1, Side.BELOW: min(0.1, 0.9 * depth)}
+        fits: dict[str, object] = {"slope_law": law.slope}
         for name, curve in (("semiclassical", sc), ("quantum", qc)):
             for side in (Side.ABOVE, Side.BELOW):
                 key = f"{name}_{side.value}"
+                window = (w_lo, w_hi[side])
+                if window[1] <= w_lo:
+                    fits[key] = {"skipped": f"out of regime: the well is {depth:.3g} "
+                                            f"deep, the window starts at {w_lo:g}"}
+                    continue
                 try:
                     fit = fit_divergence(curve, LawKind.LOG_ESQPT, side=side,
-                                         window=(w_lo, 0.1))
+                                         window=window)
                 except ValueError as exc:
                     fits[key] = {"skipped": str(exc)}
                     continue
                 fits[key] = {
+                    "window": list(window),
                     "slope": fit.slope,
                     "intercept": fit.intercept,
                     "n_points": fit.n_points,

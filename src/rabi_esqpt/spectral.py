@@ -26,6 +26,7 @@ from .quantum import (
     ParitySpectrum,
     RabiParams,
     TruncationLimitError,
+    build_parity_chain,
     converged_levels,
 )
 from .semiclassical import DosCurve, DosSource
@@ -118,7 +119,9 @@ class GapMap:
     Arrays are shaped (n_g, k_max).  converged marks levels whose energies in
     both sectors passed the truncation certificate; unconverged entries stay
     in the arrays for inspection but carry no physics claim.  dim holds the
-    larger of the two sector truncations per coupling.
+    larger of the two sector truncations per coupling.  A converged splitting
+    at or below floor, the eigenvalue precision of the two sector solves, is
+    roundoff and counts as unresolved.
     """
 
     omega0: float
@@ -144,6 +147,22 @@ class GapMap:
     @property
     def n_unconverged(self) -> int:
         return int(self.converged.size - np.count_nonzero(self.converged))
+
+    @property
+    def floor(self) -> np.ndarray:
+        """Per coupling, the eps precision floor 4 eps_mach ||H|| (2/Omega) at dim."""
+        norms = [
+            max(build_parity_chain(RabiParams(self.omega0, self.Omega, float(g)),
+                                   parity, int(dim)).norm_bound()
+                for parity in Parity)
+            for g, dim in zip(self.g, self.dim)
+        ]
+        return 4.0 * np.finfo(float).eps * np.array(norms) * 2.0 / self.Omega
+
+    @property
+    def unresolved(self) -> np.ndarray:
+        """Converged splittings at or below the precision floor."""
+        return self.converged & (np.abs(self.delta) <= self.floor[:, None])
 
 
 def merged_levels(minus: ParitySpectrum, plus: ParitySpectrum) -> MergedLevels:

@@ -68,6 +68,29 @@ class TestDos:
         assert summary["off_critical"]["max_rel_dev"] < 0.25
         assert "log_fit" in summary  # g > 1
 
+    def test_log_fit_below_stays_inside_the_well(self, tmp_path):
+        # at g = 1.2 the well is 0.067 deep: the below-eps_c window must end
+        # at 0.9 of that, not at the 0.1 used above eps_c
+        code, out = run(tmp_path, "dos", "--g", "1.2", "--ratio", "200",
+                        "--window", "2", "--points", "401")
+        assert code == 0
+        fits = json.loads((out / "dos_summary.json").read_text())["log_fit"]
+        depth = 0.5 * (1.2**2 + 1.2**-2) - 1.0
+        for name in ("semiclassical", "quantum"):
+            assert fits[f"{name}_above"]["window"] == [0.03, 0.1]
+            below = fits[f"{name}_below"]
+            assert below["window"] == [0.03, pytest.approx(0.9 * depth, rel=1e-12)]
+            assert below["n_points"] >= 5
+
+    def test_log_fit_below_skipped_when_well_too_shallow(self, tmp_path):
+        # at g = 1.05 the well (0.0048 deep) ends before the window starts
+        code, out = run(tmp_path, "dos", "--g", "1.05", "--ratio", "60",
+                        "--window", "6", "--points", "21")
+        assert code == 0
+        fits = json.loads((out / "dos_summary.json").read_text())["log_fit"]
+        for name in ("semiclassical", "quantum"):
+            assert fits[f"{name}_below"]["skipped"].startswith("out of regime")
+
     def test_window_validation(self, tmp_path):
         code, _ = run(tmp_path, "dos", "--g", "1.2", "--window", "0")
         assert code == 2
@@ -108,6 +131,23 @@ class TestGapmap:
         summary = json.loads((out / "gapmap_summary.json").read_text())
         assert summary["n_unconverged"] == 0
         assert (out / "gapmap.svg").exists()
+
+    def test_splittings_at_precision_floor_reported_unresolved(self, tmp_path):
+        # at g = 2, R = 40 the lowest doublets split by roundoff only
+        code, out = run(tmp_path / "broken", "gapmap", "--g-min", "0.5", "--g-max", "2",
+                        "--g-steps", "2", "--levels", "4", "--ratio", "40")
+        assert code == 0
+        summary = json.loads((out / "gapmap_summary.json").read_text())
+        assert summary["n_unresolved"] == 4
+        assert summary["abs_delta_min"] is None
+        assert summary["abs_delta_max"] > 0.04
+        # in the normal phase every splitting is resolved
+        code, out = run(tmp_path / "normal", "gapmap", "--g-min", "0.5", "--g-max", "0.5",
+                        "--g-steps", "1", "--levels", "4", "--ratio", "40")
+        assert code == 0
+        summary = json.loads((out / "gapmap_summary.json").read_text())
+        assert summary["n_unresolved"] == 0
+        assert summary["abs_delta_min"] > 0.04
 
 
 class TestObservables:

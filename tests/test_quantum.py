@@ -1,6 +1,7 @@
 """Unit tests for the parity-chain construction and eigensolver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rabi_esqpt import (
     diagonalize,
     eigen_observables,
 )
+from rabi_esqpt import quantum
 from rabi_esqpt.quantum import _certify_residuals
 
 from oracles import dense_hamiltonian, dense_sector_data, random_params
@@ -164,6 +166,76 @@ class TestDiagonalize:
         with pytest.raises(ConvergenceError) as err:
             _certify_residuals(chain, spec.energies, v)
         assert err.value.index == 3
+
+    def test_sliced_vectors_orthonormal_across_slices(self):
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
+        chain = build_parity_chain(p, Parity.MINUS, 400)
+        spec = diagonalize(chain, want_vectors=True)
+        assert len(spec) == 400 > 4 * quantum._SLICE
+        v = spec.vectors
+        np.testing.assert_allclose(v.T @ v, np.eye(400), rtol=0, atol=1e-12)
+        res = chain.matvec(v) - spec.energies[None, :] * v
+        assert np.max(np.linalg.norm(res, axis=0)) < quantum.RESIDUAL_RTOL * chain.norm_bound()
+        ref = np.linalg.eigvalsh(chain_dense(chain))
+        np.testing.assert_allclose(spec.energies, ref, rtol=0, atol=1e-11)
+
+    def test_tied_levels_share_a_slice(self, monkeypatch):
+        # at odd R the g = 0 towers tie exactly (site n and n - R); at tiny g
+        # they stay tied to ~1e-11 inside one block, where only a shared
+        # stein call keeps the pair orthogonal
+        monkeypatch.setattr(quantum, "_SLICE", 1)
+        p0 = RabiParams(omega0=1.0, Omega=41.0, g=0.0)
+        chain = build_parity_chain(p0, Parity.MINUS, 300)
+        spec = diagonalize(chain, want_vectors=True)
+        assert np.count_nonzero(np.diff(spec.energies) == 0.0) > 100
+        v = spec.vectors
+        # each level is a distinct chain site: a permutation of unit vectors
+        sites = np.argmax(np.abs(v), axis=0)
+        assert sorted(sites) == list(range(300))
+        np.testing.assert_array_equal(np.abs(v), np.eye(300)[:, sites])
+        np.testing.assert_array_equal(chain.diag[sites], spec.energies)
+
+        p = RabiParams(omega0=1.0, Omega=41.0, g=1e-6)
+        chain = build_parity_chain(p, Parity.MINUS, 300)
+        spec = diagonalize(chain, want_vectors=True)
+        assert np.min(np.diff(spec.energies)) < 1e-10
+        v = spec.vectors
+        np.testing.assert_allclose(v.T @ v, np.eye(300), rtol=0, atol=1e-12)
+
+    def test_corrupt_column_past_first_slice_reports_global_index(self, monkeypatch):
+        calls = []
+        stein = quantum.dstein
+
+        def corrupting_stein(*args):
+            z, info = stein(*args)
+            calls.append(len(args[2]))
+            if len(calls) == 2:
+                z[:, 3] = np.roll(z[:, 3], 7)
+            return z, info
+
+        monkeypatch.setattr(quantum, "dstein", corrupting_stein)
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
+        chain = build_parity_chain(p, Parity.MINUS, 400)
+        with pytest.raises(ConvergenceError) as err:
+            diagonalize(chain, k_max=200, want_vectors=True)
+        assert calls == [quantum._SLICE, quantum._SLICE]
+        assert err.value.index == quantum._SLICE + 3
+
+    def test_vector_solve_memory_is_the_output(self):
+        # the README observables window at R = 1000: apart from the dim x k
+        # output only slice-sized work arrays may live, no n x n workspace
+        # and no reordered copy of the vectors
+        p = RabiParams(omega0=1.0, Omega=1000.0, g=1.4)
+        chain = build_parity_chain(p, Parity.MINUS, 2832)
+        tracemalloc.start()
+        try:
+            spec = diagonalize(chain, want_vectors=True, e_max=0.5 * 0.052 * p.Omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim, k = spec.vectors.shape
+        assert k > 500
+        assert peak < 2 * dim * k * 8
 
     def test_doublets_below_critical_energy(self):
         # broken phase: parity partners degenerate far below eps = -1

@@ -164,6 +164,20 @@ class TestGapMap:
         assert np.max(np.abs(gm.delta[1])) < 1e-10
         assert np.all(gm.eps_mid[1] < -1.0)
 
+    def test_splittings_at_precision_floor_unresolved(self):
+        gm = gap_map(1.0, 40.0, np.array([0.5, 2.0]), k_max=6)
+        for i, g in enumerate(gm.g):
+            params = RabiParams(omega0=1.0, Omega=40.0, g=float(g))
+            norm = max(build_parity_chain(params, parity, int(gm.dim[i])).norm_bound()
+                       for parity in Parity)
+            assert gm.floor[i] == pytest.approx(4.0 * np.finfo(float).eps * norm * 2.0 / 40.0,
+                                                rel=1e-15)
+        # normal phase resolved; the g = 2 doublets (roundoff below 1e-14) not
+        assert not gm.unresolved[0].any()
+        assert gm.unresolved[1].all()
+        np.testing.assert_array_equal(
+            gm.unresolved, gm.converged & (np.abs(gm.delta) <= gm.floor[:, None]))
+
     def test_unconverged_reported_not_raised(self, monkeypatch):
         # cap = 0.4 R g^2 = 64 sites, too few for 32 levels at g = 2
         monkeypatch.setattr(quantum, "_CAP_PER_R", 0.4)
