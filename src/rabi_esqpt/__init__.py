@@ -21,22 +21,15 @@ from .quantum import (
 )
 from .semiclassical import (
     EPS_CRITICAL,
-    Branch,
     DosCurve,
     DosSource,
-    EffectivePotential,
     ObservableCurve,
     QuadratureError,
-    TurningPoints,
     accumulated_states,
     dos_curve,
     dos_semiclassical,
     ground_state_eps,
-    observables_hellmann_feynman,
     observables_microcanonical,
-    potential_minima,
-    potential_value,
-    turning_points,
 )
 from .asymptotics import (
     CriticalLaw,
@@ -73,23 +66,16 @@ __all__ = [
     "converged_window",
     "converged_levels",
     "eigen_observables",
-    "Branch",
-    "EffectivePotential",
-    "TurningPoints",
     "DosCurve",
     "DosSource",
     "ObservableCurve",
     "QuadratureError",
     "EPS_CRITICAL",
-    "potential_value",
-    "potential_minima",
     "ground_state_eps",
-    "turning_points",
     "dos_semiclassical",
     "accumulated_states",
     "dos_curve",
     "observables_microcanonical",
-    "observables_hellmann_feynman",
     "LawKind",
     "Side",
     "CriticalLaw",

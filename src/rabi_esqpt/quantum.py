@@ -375,8 +375,10 @@ def _certified_spectrum(
     certified when that is below tol * omega0.  Only a failed certificate
     re-solves, at a truncation sized to the top Ritz value, up to dim_cap.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    # NaN must fail here: no tail residual is below it, so the solve would
+    # regrow to the cap before raising
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if dim_cap is None:
         dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
     if eps_max is not None:

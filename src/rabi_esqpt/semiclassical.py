@@ -24,8 +24,9 @@ are
 with turning points x1, x2 the non-negative roots of p.  nu diverges at
 eps = -1: as a power law |eps + 1|^(-1/4) at g = 1 and logarithmically for
 g > 1.  Microcanonical observables are shell averages over the same
-orbits; they can be cross-checked against Hellmann-Feynman derivatives of
-the accumulated count taken in bare variables at fixed coupling lam.
+orbits; the test suite cross-checks them against Hellmann-Feynman
+derivatives of the accumulated count taken in bare variables at fixed
+coupling lam.
 
 The integrals have inverse-square-root endpoint singularities.  Each is
 removed exactly by the substitution x = x2 - t^2 (and x = x1 + t^2 on a
@@ -50,26 +51,17 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .quantum import RabiParams
-
 __all__ = [
-    "Branch",
-    "EffectivePotential",
-    "TurningPoints",
     "DosSource",
     "DosCurve",
     "ObservableCurve",
     "QuadratureError",
     "EPS_CRITICAL",
-    "potential_value",
-    "potential_minima",
     "ground_state_eps",
-    "turning_points",
     "dos_semiclassical",
     "accumulated_states",
     "dos_curve",
     "observables_microcanonical",
-    "observables_hellmann_feynman",
 ]
 
 # Rescaled critical energy of the excited-state transition (g > 1).
@@ -89,47 +81,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.errest = errest
-
-
-class Branch(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-
-
-@dataclass(frozen=True)
-class EffectivePotential:
-    """One adiabatic branch of the scaled potential V(x)/Omega."""
-
-    branch: Branch
-    g: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.g) and self.g >= 0):
-            raise ValueError("g must be finite and non-negative")
-
-    def value(self, x):
-        return potential_value(self.branch, self.g, x)
-
-    def minima(self) -> np.ndarray:
-        """Locations of the minima (lower branch: two wells for g > 1)."""
-        if self.branch is Branch.UPPER or self.g <= 1.0:
-            return np.array([0.0])
-        xs = math.sqrt(0.5 * (self.g**2 - self.g**-2))
-        return np.array([-xs, xs])
-
-
-@dataclass(frozen=True)
-class TurningPoints:
-    """Non-negative classical turning points of p(x) at fixed (g, eps).
-
-    disconnected is True for in-well orbits (g > 1, eps < -1), where the
-    x > 0 orbit spans [x1, x2] with x1 > 0 and a mirror orbit exists at
-    x < 0.  Connected orbits span [-x2, x2] and carry x1 = 0.
-    """
-
-    x1: float
-    x2: float
-    disconnected: bool
 
 
 class DosSource(enum.Enum):
@@ -189,18 +140,16 @@ def _check_g(g: float) -> float:
     return float(g)
 
 
-def potential_value(branch: Branch, g: float, x):
-    """Scaled adiabatic potential V(x)/Omega = x^2/2 +- sqrt(1+2g^2x^2)/2."""
-    g = _check_g(g)
-    x = np.asarray(x, dtype=float)
-    s = np.sqrt(1.0 + 2.0 * g * g * x * x)
-    sign = -1.0 if branch is Branch.LOWER else 1.0
-    out = 0.5 * x * x + 0.5 * sign * s
-    return float(out) if out.ndim == 0 else out
+def _check_eps(eps: float) -> None:
+    # NaN and inf pass every domain check and would integrate to a silent 0
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
 
 
-def potential_minima(g: float) -> np.ndarray:
-    return EffectivePotential(Branch.LOWER, g).minima()
+def _check_quad_tol(quad_tol: float) -> None:
+    # a NaN tolerance would switch the quadrature error check off
+    if not (math.isfinite(quad_tol) and quad_tol > 0):
+        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol!r}")
 
 
 def ground_state_eps(g: float) -> float:
@@ -229,22 +178,6 @@ def _roots_u(g: float, eps: float) -> tuple[float, float]:
         u_hi = (1.0 - eps * eps) / (sq - q)
     u_lo = (eps * eps - 1.0) / u_hi if u_hi > 0.0 else q - sq
     return u_lo, u_hi
-
-
-def turning_points(g: float, eps: float) -> TurningPoints:
-    """Orbit endpoints at (g, eps); raises below the ground-state energy."""
-    g = _check_g(g)
-    if not math.isfinite(eps):
-        raise ValueError("eps must be finite")
-    if eps < ground_state_eps(g):
-        raise ValueError(
-            f"no allowed orbit: eps={eps} below ground-state eps={ground_state_eps(g)} at g={g}"
-        )
-    u_lo, u_hi = _roots_u(g, eps)
-    disconnected = bool(g > 1.0 and eps < EPS_CRITICAL)
-    x2 = math.sqrt(max(u_hi, 0.0))
-    x1 = math.sqrt(max(u_lo, 0.0)) if disconnected else 0.0
-    return TurningPoints(x1=x1, x2=x2, disconnected=disconnected)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +328,8 @@ def dos_semiclassical(
     g = _check_g(g)
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
+    _check_eps(eps)
+    _check_quad_tol(quad_tol)
     if eps <= ground_state_eps(g):
         raise ValueError(
             f"no allowed orbit: eps={eps} not above ground-state eps={ground_state_eps(g)}"
@@ -415,6 +350,8 @@ def accumulated_states(
     g = _check_g(g)
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
+    _check_eps(eps)
+    _check_quad_tol(quad_tol)
     e_gs = ground_state_eps(g)
     if eps < e_gs:
         raise ValueError(f"no allowed orbit: eps={eps} below ground-state eps={e_gs}")
@@ -479,57 +416,14 @@ def observables_microcanonical(
     dos_semiclassical.
     """
     g = _check_g(g)
+    _check_quad_tol(quad_tol)
     eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
     nphot = np.empty_like(eps_arr)
     sz = np.empty_like(eps_arr)
     for i, e in enumerate(eps_arr):
+        _check_eps(e)
         if e <= ground_state_eps(g):
             raise ValueError(f"eps={e} not above the ground-state energy")
         _guard_critical(g, e, "the microcanonical average")
         nphot[i], sz[i] = _observables_point(g, float(e), quad_tol)
     return ObservableCurve(g=float(g), omega0=float(omega0), eps=eps_arr, nphot_scaled=nphot, sz=sz)
-
-
-def _count_bare(E: float, omega0: float, Omega: float, lam: float, quad_tol: float) -> float:
-    """Accumulated level count below bare energy E, in bare variables.
-
-    (Omega/2) x the scaled N: the true number of levels (merged parities)
-    below E for the Hamiltonian with parameters (omega0, Omega, lam).
-    """
-    g = 2.0 * lam / math.sqrt(omega0 * Omega)
-    eps = 2.0 * E / Omega
-    return 0.5 * Omega * accumulated_states(g, eps, omega0=omega0, quad_tol=quad_tol)
-
-
-def observables_hellmann_feynman(
-    params: RabiParams,
-    eps: float,
-    quad_tol: float = 1e-12,
-) -> tuple[float, float]:
-    """(nphot_scaled, sz) from Hellmann-Feynman derivatives of the count.
-
-    <a^dag a> = -(1/nu) dN/d omega0 and <sigma_z> = -(2/nu) dN/d Omega,
-    with N the bare-variable accumulated count at fixed bare energy E and
-    fixed coupling lam, differenced centrally with steps 1e-5 omega0 and
-    1e-5 Omega; nu is the density per unit bare energy.  Cross-validates
-    observables_microcanonical.
-    """
-    omega0, Omega, lam = params.omega0, params.Omega, params.lam
-    E = 0.5 * eps * Omega
-    nu_bare = dos_semiclassical(params.g, eps, omega0=omega0, quad_tol=quad_tol)
-
-    dw = 1e-5 * omega0
-    n_w = (
-        _count_bare(E, omega0 + dw, Omega, lam, quad_tol)
-        - _count_bare(E, omega0 - dw, Omega, lam, quad_tol)
-    ) / (2.0 * dw)
-    n_phot = -n_w / nu_bare
-
-    dO = 1e-5 * Omega
-    n_O = (
-        _count_bare(E, omega0, Omega + dO, lam, quad_tol)
-        - _count_bare(E, omega0, Omega - dO, lam, quad_tol)
-    ) / (2.0 * dO)
-    sz = -2.0 * n_O / nu_bare
-
-    return (omega0 / Omega) * n_phot, sz

@@ -2,7 +2,10 @@
 
 The dense oracle builds the full Fock-spin Hamiltonian with np.kron and
 knows nothing about the chain decomposition; agreement between the two is
-therefore a real cross-check, not a tautology.  The quadrature oracle table
+therefore a real cross-check, not a tautology.  The Hellmann-Feynman
+observables differentiate the accumulated level count instead of averaging
+over the orbit shell, so they check the package's shell averages by a
+second route.  The quadrature oracle table
 was generated once with mpmath tanh-sinh integration at 40 significant
 digits, and the critical pinning constants at 50 (generator scripts at the
 bottom); both are frozen here so the suite does not depend on mpmath at run
@@ -11,9 +14,11 @@ time.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from rabi_esqpt import Parity, RabiParams
+from rabi_esqpt import Parity, RabiParams, accumulated_states, dos_semiclassical
 
 
 def dense_hamiltonian(params: RabiParams, n_max: int) -> np.ndarray:
@@ -68,6 +73,51 @@ def dense_sector_data(params: RabiParams, n_max: int):
         sel = np.nonzero(np.abs(pexp - sign) < 1e-8)[0]
         out[parity] = (w[sel], n_exp[sel], sz_exp[sel], p_loc[sel])
     return out
+
+
+def _count_bare(E: float, omega0: float, Omega: float, lam: float, quad_tol: float) -> float:
+    """Accumulated level count below bare energy E, in bare variables.
+
+    (Omega/2) x the scaled N: the true number of levels (merged parities)
+    below E for the Hamiltonian with parameters (omega0, Omega, lam).
+    """
+    g = 2.0 * lam / math.sqrt(omega0 * Omega)
+    eps = 2.0 * E / Omega
+    return 0.5 * Omega * accumulated_states(g, eps, omega0=omega0, quad_tol=quad_tol)
+
+
+def observables_hellmann_feynman(
+    params: RabiParams,
+    eps: float,
+    quad_tol: float = 1e-12,
+) -> tuple[float, float]:
+    """(nphot_scaled, sz) from Hellmann-Feynman derivatives of the count.
+
+    <a^dag a> = -(1/nu) dN/d omega0 and <sigma_z> = -(2/nu) dN/d Omega,
+    with N the bare-variable accumulated count at fixed bare energy E and
+    fixed coupling lam, differenced centrally with steps 1e-5 omega0 and
+    1e-5 Omega; nu is the density per unit bare energy.  Cross-validates
+    observables_microcanonical.
+    """
+    omega0, Omega, lam = params.omega0, params.Omega, params.lam
+    E = 0.5 * eps * Omega
+    nu_bare = dos_semiclassical(params.g, eps, omega0=omega0, quad_tol=quad_tol)
+
+    dw = 1e-5 * omega0
+    n_w = (
+        _count_bare(E, omega0 + dw, Omega, lam, quad_tol)
+        - _count_bare(E, omega0 - dw, Omega, lam, quad_tol)
+    ) / (2.0 * dw)
+    n_phot = -n_w / nu_bare
+
+    dO = 1e-5 * Omega
+    n_O = (
+        _count_bare(E, omega0, Omega + dO, lam, quad_tol)
+        - _count_bare(E, omega0, Omega - dO, lam, quad_tol)
+    ) / (2.0 * dO)
+    sz = -2.0 * n_O / nu_bare
+
+    return (omega0 / Omega) * n_phot, sz
 
 
 def random_params(rng: np.random.Generator) -> RabiParams:

@@ -43,13 +43,13 @@ from rabi_esqpt import (
     ground_state_eps,
     law_log_esqpt,
     law_power_qpt,
-    observables_hellmann_feynman,
     observables_microcanonical,
     windowed_dos,
 )
 from rabi_esqpt.semiclassical import EPS_CRITICAL
 
-from oracles import PINNING_ORACLE, dense_hamiltonian, random_params
+from oracles import (PINNING_ORACLE, dense_hamiltonian, observables_hellmann_feynman,
+                     random_params)
 
 # comparison bands for the windowed-density criteria, intersected with
 # (eps_gs + 0.02, 0]: no quantum level exists below the well bottom, and

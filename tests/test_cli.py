@@ -209,6 +209,27 @@ class TestAsymptotics:
         assert code == 2
 
 
+class TestFailedRunWritesNothing:
+    def test_usage_error(self, tmp_path):
+        code, out = run(tmp_path, "dos", "--g", "1.2", "--window", "0")
+        assert code == 2
+        assert not out.exists()
+
+    def test_runtime_error_after_the_semiclassical_curve(self, tmp_path):
+        # the curve is computed before the quantum sectors fail to certify
+        code, out = run(tmp_path, "observables", "--ratio", "8", "--g", "1.2",
+                        "--points", "11", "--conv-tol", "1e-300")
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--quad-tol", "--conv-tol"])
+    def test_nan_tolerance(self, tmp_path, flag):
+        code, out = run(tmp_path, "dos", "--g", "1.2", "--ratio", "40", "--points", "11",
+                        flag, "nan")
+        assert code == 1
+        assert not out.exists()
+
+
 class TestConfig:
     def test_fills_unset_options(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -300,6 +300,16 @@ class TestConvergedWindow:
         with pytest.raises(ValueError):
             converged_levels(p, Parity.MINUS, k_max=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # every tail < NaN is false: unchecked, a NaN tol regrows to the
+        # truncation cap before it fails
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            converged_window(p, Parity.MINUS, eps_max=0.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            converged_levels(p, Parity.PLUS, k_max=5, tol=tol)
+
     def test_levels_grow_past_failed_certificate(self):
         # 20 levels at R = 40, g = 3 reach far beyond the first solve's
         # 128 sites, so the certificate must fail once and force a re-solve

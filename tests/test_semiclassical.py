@@ -6,60 +6,47 @@ import numpy as np
 import pytest
 
 from rabi_esqpt import (
-    Branch,
     DosCurve,
     DosSource,
-    EffectivePotential,
     QuadratureError,
     RabiParams,
     accumulated_states,
     dos_curve,
     dos_semiclassical,
     ground_state_eps,
-    observables_hellmann_feynman,
     observables_microcanonical,
-    potential_minima,
-    potential_value,
-    turning_points,
 )
-from rabi_esqpt.semiclassical import EPS_CRITICAL
+from rabi_esqpt.semiclassical import EPS_CRITICAL, _roots_u
 
-from oracles import QUAD_ORACLE
+from oracles import QUAD_ORACLE, observables_hellmann_feynman
+
+
+def p_squared(g: float, eps: float, x: float) -> float:
+    """Radicand of the orbit momentum on the lower branch, eps + s - x^2."""
+    return eps + math.sqrt(1.0 + 2.0 * g * g * x * x) - x * x
 
 
 class TestPotential:
-    def test_branch_values_at_origin(self):
-        assert potential_value(Branch.LOWER, 1.5, 0.0) == pytest.approx(-0.5)
-        assert potential_value(Branch.UPPER, 1.5, 0.0) == pytest.approx(0.5)
-
-    def test_vectorized(self):
-        x = np.array([0.0, 1.0, -1.0])
-        v = potential_value(Branch.LOWER, 2.0, x)
-        assert v.shape == (3,)
-        assert v[1] == v[2]  # even in x
-        assert v[1] == pytest.approx(0.5 - 0.5 * math.sqrt(9.0))
-
     def test_minima_single_well(self):
-        np.testing.assert_array_equal(potential_minima(0.7), [0.0])
-        np.testing.assert_array_equal(potential_minima(1.0), [0.0])
-        np.testing.assert_array_equal(EffectivePotential(Branch.UPPER, 2.0).minima(), [0.0])
+        # for g <= 1 the well bottom is the origin: the orbit at the
+        # ground-state energy has collapsed onto x = 0
+        for g in (0.7, 1.0):
+            u_lo, u_hi = _roots_u(g, ground_state_eps(g))
+            assert u_hi == 0.0 and u_lo <= 0.0
 
     def test_minima_double_well(self):
         g = 2.0
-        xs = potential_minima(g)
-        assert xs.shape == (2,) and xs[0] == -xs[1]
         x_star = math.sqrt(0.5 * (g**2 - g**-2))
-        assert xs[1] == pytest.approx(x_star, rel=1e-15)
-        # the well bottom sits at the ground-state energy (eps = 2 V/Omega)
-        assert 2.0 * potential_value(Branch.LOWER, g, xs[1]) == pytest.approx(
-            ground_state_eps(g), rel=1e-15
-        )
+        # the well bottom sits at the ground-state energy: eps = 2 V(x*) on
+        # the lower branch V(x)/Omega = x^2/2 - sqrt(1 + 2 g^2 x^2)/2
+        v_star = 0.5 * x_star**2 - 0.5 * math.sqrt(1.0 + 2.0 * g * g * x_star**2)
+        assert 2.0 * v_star == pytest.approx(ground_state_eps(g), rel=1e-15)
 
     def test_rejects_bad_g(self):
         with pytest.raises(ValueError):
-            potential_value(Branch.LOWER, -0.5, 0.0)
+            ground_state_eps(-0.5)
         with pytest.raises(ValueError):
-            EffectivePotential(Branch.LOWER, math.nan)
+            ground_state_eps(math.nan)
 
     def test_ground_state_eps(self):
         assert ground_state_eps(0.0) == -1.0
@@ -71,45 +58,53 @@ class TestPotential:
 
 
 class TestTurningPoints:
+    """Roots u = x^2 of p^2, as the orbit integrals use them."""
+
     def test_connected_orbit(self):
-        tp = turning_points(1.2, -0.5)
-        assert not tp.disconnected and tp.x1 == 0.0
-        # p^2 vanishes at x2: eps + s - x^2 = 0
-        s = math.sqrt(1.0 + 2.0 * 1.44 * tp.x2**2)
-        assert -0.5 + s - tp.x2**2 == pytest.approx(0.0, abs=1e-14)
+        u_lo, u_hi = _roots_u(1.2, -0.5)
+        # no inner turning point: the orbit spans [-x2, x2]
+        assert u_lo < 0.0 < u_hi
+        assert p_squared(1.2, -0.5, math.sqrt(u_hi)) == pytest.approx(0.0, abs=1e-14)
 
     def test_disconnected_orbit(self):
-        tp = turning_points(1.2, -1.05)
-        assert tp.disconnected and 0.0 < tp.x1 < tp.x2
-        for x in (tp.x1, tp.x2):
-            s = math.sqrt(1.0 + 2.0 * 1.44 * x * x)
-            assert -1.05 + s - x * x == pytest.approx(0.0, abs=1e-14)
+        u_lo, u_hi = _roots_u(1.2, -1.05)
+        assert 0.0 < u_lo < u_hi
+        for u in (u_lo, u_hi):
+            assert p_squared(1.2, -1.05, math.sqrt(u)) == pytest.approx(0.0, abs=1e-14)
 
     def test_subcritical_high_energy_is_connected(self):
         # g < 1, eps > 1: the u-quadratic has two positive roots but only
-        # the outer one is a turning point of the single-well orbit
-        tp = turning_points(0.8, 2.0)
-        assert not tp.disconnected and tp.x1 == 0.0
+        # the outer one is a turning point of the single-well orbit; the
+        # inner one solves eps - x^2 - s = 0 on the upper branch
+        g, eps = 0.8, 2.0
+        u_lo, u_hi = _roots_u(g, eps)
+        assert 0.0 < u_lo < u_hi
+        assert p_squared(g, eps, math.sqrt(u_hi)) == pytest.approx(0.0, abs=1e-14)
+        xs = np.linspace(0.0, math.sqrt(u_hi), 50)[:-1]
+        assert min(p_squared(g, eps, x) for x in xs) > 0.0
 
     def test_quartic_scaling_at_threshold(self):
         # g = 1: x2 ~ (2 delta)^(1/4) near the critical energy
         delta = 1e-4
-        tp = turning_points(1.0, -1.0 + delta)
-        assert tp.x2 == pytest.approx((2.0 * delta) ** 0.25, rel=5e-3)
+        _, u_hi = _roots_u(1.0, -1.0 + delta)
+        assert math.sqrt(u_hi) == pytest.approx((2.0 * delta) ** 0.25, rel=5e-3)
 
     def test_orbit_shrinks_to_point_at_ground_state(self):
         g = 2.0
-        tp = turning_points(g, ground_state_eps(g))
-        assert tp.x1 == pytest.approx(tp.x2, rel=1e-7)
-        assert tp.x2 == pytest.approx(math.sqrt(0.5 * (g**2 - g**-2)), rel=1e-7)
+        u_lo, u_hi = _roots_u(g, ground_state_eps(g))
+        x1, x2 = math.sqrt(u_lo), math.sqrt(u_hi)
+        assert x1 == pytest.approx(x2, rel=1e-7)
+        assert x2 == pytest.approx(math.sqrt(0.5 * (g**2 - g**-2)), rel=1e-7)
 
     def test_below_ground_state_raises(self):
         with pytest.raises(ValueError):
-            turning_points(1.2, -1.1)
+            _roots_u(1.2, -1.1)
         with pytest.raises(ValueError):
-            turning_points(0.5, -1.0001)
+            dos_semiclassical(1.2, -1.1)
         with pytest.raises(ValueError):
-            turning_points(1.0, math.inf)
+            dos_semiclassical(0.5, -1.0001)
+        with pytest.raises(ValueError):
+            dos_semiclassical(1.0, math.inf)
 
 
 class TestDensity:
@@ -160,6 +155,23 @@ class TestDensity:
             dos_semiclassical(1.2, -0.5, omega0=0.0)
         with pytest.raises(ValueError):
             dos_semiclassical(-1.0, -0.5)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # unchecked, NaN and inf integrate to a silent 0.0
+        with pytest.raises(ValueError, match="eps must be finite"):
+            dos_semiclassical(1.2, eps)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            accumulated_states(1.2, eps)
+
+    @pytest.mark.parametrize("quad_tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_quad_tol_must_be_finite_and_positive(self, quad_tol):
+        # a NaN tolerance would turn the error-estimate check off
+        for call in (dos_semiclassical, accumulated_states, observables_microcanonical):
+            with pytest.raises(ValueError, match="quad_tol must be finite and positive"):
+                call(1.2, -0.5, quad_tol=quad_tol)
+        with pytest.raises(ValueError, match="quad_tol must be finite and positive"):
+            dos_curve(1.2, np.array([-0.5, 0.0]), quad_tol=quad_tol)
 
     def test_critical_guard(self):
         for eps in (-1.0, -1.0 + 0.5e-8, -1.0 - 0.5e-8):
@@ -231,6 +243,12 @@ class TestShellAverages:
         sz = curve.sz[::-1]
         assert np.all(np.diff(nphot) < 0) and nphot[-1] > 0
         assert np.all(np.diff(sz + 1.0) < 0) and sz[-1] > -1.0
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # unchecked, the shell average divides by a zero-length orbit
+        with pytest.raises(ValueError, match="eps must be finite"):
+            observables_microcanonical(1.2, np.array([-0.5, eps]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
