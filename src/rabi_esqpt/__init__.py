@@ -22,7 +22,6 @@ from .quantum import (
 from .semiclassical import (
     EPS_CRITICAL,
     DosCurve,
-    DosSource,
     ObservableCurve,
     QuadratureError,
     accumulated_states,
@@ -67,7 +66,6 @@ __all__ = [
     "converged_levels",
     "eigen_observables",
     "DosCurve",
-    "DosSource",
     "ObservableCurve",
     "QuadratureError",
     "EPS_CRITICAL",

@@ -364,7 +364,6 @@ def _certified_spectrum(
     parity: Parity,
     tol: float,
     want_vectors: bool,
-    dim_cap: int | None,
     k_max: int | None = None,
     eps_max: float | None = None,
 ) -> ParitySpectrum:
@@ -373,14 +372,14 @@ def _certified_spectrum(
     Each returned eigenvector v, padded with zeros, leaves the residual
     lam sqrt(dim) |v[dim-1]| against the untruncated chain; a level is
     certified when that is below tol * omega0.  Only a failed certificate
-    re-solves, at a truncation sized to the top Ritz value, up to dim_cap.
+    re-solves, at a truncation sized to the top Ritz value, up to the cap
+    of _CAP_PER_R R max(1, g^2).
     """
     # NaN must fail here: no tail residual is below it, so the solve would
     # regrow to the cap before raising
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if dim_cap is None:
-        dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
+    dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
         dim = _start_dim(params, eps_max)
@@ -415,17 +414,16 @@ def converged_window(
     eps_max: float,
     tol: float = 1e-8,
     want_vectors: bool = False,
-    dim_cap: int | None = None,
 ) -> tuple[int, ParitySpectrum]:
     """Every level with eps <= eps_max, each certified to within tol * omega0.
 
     Solves once at a truncation sized to the classical orbit at eps_max and
     certifies every level by its tail residual against the untruncated
     chain.  Returns (dim, spectrum) with spectrum.n_converged the level
-    count.  Raises TruncationLimitError when the cap (default 200 R
+    count.  Raises TruncationLimitError when the cap (200 R
     max(1, g^2)) is hit first.
     """
-    spec = _certified_spectrum(params, parity, tol, want_vectors, dim_cap, eps_max=eps_max)
+    spec = _certified_spectrum(params, parity, tol, want_vectors, eps_max=eps_max)
     return spec.dim, spec
 
 
@@ -435,7 +433,6 @@ def converged_levels(
     k_max: int,
     tol: float = 1e-8,
     want_vectors: bool = False,
-    dim_cap: int | None = None,
 ) -> ParitySpectrum:
     """The lowest k_max levels, each certified to within tol * omega0.
 
@@ -445,7 +442,7 @@ def converged_levels(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _certified_spectrum(params, parity, tol, want_vectors, dim_cap, k_max=k_max)
+    return _certified_spectrum(params, parity, tol, want_vectors, k_max=k_max)
 
 
 def eigen_observables(spectrum: ParitySpectrum) -> EigenObservables:

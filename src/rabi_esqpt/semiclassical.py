@@ -28,31 +28,30 @@ orbits; the test suite cross-checks them against Hellmann-Feynman
 derivatives of the accumulated count taken in bare variables at fixed
 coupling lam.
 
-The integrals have inverse-square-root endpoint singularities.  Each is
-removed exactly by the substitution x = x2 - t^2 (and x = x1 + t^2 on a
-disconnected inner turning point) together with a factored form of the
-radicand,
+Every orbit integral is complete in s = sqrt(1 + 2 g^2 x^2), where
 
-    p^2 = (u2 - u)(u - u1) / (s + u - eps),   u = x^2,  s = sqrt(1+2g^2u),
+    dx / p = s ds / sqrt((s^2 - 1)(s+ - s)(s - s-)),
+    s+- = g^2 +- sqrt(g^4 + 1 + 2 g^2 eps),
 
-whose factors are evaluated from exact turning-point offsets, so adaptive
-Gauss-Kronrod quadrature on the substituted segments converges to near
-machine precision.
+between the adjacent roots [1, s+] (connected orbits) or [s-, s+] (in one
+well).  The substitution s = a + (b - a) sin^2(phi) takes out both endpoint
+singularities, so one adaptive Gauss-Kronrod quadrature on [0, pi/2]
+converges to near machine precision.  The root offsets and the weights
+are evaluated without cancellation at eps = -1, at the well bottom and as
+g -> 0.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 __all__ = [
-    "DosSource",
     "DosCurve",
     "ObservableCurve",
     "QuadratureError",
@@ -83,11 +82,6 @@ class QuadratureError(RuntimeError):
         self.errest = errest
 
 
-class DosSource(enum.Enum):
-    SEMICLASSICAL = "semiclassical"
-    QUANTUM_WINDOWED = "quantum_windowed"
-
-
 @dataclass(frozen=True)
 class DosCurve:
     """Density of states nu(eps) in 1/omega0 units on an eps grid.
@@ -97,7 +91,6 @@ class DosCurve:
     from windowed quantum spectra.
     """
 
-    source: DosSource
     g: float
     omega0: float
     eps: np.ndarray = field(repr=False)
@@ -160,142 +153,88 @@ def ground_state_eps(g: float) -> float:
     return -0.5 * (g * g + 1.0 / (g * g))
 
 
-def _roots_u(g: float, eps: float) -> tuple[float, float]:
-    """Roots u1 <= u2 of u^2 - 2(eps + g^2) u + (eps^2 - 1), u = x^2.
+# Orbit integrals.  The orbit is [a, b] = [max(1, s-), s+] in s; with
+# c = min(1, s-) and s = a + (b - a) sin^2(phi) (see the module docstring),
+#     Int w dx/p = 2 Int_0^{pi/2} w s / sqrt((s + 1)(s - c)) dphi.
 
-    p(x)^2 = 0 at u = x^2 equal to either root; computed in the standard
-    cancellation-free way (conjugate form plus root product).
+
+class _Orbit(NamedTuple):
+    a: float  # lower end max(1, s-) of the orbit in s
+    span: float  # b - a, upper end b = s+
+    a_c: float  # a - c
+    a_sm: float  # a - s-
+    span_g2: float  # (b - a) / g^2
+    a1_g2: float  # (a - 1) / g^2
+
+
+def _orbit(g: float, eps: float) -> _Orbit:
+    """The orbit in s, with every offset formed without cancellation.
+
+    The root offsets s+ - 1 and 1 - s- have product 2 g^2 (eps + 1); the one
+    that would cancel is taken from that product instead, so nothing is lost
+    at eps = -1, at the well bottom or as g -> 0.
     """
     g2 = g * g
-    disc = g2 * g2 + 2.0 * eps * g2 + 1.0
-    if disc < 0.0:
-        raise ValueError(f"no allowed orbit at eps={eps}, g={g} (below the ground state)")
-    sq = math.sqrt(disc)
-    q = eps + g2
-    if q >= 0.0:
-        u_hi = q + sq
+    k = (g - 1.0) * (g + 1.0)
+    d = k * k + 2.0 * g2 * (eps + 1.0)  # (s+ - s-)^2 / 4
+    r = math.sqrt(max(d, 0.0))
+    if k >= 0.0:
+        up = k + r  # s+ - 1
+        lo = 2.0 * g2 * (eps + 1.0) / up if up > 0.0 else 0.0  # 1 - s-
+        up_g2 = up / g2
     else:
-        u_hi = (1.0 - eps * eps) / (sq - q)
-    u_lo = (eps * eps - 1.0) / u_hi if u_hi > 0.0 else q - sq
-    return u_lo, u_hi
+        lo = r - k
+        up_g2 = 2.0 * (eps + 1.0) / lo
+        up = g2 * up_g2
+    if d < 0.0 or up < 0.0:
+        raise ValueError(f"no allowed orbit at eps={eps}, g={g} (below the ground state)")
+    if lo >= 0.0:  # connected: the orbit passes through x = 0
+        return _Orbit(1.0, up, lo, lo, up_g2, 0.0)
+    # in one well: s- > 1 is the inner turning point
+    return _Orbit(1.0 - lo, 2.0 * r, -lo, 0.0, 2.0 * r / g2, -lo / g2)
 
 
-# ---------------------------------------------------------------------------
-# Orbit integrals
-#
-# Every observable reduces to Int w(x) / p(x) dx or Int w(x) p(x) dx over
-# [x1, x2].  The domain splits at u_split = (u2 + max(u1, 0))/2; each half
-# near a vanishing endpoint of p^2 uses its turning-point substitution with
-# p^2 = t^2 * h, h smooth and strictly positive.  On the upper half
-# u >= u_split >= eps always holds (u_split - eps = g^2 + (s(x2)^2-1)/...),
-# hence s + u - eps >= 1 and the factored form is cancellation-free.
-# ---------------------------------------------------------------------------
+def _w_one(o: _Orbit, s: float, sn: float, cs: float) -> float:
+    return 1.0
 
 
-def _s_of(g: float, u: float) -> float:
-    return math.sqrt(1.0 + 2.0 * g * g * u)
+def _w_p2(o: _Orbit, s: float, sn: float, cs: float) -> float:
+    # p^2 = (b - s)(s - s-) / (2 g^2)
+    return 0.5 * o.span_g2 * cs * (o.a_sm + o.span * sn)
 
 
-def _radicand_direct(g: float, eps: float, x: float) -> float:
-    # exact rewrite of eps - x^2 + s avoiding the eps ~ -1 cancellation near
-    # the origin: p^2 = (eps+1) + x^2 (2g^2 - 1 - s)/(s + 1)
-    u = x * x
-    s = _s_of(g, u)
-    return (eps + 1.0) + u * (2.0 * g * g - 1.0 - s) / (s + 1.0)
+def _w_sz(o: _Orbit, s: float, sn: float, cs: float) -> float:
+    return -1.0 / s
 
 
-def _quad_segments(
-    segments: list[tuple[Callable[[float], float], float, float, tuple[float, ...]]],
-    quad_tol: float,
-) -> tuple[float, float]:
-    total = 0.0
-    err = 0.0
-    epsrel = max(quad_tol / 8.0, 1e-13)
-    with warnings.catch_warnings():
-        # accuracy is judged on the summed error estimate below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for f, a, b, knots in segments:
-            if not b > a:
-                continue
-            pts = [p for p in knots if a < p < b] or None
-            val, e = quad(f, a, b, epsabs=0.0, epsrel=epsrel, limit=200, points=pts)
-            total += val
-            err += e
-    return total, err
+def _w_nphot(o: _Orbit, s: float, sn: float, cs: float) -> float:
+    # (x^2 + p^2)/2 with x^2 = (s + 1)(s - 1) / (2 g^2): a sum of non-negative
+    # terms, where eps + s would cancel at the well bottom
+    x2 = 0.5 * (s + 1.0) * (o.a1_g2 + o.span_g2 * sn)
+    return 0.5 * (x2 + _w_p2(o, s, sn, cs))
 
 
 def _orbit_integral(
     g: float,
     eps: float,
-    weight: Callable[[float], float],
-    kind: str,
+    weight: Callable[[_Orbit, float, float, float], float],
     quad_tol: float,
 ) -> float:
-    """Int w/p dx (kind='inv') or Int w p dx (kind='sqrt') over [x1, x2]."""
-    u_lo, u_hi = _roots_u(g, eps)
-    if u_hi <= 0.0 or u_hi - max(u_lo, 0.0) <= 0.0:
-        raise ValueError(f"orbit has zero length at eps={eps}, g={g}")
-    disconnected = g > 1.0 and eps < EPS_CRITICAL
-    x2 = math.sqrt(u_hi)
-    x1 = math.sqrt(u_lo) if disconnected else 0.0
-    u_split = 0.5 * (u_hi + max(u_lo, 0.0))
-    x_split = math.sqrt(u_split)
-    x2_minus_x1 = (u_hi - max(u_lo, 0.0)) / (x2 + x1)
+    """Int w dx/p over the orbit; w is evaluated from the orbit offsets."""
+    o = _orbit(g, eps)
+    a, span, a_c = o.a, o.span, o.a_c
 
-    inv = kind == "inv"
+    def f(phi: float) -> float:
+        sn = math.sin(phi) ** 2
+        s = a + span * sn
+        return s * weight(o, s, sn, math.cos(phi) ** 2) / math.sqrt((s + 1.0) * (a_c + span * sn))
 
-    def upper_t(t: float) -> float:
-        x = x2 - t * t
-        u = x * x
-        s = _s_of(g, u)
-        if disconnected:
-            num = (x2_minus_x1 - t * t) * (x + x1)  # (x - x1)(x + x1), exact offset
-        else:
-            # u_lo <= 0, or a spurious root kept >= (u_hi-u_lo)/2 away by the split
-            num = u - u_lo
-        h = (x2 + x) * num / (s + u - eps)
-        w = weight(x)
-        if inv:
-            return 2.0 * w / math.sqrt(h)
-        return 2.0 * t * t * w * math.sqrt(h)
-
-    def lower_t(t: float) -> float:
-        x = x1 + t * t
-        u = x * x
-        s = _s_of(g, u)
-        x2_minus_x = x2_minus_x1 - t * t
-        h = (x + x1) * x2_minus_x * (x2 + x) / (s + u - eps)
-        w = weight(x)
-        if inv:
-            return 2.0 * w / math.sqrt(h)
-        return 2.0 * t * t * w * math.sqrt(h)
-
-    def direct(x: float) -> float:
-        r = _radicand_direct(g, eps, x)
-        w = weight(x)
-        if inv:
-            return w / math.sqrt(r)
-        return w * math.sqrt(r)
-
-    segments: list[tuple[Callable[[float], float], float, float, tuple[float, ...]]] = []
-    if disconnected:
-        t1_max = math.sqrt(x_split - x1)
-        # resolve the crossover scale t ~ sqrt(x1) near a shrinking inner
-        # turning point (log regime)
-        t0 = math.sqrt(x1) if x1 > 0 else 0.0
-        knots = (t0, 3.0 * t0, 10.0 * t0) if t0 > 0 else ()
-        segments.append((lower_t, 0.0, t1_max, knots))
-    else:
-        knots = ()
-        if g > 1.0 and 0.0 < eps - EPS_CRITICAL < 1e-2:
-            # near-critical bottleneck at the origin, width w
-            w0 = math.sqrt((eps - EPS_CRITICAL) / (g * g - 1.0))
-            knots = tuple(w0 * 10.0**k for k in range(4))
-        segments.append((direct, x1, x_split, knots))
-    t2_max = math.sqrt((u_hi - u_split) / (x2 + x_split))  # sqrt(x2 - x_split), stable
-    segments.append((upper_t, 0.0, t2_max, ()))
-
-    value, errest = _quad_segments(segments, quad_tol)
+    with warnings.catch_warnings():
+        # accuracy is judged on the error estimate below
+        warnings.simplefilter("ignore", IntegrationWarning)
+        half, half_err = quad(f, 0.0, 0.5 * math.pi, epsabs=0.0,
+                              epsrel=max(quad_tol / 8.0, 1e-13), limit=200)
+    value, errest = 2.0 * half, 2.0 * half_err
     scale = max(abs(value), 1e-300)
     if errest > 10.0 * quad_tol * scale:
         raise QuadratureError(
@@ -335,8 +274,7 @@ def dos_semiclassical(
             f"no allowed orbit: eps={eps} not above ground-state eps={ground_state_eps(g)}"
         )
     _guard_critical(g, eps, "the density of states")
-    val = _orbit_integral(g, eps, lambda x: 1.0, "inv", quad_tol)
-    return 2.0 / (omega0 * math.pi) * val
+    return 2.0 / (omega0 * math.pi) * _orbit_integral(g, eps, _w_one, quad_tol)
 
 
 def accumulated_states(
@@ -358,8 +296,7 @@ def accumulated_states(
     if eps == e_gs:
         return 0.0
     _guard_critical(g, eps, "the accumulated count")
-    val = _orbit_integral(g, eps, lambda x: 1.0, "sqrt", quad_tol)
-    return 4.0 / (omega0 * math.pi) * val
+    return 4.0 / (omega0 * math.pi) * _orbit_integral(g, eps, _w_p2, quad_tol)
 
 
 def dos_curve(
@@ -375,31 +312,14 @@ def dos_curve(
     n_cum = None
     if with_counts:
         n_cum = np.array([accumulated_states(g, e, omega0, quad_tol) for e in eps])
-    return DosCurve(
-        source=DosSource.SEMICLASSICAL,
-        g=float(g),
-        omega0=float(omega0),
-        eps=eps,
-        nu=nu,
-        n_cum=n_cum,
-    )
+    return DosCurve(g=float(g), omega0=float(omega0), eps=eps, nu=nu, n_cum=n_cum)
 
 
 def _observables_point(g: float, eps: float, quad_tol: float) -> tuple[float, float]:
-    # shell averages: <A> = Int (A/p) dx / Int (1/p) dx on the orbit;
-    # <sigma_z> weight is -1/s, <a^dag a> (scaled) weight is (eps + s)/2
-    # since x^2 + p^2 = eps + s on shell
-    denom = _orbit_integral(g, eps, lambda x: 1.0, "inv", quad_tol)
-    g2 = g * g
-
-    def w_sz(x: float) -> float:
-        return -1.0 / _s_of(g, x * x)
-
-    def w_np(x: float) -> float:
-        return 0.5 * (eps + _s_of(g, x * x))
-
-    sz = _orbit_integral(g, eps, w_sz, "inv", quad_tol) / denom
-    nphot = _orbit_integral(g, eps, w_np, "inv", quad_tol) / denom
+    # shell averages: <A> = Int (A/p) dx / Int (1/p) dx on the orbit
+    denom = _orbit_integral(g, eps, _w_one, quad_tol)
+    sz = _orbit_integral(g, eps, _w_sz, quad_tol) / denom
+    nphot = _orbit_integral(g, eps, _w_nphot, quad_tol) / denom
     return nphot, sz
 
 

@@ -29,7 +29,7 @@ from .quantum import (
     build_parity_chain,
     converged_levels,
 )
-from .semiclassical import DosCurve, DosSource
+from .semiclassical import DosCurve
 
 __all__ = [
     "MergedLevels",
@@ -103,7 +103,6 @@ class WindowedDos:
         dos_semiclassical can be overlaid without further bookkeeping.
         """
         return DosCurve(
-            source=DosSource.QUANTUM_WINDOWED,
             g=self.params.g,
             omega0=self.params.omega0,
             eps=self.eps_bar.copy(),

@@ -5,11 +5,11 @@ knows nothing about the chain decomposition; agreement between the two is
 therefore a real cross-check, not a tautology.  The Hellmann-Feynman
 observables differentiate the accumulated level count instead of averaging
 over the orbit shell, so they check the package's shell averages by a
-second route.  The quadrature oracle table
-was generated once with mpmath tanh-sinh integration at 40 significant
-digits, and the critical pinning constants at 50 (generator scripts at the
-bottom); both are frozen here so the suite does not depend on mpmath at run
-time.
+second route.  The quadrature and shell-average oracle tables were
+generated with mpmath tanh-sinh integration in x at 40 significant digits,
+and the critical pinning constants at 50; all three are frozen here so the
+suite does not depend on mpmath at run time.  Running this file regenerates
+them (see the entry at the bottom).
 """
 
 from __future__ import annotations
@@ -139,6 +139,10 @@ QUAD_ORACLE = {
     (1.0, -0.9999): (9.9734439600585751, 0.001327234760324248),
     (2.0, -1.5): (2.1299533882229735, 1.3069568843616116),
     (2.0, 0.0): (1.7100564698203868, 4.3788432531356672),
+    # in-well, within 2e-8 of eps_c: the logarithmic regime
+    (1.2, -1.00000002): (9.7778463032397872, 0.21348454014000322),
+    (3.0, -1.000000011): (3.9931568101409252, 7.286204315580054),
+    (1.001, -1.000000011): (66.69785315777835, 7.5105825162206266e-5),
 }
 
 # g -> (D0, M_sz, M_n) at omega0 = 1, from mpmath tanh-sinh at 50 digits.
@@ -157,43 +161,75 @@ PINNING_ORACLE = {
     1.4: (2.5905028428808878, 0.77519337331036124, 1.7239815354912177),
 }
 
-# Generator (requires mpmath; run manually to regenerate QUAD_ORACLE):
-#
-#   import mpmath as mp
-#   mp.mp.dps = 40
-#   def p2(x, g, eps): return eps + mp.sqrt(1 + 2*g*g*x*x) - x*x
-#   def turning(g, eps):
-#       g2 = mp.mpf(g)**2
-#       disc = mp.sqrt(g2*g2 + 2*eps*g2 + 1)
-#       x2 = mp.sqrt(eps + g2 + disc)
-#       x1 = mp.sqrt(eps + g2 - disc) if (g > 1 and eps < -1) else mp.mpf(0)
-#       return x1, x2
-#   def nu_N(g, eps):
-#       g, eps = mp.mpf(g), mp.mpf(eps)
-#       x1, x2 = turning(g, eps)
-#       pts = [x1]
-#       if x1 == 0 and g > 1 and eps > -1:
-#           w = mp.sqrt((eps + 1) / (g*g - 1))
-#           pts += [w*f for f in (1, 10, 100, 1000) if x1 < w*f < x2]
-#       elif x1 > 0:
-#           pts += [x1 + (x2-x1)*f/10 for f in (mp.mpf(1)/2, 2, 8)]
-#       pts.append(x2)
-#       nu = (2/mp.pi) * mp.quad(lambda x: 1/mp.sqrt(p2(x, g, eps)), pts)
-#       N = (4/mp.pi) * mp.quad(lambda x: mp.sqrt(p2(x, g, eps)), pts)
-#       return mp.re(nu), mp.re(N)
-#
-# Generator for PINNING_ORACLE (same imports):
-#
-#   mp.mp.dps = 50
-#   def pinning(g):
-#       g = mp.mpf(g)
-#       k = g*g - 1
-#       xc = mp.sqrt(2*k)
-#       s = lambda x: mp.sqrt(1 + 2*g*g*x*x)
-#       q = lambda x: mp.sqrt((2*g*g - 1 - s(x)) / (s(x) + 1))
-#       pts = [xc*f/4 for f in range(5)]
-#       M_sz = mp.quad(lambda x: (1 - 1/s(x)) / (x*q(x)), pts) / 2
-#       M_n = mp.quad(lambda x: (s(x) - 1) / (x*q(x)), pts) / 2
-#       D0 = (mp.log(2*xc*mp.sqrt(k)) / mp.sqrt(k)
-#             + mp.quad(lambda x: (1/q(x) - 1/mp.sqrt(k)) / x, pts))
-#       return tuple(mp.re(v) for v in (D0, M_sz, M_n))
+# (g, eps) -> (nphot_scaled, sz) at omega0 = 1, from mpmath tanh-sinh at 40
+# digits: shell averages of (eps + s)/2 and -1/s over the orbit measure dx/p.
+# The last two lie within 1e-7 of the bottom of the single well.
+SHELL_ORACLE = {
+    (1.3, -0.4): (0.89120363742862098, -0.53904366958840889),
+    (0.5, -0.999999999): (5.8333331681991498e-10, -0.99999999983333334),
+    (0.9, -0.9999999): (1.5657882129028814e-7, -0.99999978684242552),
+}
+
+
+if __name__ == "__main__":
+    # Recomputes the three frozen tables at their own keys and prints them;
+    # to add a point, add its key and rerun.  Only this entry needs mpmath.
+    #   PYTHONPATH=src python tests/oracles.py
+    import mpmath as mp
+
+    def p2(x, g, eps):
+        return eps + mp.sqrt(1 + 2 * g * g * x * x) - x * x
+
+    def orbit_points(g, eps):
+        # turning points x1 <= x2, with knots at the near-critical scales
+        g2 = g * g
+        disc = mp.sqrt(g2 * g2 + 2 * eps * g2 + 1)
+        x2 = mp.sqrt(eps + g2 + disc)
+        x1 = mp.sqrt(eps + g2 - disc) if (g > 1 and eps < -1) else mp.mpf(0)
+        pts = [x1]
+        if x1 == 0 and g > 1 and eps > -1:
+            w = mp.sqrt((eps + 1) / (g * g - 1))
+            pts += [w * f for f in (1, 10, 100, 1000) if x1 < w * f < x2]
+        elif x1 > 0:
+            pts += [x1 * f for f in (2, 10, 100, 1000) if x1 * f < x1 + (x2 - x1) / 20]
+            pts += [x1 + (x2 - x1) * f / 10 for f in (mp.mpf(1) / 2, 2, 8)]
+        return pts + [x2]
+
+    def orbit_quad(w, g, eps):
+        """Int w dx/p over the orbit."""
+        return mp.re(mp.quad(lambda x: w(x) / mp.sqrt(p2(x, g, eps)), orbit_points(g, eps)))
+
+    def nu_n(g, eps):
+        nu = 2 / mp.pi * orbit_quad(lambda x: 1, g, eps)
+        return nu, 4 / mp.pi * orbit_quad(lambda x: p2(x, g, eps), g, eps)
+
+    def shell(g, eps):
+        s = lambda x: mp.sqrt(1 + 2 * g * g * x * x)
+        denom = orbit_quad(lambda x: 1, g, eps)
+        return (orbit_quad(lambda x: (eps + s(x)) / 2, g, eps) / denom,
+                orbit_quad(lambda x: -1 / s(x), g, eps) / denom)
+
+    def pinning(g):
+        k = g * g - 1
+        xc = mp.sqrt(2 * k)
+        s = lambda x: mp.sqrt(1 + 2 * g * g * x * x)
+        q = lambda x: mp.sqrt((2 * g * g - 1 - s(x)) / (s(x) + 1))
+        pts = [xc * f / 4 for f in range(5)]
+        m_sz = mp.quad(lambda x: (1 - 1 / s(x)) / (x * q(x)), pts) / 2
+        m_n = mp.quad(lambda x: (s(x) - 1) / (x * q(x)), pts) / 2
+        d0 = (mp.log(2 * xc * mp.sqrt(k)) / mp.sqrt(k)
+              + mp.quad(lambda x: (1 / q(x) - 1 / mp.sqrt(k)) / x, pts))
+        return mp.re(d0), mp.re(m_sz), mp.re(m_n)
+
+    def show(name, table, fn, dps):
+        mp.mp.dps = dps
+        print(f"{name} = {{")
+        for key in table:
+            args = key if isinstance(key, tuple) else (key,)
+            vals = fn(*(mp.mpf(a) for a in args))
+            print(f"    {key!r}: ({', '.join(mp.nstr(v, 17) for v in vals)}),")
+        print("}")
+
+    show("QUAD_ORACLE", QUAD_ORACLE, nu_n, 40)
+    show("PINNING_ORACLE", PINNING_ORACLE, pinning, 50)
+    show("SHELL_ORACLE", SHELL_ORACLE, shell, 40)

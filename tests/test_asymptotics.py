@@ -7,7 +7,6 @@ import pytest
 
 from rabi_esqpt import (
     DosCurve,
-    DosSource,
     LawKind,
     Side,
     dos_curve,
@@ -22,7 +21,6 @@ from rabi_esqpt.semiclassical import EPS_CRITICAL
 
 def synthetic_curve(eps, nu, omega0=1.0, g=1.0):
     return DosCurve(
-        source=DosSource.SEMICLASSICAL,
         g=g,
         omega0=omega0,
         eps=np.asarray(eps, dtype=float),

@@ -69,9 +69,9 @@ GOLDEN = {
         "dos_quantum.csv":
             "76227f1dadffd092e0320b90776467a2730c46f045c58ef1927c7019964f9969",
         "dos_semiclassical.csv":
-            "00aa35755ca1494c42776d4ab432d9a3fffb4d32867b328a035af54576a31225",
+            "29919701a2e9bb917b7d6c465862a75ae509c507265680bb546cd7681cd4411c",
         "dos_summary.json":
-            "5e096c1f72dcccb0e6b248e9c5cfed37c4b67ca61ff43c2f431afefb9cb3d4f0",
+            "81f52e09aecd49a0b60434006fdb07d5e951ef11ef46c78b517e8a5f41020a54",
     },
     "observables_r1000": {
         "observables.svg":
@@ -79,9 +79,9 @@ GOLDEN = {
         "observables_quantum.csv":
             "25c5c111c167d9390d0b21456fa7b996e5caeae74b809489f2518a2d476c37b2",
         "observables_semiclassical.csv":
-            "f35ba545c483ae2f70ae2a67a5bc0c2c5b1a1d9ad3e1e581f0b8cc0c522ee658",
+            "46e6ce5c19204340af0e289eb35e434f9c0467029cebc4d36b58019ebab176e8",
         "observables_summary.json":
-            "6384c641d69ea711f720b1123b6c08e57b7196ef70c443a38697702373646260",
+            "2ece27890a2db36392dd64c0ee3fab08a599ad88eebfc4c55e9226328bc7e6c1",
     },
     "probabilities_r1000": {
         "probabilities.csv":
@@ -93,19 +93,19 @@ GOLDEN = {
     },
     "asymptotics_power": {
         "asymptotics.json":
-            "aed1e825b4a87d8649e061ec849bc8c9e1d0e9588ba9cae0d1c37aca0339435b",
+            "f56082cec1d8b3e838046a14b934a4298aad23efa5bd0aa83ffd91be9529396c",
         "asymptotics.svg":
             "e61d45b0fc04130083071f93b6e3ff2ed9ca3f56279556aec0424c50719fb3cf",
         "asymptotics_curve.csv":
-            "7c980ba6408adea728eef2c69878431a0d99679031902bd5d947c6ac877cfc60",
+            "56985a1d8470c74beb63148232859a38169dcad75fdad87c4c011c517d4e4c53",
     },
     "asymptotics_log": {
         "asymptotics.json":
-            "464803eea001b833d8b6e22a72f165f9e45b805a7dc85c9c555ffe5f833f040d",
+            "62db7c5eeefe96cc4b80f3b26423775a29702d046de4ee6ef36cac458f015f08",
         "asymptotics.svg":
             "b42252efb5fbd242f7c3b1021b9884ed291dfe5944e5075ababf3f9b819c857d",
         "asymptotics_curve.csv":
-            "951390ac427da54a57bb1625a235dd067fdb11c5fdc828d83d55647a565d13cc",
+            "a5cc9c5b9b157dfc4fb84ab8f5afd1c971fbbdf0eb4c7928d7d7bcd0a2c919da",
     },
     "spectrum_single": {
         "spectrum.csv":
@@ -119,17 +119,17 @@ GOLDEN = {
         "dos_quantum.csv":
             "53252f5ed12198ab884d701230fe7340c9986c30974605fe85599ab8a6b8ffe0",
         "dos_semiclassical.csv":
-            "f4076b2578b5a325f318a1d26dea8e90007105386c23c52af5417e4882893a6d",
+            "a220064774803fbbdc152c278d2c1f2a8466ff31061bce1631b24142dd3c5567",
         "dos_summary.json":
-            "b5b4666b633e16bf45a31ebf90e1628277e58cca3c248c1354d7eff1db67c921",
+            "9116f76450decd77f5896c9169cc66cb5dfb81447f7cce11d068ff9b23b16de1",
     },
     "dos_shallow_well": {
         "dos_quantum.csv":
             "fd6a4fdf749be8a058eaa925444420af25d57d1403423375b6712a33180b1973",
         "dos_semiclassical.csv":
-            "7ace691fd95162199ce7111a1d1d3c21bd1c6c796d82b93731848946d6e1a829",
+            "21cd161029df502daa782489072601311072dbb22c388c9198b704b3ae09470e",
         "dos_summary.json":
-            "0b9f93fea6ed23f51cdedf023839b935da02575ed7b0f1097b2a6e858fdb24b7",
+            "ebbad5341e6912644b9203b2f421cfac1bf76f2c9304e98b6ae6eb04fcebd418",
     },
 }
 

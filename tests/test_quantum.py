@@ -279,10 +279,12 @@ class TestConvergedWindow:
         lev = converged_levels(p, Parity.MINUS, k_max=win.n_converged)
         np.testing.assert_allclose(win.energies, lev.energies, atol=1e-7)
 
-    def test_truncation_cap_raises(self):
+    def test_truncation_cap_raises(self, monkeypatch):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
+        # cap = ceil(0.2 R g^2) = ceil(11.52) = 12
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 0.2)
         with pytest.raises(TruncationLimitError) as err:
-            converged_window(p, Parity.MINUS, eps_max=0.0, dim_cap=12, want_vectors=True)
+            converged_window(p, Parity.MINUS, eps_max=0.0, want_vectors=True)
         assert err.value.dim == 12
         spec = err.value.spectrum
         assert spec.dim == 12 and spec.n_converged < len(spec)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rabi_esqpt import (
     DosCurve,
-    DosSource,
     QuadratureError,
     RabiParams,
     accumulated_states,
@@ -16,9 +17,9 @@ from rabi_esqpt import (
     ground_state_eps,
     observables_microcanonical,
 )
-from rabi_esqpt.semiclassical import EPS_CRITICAL, _roots_u
+from rabi_esqpt.semiclassical import EPS_CRITICAL, _orbit
 
-from oracles import QUAD_ORACLE, observables_hellmann_feynman
+from oracles import QUAD_ORACLE, SHELL_ORACLE, observables_hellmann_feynman
 
 
 def p_squared(g: float, eps: float, x: float) -> float:
@@ -26,13 +27,19 @@ def p_squared(g: float, eps: float, x: float) -> float:
     return eps + math.sqrt(1.0 + 2.0 * g * g * x * x) - x * x
 
 
+def turning_points(g: float, eps: float) -> tuple[float, float]:
+    """x >= 0 at the orbit ends s = a and s = b, from x^2 = (s^2 - 1)/(2 g^2)."""
+    o = _orbit(g, eps)
+    return tuple(math.sqrt((s * s - 1.0) / (2.0 * g * g)) for s in (o.a, o.a + o.span))
+
+
 class TestPotential:
     def test_minima_single_well(self):
         # for g <= 1 the well bottom is the origin: the orbit at the
         # ground-state energy has collapsed onto x = 0
         for g in (0.7, 1.0):
-            u_lo, u_hi = _roots_u(g, ground_state_eps(g))
-            assert u_hi == 0.0 and u_lo <= 0.0
+            o = _orbit(g, ground_state_eps(g))
+            assert o.a == 1.0 and o.span == 0.0
 
     def test_minima_double_well(self):
         g = 2.0
@@ -58,47 +65,47 @@ class TestPotential:
 
 
 class TestTurningPoints:
-    """Roots u = x^2 of p^2, as the orbit integrals use them."""
+    """Ends s = a, b of the orbit in s = sqrt(1 + 2 g^2 x^2), as the orbit integrals use them."""
 
     def test_connected_orbit(self):
-        u_lo, u_hi = _roots_u(1.2, -0.5)
-        # no inner turning point: the orbit spans [-x2, x2]
-        assert u_lo < 0.0 < u_hi
-        assert p_squared(1.2, -0.5, math.sqrt(u_hi)) == pytest.approx(0.0, abs=1e-14)
+        o = _orbit(1.2, -0.5)
+        # no inner turning point: the orbit passes through s = 1 (x = 0)
+        assert o.a == 1.0 and o.a_c > 0.0
+        _, x2 = turning_points(1.2, -0.5)
+        assert p_squared(1.2, -0.5, x2) == pytest.approx(0.0, abs=1e-14)
 
     def test_disconnected_orbit(self):
-        u_lo, u_hi = _roots_u(1.2, -1.05)
-        assert 0.0 < u_lo < u_hi
-        for u in (u_lo, u_hi):
-            assert p_squared(1.2, -1.05, math.sqrt(u)) == pytest.approx(0.0, abs=1e-14)
+        assert _orbit(1.2, -1.05).a > 1.0
+        x1, x2 = turning_points(1.2, -1.05)
+        assert 0.0 < x1 < x2
+        for x in (x1, x2):
+            assert p_squared(1.2, -1.05, x) == pytest.approx(0.0, abs=1e-14)
 
     def test_subcritical_high_energy_is_connected(self):
-        # g < 1, eps > 1: the u-quadratic has two positive roots but only
-        # the outer one is a turning point of the single-well orbit; the
-        # inner one solves eps - x^2 - s = 0 on the upper branch
+        # g < 1, eps > 1: in u = x^2 the radicand has a second positive root
+        # on the upper branch; in s the single-well orbit is [1, s+]
         g, eps = 0.8, 2.0
-        u_lo, u_hi = _roots_u(g, eps)
-        assert 0.0 < u_lo < u_hi
-        assert p_squared(g, eps, math.sqrt(u_hi)) == pytest.approx(0.0, abs=1e-14)
-        xs = np.linspace(0.0, math.sqrt(u_hi), 50)[:-1]
+        assert _orbit(g, eps).a == 1.0
+        _, x2 = turning_points(g, eps)
+        assert p_squared(g, eps, x2) == pytest.approx(0.0, abs=1e-14)
+        xs = np.linspace(0.0, x2, 50)[:-1]
         assert min(p_squared(g, eps, x) for x in xs) > 0.0
 
     def test_quartic_scaling_at_threshold(self):
         # g = 1: x2 ~ (2 delta)^(1/4) near the critical energy
         delta = 1e-4
-        _, u_hi = _roots_u(1.0, -1.0 + delta)
-        assert math.sqrt(u_hi) == pytest.approx((2.0 * delta) ** 0.25, rel=5e-3)
+        _, x2 = turning_points(1.0, -1.0 + delta)
+        assert x2 == pytest.approx((2.0 * delta) ** 0.25, rel=5e-3)
 
     def test_orbit_shrinks_to_point_at_ground_state(self):
         g = 2.0
-        u_lo, u_hi = _roots_u(g, ground_state_eps(g))
-        x1, x2 = math.sqrt(u_lo), math.sqrt(u_hi)
+        x1, x2 = turning_points(g, ground_state_eps(g))
         assert x1 == pytest.approx(x2, rel=1e-7)
         assert x2 == pytest.approx(math.sqrt(0.5 * (g**2 - g**-2)), rel=1e-7)
 
     def test_below_ground_state_raises(self):
         with pytest.raises(ValueError):
-            _roots_u(1.2, -1.1)
+            _orbit(1.2, -1.1)
         with pytest.raises(ValueError):
             dos_semiclassical(1.2, -1.1)
         with pytest.raises(ValueError):
@@ -140,6 +147,23 @@ class TestDensity:
                 - accumulated_states(g, eps - h, quad_tol=1e-12)
             ) / (2.0 * h)
             assert dn == pytest.approx(nu, rel=1e-7)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(g=st.floats(0.0, 3.0), t=st.floats(0.0, 1.0))
+    def test_count_is_monotone_with_slope_nu(self, g, t):
+        # over eps_gs + 1e-3 <= eps <= 3, kept 1e-3 away from the divergence
+        lo = ground_state_eps(g) + 1e-3
+        eps = lo + t * (3.0 - lo)
+        assume(g <= 1.0 or abs(eps - EPS_CRITICAL) >= 1e-3)
+        h = 1e-5
+        n_lo, n_hi = (accumulated_states(g, eps + d, quad_tol=1e-12) for d in (-h, h))
+        assert n_hi > n_lo
+        # Simpson's mean of nu over [eps - h, eps + h], so that the O((h/delta)^2)
+        # curvature of nu near eps = -1 (5e-6 at g = 1, eps = -0.999) stays
+        # out of the comparison
+        nu = [dos_semiclassical(g, eps + d, quad_tol=1e-12) for d in (-h, 0.0, h)]
+        nu_mean = (nu[0] + 4.0 * nu[1] + nu[2]) / 6.0
+        assert (n_hi - n_lo) / (2.0 * h) == pytest.approx(nu_mean, rel=1e-6)
 
     def test_count_vanishes_at_ground_state(self):
         assert accumulated_states(1.4, ground_state_eps(1.4)) == 0.0
@@ -195,12 +219,10 @@ class TestDensity:
     def test_dos_curve_container(self):
         grid = np.array([-0.8, -0.4, 0.0, 0.5])
         curve = dos_curve(1.2, grid, with_counts=True)
-        assert curve.source is DosSource.SEMICLASSICAL
         assert curve.n_cum is not None and np.all(np.diff(curve.n_cum) > 0)
         assert len(curve.eps) == len(curve.nu) == 4
         with pytest.raises(ValueError):
             DosCurve(
-                source=DosSource.SEMICLASSICAL,
                 g=1.2,
                 omega0=1.0,
                 eps=np.zeros(3),
@@ -216,11 +238,12 @@ class TestShellAverages:
         np.testing.assert_allclose(curve.sz, [-1.0, -1.0, -1.0], rtol=1e-11)
 
     def test_shell_average_oracle(self):
-        # frozen from mpmath (dps = 30) direct x-integrals of
-        # <(eps + s)/2> and <-1/s> over the orbit measure dx/p
-        curve = observables_microcanonical(1.3, -0.4, quad_tol=1e-12)
-        assert curve.nphot_scaled[0] == pytest.approx(0.89120363742862093, rel=1e-11)
-        assert curve.sz[0] == pytest.approx(-0.53904366958840891, rel=1e-11)
+        # includes points within 1e-7 of the single-well bottom, where
+        # eps + s would cancel
+        for (g, eps), (nphot_ref, sz_ref) in SHELL_ORACLE.items():
+            curve = observables_microcanonical(g, eps, quad_tol=1e-12)
+            assert curve.nphot_scaled[0] == pytest.approx(nphot_ref, rel=1e-12)
+            assert curve.sz[0] == pytest.approx(sz_ref, rel=1e-12)
 
     def test_matches_hellmann_feynman(self):
         cases = [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rabi_esqpt import (
-    DosSource,
     Parity,
     ParitySpectrum,
     RabiParams,
@@ -96,7 +95,6 @@ class TestWindowedDos:
         # uniform merged spacing 1/20 in eps: nu_bar = 2 / (2/20) = 20
         np.testing.assert_allclose(wd.nu_bar, 20.0, rtol=1e-12)
         curve = wd.to_dos_curve()
-        assert curve.source is DosSource.QUANTUM_WINDOWED
         assert curve.window_n == 2
         # per unit bare energy: matches the harmonic value 1/omega0
         np.testing.assert_allclose(curve.nu, 1.0, rtol=1e-12)
