@@ -42,10 +42,8 @@ from .asymptotics import (
 )
 from .spectral import (
     GapMap,
-    MergedLevels,
     WindowedDos,
     gap_map,
-    merged_levels,
     windowed_dos,
 )
 
@@ -82,10 +80,8 @@ __all__ = [
     "law_log_esqpt",
     "fit_divergence",
     "geometric_eps_grid",
-    "MergedLevels",
     "WindowedDos",
     "GapMap",
-    "merged_levels",
     "windowed_dos",
     "gap_map",
 ]

@@ -71,15 +71,6 @@ class CriticalLaw:
     prefactor: float | None = None
     slope: float | None = None
 
-    def divergent_part(self, delta_eps: np.ndarray | float) -> np.ndarray:
-        """Evaluate the singular term at distance ``delta_eps > 0`` from eps_c."""
-        d = np.asarray(delta_eps, dtype=float)
-        if np.any(d <= 0.0):
-            raise ValueError("delta_eps must be positive")
-        if self.kind is LawKind.POWER_QPT:
-            return self.prefactor * d**self.exponent
-        return self.slope * (-np.log(d))
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -94,7 +85,6 @@ class FitReport:
 
     kind: LawKind
     side: Side
-    eps_c: float
     window: tuple[float, float]
     n_points: int
     slope: float
@@ -160,7 +150,6 @@ def geometric_eps_grid(
     d_max: float,
     n: int,
     side: Side = Side.ABOVE,
-    eps_c: float = EPS_CRITICAL,
 ) -> np.ndarray:
     """Energies at geometrically spaced distances from eps_c on one side.
 
@@ -172,7 +161,7 @@ def geometric_eps_grid(
     if n < 2:
         raise ValueError("need at least two grid points")
     d = np.geomspace(d_min, d_max, n)
-    eps = eps_c + d if side is Side.ABOVE else eps_c - d
+    eps = EPS_CRITICAL + d if side is Side.ABOVE else EPS_CRITICAL - d
     return np.sort(eps)
 
 
@@ -181,7 +170,6 @@ def fit_divergence(
     kind: LawKind,
     side: Side = Side.ABOVE,
     window: tuple[float, float] = (1e-6, 1e-3),
-    eps_c: float = EPS_CRITICAL,
 ) -> FitReport:
     """Fit the singular behaviour of a sampled density curve near eps_c.
 
@@ -197,7 +185,7 @@ def fit_divergence(
         raise ValueError("window must satisfy 0 < lo < hi")
     eps = np.asarray(curve.eps, dtype=float)
     nu = np.asarray(curve.nu, dtype=float)
-    delta = eps - eps_c if side is Side.ABOVE else eps_c - eps
+    delta = eps - EPS_CRITICAL if side is Side.ABOVE else EPS_CRITICAL - eps
     mask = (delta >= lo) & (delta <= hi) & (nu > 0.0) & np.isfinite(nu)
     n_points = int(np.count_nonzero(mask))
     if n_points < MIN_FIT_POINTS:
@@ -216,7 +204,6 @@ def fit_divergence(
     return FitReport(
         kind=kind,
         side=side,
-        eps_c=eps_c,
         window=(lo, hi),
         n_points=n_points,
         slope=float(slope),

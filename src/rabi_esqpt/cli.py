@@ -129,6 +129,12 @@ class UsageError(ValueError):
     """Bad flags or config; exits with status 2 like argparse does."""
 
 
+# JSON values a config file may give an option of each type; bools are
+# never numbers here, although Python counts them as ints
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 str: ((str,), "a string")}
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill unset options from the JSON config, then from built-in defaults."""
     opts = [*COMMON_OPTS, *CMD_OPTS[args.command]]
@@ -154,10 +160,15 @@ def _apply_config(args: argparse.Namespace) -> None:
                     raise UsageError(f"config key {key!r} must be true or false")
                 if val:
                     setattr(args, dest, True)
-            elif getattr(args, dest) is None:
+                continue
+            kinds, kind_name = _CONFIG_TYPES[opt.typ]
+            if isinstance(val, bool) or not isinstance(val, kinds):
+                raise UsageError(f"config key {key!r} must be {kind_name}, "
+                                 f"got {json.dumps(val)}")
+            if getattr(args, dest) is None:
                 try:
                     setattr(args, dest, opt.typ(val))
-                except (TypeError, ValueError) as exc:
+                except OverflowError as exc:
                     raise UsageError(f"config key {key!r}: {exc}") from exc
     for opt in opts:
         if not opt.is_flag and getattr(args, opt.dest) is None:
@@ -476,10 +487,12 @@ def _cmd_probabilities(args: argparse.Namespace) -> Result:
     peaks = {}
     for o in obs:
         if len(o.eps):
-            k, top = int(np.argmax(o.p_loc)), len(o.eps) - 1
-            spacing = (o.eps[min(k + 1, top)] - o.eps[max(k - 1, 0)]) / 2.0
+            k = int(np.argmax(o.p_loc))
+            # mean spacing of the neighbours, one-sided at an edge, none if alone
+            lo, hi = max(k - 1, 0), min(k + 1, len(o.eps) - 1)
+            spacing = float((o.eps[hi] - o.eps[lo]) / (hi - lo)) if hi > lo else None
             peaks[o.parity.label] = {"k": k, "eps": float(o.eps[k]), "p_loc": float(o.p_loc[k]),
-                                     "local_spacing": float(spacing)}
+                                     "local_spacing": spacing}
     tables = {"probabilities.csv": Table(
         _meta(args, g=g, conv_tol=args.conv_tol,
               dim_minus=minus.dim, dim_plus=plus.dim, eps_max=args.eps_max),

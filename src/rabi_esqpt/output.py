@@ -13,7 +13,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
-__all__ = ["format_value", "write_csv", "read_csv", "write_json"]
+__all__ = ["format_value", "write_csv", "write_json"]
 
 
 def format_value(v: object) -> str:
@@ -55,24 +55,6 @@ def write_csv(
         lines.append(",".join(format_value(cell) for cell in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
-
-
-def read_csv(path: str | Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Inverse of write_csv, cells left as strings for the caller to convert."""
-    metadata: dict[str, str] = {}
-    columns: list[str] = []
-    rows: list[list[str]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        if line.startswith("# "):
-            key, _, val = line[2:].partition("=")
-            metadata[key] = val
-        elif not columns:
-            columns = line.split(",")
-        else:
-            rows.append(line.split(","))
-    return metadata, columns, rows
 
 
 def write_json(path: str | Path, obj: object) -> Path:

@@ -24,15 +24,19 @@ the coupling is parametrized by g = 2 lam / sqrt(omega0 Omega), with g = 1
 the ground-state critical point and eps = -1 the excited-state critical
 energy for g > 1.
 
-Diagonalization never densifies the chain: every eigenvalue comes from
-LAPACK sterf (root-free QL/QR, O(dim^2), no workspace) and the eigenvectors
-of the selected levels from stein (inverse iteration), and every returned
-eigenpair is certified by an explicit residual check.  stein
-reorthogonalizes each vector against all earlier ones within 1e-3 ||T||;
-at large Omega/omega0 that spans the whole level window (4.5 omega0 at
-R = 1000 against spacings of 0.35 omega0), so it is called on slices of at
-most 64 levels that never separate near-degenerate ones, which bounds the
-Gram-Schmidt work by O(64 dim k) instead of O(dim k^2).
+Diagonalization never densifies the chain.  For g > 0 every offdiagonal
+entry is nonzero, so the chain is one unreduced block: every eigenvalue
+comes from LAPACK sterf (root-free QL/QR, O(dim^2), no workspace) and the
+eigenvectors of the selected levels from stein (inverse iteration).  At
+g = 0, or a coupling below roundoff, the chain is diagonal, and its
+eigenpairs are the sorted diagonal and unit vectors.  Every returned
+eigenpair, closed-form ones included, is certified by an explicit
+residual check.  stein reorthogonalizes each vector against all earlier
+ones within 1e-3 ||T||; at large Omega/omega0 that spans the whole level
+window (4.5 omega0 at R = 1000 against spacings of 0.35 omega0), so it is
+called on slices of at most 64 levels that never separate near-degenerate
+ones, which bounds the Gram-Schmidt work by O(64 dim k) instead of
+O(dim k^2).
 
 The truncated chain is certified against the untruncated one in a single
 solve.  Padding an eigenvector v of the dim-site chain with zeros, its
@@ -171,14 +175,10 @@ class ParityChain:
         return float(np.max(np.abs(self.diag))) + 2.0 * off
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag[:, None] * v if v.ndim == 2 else self.diag * v
-        if self.dim > 1:
-            if v.ndim == 2:
-                out[:-1] += self.offdiag[:, None] * v[1:]
-                out[1:] += self.offdiag[:, None] * v[:-1]
-            else:
-                out[:-1] += self.offdiag * v[1:]
-                out[1:] += self.offdiag * v[:-1]
+        """H v for a dim x m block of column vectors."""
+        out = self.diag[:, None] * v
+        out[:-1] += self.offdiag[:, None] * v[1:]
+        out[1:] += self.offdiag[:, None] * v[:-1]
         return out
 
 
@@ -244,41 +244,20 @@ def build_parity_chain(params: RabiParams, parity: Parity, dim: int) -> ParityCh
 
 
 def _certify_residuals(chain: ParityChain, w: np.ndarray, v: np.ndarray,
-                       columns: np.ndarray | None = None) -> None:
+                       first: int = 0) -> None:
     # ||H v - w v|| per eigenpair against RESIDUAL_RTOL * ||H|| bound; an
-    # error names columns[k] (default k), the level's index in the full solve
+    # error names first + k, the level's index in the full solve
     res = chain.matvec(v) - w[None, :] * v
     norms = np.linalg.norm(res, axis=0)
     bound = RESIDUAL_RTOL * chain.norm_bound()
     bad = np.nonzero(norms > bound)[0]
     if bad.size:
-        k = int(bad[0]) if columns is None else int(columns[bad[0]])
+        k = first + int(bad[0])
         raise ConvergenceError(
             f"eigenpair {k} failed residual certification: "
             f"|r| = {norms[bad[0]]:.3e} > {bound:.3e}",
             index=k,
         )
-
-
-def _block_eigenvalues(chain: ParityChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every eigenvalue in block order, with LAPACK's 1-based iblock and isplit.
-
-    The chain splits only at exact zeros of offdiag (g = 0); each unreduced
-    block goes to sterf, whose values ascend, except 1 x 1 blocks, whose
-    eigenvalue is the diagonal entry.
-    """
-    isplit = np.append(np.flatnonzero(chain.offdiag == 0.0) + 1, chain.dim)
-    parts = []
-    for b0, b1 in zip(np.concatenate(([0], isplit[:-1])), isplit):
-        if b1 - b0 == 1:
-            parts.append(chain.diag[b0:b1])
-            continue
-        w, info = dsterf(chain.diag[b0:b1], chain.offdiag[b0:b1 - 1])
-        if info:
-            raise ConvergenceError(f"sterf: {info} eigenvalues failed to converge")
-        parts.append(w)
-    iblock = np.repeat(np.arange(1, len(isplit) + 1), np.diff(isplit, prepend=0))
-    return np.concatenate(parts), iblock, isplit
 
 
 def diagonalize(
@@ -289,55 +268,63 @@ def diagonalize(
 ) -> ParitySpectrum:
     """Lowest k_max eigenpairs of a parity chain, or all with E <= e_max.
 
-    All of them if neither is given.  Eigenvalues come from sterf, every
-    level of every block; eigenvectors from stein, called on slices of at
-    most _SLICE levels in block order (see the module docstring for why).
-    A slice ends only at a block boundary or where the next level is at
-    least sqrt(ulp) ||T|| higher, so near-degenerate levels always share a
-    call and stay orthogonal.  Each slice is certified on arrival and
-    written straight into the one dim x k output.  Raises ConvergenceError
-    if a solve fails or a residual exceeds 1e-9 ||H||; its index is the
-    level's place in the ascending output.
+    All of them if neither is given.  A chain whose couplings are all
+    below ulp max|diag| (g = 0, or nearly) is diagonal: its levels are the
+    diagonal in stable ascending order, each with the unit vector of its
+    site.  Otherwise the eigenvalues come from one sterf call and the
+    eigenvectors from stein, called on slices of at most _SLICE ascending
+    levels (see the module docstring for why).  A slice ends only where the
+    next level is at least sqrt(ulp) ||T|| higher, so near-degenerate levels
+    always share a call and stay orthogonal.  Each slice is certified on
+    arrival and written straight into the one dim x k output.  Raises
+    ConvergenceError if a solve fails or a residual exceeds 1e-9 ||H||; its
+    index is the level's place in the ascending output.
     """
-    w_all, iblock_all, isplit = _block_eigenvalues(chain)
-    if e_max is not None:
-        if k_max is not None:
-            raise ValueError("pass k_max or e_max, not both")
-        chosen = np.flatnonzero(w_all <= e_max)
+    if e_max is not None and k_max is not None:
+        raise ValueError("pass k_max or e_max, not both")
+    if k_max is not None and not 1 <= k_max <= chain.dim:
+        raise ValueError(f"k_max must be in [1, dim], got {k_max}")
+    # g = 0, or couplings below roundoff: the chain is diagonal to working
+    # precision (and stein fails on couplings near underflow)
+    ulp = np.finfo(float).eps
+    decoupled = np.max(np.abs(chain.offdiag)) <= ulp * np.max(np.abs(chain.diag))
+    if decoupled:
+        sites = np.argsort(chain.diag, kind="stable")
+        w_all = chain.diag[sites]
     else:
-        if k_max is None:
-            k_max = chain.dim
-        if k_max < 1 or k_max > chain.dim:
-            raise ValueError(f"k_max must be in [1, dim], got {k_max}")
-        chosen = np.sort(np.argsort(w_all, kind="stable")[:k_max])
-    # stein wants block order, which chosen keeps; the output ascends
-    w_blk, iblock = w_all[chosen], iblock_all[chosen]
-    order = np.argsort(w_blk, kind="stable")
-    w = w_blk[order]
+        w_all, info = dsterf(chain.diag, chain.offdiag)
+        if info:
+            raise ConvergenceError(f"sterf: {info} eigenvalues failed to converge")
+    if e_max is not None:
+        k = int(np.searchsorted(w_all, e_max, side="right"))
+    else:
+        k = chain.dim if k_max is None else k_max
+    w = w_all[:k]
     v = None
     if want_vectors:
-        k = len(w)
-        pos = np.empty(k, dtype=int)  # level j's column in the output
-        pos[order] = np.arange(k)
         v = np.empty((chain.dim, k))
-        gap = math.sqrt(np.finfo(float).eps) * chain.norm_bound()
-        cut = np.append((np.diff(iblock) != 0) | (np.diff(w_blk) >= gap), True)
-        isplit_pad = np.zeros(chain.dim, dtype=np.int32)
-        isplit_pad[:len(isplit)] = isplit
-        iblock_pad = np.zeros(chain.dim, dtype=np.int32)
+        gap = math.sqrt(ulp) * chain.norm_bound()
+        cut = np.append(np.diff(w) >= gap, True)
+        # stein's block description of the unreduced chain
+        iblock = np.ones(chain.dim, dtype=np.int32)
+        isplit = np.zeros(chain.dim, dtype=np.int32)
+        isplit[0] = chain.dim
         a = 0
         while a < k:
             b = min(a + _SLICE, k)
             while not cut[b - 1]:
                 b += 1
-            iblock_pad[:b - a] = iblock[a:b]
-            z, info = dstein(chain.diag, chain.offdiag, w_blk[a:b], iblock_pad, isplit_pad)
-            if info:
-                raise ConvergenceError(
-                    f"inverse iteration failed: {info} of levels {a}..{b - 1} "
-                    "(block order) did not converge")
-            _certify_residuals(chain, w_blk[a:b], z, columns=pos[a:b])
-            v[:, pos[a:b]] = z
+            if decoupled:
+                z = np.zeros((chain.dim, b - a))
+                z[sites[a:b], np.arange(b - a)] = 1.0
+            else:
+                z, info = dstein(chain.diag, chain.offdiag, w[a:b], iblock, isplit)
+                if info:
+                    raise ConvergenceError(
+                        f"inverse iteration failed: {info} of levels {a}..{b - 1} "
+                        "did not converge")
+            _certify_residuals(chain, w[a:b], z, first=a)
+            v[:, a:b] = z
             a = b
     return ParitySpectrum(
         params=chain.params,

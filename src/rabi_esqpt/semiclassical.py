@@ -87,8 +87,7 @@ class DosCurve:
     """Density of states nu(eps) in 1/omega0 units on an eps grid.
 
     n_cum, when present, is the accumulated count N(eps) in the same
-    normalization (so dN/deps = nu).  window_n is set for curves derived
-    from windowed quantum spectra.
+    normalization (so dN/deps = nu).
     """
 
     g: float
@@ -96,7 +95,6 @@ class DosCurve:
     eps: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
     n_cum: np.ndarray | None = field(repr=False, default=None)
-    window_n: int | None = None
 
     def __post_init__(self):
         self.eps.flags.writeable = False

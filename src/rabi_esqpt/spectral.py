@@ -1,11 +1,11 @@
 """Spectral statistics assembled from the two parity sectors.
 
-The quantum side of the density comparison works on the merged level list:
-both parity towers interleaved in ascending order, each level keeping its
-parity tag.  A running window of N consecutive spacings turns that list into
-a density estimate nu_bar = N / (eps_{k+N} - eps_k) attached to the window
-midpoint, directly comparable with the semiclassical curve once rescaled to
-per-unit-bare-energy normalization.
+The quantum side of the density comparison merges the certified levels of
+both parity towers into one ascending list, cut at the lower of the two
+sector tops.  A running window of N consecutive spacings turns that list
+into a density estimate nu_bar = N / (eps_{k+N} - eps_k) attached to the
+window midpoint, directly comparable with the semiclassical curve once
+rescaled to per-unit-bare-energy normalization.
 
 The gap map tracks the signed splitting delta_k = eps_k^+ - eps_k^- of
 parity partner levels across a coupling sweep.  Its collapse to numerical
@@ -32,45 +32,11 @@ from .quantum import (
 from .semiclassical import DosCurve
 
 __all__ = [
-    "MergedLevels",
     "WindowedDos",
     "GapMap",
-    "merged_levels",
     "windowed_dos",
     "gap_map",
 ]
-
-
-@dataclass(frozen=True)
-class MergedLevels:
-    """Both parity towers in one ascending list, tags preserved.
-
-    parity_tags holds +1 / -1 per level (plus / minus sector).  Only levels
-    certified converged in their source spectra are included, and the list is
-    cut at the lower of the two sector tops so that no cross-sector level is
-    missing from the covered range (that cut is the documented merge
-    contract, not a defect).  truncated marks source spectra that carried
-    levels beyond their certified count.
-    """
-
-    params: RabiParams
-    energies: np.ndarray = field(repr=False)
-    eps: np.ndarray = field(repr=False)
-    parity_tags: np.ndarray = field(repr=False)
-    truncated: bool = False
-
-    def __post_init__(self):
-        self.energies.flags.writeable = False
-        self.eps.flags.writeable = False
-        self.parity_tags.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.energies)
-
-    def sector(self, parity: Parity) -> np.ndarray:
-        """Eps values of one sector, in ascending order."""
-        tag = 1 if parity is Parity.PLUS else -1
-        return self.eps[self.parity_tags == tag]
 
 
 @dataclass(frozen=True)
@@ -107,7 +73,6 @@ class WindowedDos:
             omega0=self.params.omega0,
             eps=self.eps_bar.copy(),
             nu=self.nu_bar * (2.0 / self.params.Omega),
-            window_n=self.window_n,
         )
 
 
@@ -164,46 +129,6 @@ class GapMap:
         return self.converged & (np.abs(self.delta) <= self.floor[:, None])
 
 
-def merged_levels(minus: ParitySpectrum, plus: ParitySpectrum) -> MergedLevels:
-    """Interleave the converged parts of both parity spectra into one list.
-
-    The merge is stable (minus first on exact ties, which matters only for
-    numerically degenerate doublets), and the result is cut at the lower of
-    the two sector tops: beyond that energy the other sector's levels are
-    unknown, so the merged list would have holes.
-    """
-    if minus.parity is not Parity.MINUS or plus.parity is not Parity.PLUS:
-        raise ValueError("pass the minus-sector spectrum first, then the plus sector")
-    if minus.params != plus.params:
-        raise ValueError("parity spectra belong to different Hamiltonians")
-    n_m, n_p = minus.n_converged, plus.n_converged
-    if n_m == 0 or n_p == 0:
-        raise ValueError(
-            "merged_levels needs converged levels in both sectors; use "
-            "converged_window or converged_levels to produce the spectra"
-        )
-    e_m = minus.energies[:n_m]
-    e_p = plus.energies[:n_p]
-    cap = min(e_m[-1], e_p[-1])
-    unconverged_tail = (len(minus) > n_m) or (len(plus) > n_p)
-    energies = np.concatenate([e_m, e_p])
-    tags = np.concatenate([
-        np.full(n_m, -1, dtype=np.int8),
-        np.full(n_p, +1, dtype=np.int8),
-    ])
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    tags = tags[order]
-    keep = energies <= cap
-    return MergedLevels(
-        params=minus.params,
-        energies=energies[keep],
-        eps=2.0 * energies[keep] / minus.params.Omega,
-        parity_tags=tags[keep],
-        truncated=bool(unconverged_tail),
-    )
-
-
 def windowed_dos(
     minus: ParitySpectrum,
     plus: ParitySpectrum,
@@ -212,15 +137,30 @@ def windowed_dos(
 ) -> WindowedDos:
     """Stride-1 running-window density from the merged parity spectra.
 
-    Each point averages window_n consecutive level spacings.  If eps_max is
-    given, windows whose midpoint lies above it are discarded and the result
-    is flagged truncated when the kept windows end more than one window
-    width short of eps_max.
+    The converged levels of both sectors are merged in ascending order and
+    cut at the lower of the two sector tops: beyond that energy the other
+    sector's levels are unknown, so the merged list would have holes (the
+    cut is the merge contract, not a truncation).  Each point averages
+    window_n consecutive level spacings.  If eps_max is given, windows whose
+    midpoint lies above it are discarded and the result is flagged
+    truncated when the kept windows end more than one window width short of
+    eps_max.
     """
     if window_n < 1:
         raise ValueError("window_n must be >= 1")
-    merged = merged_levels(minus, plus)
-    eps = merged.eps
+    if minus.parity is not Parity.MINUS or plus.parity is not Parity.PLUS:
+        raise ValueError("pass the minus-sector spectrum first, then the plus sector")
+    if minus.params != plus.params:
+        raise ValueError("parity spectra belong to different Hamiltonians")
+    n_m, n_p = minus.n_converged, plus.n_converged
+    if n_m == 0 or n_p == 0:
+        raise ValueError(
+            "windowed_dos needs converged levels in both sectors; use "
+            "converged_window or converged_levels to produce the spectra"
+        )
+    energies = np.sort(np.concatenate([minus.energies[:n_m], plus.energies[:n_p]]))
+    energies = energies[energies <= min(minus.energies[n_m - 1], plus.energies[n_p - 1])]
+    eps = 2.0 * energies / minus.params.Omega
     if len(eps) < window_n + 1:
         raise ValueError(
             f"need at least window_n + 1 = {window_n + 1} converged levels, "
@@ -234,7 +174,8 @@ def windowed_dos(
         )
     eps_bar = 0.5 * (eps[window_n:] + eps[:-window_n])
     nu_bar = window_n / width
-    truncated = merged.truncated
+    # sources that carried levels beyond their certified count
+    truncated = len(minus) > n_m or len(plus) > n_p
     if eps_max is not None:
         keep = eps_bar <= eps_max
         eps_bar, nu_bar = eps_bar[keep], nu_bar[keep]
@@ -244,7 +185,7 @@ def windowed_dos(
             # at least one more whole window would have fit below eps_max
             truncated = True
     return WindowedDos(
-        params=merged.params,
+        params=minus.params,
         window_n=window_n,
         eps_bar=eps_bar,
         nu_bar=nu_bar,

@@ -58,21 +58,6 @@ class TestLaws:
         with pytest.raises(ValueError):
             law_log_esqpt(-1.0, 1.4)
 
-    def test_divergent_part(self):
-        power = law_power_qpt()
-        assert power.divergent_part(1e-4) == pytest.approx(
-            power.prefactor * 10.0, rel=1e-13
-        )
-        log = law_log_esqpt(1.0, 2.0)
-        d = np.array([1e-2, 1e-4])
-        np.testing.assert_allclose(
-            log.divergent_part(d), log.slope * (-np.log(d)), rtol=1e-14
-        )
-        with pytest.raises(ValueError):
-            power.divergent_part(0.0)
-        with pytest.raises(ValueError):
-            log.divergent_part(np.array([1e-3, -1e-3]))
-
 
 class TestGrid:
     def test_sides(self):

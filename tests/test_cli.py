@@ -2,12 +2,28 @@
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rabi_esqpt.cli import main
-from rabi_esqpt.output import read_csv
+
+
+def read_csv(path):
+    """Inverse of output.write_csv: metadata, columns, rows, all as strings."""
+    metadata, columns, rows = {}, [], []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line:
+            continue
+        if line.startswith("# "):
+            key, _, val = line[2:].partition("=")
+            metadata[key] = val
+        elif not columns:
+            columns = line.split(",")
+        else:
+            rows.append(line.split(","))
+    return metadata, columns, rows
 
 
 def run(tmp_path, *argv):
@@ -178,6 +194,28 @@ class TestProbabilities:
             # localization maximum hugs the barrier-top energy
             assert abs(peak["eps"] + 1.0) < 0.1
 
+    def test_edge_peak_spacing_is_one_sided(self, tmp_path):
+        # the minus peak is the sector's top level, with one neighbour below
+        code, out = run(tmp_path, "probabilities", "--g", "1.4", "--ratio", "40",
+                        "--eps-max", "-1.1")
+        assert code == 0
+        peak = json.loads((out / "probabilities_summary.json").read_text())["peaks"]["minus"]
+        _, _, rows = read_csv(out / "probabilities.csv")
+        eps = [float(r[2]) for r in rows if r[0] == "minus"]
+        assert peak["k"] == len(eps) - 1 == 6
+        assert peak["local_spacing"] == pytest.approx(eps[6] - eps[5], rel=1e-12)
+
+    def test_single_level_sector_has_no_spacing(self, tmp_path):
+        # at g = 0, R = 40 the window below eps = -0.96 holds the minus
+        # ground state alone and no plus level
+        code, out = run(tmp_path, "probabilities", "--g", "0", "--ratio", "40",
+                        "--eps-max", "-1.06")
+        assert code == 0
+        peaks = json.loads((out / "probabilities_summary.json").read_text())["peaks"]
+        assert list(peaks) == ["minus"]
+        assert peaks["minus"]["k"] == 0
+        assert peaks["minus"]["local_spacing"] is None
+
 
 class TestAsymptotics:
     def test_power_law_at_threshold(self, tmp_path):
@@ -268,3 +306,28 @@ class TestConfig:
         cfg.write_text("[1, 2]")
         code, _ = run(tmp_path, "dos", "--g", "1.2", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("raw", [
+        '{"levels": 3.9}',
+        '{"levels": 3.0}',
+        '{"levels": "3"}',
+        '{"g-steps": true}',
+        '{"ratio": true}',
+        '{"ratio": "40"}',
+        '{"ratio": 1' + '0' * 400 + '}',
+        '{"out": 5}',
+    ], ids=["int-from-fraction", "int-from-float", "int-from-string", "int-from-bool",
+            "float-from-bool", "float-from-string", "float-overflow", "path-from-number"])
+    def test_mistyped_value_rejected(self, tmp_path, raw):
+        # a config value must have the JSON type of its option, as a flag
+        # must parse as one: --levels 3.9 is a usage error, so is 3.9 here
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(raw)
+        flags = {"--g-min": "0.5", "--g-max": "0.5", "--g-steps": "1", "--levels": "2",
+                 "--ratio": "8"}
+        for key in json.loads(raw):
+            flags.pop(f"--{key}", None)
+        code, out = run(tmp_path, "gapmap", *[x for kv in flags.items() for x in kv],
+                        "--config", str(cfg))
+        assert code == 2
+        assert not out.exists()

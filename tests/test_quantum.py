@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rabi_esqpt import (
     ConvergenceError,
@@ -89,8 +91,6 @@ class TestChain:
         chain = build_parity_chain(p, Parity.PLUS, 9)
         m = chain_dense(chain)
         rng = np.random.default_rng(3)
-        v = rng.standard_normal(9)
-        np.testing.assert_allclose(chain.matvec(v), m @ v, rtol=1e-13)
         block = rng.standard_normal((9, 4))
         np.testing.assert_allclose(chain.matvec(block), m @ block, rtol=1e-13)
 
@@ -128,6 +128,28 @@ class TestDiagonalize:
             )
             scale = np.max(np.abs(w_dense))
             assert np.max(np.abs(w_chain - w_dense)) < 1e-10 * scale
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(g=st.floats(0.0, 2.5), ratio=st.floats(1.0, 60.0),
+           omega0=st.floats(0.5, 2.0), dim=st.integers(2, 24))
+    @example(g=0.0, ratio=5.0, omega0=1.0, dim=24)  # exact ties: sites n and n - 5
+    @example(g=1e-6, ratio=5.0, omega0=1.0, dim=24)  # the same pairs, split by ~1e-18
+    @example(g=2.2e-311, ratio=1.0, omega0=1.0, dim=2)  # coupling below ulp, near underflow
+    def test_sector_union_is_dense_spectrum(self, g, ratio, omega0, dim):
+        p = RabiParams(omega0=omega0, Omega=omega0 * ratio, g=g)
+        w_sectors = []
+        for parity in (Parity.MINUS, Parity.PLUS):
+            chain = build_parity_chain(p, parity, dim)
+            spec = diagonalize(chain, want_vectors=True)
+            v = spec.vectors
+            np.testing.assert_allclose(v.T @ v, np.eye(dim), rtol=0, atol=1e-12)
+            res = chain.matvec(v) - spec.energies[None, :] * v
+            assert np.max(np.linalg.norm(res, axis=0)) <= (
+                quantum.RESIDUAL_RTOL * chain.norm_bound())
+            w_sectors.append(spec.energies)
+        w_dense = np.linalg.eigvalsh(dense_hamiltonian(p, dim))
+        scale = np.max(np.abs(w_dense))
+        assert np.max(np.abs(np.sort(np.concatenate(w_sectors)) - w_dense)) < 1e-10 * scale
 
     def test_interlacing_under_truncation(self):
         # eigenvalues of the dim-d leading submatrix interlace those at d+1

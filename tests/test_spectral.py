@@ -1,4 +1,4 @@
-"""Unit tests for merged-parity level statistics and the gap map."""
+"""Unit tests for the windowed density of the merged parity sectors and the gap map."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from rabi_esqpt import (
     diagonalize,
     build_parity_chain,
     gap_map,
-    merged_levels,
     windowed_dos,
 )
 from rabi_esqpt import quantum
@@ -38,54 +37,56 @@ def g0_sectors(eps_max=0.5):
 
 
 class TestMergedLevels:
+    """How windowed_dos merges the two sectors into one level list."""
+
     def test_decoupled_interleaving(self):
-        merged = merged_levels(*g0_sectors())
-        # eps = -1 + k/20 with parities alternating minus, plus, minus, ...
-        k = np.arange(len(merged))
-        np.testing.assert_allclose(merged.eps, -1.0 + k / 20.0, atol=1e-13)
-        np.testing.assert_array_equal(merged.parity_tags[::2], -1)
-        np.testing.assert_array_equal(merged.parity_tags[1::2], +1)
-        np.testing.assert_allclose(
-            merged.sector(Parity.MINUS), -1.0 + np.arange(0, len(merged), 2) / 20.0,
-            atol=1e-13,
-        )
+        wd = windowed_dos(*g0_sectors(), window_n=1)
+        # merged eps = -1 + k/20, parities alternating: every spacing is 1/20
+        k = np.arange(wd.n_levels - 1)
+        np.testing.assert_allclose(wd.eps_bar, -1.0 + (k + 0.5) / 20.0, atol=1e-13)
+        np.testing.assert_allclose(wd.nu_bar, 20.0, rtol=1e-11)
 
     def test_requires_converged_spectra(self):
         plain = diagonalize(build_parity_chain(P40, Parity.MINUS, 32))
         plus = g0_sectors()[1]
-        with pytest.raises(ValueError):
-            merged_levels(plain, plus)
+        with pytest.raises(ValueError, match="needs converged levels in both sectors"):
+            windowed_dos(plain, plus)
 
     def test_rejects_swapped_or_mismatched(self):
         minus, plus = g0_sectors()
-        with pytest.raises(ValueError):
-            merged_levels(plus, minus)
+        with pytest.raises(ValueError, match="minus-sector spectrum first"):
+            windowed_dos(plus, minus)
         other = RabiParams(omega0=1.0, Omega=40.0, g=0.5)
         minus_other = converged_window(other, Parity.MINUS, eps_max=0.5)[1]
-        with pytest.raises(ValueError):
-            merged_levels(minus_other, plus)
+        with pytest.raises(ValueError, match="different Hamiltonians"):
+            windowed_dos(minus_other, plus)
 
     def test_stable_tie_break(self):
+        # exact doublets keep both levels: each tie is one zero spacing
         minus = make_spectrum(Parity.MINUS, [0.0, 1.0, 2.0])
         plus = make_spectrum(Parity.PLUS, [0.0, 1.0, 2.0])
-        merged = merged_levels(minus, plus)
-        np.testing.assert_array_equal(merged.parity_tags, [-1, 1, -1, 1, -1, 1])
+        wd = windowed_dos(minus, plus, window_n=2)
+        assert wd.n_levels == 6
+        np.testing.assert_allclose(wd.eps_bar, np.array([0.5, 0.5, 1.5, 1.5]) / 20.0, rtol=1e-15)
+        np.testing.assert_allclose(wd.nu_bar, 40.0, rtol=1e-15)
 
     def test_cut_at_lower_sector_top(self):
         minus = make_spectrum(Parity.MINUS, [0.0, 2.0, 4.0, 6.0])
         plus = make_spectrum(Parity.PLUS, [1.0, 3.0])
-        merged = merged_levels(minus, plus)
+        wd = windowed_dos(minus, plus, window_n=1)
         # nothing beyond the plus-sector top 3.0 can be trusted complete;
         # the cut itself is the merge contract, not a truncation warning
-        np.testing.assert_array_equal(merged.energies, [0.0, 1.0, 2.0, 3.0])
-        assert not merged.truncated
+        assert wd.n_levels == 4
+        np.testing.assert_allclose(wd.eps_bar, np.array([0.5, 1.5, 2.5]) / 20.0, rtol=1e-15)
+        assert not wd.truncated
 
     def test_unconverged_tail_flag(self):
         minus = make_spectrum(Parity.MINUS, [0.0, 1.0, 2.0], n_converged=2)
         plus = make_spectrum(Parity.PLUS, [0.5, 1.5])
-        merged = merged_levels(minus, plus)
-        np.testing.assert_array_equal(merged.energies, [0.0, 0.5, 1.0])
-        assert merged.truncated
+        wd = windowed_dos(minus, plus, window_n=1)
+        assert wd.n_levels == 3
+        np.testing.assert_allclose(wd.eps_bar, np.array([0.25, 0.75]) / 20.0, rtol=1e-15)
+        assert wd.truncated
 
 
 class TestWindowedDos:
@@ -95,7 +96,6 @@ class TestWindowedDos:
         # uniform merged spacing 1/20 in eps: nu_bar = 2 / (2/20) = 20
         np.testing.assert_allclose(wd.nu_bar, 20.0, rtol=1e-12)
         curve = wd.to_dos_curve()
-        assert curve.window_n == 2
         # per unit bare energy: matches the harmonic value 1/omega0
         np.testing.assert_allclose(curve.nu, 1.0, rtol=1e-12)
 
@@ -105,12 +105,15 @@ class TestWindowedDos:
         plus = converged_window(p, Parity.PLUS, eps_max=-0.3)[1]
         n = 10
         wd = windowed_dos(minus, plus, window_n=n)
-        merged = merged_levels(minus, plus)
+        # the merged list, rebuilt here: both sectors, cut at the lower top
+        eps = np.sort(np.concatenate([minus.eps, plus.eps]))
+        eps = eps[eps <= min(minus.eps[-1], plus.eps[-1])]
+        assert wd.n_levels == len(eps)
         # disjoint windows recover the total level count exactly
         widths = n / wd.nu_bar
-        total = np.sum(widths[::n][: (len(merged.eps) - 1) // n])
-        k_used = n * ((len(merged.eps) - 1) // n)
-        assert total == pytest.approx(merged.eps[k_used] - merged.eps[0], rel=1e-12)
+        total = np.sum(widths[::n][: (len(eps) - 1) // n])
+        k_used = n * ((len(eps) - 1) // n)
+        assert total == pytest.approx(eps[k_used] - eps[0], rel=1e-12)
 
     def test_peak_tracks_critical_energy(self):
         p = RabiParams(omega0=1.0, Omega=100.0, g=1.2)
