@@ -156,8 +156,8 @@ def geometric_eps_grid(
     Returned in increasing eps order; geometric spacing keeps the points
     evenly distributed in ln(delta), which is what the fits regress on.
     """
-    if not (0.0 < d_min < d_max):
-        raise ValueError("need 0 < d_min < d_max")
+    if not (0.0 < d_min < d_max < math.inf):
+        raise ValueError(f"need 0 < d_min < d_max < inf, got {d_min!r}, {d_max!r}")
     if n < 2:
         raise ValueError("need at least two grid points")
     d = np.geomspace(d_min, d_max, n)

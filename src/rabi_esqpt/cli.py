@@ -6,14 +6,19 @@ quantum density on the semiclassical curve, `observables` and
 `probabilities` do the same for per-state expectation values, and
 `asymptotics` fits the critical laws.
 
-Each command is a function from the parsed options to a Result: its CSV
-tables (with `# key=value` headers carrying all parameters), a JSON summary
-where a comparison is made, and, under --emit-svg, an SVG figure.  `main` is
-the one place that creates --out and writes files, and it writes only after
-the command has returned, so a failed run leaves nothing behind.  Two
+Each command is declared once, by the `command` decorator on its function:
+its name, its help line and its options, each option with its bounds.
+`build_parser`, the config loader and `main` read that one registry.  A
+command maps the parsed options to a Result: its CSV tables (with
+`# key=value` headers carrying all parameters), a JSON summary where a
+comparison is made, and its figure.  `main` is the one place that creates
+--out and writes files, the figure only under --emit-svg, and it writes only
+after the command has returned, so a failed run leaves nothing behind.  Two
 identical invocations produce byte-identical files.
 
 Options may come from a JSON config file (--config); explicit flags win.
+Bad options, whether flags or config values, exit with status 2 before any
+computation; a failure of the computation itself exits with status 1.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,7 +49,12 @@ __all__ = ["main"]
 
 @dataclass(frozen=True)
 class Opt:
-    """One CLI option: argparse wiring plus config-file metadata."""
+    """One CLI option: argparse wiring, config-file type and bounds.
+
+    The bounds are checked once flags and config are merged: a required
+    option must be given one way or the other, and a value below minimum
+    (or NaN) is a usage error.
+    """
 
     flag: str
     dest: str
@@ -52,11 +62,13 @@ class Opt:
     default: object
     help: str
     is_flag: bool = False
+    minimum: float | None = None
+    required: bool = False
 
 
 COMMON_OPTS = [
     Opt("--omega0", "omega0", float, 1.0, "field frequency omega0 (energy unit)"),
-    Opt("--ratio", "ratio", float, 40.0, "frequency ratio R = Omega / omega0"),
+    Opt("--ratio", "ratio", float, 40.0, "frequency ratio R = Omega / omega0", minimum=1),
     Opt("--quad-tol", "quad_tol", float, 1e-9, "relative tolerance of orbit quadratures"),
     Opt("--conv-tol", "conv_tol", float, 1e-8,
         "certified eigenvalue error bound, in units of omega0"),
@@ -65,45 +77,17 @@ COMMON_OPTS = [
     Opt("--config", "config", str, None, "JSON file with option defaults; flags override"),
 ]
 
-G_REQUIRED = Opt("--g", "g", float, None, "coupling g (required)")
+G_REQUIRED = Opt("--g", "g", float, None, "coupling g (required)", required=True)
 G_SWEEP = [
     Opt("--g-min", "g_min", float, 0.0, "sweep start"),
     Opt("--g-max", "g_max", float, 3.0, "sweep end"),
-    Opt("--g-steps", "g_steps", int, 61, "sweep points"),
+    Opt("--g-steps", "g_steps", int, 61, "sweep points", minimum=1),
 ]
 EPS_RANGE = [
     Opt("--eps-min", "eps_min", float, None,
         "lower edge of the rescaled energy range (default: just above the bottom)"),
     Opt("--eps-max", "eps_max", float, 0.0, "upper edge of the rescaled energy range"),
 ]
-
-CMD_OPTS: dict[str, list[Opt]] = {
-    "spectrum": [Opt("--g", "g", float, None, "single coupling g (omit for a sweep)"),
-                 *G_SWEEP, Opt("--levels", "levels", int, 40, "levels per parity sector")],
-    "gapmap": [*G_SWEEP, Opt("--levels", "levels", int, 40, "doublets per coupling")],
-    "dos": [G_REQUIRED, Opt("--window", "window", int, 10, "spacings per running window"),
-            *EPS_RANGE, Opt("--points", "points", int, 201, "semiclassical grid size")],
-    "observables": [G_REQUIRED, *EPS_RANGE,
-                    Opt("--points", "points", int, 121, "semiclassical grid size")],
-    "probabilities": [G_REQUIRED, Opt("--eps-max", "eps_max", float, 0.0,
-                                      "include eigenstates up to this eps")],
-    "asymptotics": [
-        Opt("--g", "g", float, None, "coupling g >= 1 (required)"),
-        Opt("--delta-min", "delta_min", float, 1e-6, "smallest |eps - eps_c| sampled"),
-        Opt("--delta-max", "delta_max", float, 1e-3, "largest |eps - eps_c| sampled"),
-        Opt("--points", "points", int, 25, "samples per side"),
-    ],
-}
-
-CMD_HELP = {
-    "spectrum": "parity-resolved level energies, single coupling or sweep",
-    "gapmap": "signed parity splitting of the lowest doublets over a coupling sweep",
-    "dos": "windowed quantum density of states against the semiclassical curve",
-    "observables": "photon number and spin expectation values, quantum vs semiclassical",
-    "probabilities": "down-spin localization weight of each eigenstate",
-    "asymptotics": "fit of the critical density law (power at g = 1, log for g > 1)",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -112,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, opts in CMD_OPTS.items():
-        p = sub.add_parser(name, help=CMD_HELP[name])
-        for opt in [*COMMON_OPTS, *opts]:
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for opt in [*COMMON_OPTS, *cmd.opts]:
             if opt.is_flag:
                 p.add_argument(opt.flag, dest=opt.dest, action="store_true",
                                default=False, help=opt.help)
@@ -137,7 +121,7 @@ _CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill unset options from the JSON config, then from built-in defaults."""
-    opts = [*COMMON_OPTS, *CMD_OPTS[args.command]]
+    opts = [*COMMON_OPTS, *COMMANDS[args.command].opts]
     by_dest = {o.dest: o for o in opts}
     if args.config is not None:
         try:
@@ -171,8 +155,13 @@ def _apply_config(args: argparse.Namespace) -> None:
                 except OverflowError as exc:
                     raise UsageError(f"config key {key!r}: {exc}") from exc
     for opt in opts:
-        if not opt.is_flag and getattr(args, opt.dest) is None:
+        if getattr(args, opt.dest) is None:
+            if opt.required:
+                raise UsageError(f"{args.command} requires {opt.flag}")
             setattr(args, opt.dest, opt.default)
+        # `not >=` so that NaN fails too
+        if opt.minimum is not None and not getattr(args, opt.dest) >= opt.minimum:
+            raise UsageError(f"{opt.flag} must be >= {opt.minimum:g}")
 
 
 class Table(NamedTuple):
@@ -192,21 +181,32 @@ class Figure(NamedTuple):
 
 class Result(NamedTuple):
     """One command's outputs: tables and summary by file name in --out, and
-    the figure, written as <command>.svg."""
+    the figure, written as <command>.svg under --emit-svg."""
 
     tables: dict[str, Table]
-    summary: tuple[str, dict[str, object]] | None = None
-    figure: Figure | None = None
+    summary: tuple[str, dict[str, object]] | None
+    figure: Figure
+
+
+class Command(NamedTuple):
+    help: str
+    opts: list[Opt]
+    run: Callable[[argparse.Namespace], Result]
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name: str, help: str, *opts: Opt):
+    """Register the decorated function as the subcommand `name`."""
+    def register(run: Callable[[argparse.Namespace], Result]):
+        COMMANDS[name] = Command(help, list(opts), run)
+        return run
+    return register
 
 
 SECTOR_COLORS = ((Parity.MINUS, "#1f77b4"), (Parity.PLUS, "#d62728"))
 EPS_LABEL = "eps = 2E/Omega"
-
-
-def _require_g(args: argparse.Namespace) -> float:
-    if args.g is None:
-        raise UsageError(f"{args.command} requires --g")
-    return float(args.g)
 
 
 def _params(args: argparse.Namespace, g: float) -> RabiParams:
@@ -225,10 +225,8 @@ def _summary(args: argparse.Namespace, **fields: object) -> dict[str, object]:
 
 
 def _g_grid(args: argparse.Namespace) -> np.ndarray:
-    if args.g_steps < 1:
-        raise UsageError("--g-steps must be >= 1")
-    if args.g_max < args.g_min:
-        raise UsageError("--g-max must be >= --g-min")
+    if not (-math.inf < args.g_min <= args.g_max < math.inf):
+        raise UsageError("need finite --g-min <= --g-max")
     return np.linspace(args.g_min, args.g_max, args.g_steps)
 
 
@@ -237,9 +235,9 @@ def _eps_grid(args: argparse.Namespace, g: float) -> np.ndarray:
     eps_gs = ground_state_eps(g)
     eps_min = args.eps_min if args.eps_min is not None else eps_gs + 0.01
     eps_max = args.eps_max
-    if not (eps_gs < eps_min < eps_max):
+    if not (eps_gs < eps_min < eps_max < math.inf):
         raise UsageError(
-            f"need ground-state eps {eps_gs:.6g} < eps-min < eps-max, "
+            f"need ground-state eps {eps_gs:.6g} < eps-min < eps-max < inf, "
             f"got eps-min={eps_min:.6g}, eps-max={eps_max:.6g}"
         )
     grid = np.linspace(eps_min, eps_max, args.points)
@@ -277,10 +275,11 @@ def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
             for parity in (Parity.MINUS, Parity.PLUS)]
 
 
+@command("spectrum", "parity-resolved level energies, single coupling or sweep",
+         Opt("--g", "g", float, None, "single coupling g (omit for a sweep)"), *G_SWEEP,
+         Opt("--levels", "levels", int, 40, "levels per parity sector", minimum=1))
 def _cmd_spectrum(args: argparse.Namespace) -> Result:
-    gs = np.array([_require_g(args)]) if args.g is not None else _g_grid(args)
-    if args.levels < 1:
-        raise UsageError("--levels must be >= 1")
+    gs = np.array([args.g]) if args.g is not None else _g_grid(args)
     specs = {(float(g), parity): converged_levels(_params(args, float(g)), parity,
                                                   k_max=args.levels, tol=args.conv_tol)
              for g in gs for parity in (Parity.MINUS, Parity.PLUS)}
@@ -290,8 +289,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
                 else dict(g_min=args.g_min, g_max=args.g_max, g_steps=args.g_steps))
     meta = _meta(args, levels=args.levels, conv_tol=args.conv_tol, **coupling)
     tables = {"spectrum.csv": Table(meta, ["g", "parity", "k", "energy", "eps", "dim"], rows)}
-    if not args.emit_svg:
-        return Result(tables)
     if len(gs) == 1:
         series = [Series(np.arange(args.levels, dtype=float), specs[(float(gs[0]), parity)].eps,
                          label=f"parity {parity.label}", color=color, kind="points")
@@ -305,7 +302,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
                        for k in range(args.levels)]
         series.append(_eps_c_guide(gs[0], gs[-1], horizontal=True))
         title, xlabel = f"parity-resolved spectra vs g, R={args.ratio:g}", "g"
-    return Result(tables, figure=Figure(series, title, xlabel, EPS_LABEL))
+    return Result(tables, None, Figure(series, title, xlabel, EPS_LABEL))
 
 
 def _ramp(t: float) -> str:
@@ -318,10 +315,10 @@ def _ramp(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
+@command("gapmap", "signed parity splitting of the lowest doublets over a coupling sweep",
+         *G_SWEEP, Opt("--levels", "levels", int, 40, "doublets per coupling", minimum=1))
 def _cmd_gapmap(args: argparse.Namespace) -> Result:
     gs = _g_grid(args)
-    if args.levels < 1:
-        raise UsageError("--levels must be >= 1")
     gm = gap_map(args.omega0, args.omega0 * args.ratio, gs,
                  k_max=args.levels, tol=args.conv_tol)
     rows = [(float(g), k, gm.eps_minus[i, k], gm.eps_plus[i, k], gm.eps_mid[i, k],
@@ -341,8 +338,6 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
         abs_delta_min=float(np.min(abs_delta))
         if abs_delta.size and not n_unresolved else None,
         abs_delta_max=float(np.max(abs_delta)) if abs_delta.size else None))
-    if not args.emit_svg:
-        return Result(tables, summary)
     mask = gm.converged
     x = np.broadcast_to(gm.g[:, None], gm.delta.shape)[mask]
     d = np.abs(gm.delta[mask])
@@ -359,10 +354,11 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
                   Figure(series, f"parity splitting map, R={args.ratio:g}", "g", EPS_LABEL))
 
 
+@command("dos", "windowed quantum density of states against the semiclassical curve",
+         G_REQUIRED, Opt("--window", "window", int, 10, "spacings per running window", minimum=1),
+         *EPS_RANGE, Opt("--points", "points", int, 201, "semiclassical grid size", minimum=1))
 def _cmd_dos(args: argparse.Namespace) -> Result:
-    g = _require_g(args)
-    if args.window < 1:
-        raise UsageError("--window must be >= 1")
+    g = args.g
     params = _params(args, g)
     grid = _eps_grid(args, g)
     sc = dos_curve(g, grid, omega0=args.omega0, quad_tol=args.quad_tol, with_counts=True)
@@ -413,8 +409,6 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
                              "slope_rel_dev": abs(fit.slope / law.slope - 1.0)}
         summary["log_fit"] = fits
     summary = ("dos_summary.json", summary)
-    if not args.emit_svg:
-        return Result(tables, summary)
     series = [
         Series(sc.eps, sc.nu, label="semiclassical", color="#1f77b4"),
         Series(qc.eps, qc.nu, label=f"quantum, N={args.window} window",
@@ -425,12 +419,14 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
                                           EPS_LABEL, "nu(eps) [1/omega0, per unit E]"))
 
 
+@command("observables", "photon number and spin expectation values, quantum vs semiclassical",
+         G_REQUIRED, *EPS_RANGE,
+         Opt("--points", "points", int, 121, "semiclassical grid size", minimum=1))
 def _cmd_observables(args: argparse.Namespace) -> Result:
-    g = _require_g(args)
+    g = args.g
     params = _params(args, g)
     grid = _eps_grid(args, g)
-    curve = observables_microcanonical(g, grid, omega0=args.omega0,
-                                       quad_tol=args.quad_tol)
+    curve = observables_microcanonical(g, grid, quad_tol=args.quad_tol)
     minus, plus = _quantum_sectors(params, args, want_vectors=True)
     obs = [eigen_observables(minus), eigen_observables(plus)]
     scale = args.omega0 / params.Omega  # <a^dag a> omega0/Omega = <(x^2+p^2)/2> on shell
@@ -457,16 +453,13 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
             & (eps_all > ground_state_eps(g) + 0.01)
             & (eps_all <= args.eps_max))
     idx = np.nonzero(pick)[0][:: max(1, int(np.count_nonzero(pick)) // 120)]
-    shell = observables_microcanonical(g, eps_all[idx], omega0=args.omega0,
-                                       quad_tol=args.quad_tol)
+    shell = observables_microcanonical(g, eps_all[idx], quad_tol=args.quad_tol)
     dev_n = np.abs(nph_all[idx] - shell.nphot_scaled)
     dev_s = np.abs(sz_all[idx] - shell.sz)
     summary = ("observables_summary.json", _summary(
         args, g=g, ratio=args.ratio, n_states=len(rows), compared_states=int(idx.size),
         nphot_scaled_abs_dev_max=float(np.max(dev_n)) if idx.size else None,
         sz_abs_dev_max=float(np.max(dev_s)) if idx.size else None))
-    if not args.emit_svg:
-        return Result(tables, summary)
     series = []
     for name, semicl, quantum, color in (("nphot_scaled", curve.nphot_scaled, nph_all, "#1f77b4"),
                                          ("sz", curve.sz, sz_all, "#d62728")):
@@ -478,8 +471,10 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
         EPS_LABEL, "omega0 <a^dag a>/Omega and <sigma_z>"))
 
 
+@command("probabilities", "down-spin localization weight of each eigenstate",
+         G_REQUIRED, Opt("--eps-max", "eps_max", float, 0.0, "include eigenstates up to this eps"))
 def _cmd_probabilities(args: argparse.Namespace) -> Result:
-    g = _require_g(args)
+    g = args.g
     params = _params(args, g)
     minus, plus = _quantum_sectors(params, args, want_vectors=True)
     obs = [eigen_observables(minus), eigen_observables(plus)]
@@ -499,8 +494,6 @@ def _cmd_probabilities(args: argparse.Namespace) -> Result:
         ["parity", "k", "eps", "p_loc"], rows)}
     summary = ("probabilities_summary.json",
                _summary(args, g=g, ratio=args.ratio, peaks=peaks))
-    if not args.emit_svg:
-        return Result(tables, summary)
     series = [Series(o.eps, o.p_loc, label=f"parity {o.parity.label}", color=color,
                      kind="points", radius=1.8) for o, (_, color) in zip(obs, SECTOR_COLORS)]
     series.append(_eps_c_guide(0.0, 1.0, horizontal=False))
@@ -508,14 +501,15 @@ def _cmd_probabilities(args: argparse.Namespace) -> Result:
         series, f"down-spin localization weight, g={g:g}, R={args.ratio:g}", EPS_LABEL, "p_loc"))
 
 
+@command("asymptotics", "fit of the critical density law (power at g = 1, log for g > 1)",
+         Opt("--g", "g", float, None, "coupling g >= 1 (required)", minimum=1, required=True),
+         Opt("--delta-min", "delta_min", float, 1e-6, "smallest |eps - eps_c| sampled"),
+         Opt("--delta-max", "delta_max", float, 1e-3, "largest |eps - eps_c| sampled"),
+         Opt("--points", "points", int, 25, "samples per side", minimum=5))
 def _cmd_asymptotics(args: argparse.Namespace) -> Result:
-    g = _require_g(args)
-    if g < 1.0:
-        raise UsageError("asymptotics requires g >= 1 (no divergence below threshold)")
-    if not (0.0 < args.delta_min < args.delta_max):
-        raise UsageError("need 0 < --delta-min < --delta-max")
-    if args.points < 5:
-        raise UsageError("--points must be >= 5")
+    g = args.g
+    if not (0.0 < args.delta_min < args.delta_max < math.inf):
+        raise UsageError("need 0 < --delta-min < --delta-max < inf")
     at_threshold = math.isclose(g, 1.0, rel_tol=0.0, abs_tol=1e-12)
     # |eps - eps_c| range per side; below eps_c only where the well reaches
     windows = {Side.ABOVE: (args.delta_min, args.delta_max)}
@@ -553,23 +547,11 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
             summary["sides_rel_diff"] = abs(summary["above"]["slope"]
                                             / summary["below"]["slope"] - 1.0)
     summary = ("asymptotics.json", summary)
-    if not args.emit_svg:
-        return Result(tables, summary)
     series = [Series(np.log10(np.abs(curve.eps - EPS_CRITICAL)), curve.nu,
                      label=f"{side.value} eps_c", color=color, kind="points", radius=2.0)
               for (side, curve), color in zip(curves.items(), ("#1f77b4", "#d62728"))]
     return Result(tables, summary, Figure(series, f"critical divergence, g={g:g}",
                                           "log10 |eps - eps_c|", "nu(eps) [1/omega0]"))
-
-
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "gapmap": _cmd_gapmap,
-    "dos": _cmd_dos,
-    "observables": _cmd_observables,
-    "probabilities": _cmd_probabilities,
-    "asymptotics": _cmd_asymptotics,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -583,9 +565,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         _apply_config(args)
-        if args.ratio < 1.0:
-            raise UsageError("--ratio must be >= 1")
-        result = _COMMANDS[args.command](args)
+        result = COMMANDS[args.command].run(args)
         # nothing is written before the command has returned
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -593,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
             write_csv(out / name, table.meta, table.columns, table.rows)
         if result.summary is not None:
             write_json(out / result.summary[0], result.summary[1])
-        if result.figure is not None:
+        if args.emit_svg:
             fig = result.figure
             svg_save(out / f"{args.command}.svg", fig.series, title=fig.title,
                      xlabel=fig.xlabel, ylabel=fig.ylabel)

@@ -366,6 +366,8 @@ def _certified_spectrum(
     # regrow to the cap before raising
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if eps_max is not None and not math.isfinite(eps_max):
+        raise ValueError(f"eps_max must be finite, got {eps_max!r}")
     dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega

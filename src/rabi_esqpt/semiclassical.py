@@ -115,7 +115,6 @@ class ObservableCurve:
     """
 
     g: float
-    omega0: float
     eps: np.ndarray = field(repr=False)
     nphot_scaled: np.ndarray = field(repr=False)
     sz: np.ndarray = field(repr=False)
@@ -324,7 +323,6 @@ def _observables_point(g: float, eps: float, quad_tol: float) -> tuple[float, fl
 def observables_microcanonical(
     g: float,
     eps,
-    omega0: float = 1.0,
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> ObservableCurve:
     """Shell-averaged nphot_scaled and sz on an eps grid.
@@ -344,4 +342,4 @@ def observables_microcanonical(
             raise ValueError(f"eps={e} not above the ground-state energy")
         _guard_critical(g, e, "the microcanonical average")
         nphot[i], sz[i] = _observables_point(g, float(e), quad_tol)
-    return ObservableCurve(g=float(g), omega0=float(omega0), eps=eps_arr, nphot_scaled=nphot, sz=sz)
+    return ObservableCurve(g=float(g), eps=eps_arr, nphot_scaled=nphot, sz=sz)

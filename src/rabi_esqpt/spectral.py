@@ -43,16 +43,16 @@ __all__ = [
 class WindowedDos:
     """Running-window density estimate from the merged level list.
 
-    nu_bar[k] = window_n / (eps[k+N] - eps[k]) levels per unit eps, located
-    at the window midpoint eps_bar[k] = (eps[k+N] + eps[k]) / 2; stride one,
-    so consecutive points share all but one level.  truncated means the
+    nu_bar[k] = N / (eps[k+N] - eps[k]) levels per unit eps for windows of
+    N = window_n spacings, located at the window midpoint
+    eps_bar[k] = (eps[k+N] + eps[k]) / 2; stride one, so consecutive points
+    share all but one level.  truncated means the
     estimate does not cover the requested range: the sources carried an
     unconverged tail, or the windows stop more than one window width short
     of the requested eps_max.
     """
 
     params: RabiParams
-    window_n: int
     eps_bar: np.ndarray = field(repr=False)
     nu_bar: np.ndarray = field(repr=False)
     n_levels: int = 0
@@ -90,7 +90,6 @@ class GapMap:
 
     omega0: float
     Omega: float
-    tol: float
     g: np.ndarray = field(repr=False)
     eps_minus: np.ndarray = field(repr=False)
     eps_plus: np.ndarray = field(repr=False)
@@ -186,7 +185,6 @@ def windowed_dos(
             truncated = True
     return WindowedDos(
         params=minus.params,
-        window_n=window_n,
         eps_bar=eps_bar,
         nu_bar=nu_bar,
         n_levels=len(eps),
@@ -236,7 +234,6 @@ def gap_map(
     return GapMap(
         omega0=float(omega0),
         Omega=float(Omega),
-        tol=float(tol),
         g=g_values.copy(),
         eps_minus=eps_m,
         eps_plus=eps_p,

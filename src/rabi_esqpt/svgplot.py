@@ -19,9 +19,6 @@ import numpy as np
 
 __all__ = ["Series", "render", "save"]
 
-PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-
-
 @dataclass
 class Series:
     """One plotted data set.
@@ -33,8 +30,8 @@ class Series:
 
     x: np.ndarray
     y: np.ndarray
+    color: str
     label: str | None = None
-    color: str | None = None
     kind: str = "line"
     stroke_width: float = 1.5
     radius: float = 2.0
@@ -95,12 +92,11 @@ def render(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
-    """Render the series list to a standalone SVG document string."""
+    """Render the series list to a standalone 720 x 480 SVG document string."""
     if not series:
         raise ValueError("no series to plot")
+    width, height = 720, 480
     x0, x1, y0, y1 = _data_range(series)
     ml, mr, mt, mb = 72, 24, 42 if title else 24, 54
     pw, ph = width - ml - mr, height - mt - mb
@@ -157,8 +153,7 @@ def render(
     # series, clipped to the frame
     out.append(f'<clipPath id="frame"><rect x="{ml}" y="{mt}" width="{pw}" height="{ph}"/></clipPath>')
     out.append('<g clip-path="url(#frame)">')
-    for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+    for s in series:
         finite = np.isfinite(s.x) & np.isfinite(s.y)
         if s.kind == "line":
             # break the polyline at nonfinite samples
@@ -173,12 +168,12 @@ def render(
                     continue
                 pts = " ".join(f"{px(s.x[j]):.2f},{py(s.y[j]):.2f}" for j in seg)
                 out.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                    f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                     f'stroke-width="{s.stroke_width}"{dash}/>'
                 )
         elif s.kind == "points":
             for j in np.nonzero(finite)[0]:
-                c = s.point_colors[j] if s.point_colors is not None else color
+                c = s.point_colors[j] if s.point_colors is not None else s.color
                 out.append(
                     f'<circle cx="{px(s.x[j]):.2f}" cy="{py(s.y[j]):.2f}" '
                     f'r="{s.radius}" fill="{c}"/>'
@@ -204,23 +199,22 @@ def render(
             f'<text x="18" y="{yc:.2f}" font-size="12" font-family="sans-serif" '
             f'text-anchor="middle" transform="rotate(-90 18 {yc:.2f})">{escape(ylabel)}</text>'
         )
-    labeled = [(i, s) for i, s in enumerate(series) if s.label]
+    labeled = [s for s in series if s.label]
     if labeled:
         lx, ly = ml + pw - 170, mt + 10
         out.append(
             f'<rect x="{lx - 8}" y="{ly - 4}" width="178" height="{16 * len(labeled) + 8}" '
             f'fill="#ffffff" fill-opacity="0.85" stroke="#bbbbbb" stroke-width="0.5"/>'
         )
-        for row, (i, s) in enumerate(labeled):
-            color = s.color or PALETTE[i % len(PALETTE)]
+        for row, s in enumerate(labeled):
             Y = ly + 16 * row + 8
             if s.kind == "line":
                 out.append(
                     f'<line x1="{lx}" y1="{Y}" x2="{lx + 22}" y2="{Y}" '
-                    f'stroke="{color}" stroke-width="{s.stroke_width}"/>'
+                    f'stroke="{s.color}" stroke-width="{s.stroke_width}"/>'
                 )
             else:
-                out.append(f'<circle cx="{lx + 11}" cy="{Y}" r="{s.radius}" fill="{color}"/>')
+                out.append(f'<circle cx="{lx + 11}" cy="{Y}" r="{s.radius}" fill="{s.color}"/>')
             out.append(
                 f'<text x="{lx + 28}" y="{Y + 4}" font-size="11" '
                 f'font-family="sans-serif">{escape(s.label)}</text>'

@@ -77,6 +77,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             geometric_eps_grid(1e-6, 1e-3, 1)
 
+    @pytest.mark.parametrize("d_max", [math.inf, math.nan])
+    def test_ends_must_be_finite(self, d_max):
+        # an infinite end used to reach np.geomspace, which warns and
+        # returns NaN samples
+        with pytest.raises(ValueError, match="d_max < inf"):
+            geometric_eps_grid(1e-6, d_max, 5)
+
 
 class TestFit:
     def test_recovers_synthetic_power_law(self):

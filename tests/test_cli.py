@@ -1,13 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rabi_esqpt.cli import main
+from rabi_esqpt.cli import COMMANDS, COMMON_OPTS, main
 
 
 def read_csv(path):
@@ -265,6 +266,91 @@ class TestFailedRunWritesNothing:
         code, out = run(tmp_path, "dos", "--g", "1.2", "--ratio", "40", "--points", "11",
                         flag, "nan")
         assert code == 1
+        assert not out.exists()
+
+
+COMMAND_NAMES = ["spectrum", "gapmap", "dos", "observables", "probabilities", "asymptotics"]
+NEEDS_G = {"dos", "observables", "probabilities", "asymptotics"}
+# (command, flag) -> the smallest accepted value
+BOUNDS = {
+    **{(name, "--ratio"): 1 for name in COMMAND_NAMES},
+    ("spectrum", "--g-steps"): 1, ("spectrum", "--levels"): 1,
+    ("gapmap", "--g-steps"): 1, ("gapmap", "--levels"): 1,
+    ("dos", "--window"): 1, ("dos", "--points"): 1,
+    ("observables", "--points"): 1,
+    ("asymptotics", "--g"): 1, ("asymptotics", "--points"): 5,
+}
+
+
+def just_below(minimum, typ):
+    return minimum - 1 if typ is int else math.nextafter(float(minimum), -math.inf)
+
+
+class TestOptionTable:
+    def test_registry_declares_the_bounds(self):
+        assert list(COMMANDS) == COMMAND_NAMES
+        declared = {(name, o.flag): o.minimum for name, cmd in COMMANDS.items()
+                    for o in [*COMMON_OPTS, *cmd.opts] if o.minimum is not None}
+        assert declared == BOUNDS
+        required = {name for name, cmd in COMMANDS.items()
+                    for o in [*COMMON_OPTS, *cmd.opts] if o.required}
+        assert required == NEEDS_G
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name, flag", list(BOUNDS))
+    def test_value_just_below_bound_rejected(self, tmp_path, capsys, name, flag, source):
+        opt = next(o for o in [*COMMON_OPTS, *COMMANDS[name].opts] if o.flag == flag)
+        value = just_below(BOUNDS[(name, flag)], opt.typ)
+        argv = [name, "--g", "1.4"] if name in NEEDS_G and flag != "--g" else [name]
+        if source == "flag":
+            argv += [flag, repr(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            argv += ["--config", str(cfg)]
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert f"{flag} must be >= {BOUNDS[(name, flag)]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(NEEDS_G))
+    def test_missing_g_rejected(self, tmp_path, capsys, name):
+        code, out = run(tmp_path, name)
+        assert code == 2
+        assert f"{name} requires --g" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_g_from_config_satisfies_required(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": 1.4}))
+        code, out = run(tmp_path, "probabilities", "--ratio", "40", "--eps-max", "-1.1",
+                        "--config", str(cfg))
+        assert code == 0
+        meta, _, rows = read_csv(out / "probabilities.csv")
+        assert meta["g"] == "1.4" and rows
+
+
+class TestNonFiniteRanges:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--g-min", "nan"],
+        ["gapmap", "--g-max", "inf"],
+        ["asymptotics", "--g", "1.4", "--delta-max", "inf"],
+        ["dos", "--g", "1.2", "--eps-max", "inf"],
+    ], ids=["spectrum-g-min-nan", "gapmap-g-max-inf", "asymptotics-delta-max-inf",
+            "dos-eps-max-inf"])
+    def test_usage_error_before_any_numerics(self, tmp_path, capsys, argv):
+        # these used to pass the range checks and fail later, some after a
+        # numpy RuntimeWarning, with an error that named no option
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: need ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps_max", ["nan", "inf"])
+    def test_probabilities_eps_max(self, tmp_path, capsys, eps_max):
+        code, out = run(tmp_path, "probabilities", "--g", "1.2", "--eps-max", eps_max)
+        assert code == 1
+        assert f"eps_max must be finite, got {eps_max}" in capsys.readouterr().err
         assert not out.exists()
 
 

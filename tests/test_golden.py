@@ -5,6 +5,9 @@ the SHA-256 of every file it writes is compared with the table below.  The
 seven README commands (with --emit-svg) are joined by three invocations that
 reach the remaining branches: a single-coupling spectrum, a dos run at g = 1
 (no log fit) and one whose well is too shallow for the below-eps_c fit.
+The top-level and the six subcommand --help texts are frozen the same way,
+wrapped at COLUMNS=80; argparse's layout may differ in another Python
+minor version.
 
 The table was frozen with the numpy and scipy versions in FROZEN_WITH.  A
 change of either may move last digits; the test still runs then, and the
@@ -16,7 +19,11 @@ print the table for the current code:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -46,7 +53,7 @@ INVOCATIONS = {
                          "--points", "21"],
 }
 
-FROZEN_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+FROZEN_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "python": "3.11.7"}
 
 GOLDEN = {
     "spectrum_sweep": {
@@ -134,6 +141,27 @@ GOLDEN = {
 }
 
 
+# SHA-256 of each --help text at COLUMNS=80, by subcommand ("" is the top level)
+HELP = {
+    "": "5ab5683f0a2445fae0364da2416e4990129bddf2e9853ffc950308cb38dcece6",
+    "spectrum": "266288ae796cc814e5d1395d204f9305adbdf1d8ca4c5d13b30bdafdb8ea8a93",
+    "gapmap": "c20b7297303cd7991a3ccb105652317c227e99940d9d2f232ec005c2afd26bf8",
+    "dos": "afbb78f675c6bb512d0cd71245ea37a678515fd6f9a9d417a8092d348a602f4c",
+    "observables": "8a10d7dccbf0d8822ae2048c57ae219406fc2502e51ab0871c2c9c0159e79fc6",
+    "probabilities": "9930ccb9553693d42e2034171c76a426cf93fabaa94320ba2ededd2c37c02cba",
+    "asymptotics": "8dbdc37a3fd7482a96b965ade24aa39fcc060c7c7fc1175e066c4fa07cdc20af",
+}
+
+
+def help_hash(command: str) -> str:
+    """SHA-256 of the --help text of `command`, wrapped to $COLUMNS."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = main([command, "--help"] if command else ["--help"])
+    assert code == 0
+    return hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+
+
 def output_hashes(name: str, root: Path) -> dict[str, str]:
     """Run one invocation into root/name; SHA-256 of each file it wrote."""
     out = root / name
@@ -157,9 +185,20 @@ def test_outputs_match_golden_hashes(name, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_text_matches_golden_hash(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_hash(command) == HELP[command], (
+        f"--help of {command or 'rabi-esqpt'} differs from the text frozen with "
+        f"Python {FROZEN_WITH['python']}; running with {platform.python_version()}"
+    )
+
+
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
-        print(f'FROZEN_WITH = {{"numpy": "{np.__version__}", "scipy": "{scipy.__version__}"}}')
+        print(f'FROZEN_WITH = {{"numpy": "{np.__version__}", "scipy": "{scipy.__version__}", '
+              f'"python": "{platform.python_version()}"}}')
         print()
         print("GOLDEN = {")
         for name in INVOCATIONS:
@@ -167,5 +206,10 @@ if __name__ == "__main__":
             for fname, digest in output_hashes(name, Path(tmp)).items():
                 print(f'        "{fname}":\n            "{digest}",')
             print("    },")
+        print("}")
+        print()
+        print("HELP = {")
+        for command in HELP:
+            print(f'    "{command}": "{help_hash(command)}",')
         print("}")
     sys.exit(0)

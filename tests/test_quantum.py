@@ -334,6 +334,14 @@ class TestConvergedWindow:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             converged_levels(p, Parity.PLUS, k_max=5, tol=tol)
 
+    @pytest.mark.parametrize("eps_max", [math.nan, math.inf])
+    def test_eps_max_must_be_finite(self, eps_max):
+        # unchecked, the start truncation sized to eps_max fails to convert
+        # to an integer with an error that does not name eps_max
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
+        with pytest.raises(ValueError, match="eps_max must be finite"):
+            converged_window(p, Parity.MINUS, eps_max=eps_max)
+
     def test_levels_grow_past_failed_certificate(self):
         # 20 levels at R = 40, g = 3 reach far beyond the first solve's
         # 128 sites, so the certificate must fail once and force a re-solve
