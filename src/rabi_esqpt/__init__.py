@@ -5,83 +5,13 @@ density of states with its critical divergences, microcanonical
 observables, and windowed spectral statistics, plus a CLI driver.
 """
 
-from .quantum import (
-    ConvergenceError,
-    EigenObservables,
-    Parity,
-    ParityChain,
-    ParitySpectrum,
-    RabiParams,
-    TruncationLimitError,
-    build_parity_chain,
-    converged_levels,
-    converged_window,
-    diagonalize,
-    eigen_observables,
-)
-from .semiclassical import (
-    EPS_CRITICAL,
-    DosCurve,
-    ObservableCurve,
-    QuadratureError,
-    accumulated_states,
-    dos_curve,
-    dos_semiclassical,
-    ground_state_eps,
-    observables_microcanonical,
-)
-from .asymptotics import (
-    CriticalLaw,
-    FitReport,
-    LawKind,
-    Side,
-    fit_divergence,
-    geometric_eps_grid,
-    law_log_esqpt,
-    law_power_qpt,
-)
-from .spectral import (
-    GapMap,
-    WindowedDos,
-    gap_map,
-    windowed_dos,
-)
+from . import quantum, semiclassical, asymptotics, spectral
+from .quantum import *  # noqa: F403
+from .semiclassical import *  # noqa: F403
+from .asymptotics import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Parity",
-    "RabiParams",
-    "ParityChain",
-    "ParitySpectrum",
-    "EigenObservables",
-    "ConvergenceError",
-    "TruncationLimitError",
-    "build_parity_chain",
-    "diagonalize",
-    "converged_window",
-    "converged_levels",
-    "eigen_observables",
-    "DosCurve",
-    "ObservableCurve",
-    "QuadratureError",
-    "EPS_CRITICAL",
-    "ground_state_eps",
-    "dos_semiclassical",
-    "accumulated_states",
-    "dos_curve",
-    "observables_microcanonical",
-    "LawKind",
-    "Side",
-    "CriticalLaw",
-    "FitReport",
-    "law_power_qpt",
-    "law_log_esqpt",
-    "fit_divergence",
-    "geometric_eps_grid",
-    "WindowedDos",
-    "GapMap",
-    "windowed_dos",
-    "gap_map",
-]
+__all__ = ["__version__", *quantum.__all__, *semiclassical.__all__,
+           *asymptotics.__all__, *spectral.__all__]

@@ -59,14 +59,12 @@ class Side(enum.Enum):
 class CriticalLaw:
     """Closed-form divergence of nu at eps_c.
 
-    For ``POWER_QPT`` the prediction is ``prefactor * delta**exponent``; for
-    ``LOG_ESQPT`` it is ``slope * (-ln delta)`` up to an additive constant that
-    depends on the regular background and is not pinned here.
+    From ``law_power_qpt`` the prediction is ``prefactor * delta**exponent``;
+    from ``law_log_esqpt`` it is ``slope * (-ln delta)`` up to an additive
+    constant that depends on the regular background and is not pinned here.
+    The fields the law does not use are None.
     """
 
-    kind: LawKind
-    omega0: float
-    g: float
     exponent: float | None = None
     prefactor: float | None = None
     slope: float | None = None
@@ -84,8 +82,6 @@ class FitReport:
     """
 
     kind: LawKind
-    side: Side
-    window: tuple[float, float]
     n_points: int
     slope: float
     intercept: float
@@ -115,13 +111,7 @@ def law_power_qpt(omega0: float = 1.0) -> CriticalLaw:
     if not (omega0 > 0.0):
         raise ValueError("omega0 must be positive")
     pref = float(_gamma(1.25) / _gamma(0.75) * 2.0**1.25 / (omega0 * math.sqrt(math.pi)))
-    return CriticalLaw(
-        kind=LawKind.POWER_QPT,
-        omega0=omega0,
-        g=1.0,
-        exponent=-0.25,
-        prefactor=pref,
-    )
+    return CriticalLaw(exponent=-0.25, prefactor=pref)
 
 
 def law_log_esqpt(omega0: float, g: float) -> CriticalLaw:
@@ -137,12 +127,7 @@ def law_log_esqpt(omega0: float, g: float) -> CriticalLaw:
     if not (g > 1.0):
         raise ValueError("logarithmic law requires g > 1")
     slope = 1.0 / (omega0 * math.pi * math.sqrt(g * g - 1.0))
-    return CriticalLaw(
-        kind=LawKind.LOG_ESQPT,
-        omega0=omega0,
-        g=g,
-        slope=slope,
-    )
+    return CriticalLaw(slope=slope)
 
 
 def geometric_eps_grid(
@@ -203,8 +188,6 @@ def fit_divergence(
     resid = y - (slope * x + intercept)
     return FitReport(
         kind=kind,
-        side=side,
-        window=(lo, hi),
         n_points=n_points,
         slope=float(slope),
         intercept=float(intercept),

@@ -77,7 +77,7 @@ COMMON_OPTS = [
     Opt("--config", "config", str, None, "JSON file with option defaults; flags override"),
 ]
 
-G_REQUIRED = Opt("--g", "g", float, None, "coupling g (required)", required=True)
+G_REQUIRED = Opt("--g", "g", float, None, "coupling g (required)", minimum=0, required=True)
 G_SWEEP = [
     Opt("--g-min", "g_min", float, 0.0, "sweep start"),
     Opt("--g-max", "g_max", float, 3.0, "sweep end"),
@@ -159,8 +159,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             if opt.required:
                 raise UsageError(f"{args.command} requires {opt.flag}")
             setattr(args, opt.dest, opt.default)
-        # `not >=` so that NaN fails too
-        if opt.minimum is not None and not getattr(args, opt.dest) >= opt.minimum:
+        value = getattr(args, opt.dest)
+        # an unset optional option (None) has no bound; `not >=` so that NaN fails
+        if opt.minimum is not None and value is not None and not value >= opt.minimum:
             raise UsageError(f"{opt.flag} must be >= {opt.minimum:g}")
 
 
@@ -225,8 +226,8 @@ def _summary(args: argparse.Namespace, **fields: object) -> dict[str, object]:
 
 
 def _g_grid(args: argparse.Namespace) -> np.ndarray:
-    if not (-math.inf < args.g_min <= args.g_max < math.inf):
-        raise UsageError("need finite --g-min <= --g-max")
+    if not (0.0 <= args.g_min <= args.g_max < math.inf):
+        raise UsageError("need 0 <= --g-min <= --g-max < inf")
     return np.linspace(args.g_min, args.g_max, args.g_steps)
 
 
@@ -276,7 +277,8 @@ def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
 
 
 @command("spectrum", "parity-resolved level energies, single coupling or sweep",
-         Opt("--g", "g", float, None, "single coupling g (omit for a sweep)"), *G_SWEEP,
+         Opt("--g", "g", float, None, "single coupling g (omit for a sweep)", minimum=0),
+         *G_SWEEP,
          Opt("--levels", "levels", int, 40, "levels per parity sector", minimum=1))
 def _cmd_spectrum(args: argparse.Namespace) -> Result:
     gs = np.array([args.g]) if args.g is not None else _g_grid(args)
@@ -378,9 +380,9 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
 
     # deviation of the windowed estimate from the semiclassical curve, away
     # from the critical energy where the comparison is meaningful pointwise
-    sc_at_q = dos_curve(g, qc.eps, omega0=args.omega0, quad_tol=args.quad_tol).nu
     off = np.abs(qc.eps - EPS_CRITICAL) > 0.05
-    rel = np.abs(qc.nu[off] / sc_at_q[off] - 1.0) if np.any(off) else np.array([])
+    sc_at_q = dos_curve(g, qc.eps[off], omega0=args.omega0, quad_tol=args.quad_tol).nu
+    rel = np.abs(qc.nu[off] / sc_at_q - 1.0)
     off_critical = {"n_points": int(rel.size),
                     "median_rel_dev": float(np.median(rel)) if rel.size else None,
                     "max_rel_dev": float(np.max(rel)) if rel.size else None}

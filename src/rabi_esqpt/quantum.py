@@ -421,7 +421,6 @@ def converged_levels(
     parity: Parity,
     k_max: int,
     tol: float = 1e-8,
-    want_vectors: bool = False,
 ) -> ParitySpectrum:
     """The lowest k_max levels, each certified to within tol * omega0.
 
@@ -431,7 +430,7 @@ def converged_levels(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _certified_spectrum(params, parity, tol, want_vectors, k_max=k_max)
+    return _certified_spectrum(params, parity, tol, want_vectors=False, k_max=k_max)
 
 
 def eigen_observables(spectrum: ParitySpectrum) -> EigenObservables:

@@ -39,6 +39,10 @@ singularities, so one adaptive Gauss-Kronrod quadrature on [0, pi/2]
 converges to near machine precision.  The root offsets and the weights
 are evaluated without cancellation at eps = -1, at the well bottom and as
 g -> 0.
+
+Each public call checks its whole domain once, g, omega0, quad_tol and every
+eps together, before any quadrature; dos_semiclassical and
+accumulated_states are one-point calls of the same path as the curves.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ __all__ = [
 EPS_CRITICAL = -1.0
 
 # No orbit quantities are evaluated closer to eps = -1 than this when the
-# density of states diverges there (g > 1); see dos_semiclassical.
+# density of states diverges there (g > 1); see _domain.
 CRITICAL_GUARD = 1e-8
 
 DEFAULT_QUAD_TOL = 1e-9
@@ -90,8 +94,6 @@ class DosCurve:
     normalization (so dN/deps = nu).
     """
 
-    g: float
-    omega0: float
     eps: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
     n_cum: np.ndarray | None = field(repr=False, default=None)
@@ -114,7 +116,6 @@ class ObservableCurve:
     (nphot_scaled -> 0, sz -> -1), approached logarithmically slowly.
     """
 
-    g: float
     eps: np.ndarray = field(repr=False)
     nphot_scaled: np.ndarray = field(repr=False)
     sz: np.ndarray = field(repr=False)
@@ -128,18 +129,6 @@ def _check_g(g: float) -> float:
     if not (isinstance(g, (int, float, np.floating)) and math.isfinite(g) and g >= 0):
         raise ValueError(f"g must be finite and non-negative, got {g!r}")
     return float(g)
-
-
-def _check_eps(eps: float) -> None:
-    # NaN and inf pass every domain check and would integrate to a silent 0
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps!r}")
-
-
-def _check_quad_tol(quad_tol: float) -> None:
-    # a NaN tolerance would switch the quadrature error check off
-    if not (math.isfinite(quad_tol) and quad_tol > 0):
-        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol!r}")
 
 
 def ground_state_eps(g: float) -> float:
@@ -244,12 +233,35 @@ def _orbit_integral(
     return value
 
 
-def _guard_critical(g: float, eps: float, what: str) -> None:
-    if g > 1.0 and abs(eps - EPS_CRITICAL) < CRITICAL_GUARD:
-        raise ValueError(
-            f"{what} is divergent at eps = {EPS_CRITICAL} for g = {g} > 1; "
-            f"stay at least {CRITICAL_GUARD} away in eps"
-        )
+def _domain(g, eps, quad_tol: float, omega0: float = 1.0,
+            ground_ok: bool = False) -> tuple[float, np.ndarray]:
+    """The one domain check of a call: returns g as a float and eps as a 1-D array.
+
+    Every eps must be finite and above the ground state (at it, with
+    ground_ok) and, for g > 1, at least CRITICAL_GUARD from eps = -1.
+    """
+    e_gs = ground_state_eps(g)
+    g = float(g)
+    if not 0.0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be finite and positive, got {omega0!r}")
+    # a NaN tolerance would switch the quadrature error check off
+    if not (math.isfinite(quad_tol) and quad_tol > 0):
+        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol!r}")
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    # NaN and inf pass every check below and would integrate to a silent 0
+    bad = eps[~np.isfinite(eps)]
+    if bad.size:
+        raise ValueError(f"eps must be finite, got {bad[0]}")
+    bad = eps[eps < e_gs] if ground_ok else eps[eps <= e_gs]
+    if bad.size:
+        raise ValueError(f"no allowed orbit: eps={bad[0]} is not above the "
+                         f"ground-state eps={e_gs}")
+    if g > 1.0:
+        bad = eps[np.abs(eps - EPS_CRITICAL) < CRITICAL_GUARD]
+        if bad.size:
+            raise ValueError(f"eps={bad[0]} is within {CRITICAL_GUARD:g} of eps = "
+                             f"{EPS_CRITICAL}, where nu diverges for g = {g} > 1")
+    return g, eps
 
 
 def dos_semiclassical(
@@ -261,17 +273,7 @@ def dos_semiclassical(
     at least 1e-8 away from the critical energy eps = -1 where nu
     diverges.
     """
-    g = _check_g(g)
-    if omega0 <= 0:
-        raise ValueError("omega0 must be positive")
-    _check_eps(eps)
-    _check_quad_tol(quad_tol)
-    if eps <= ground_state_eps(g):
-        raise ValueError(
-            f"no allowed orbit: eps={eps} not above ground-state eps={ground_state_eps(g)}"
-        )
-    _guard_critical(g, eps, "the density of states")
-    return 2.0 / (omega0 * math.pi) * _orbit_integral(g, eps, _w_one, quad_tol)
+    return dos_curve(g, eps, omega0, quad_tol).nu.item()
 
 
 def accumulated_states(
@@ -280,19 +282,12 @@ def accumulated_states(
     """N(eps, g) = (4/(omega0 pi)) Int p dx: phase-space count below eps.
 
     Normalized so dN/deps = nu and N matches (2/Omega x) the merged
-    two-parity quantum level count.  N(eps_gs) = 0.
+    two-parity quantum level count.  N(eps_gs) = 0.  Same domain as
+    dos_semiclassical, except that eps may sit at the ground state.
     """
-    g = _check_g(g)
-    if omega0 <= 0:
-        raise ValueError("omega0 must be positive")
-    _check_eps(eps)
-    _check_quad_tol(quad_tol)
-    e_gs = ground_state_eps(g)
-    if eps < e_gs:
-        raise ValueError(f"no allowed orbit: eps={eps} below ground-state eps={e_gs}")
-    if eps == e_gs:
+    g, (eps,) = _domain(g, eps, quad_tol, omega0, ground_ok=True)
+    if eps == ground_state_eps(g):
         return 0.0
-    _guard_critical(g, eps, "the accumulated count")
     return 4.0 / (omega0 * math.pi) * _orbit_integral(g, eps, _w_p2, quad_tol)
 
 
@@ -303,21 +298,15 @@ def dos_curve(
     quad_tol: float = DEFAULT_QUAD_TOL,
     with_counts: bool = False,
 ) -> DosCurve:
-    """Sample nu (and optionally N) on an eps grid."""
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    nu = np.array([dos_semiclassical(g, e, omega0, quad_tol) for e in eps])
+    """Sample nu (and optionally N) on an eps grid; the domain of dos_semiclassical."""
+    g, eps = _domain(g, eps, quad_tol, omega0)
+    nu = np.array([2.0 / (omega0 * math.pi) * _orbit_integral(g, e, _w_one, quad_tol)
+                   for e in eps.tolist()])
     n_cum = None
     if with_counts:
-        n_cum = np.array([accumulated_states(g, e, omega0, quad_tol) for e in eps])
-    return DosCurve(g=float(g), omega0=float(omega0), eps=eps, nu=nu, n_cum=n_cum)
-
-
-def _observables_point(g: float, eps: float, quad_tol: float) -> tuple[float, float]:
-    # shell averages: <A> = Int (A/p) dx / Int (1/p) dx on the orbit
-    denom = _orbit_integral(g, eps, _w_one, quad_tol)
-    sz = _orbit_integral(g, eps, _w_sz, quad_tol) / denom
-    nphot = _orbit_integral(g, eps, _w_nphot, quad_tol) / denom
-    return nphot, sz
+        n_cum = np.array([4.0 / (omega0 * math.pi) * _orbit_integral(g, e, _w_p2, quad_tol)
+                          for e in eps.tolist()])
+    return DosCurve(eps=eps, nu=nu, n_cum=n_cum)
 
 
 def observables_microcanonical(
@@ -331,15 +320,12 @@ def observables_microcanonical(
     <sigma_z> = -<1/sqrt(1+2g^2x^2)>.  Same domain restrictions as
     dos_semiclassical.
     """
-    g = _check_g(g)
-    _check_quad_tol(quad_tol)
-    eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-    nphot = np.empty_like(eps_arr)
-    sz = np.empty_like(eps_arr)
-    for i, e in enumerate(eps_arr):
-        _check_eps(e)
-        if e <= ground_state_eps(g):
-            raise ValueError(f"eps={e} not above the ground-state energy")
-        _guard_critical(g, e, "the microcanonical average")
-        nphot[i], sz[i] = _observables_point(g, float(e), quad_tol)
-    return ObservableCurve(g=float(g), eps=eps_arr, nphot_scaled=nphot, sz=sz)
+    g, eps = _domain(g, eps, quad_tol)
+    nphot = np.empty_like(eps)
+    sz = np.empty_like(eps)
+    for i, e in enumerate(eps.tolist()):
+        # shell averages: <A> = Int (A/p) dx / Int (1/p) dx on the orbit
+        denom = _orbit_integral(g, e, _w_one, quad_tol)
+        sz[i] = _orbit_integral(g, e, _w_sz, quad_tol) / denom
+        nphot[i] = _orbit_integral(g, e, _w_nphot, quad_tol) / denom
+    return ObservableCurve(eps=eps, nphot_scaled=nphot, sz=sz)

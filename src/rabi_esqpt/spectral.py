@@ -69,8 +69,6 @@ class WindowedDos:
         dos_semiclassical can be overlaid without further bookkeeping.
         """
         return DosCurve(
-            g=self.params.g,
-            omega0=self.params.omega0,
             eps=self.eps_bar.copy(),
             nu=self.nu_bar * (2.0 / self.params.Omega),
         )

@@ -274,6 +274,8 @@ NEEDS_G = {"dos", "observables", "probabilities", "asymptotics"}
 # (command, flag) -> the smallest accepted value
 BOUNDS = {
     **{(name, "--ratio"): 1 for name in COMMAND_NAMES},
+    ("spectrum", "--g"): 0, ("dos", "--g"): 0, ("observables", "--g"): 0,
+    ("probabilities", "--g"): 0,
     ("spectrum", "--g-steps"): 1, ("spectrum", "--levels"): 1,
     ("gapmap", "--g-steps"): 1, ("gapmap", "--levels"): 1,
     ("dos", "--window"): 1, ("dos", "--points"): 1,
@@ -303,7 +305,8 @@ class TestOptionTable:
         value = just_below(BOUNDS[(name, flag)], opt.typ)
         argv = [name, "--g", "1.4"] if name in NEEDS_G and flag != "--g" else [name]
         if source == "flag":
-            argv += [flag, repr(value)]
+            # one token: argparse would take a lone "-5e-324" for an option
+            argv += [f"{flag}={value!r}"]
         else:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({flag[2:]: value}))
@@ -334,10 +337,11 @@ class TestNonFiniteRanges:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--g-min", "nan"],
         ["gapmap", "--g-max", "inf"],
+        ["gapmap", "--g-min", "-1", "--g-max", "0"],
         ["asymptotics", "--g", "1.4", "--delta-max", "inf"],
         ["dos", "--g", "1.2", "--eps-max", "inf"],
-    ], ids=["spectrum-g-min-nan", "gapmap-g-max-inf", "asymptotics-delta-max-inf",
-            "dos-eps-max-inf"])
+    ], ids=["spectrum-g-min-nan", "gapmap-g-max-inf", "gapmap-g-min-negative",
+            "asymptotics-delta-max-inf", "dos-eps-max-inf"])
     def test_usage_error_before_any_numerics(self, tmp_path, capsys, argv):
         # these used to pass the range checks and fail later, some after a
         # numpy RuntimeWarning, with an error that named no option

@@ -222,12 +222,7 @@ class TestDensity:
         assert curve.n_cum is not None and np.all(np.diff(curve.n_cum) > 0)
         assert len(curve.eps) == len(curve.nu) == 4
         with pytest.raises(ValueError):
-            DosCurve(
-                g=1.2,
-                omega0=1.0,
-                eps=np.zeros(3),
-                nu=np.zeros(2),
-            )
+            DosCurve(eps=np.zeros(3), nu=np.zeros(2))
 
 
 class TestShellAverages:
@@ -278,3 +273,31 @@ class TestShellAverages:
             observables_microcanonical(1.2, ground_state_eps(1.2) - 1e-3)
         with pytest.raises(ValueError):
             observables_microcanonical(1.2, EPS_CRITICAL + 0.5e-8)
+
+
+ENTRY_POINTS = {
+    "dos_semiclassical": lambda g, eps, quad_tol: dos_semiclassical(g, eps, quad_tol=quad_tol),
+    "accumulated_states": lambda g, eps, quad_tol: accumulated_states(g, eps, quad_tol=quad_tol),
+    # the bad point second, after a good one
+    "dos_curve": lambda g, eps, quad_tol: dos_curve(g, [-0.5, eps], quad_tol=quad_tol,
+                                                    with_counts=True),
+    "observables_microcanonical": lambda g, eps, quad_tol: observables_microcanonical(
+        g, [-0.5, eps], quad_tol=quad_tol),
+}
+
+
+@pytest.mark.parametrize("g, eps, quad_tol, message", [
+    (1.2, -1.5, 1e-9, "no allowed orbit: eps=-1.5 is not above the ground-state eps="),
+    (1.2, math.nan, 1e-9, "eps must be finite, got nan"),
+    (1.2, EPS_CRITICAL + 0.5e-8, 1e-9, "is within 1e-08 of eps = -1.0, where nu diverges"),
+    (1.2, -0.5, math.nan, "quad_tol must be finite and positive, got nan"),
+    (-1.0, -0.5, 1e-9, "g must be finite and non-negative, got -1.0"),
+], ids=["below-ground-state", "nan-eps", "near-critical", "nan-quad-tol", "negative-g"])
+def test_entry_points_share_one_domain_check(g, eps, quad_tol, message):
+    messages = {}
+    for name, call in ENTRY_POINTS.items():
+        with pytest.raises(ValueError) as err:
+            call(g, eps, quad_tol)
+        messages[name] = str(err.value)
+    assert len(set(messages.values())) == 1, messages
+    assert message in messages["dos_curve"]
