@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .semiclassical import EPS_CRITICAL, DosCurve
+from .semiclassical import EPS_CRITICAL, DosCurve, _check_g, _check_omega0
 
 __all__ = [
     "LawKind",
@@ -108,8 +108,7 @@ def law_power_qpt(omega0: float = 1.0) -> CriticalLaw:
     ``nu = C * (eps - eps_c)**(-1/4)`` with
     ``C = Gamma(5/4) / Gamma(3/4) * 2**(5/4) / (omega0 * sqrt(pi))``.
     """
-    if not (omega0 > 0.0):
-        raise ValueError("omega0 must be positive")
+    omega0 = _check_omega0(omega0)
     pref = float(_gamma(1.25) / _gamma(0.75) * 2.0**1.25 / (omega0 * math.sqrt(math.pi)))
     return CriticalLaw(exponent=-0.25, prefactor=pref)
 
@@ -122,8 +121,7 @@ def law_log_esqpt(omega0: float, g: float) -> CriticalLaw:
     giving ``nu ~ -ln|eps - eps_c| / (omega0 * pi * sqrt(g**2 - 1))`` with the
     same slope on both sides of eps_c.
     """
-    if not (omega0 > 0.0):
-        raise ValueError("omega0 must be positive")
+    omega0, g = _check_omega0(omega0), _check_g(g)
     if not (g > 1.0):
         raise ValueError("logarithmic law requires g > 1")
     slope = 1.0 / (omega0 * math.pi * math.sqrt(g * g - 1.0))

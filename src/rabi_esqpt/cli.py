@@ -7,14 +7,17 @@ quantum density on the semiclassical curve, `observables` and
 `asymptotics` fits the critical laws.
 
 Each command is declared once, by the `command` decorator on its function:
-its name, its help line and its options, each option with its bounds.
-`build_parser`, the config loader and `main` read that one registry.  A
-command maps the parsed options to a Result: its CSV tables (with
-`# key=value` headers carrying all parameters), a JSON summary where a
-comparison is made, and its figure.  `main` is the one place that creates
---out and writes files, the figure only under --emit-svg, and it writes only
-after the command has returned, so a failed run leaves nothing behind.  Two
-identical invocations produce byte-identical files.
+its name, its help line and the options it reads, each with its bounds.
+`build_parser`, the config loader, `main` and the file records read that one
+registry.  A command maps the parsed options to a Result: its CSV tables, a
+JSON summary where a comparison is made, and its figure.  Every CSV header
+and every summary starts with one record: the tool, version and command,
+then each option the command declares with its resolved value (the FILES
+options and those left unset aside), then the command's results.  `main`
+is the one place that creates --out and writes files, the figure only under
+--emit-svg, and it writes only after the command has returned, so a failed
+run leaves nothing behind.  Two identical invocations produce
+byte-identical files.
 
 Options may come from a JSON config file (--config); explicit flags win.
 Bad options, whether flags or config values, exit with status 2 before any
@@ -52,41 +55,43 @@ class Opt:
     """One CLI option: argparse wiring, config-file type and bounds.
 
     The bounds are checked once flags and config are merged: a required
-    option must be given one way or the other, and a value below minimum
-    (or NaN) is a usage error.
+    option must be given one way or the other, a float must be finite, and
+    a value below minimum is a usage error.
     """
 
     flag: str
-    dest: str
-    typ: type | None
+    typ: type
     default: object
     help: str
-    is_flag: bool = False
     minimum: float | None = None
     required: bool = False
 
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
-COMMON_OPTS = [
-    Opt("--omega0", "omega0", float, 1.0, "field frequency omega0 (energy unit)"),
-    Opt("--ratio", "ratio", float, 40.0, "frequency ratio R = Omega / omega0", minimum=1),
-    Opt("--quad-tol", "quad_tol", float, 1e-9, "relative tolerance of orbit quadratures"),
-    Opt("--conv-tol", "conv_tol", float, 1e-8,
-        "certified eigenvalue error bound, in units of omega0"),
-    Opt("--out", "out", str, ".", "output directory (created if missing)"),
-    Opt("--emit-svg", "emit_svg", None, False, "also write SVG figures", is_flag=True),
-    Opt("--config", "config", str, None, "JSON file with option defaults; flags override"),
+
+OMEGA0 = Opt("--omega0", float, 1.0, "field frequency omega0 (energy unit)")
+RATIO = Opt("--ratio", float, 40.0, "frequency ratio R = Omega / omega0", minimum=1)
+QUAD_TOL = Opt("--quad-tol", float, 1e-9, "relative tolerance of orbit quadratures")
+CONV_TOL = Opt("--conv-tol", float, 1e-8, "certified eigenvalue error bound, in units of omega0")
+# where the files go, never what is in them: no record holds these
+FILES = [
+    Opt("--out", str, ".", "output directory (created if missing)"),
+    Opt("--emit-svg", bool, False, "also write SVG figures"),
+    Opt("--config", str, None, "JSON file with option defaults; flags override"),
 ]
 
-G_REQUIRED = Opt("--g", "g", float, None, "coupling g (required)", minimum=0, required=True)
+G_REQUIRED = Opt("--g", float, None, "coupling g (required)", minimum=0, required=True)
 G_SWEEP = [
-    Opt("--g-min", "g_min", float, 0.0, "sweep start"),
-    Opt("--g-max", "g_max", float, 3.0, "sweep end"),
-    Opt("--g-steps", "g_steps", int, 61, "sweep points", minimum=1),
+    Opt("--g-min", float, 0.0, "sweep start"),
+    Opt("--g-max", float, 3.0, "sweep end"),
+    Opt("--g-steps", int, 61, "sweep points", minimum=1),
 ]
 EPS_RANGE = [
-    Opt("--eps-min", "eps_min", float, None,
+    Opt("--eps-min", float, None,
         "lower edge of the rescaled energy range (default: just above the bottom)"),
-    Opt("--eps-max", "eps_max", float, 0.0, "upper edge of the rescaled energy range"),
+    Opt("--eps-max", float, 0.0, "upper edge of the rescaled energy range"),
 ]
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,14 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        for opt in [*COMMON_OPTS, *cmd.opts]:
-            if opt.is_flag:
-                p.add_argument(opt.flag, dest=opt.dest, action="store_true",
-                               default=False, help=opt.help)
-            else:
-                # default=None so that a config file can tell set from unset
-                p.add_argument(opt.flag, dest=opt.dest, type=opt.typ,
-                               default=None, help=opt.help)
+        for opt in cmd.opts:
+            # default=None so that a config file can tell set from unset
+            how = {"action": "store_true"} if opt.typ is bool else {"type": opt.typ}
+            p.add_argument(opt.flag, default=None, help=opt.help, **how)
     return parser
 
 
@@ -115,13 +116,13 @@ class UsageError(ValueError):
 
 # JSON values a config file may give an option of each type; bools are
 # never numbers here, although Python counts them as ints
-_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                 str: ((str,), "a string")}
+_CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                 float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill unset options from the JSON config, then from built-in defaults."""
-    opts = [*COMMON_OPTS, *COMMANDS[args.command].opts]
+    opts = COMMANDS[args.command].opts
     by_dest = {o.dest: o for o in opts}
     if args.config is not None:
         try:
@@ -139,14 +140,8 @@ def _apply_config(args: argparse.Namespace) -> None:
             if dest not in by_dest:
                 raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
             opt = by_dest[dest]
-            if opt.is_flag:
-                if not isinstance(val, bool):
-                    raise UsageError(f"config key {key!r} must be true or false")
-                if val:
-                    setattr(args, dest, True)
-                continue
             kinds, kind_name = _CONFIG_TYPES[opt.typ]
-            if isinstance(val, bool) or not isinstance(val, kinds):
+            if isinstance(val, bool) != (opt.typ is bool) or not isinstance(val, kinds):
                 raise UsageError(f"config key {key!r} must be {kind_name}, "
                                  f"got {json.dumps(val)}")
             if getattr(args, dest) is None:
@@ -160,8 +155,11 @@ def _apply_config(args: argparse.Namespace) -> None:
                 raise UsageError(f"{args.command} requires {opt.flag}")
             setattr(args, opt.dest, opt.default)
         value = getattr(args, opt.dest)
-        # an unset optional option (None) has no bound; `not >=` so that NaN fails
-        if opt.minimum is not None and value is not None and not value >= opt.minimum:
+        if value is None:  # an unset optional option has no bound
+            continue
+        if opt.typ is float and not math.isfinite(value):
+            raise UsageError(f"{opt.flag} must be finite")
+        if opt.minimum is not None and value < opt.minimum:
             raise UsageError(f"{opt.flag} must be >= {opt.minimum:g}")
 
 
@@ -214,20 +212,19 @@ def _params(args: argparse.Namespace, g: float) -> RabiParams:
     return RabiParams(omega0=args.omega0, Omega=args.omega0 * args.ratio, g=g)
 
 
-def _meta(args: argparse.Namespace, **extra: object) -> dict[str, object]:
-    """Head of a CSV file's `# key=value` lines, in this order."""
-    return {"tool": "rabi-esqpt", "version": __version__, "command": args.command,
-            "omega0": float(args.omega0), "ratio": float(args.ratio), **extra}
-
-
-def _summary(args: argparse.Namespace, **fields: object) -> dict[str, object]:
-    """Head of a JSON summary; write_json sorts the keys."""
-    return {"command": args.command, "version": __version__, "omega0": args.omega0, **fields}
+def _record(args: argparse.Namespace, **results: object) -> dict[str, object]:
+    """A CSV header or JSON summary: what ran, with every option it read, then results."""
+    record = {"tool": "rabi-esqpt", "version": __version__, "command": args.command}
+    for opt in COMMANDS[args.command].opts:
+        value = getattr(args, opt.dest)
+        if opt not in FILES and value is not None:
+            record[opt.dest] = value
+    return {**record, **results}
 
 
 def _g_grid(args: argparse.Namespace) -> np.ndarray:
-    if not (0.0 <= args.g_min <= args.g_max < math.inf):
-        raise UsageError("need 0 <= --g-min <= --g-max < inf")
+    if not 0.0 <= args.g_min <= args.g_max:
+        raise UsageError("need 0 <= --g-min <= --g-max")
     return np.linspace(args.g_min, args.g_max, args.g_steps)
 
 
@@ -236,9 +233,9 @@ def _eps_grid(args: argparse.Namespace, g: float) -> np.ndarray:
     eps_gs = ground_state_eps(g)
     eps_min = args.eps_min if args.eps_min is not None else eps_gs + 0.01
     eps_max = args.eps_max
-    if not (eps_gs < eps_min < eps_max < math.inf):
+    if not eps_gs < eps_min < eps_max:
         raise UsageError(
-            f"need ground-state eps {eps_gs:.6g} < eps-min < eps-max < inf, "
+            f"need ground-state eps {eps_gs:.6g} < eps-min < eps-max, "
             f"got eps-min={eps_min:.6g}, eps-max={eps_max:.6g}"
         )
     grid = np.linspace(eps_min, eps_max, args.points)
@@ -277,9 +274,9 @@ def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
 
 
 @command("spectrum", "parity-resolved level energies, single coupling or sweep",
-         Opt("--g", "g", float, None, "single coupling g (omit for a sweep)", minimum=0),
-         *G_SWEEP,
-         Opt("--levels", "levels", int, 40, "levels per parity sector", minimum=1))
+         OMEGA0, RATIO, CONV_TOL, *FILES,
+         Opt("--g", float, None, "single coupling g (omit for a sweep)", minimum=0),
+         *G_SWEEP, Opt("--levels", int, 40, "levels per parity sector", minimum=1))
 def _cmd_spectrum(args: argparse.Namespace) -> Result:
     gs = np.array([args.g]) if args.g is not None else _g_grid(args)
     specs = {(float(g), parity): converged_levels(_params(args, float(g)), parity,
@@ -287,10 +284,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
              for g in gs for parity in (Parity.MINUS, Parity.PLUS)}
     rows = [(g, parity.label, k, spec.energies[k], spec.eps[k], spec.dim)
             for (g, parity), spec in specs.items() for k in range(args.levels)]
-    coupling = (dict(g=float(args.g)) if args.g is not None
-                else dict(g_min=args.g_min, g_max=args.g_max, g_steps=args.g_steps))
-    meta = _meta(args, levels=args.levels, conv_tol=args.conv_tol, **coupling)
-    tables = {"spectrum.csv": Table(meta, ["g", "parity", "k", "energy", "eps", "dim"], rows)}
+    tables = {"spectrum.csv": Table(_record(args),
+                                    ["g", "parity", "k", "energy", "eps", "dim"], rows)}
     if len(gs) == 1:
         series = [Series(np.arange(args.levels, dtype=float), specs[(float(gs[0]), parity)].eps,
                          label=f"parity {parity.label}", color=color, kind="points")
@@ -318,7 +313,8 @@ def _ramp(t: float) -> str:
 
 
 @command("gapmap", "signed parity splitting of the lowest doublets over a coupling sweep",
-         *G_SWEEP, Opt("--levels", "levels", int, 40, "doublets per coupling", minimum=1))
+         OMEGA0, RATIO, CONV_TOL, *FILES,
+         *G_SWEEP, Opt("--levels", int, 40, "doublets per coupling", minimum=1))
 def _cmd_gapmap(args: argparse.Namespace) -> Result:
     gs = _g_grid(args)
     gm = gap_map(args.omega0, args.omega0 * args.ratio, gs,
@@ -326,17 +322,14 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
     rows = [(float(g), k, gm.eps_minus[i, k], gm.eps_plus[i, k], gm.eps_mid[i, k],
              gm.delta[i, k], bool(gm.converged[i, k]), int(gm.dim[i]))
             for i, g in enumerate(gm.g) for k in range(gm.k_max)]
-    meta = _meta(args, g_min=args.g_min, g_max=args.g_max, g_steps=args.g_steps,
-                 levels=args.levels, conv_tol=args.conv_tol, n_unconverged=gm.n_unconverged)
     columns = ["g", "k", "eps_minus", "eps_plus", "eps_mid", "delta", "converged", "dim"]
-    tables = {"gapmap.csv": Table(meta, columns, rows)}
+    tables = {"gapmap.csv": Table(_record(args, n_unconverged=gm.n_unconverged), columns, rows)}
     # a splitting at the precision floor is roundoff; once one is, the
     # minimum is not known
     abs_delta = np.abs(gm.delta[gm.converged])
     n_unresolved = int(np.count_nonzero(gm.unresolved))
-    summary = ("gapmap_summary.json", _summary(
-        args, ratio=args.ratio, levels=args.levels,
-        n_unconverged=gm.n_unconverged, n_unresolved=n_unresolved,
+    summary = ("gapmap_summary.json", _record(
+        args, n_unconverged=gm.n_unconverged, n_unresolved=n_unresolved,
         abs_delta_min=float(np.min(abs_delta))
         if abs_delta.size and not n_unresolved else None,
         abs_delta_max=float(np.max(abs_delta)) if abs_delta.size else None))
@@ -357,8 +350,9 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
 
 
 @command("dos", "windowed quantum density of states against the semiclassical curve",
-         G_REQUIRED, Opt("--window", "window", int, 10, "spacings per running window", minimum=1),
-         *EPS_RANGE, Opt("--points", "points", int, 201, "semiclassical grid size", minimum=1))
+         OMEGA0, RATIO, QUAD_TOL, CONV_TOL, *FILES,
+         G_REQUIRED, Opt("--window", int, 10, "spacings per running window", minimum=1),
+         *EPS_RANGE, Opt("--points", int, 201, "semiclassical grid size", minimum=1))
 def _cmd_dos(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
@@ -367,14 +361,12 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
     minus, plus = _quantum_sectors(params, args)
     wd = windowed_dos(minus, plus, window_n=args.window, eps_max=args.eps_max)
     qc = wd.to_dos_curve()
-    meta_common = dict(g=g, quad_tol=args.quad_tol, conv_tol=args.conv_tol)
     tables = {
         "dos_semiclassical.csv": Table(
-            _meta(args, **meta_common, points=len(sc.eps)),
-            ["eps", "nu", "n_cum"], list(zip(sc.eps, sc.nu, sc.n_cum))),
+            _record(args), ["eps", "nu", "n_cum"], list(zip(sc.eps, sc.nu, sc.n_cum))),
         "dos_quantum.csv": Table(
-            _meta(args, **meta_common, window=args.window, n_levels=wd.n_levels,
-                  dim_minus=minus.dim, dim_plus=plus.dim, truncated=wd.truncated),
+            _record(args, n_levels=wd.n_levels, dim_minus=minus.dim, dim_plus=plus.dim,
+                    truncated=wd.truncated),
             ["eps", "nu_per_eps", "nu"], list(zip(wd.eps_bar, wd.nu_bar, qc.nu))),
     }
 
@@ -386,8 +378,8 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
     off_critical = {"n_points": int(rel.size),
                     "median_rel_dev": float(np.median(rel)) if rel.size else None,
                     "max_rel_dev": float(np.max(rel)) if rel.size else None}
-    summary = _summary(args, g=g, ratio=args.ratio, window=args.window, n_levels=wd.n_levels,
-                       truncated=wd.truncated, off_critical=off_critical)
+    summary = _record(args, n_levels=wd.n_levels, truncated=wd.truncated,
+                      off_critical=off_critical)
     if g > 1.0:
         law = law_log_esqpt(args.omega0, g)
         w_lo = min(max(3.0 * args.window / args.ratio, 1e-3), 0.05)
@@ -422,8 +414,8 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
 
 
 @command("observables", "photon number and spin expectation values, quantum vs semiclassical",
-         G_REQUIRED, *EPS_RANGE,
-         Opt("--points", "points", int, 121, "semiclassical grid size", minimum=1))
+         OMEGA0, RATIO, QUAD_TOL, CONV_TOL, *FILES, G_REQUIRED, *EPS_RANGE,
+         Opt("--points", int, 121, "semiclassical grid size", minimum=1))
 def _cmd_observables(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
@@ -436,10 +428,10 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
             for k, (e, n, sz) in enumerate(zip(o.eps, o.n_phot, o.sz))]
     tables = {
         "observables_semiclassical.csv": Table(
-            _meta(args, g=g, quad_tol=args.quad_tol, points=len(grid)),
-            ["eps", "nphot_scaled", "sz"], list(zip(curve.eps, curve.nphot_scaled, curve.sz))),
+            _record(args), ["eps", "nphot_scaled", "sz"],
+            list(zip(curve.eps, curve.nphot_scaled, curve.sz))),
         "observables_quantum.csv": Table(
-            _meta(args, g=g, conv_tol=args.conv_tol, dim_minus=minus.dim, dim_plus=plus.dim),
+            _record(args, dim_minus=minus.dim, dim_plus=plus.dim),
             ["parity", "k", "eps", "n_phot", "nphot_scaled", "sz"], rows),
     }
 
@@ -449,8 +441,8 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
     sz_all = np.concatenate([o.sz for o in obs])
     order = np.argsort(eps_all, kind="stable")
     eps_all, nph_all, sz_all = eps_all[order], nph_all[order], sz_all[order]
-    # the lowest eigenstates sit below the classical bottom at finite R
-    # (zero-point spin dressing), where no semiclassical shell exists
+    # a level at eps lies on the classical shell at eps + 1/R, so the lowest
+    # levels can sit below the classical bottom, where no shell exists
     pick = ((np.abs(eps_all - EPS_CRITICAL) > 0.05)
             & (eps_all > ground_state_eps(g) + 0.01)
             & (eps_all <= args.eps_max))
@@ -458,8 +450,8 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
     shell = observables_microcanonical(g, eps_all[idx], quad_tol=args.quad_tol)
     dev_n = np.abs(nph_all[idx] - shell.nphot_scaled)
     dev_s = np.abs(sz_all[idx] - shell.sz)
-    summary = ("observables_summary.json", _summary(
-        args, g=g, ratio=args.ratio, n_states=len(rows), compared_states=int(idx.size),
+    summary = ("observables_summary.json", _record(
+        args, n_states=len(rows), compared_states=int(idx.size),
         nphot_scaled_abs_dev_max=float(np.max(dev_n)) if idx.size else None,
         sz_abs_dev_max=float(np.max(dev_s)) if idx.size else None))
     series = []
@@ -474,7 +466,8 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
 
 
 @command("probabilities", "down-spin localization weight of each eigenstate",
-         G_REQUIRED, Opt("--eps-max", "eps_max", float, 0.0, "include eigenstates up to this eps"))
+         OMEGA0, RATIO, CONV_TOL, *FILES,
+         G_REQUIRED, Opt("--eps-max", float, 0.0, "include eigenstates up to this eps"))
 def _cmd_probabilities(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
@@ -490,12 +483,9 @@ def _cmd_probabilities(args: argparse.Namespace) -> Result:
             spacing = float((o.eps[hi] - o.eps[lo]) / (hi - lo)) if hi > lo else None
             peaks[o.parity.label] = {"k": k, "eps": float(o.eps[k]), "p_loc": float(o.p_loc[k]),
                                      "local_spacing": spacing}
-    tables = {"probabilities.csv": Table(
-        _meta(args, g=g, conv_tol=args.conv_tol,
-              dim_minus=minus.dim, dim_plus=plus.dim, eps_max=args.eps_max),
-        ["parity", "k", "eps", "p_loc"], rows)}
-    summary = ("probabilities_summary.json",
-               _summary(args, g=g, ratio=args.ratio, peaks=peaks))
+    tables = {"probabilities.csv": Table(_record(args, dim_minus=minus.dim, dim_plus=plus.dim),
+                                         ["parity", "k", "eps", "p_loc"], rows)}
+    summary = ("probabilities_summary.json", _record(args, peaks=peaks))
     series = [Series(o.eps, o.p_loc, label=f"parity {o.parity.label}", color=color,
                      kind="points", radius=1.8) for o, (_, color) in zip(obs, SECTOR_COLORS)]
     series.append(_eps_c_guide(0.0, 1.0, horizontal=False))
@@ -504,14 +494,15 @@ def _cmd_probabilities(args: argparse.Namespace) -> Result:
 
 
 @command("asymptotics", "fit of the critical density law (power at g = 1, log for g > 1)",
-         Opt("--g", "g", float, None, "coupling g >= 1 (required)", minimum=1, required=True),
-         Opt("--delta-min", "delta_min", float, 1e-6, "smallest |eps - eps_c| sampled"),
-         Opt("--delta-max", "delta_max", float, 1e-3, "largest |eps - eps_c| sampled"),
-         Opt("--points", "points", int, 25, "samples per side", minimum=5))
+         OMEGA0, QUAD_TOL, *FILES,
+         Opt("--g", float, None, "coupling g >= 1 (required)", minimum=1, required=True),
+         Opt("--delta-min", float, 1e-6, "smallest |eps - eps_c| sampled"),
+         Opt("--delta-max", float, 1e-3, "largest |eps - eps_c| sampled"),
+         Opt("--points", int, 25, "samples per side", minimum=5))
 def _cmd_asymptotics(args: argparse.Namespace) -> Result:
     g = args.g
-    if not (0.0 < args.delta_min < args.delta_max < math.inf):
-        raise UsageError("need 0 < --delta-min < --delta-max < inf")
+    if not 0.0 < args.delta_min < args.delta_max:
+        raise UsageError("need 0 < --delta-min < --delta-max")
     at_threshold = math.isclose(g, 1.0, rel_tol=0.0, abs_tol=1e-12)
     # |eps - eps_c| range per side; below eps_c only where the well reaches
     windows = {Side.ABOVE: (args.delta_min, args.delta_max)}
@@ -523,12 +514,9 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
               for side, window in windows.items()}
     rows = [(side.value, abs(e - EPS_CRITICAL), e, v)
             for side, curve in curves.items() for e, v in zip(curve.eps, curve.nu)]
-    tables = {"asymptotics_curve.csv": Table(
-        _meta(args, g=g, quad_tol=args.quad_tol, delta_min=args.delta_min,
-              delta_max=args.delta_max, points=args.points),
-        ["side", "delta", "eps", "nu"], rows)}
+    tables = {"asymptotics_curve.csv": Table(_record(args), ["side", "delta", "eps", "nu"], rows)}
 
-    summary = _summary(args, g=g, window=list(windows[Side.ABOVE]))
+    summary = _record(args, window=list(windows[Side.ABOVE]))
     if at_threshold:
         law = law_power_qpt(args.omega0)
         fit = fit_divergence(curves[Side.ABOVE], LawKind.POWER_QPT,

@@ -4,7 +4,8 @@ Rules that keep reruns bit-identical: floats are serialized with repr (the
 shortest round-tripping decimal form), metadata is emitted in insertion
 order as ``# key=value`` header lines, and nothing time- or host-dependent
 is ever written.  Every parameter needed to re-derive a file's rows belongs
-in its header.
+in its header; the CLI meets this by construction, as each header starts
+with every option its command reads.
 """
 
 from __future__ import annotations

@@ -369,13 +369,16 @@ def _certified_spectrum(
     if eps_max is not None and not math.isfinite(eps_max):
         raise ValueError(f"eps_max must be finite, got {eps_max!r}")
     dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
+    # the chain holds at least k_max sites, so above the cap it would outgrow it
+    if k_max is not None and k_max > dim_cap:
+        raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
         dim = _start_dim(params, eps_max)
     else:
         e_max = None
         dim = max(4 * k_max, 128)
-    dim = max(min(dim, dim_cap), k_max or 0, 2)
+    dim = min(dim, dim_cap)
     while True:
         chain = build_parity_chain(params, parity, dim)
         spec = diagonalize(chain, k_max=k_max, want_vectors=True, e_max=e_max)

@@ -131,6 +131,12 @@ def _check_g(g: float) -> float:
     return float(g)
 
 
+def _check_omega0(omega0: float) -> float:
+    if not 0.0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be finite and positive, got {omega0!r}")
+    return float(omega0)
+
+
 def ground_state_eps(g: float) -> float:
     """Rescaled ground-state energy: -1 for g <= 1, -(g^2 + g^-2)/2 above."""
     g = _check_g(g)
@@ -242,8 +248,7 @@ def _domain(g, eps, quad_tol: float, omega0: float = 1.0,
     """
     e_gs = ground_state_eps(g)
     g = float(g)
-    if not 0.0 < omega0 < math.inf:
-        raise ValueError(f"omega0 must be finite and positive, got {omega0!r}")
+    _check_omega0(omega0)
     # a NaN tolerance would switch the quadrature error check off
     if not (math.isfinite(quad_tol) and quad_tol > 0):
         raise ValueError(f"quad_tol must be finite and positive, got {quad_tol!r}")

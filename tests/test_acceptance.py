@@ -52,8 +52,9 @@ from oracles import (PINNING_ORACLE, dense_hamiltonian, observables_hellmann_fey
                      random_params)
 
 # comparison bands for the windowed-density criteria, intersected with
-# (eps_gs + 0.02, 0]: no quantum level exists below the well bottom, and
-# the first handful above it are dominated by zero-point effects
+# (eps_gs + 0.02, 0]: a quantum level at eps lies on the classical shell at
+# eps + 1/R, so the lowest levels can sit at or below the classical bottom,
+# where no shell exists
 BANDS = ((-1.6, -1.1), (-0.9, 0.0))
 
 

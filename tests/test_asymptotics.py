@@ -50,6 +50,20 @@ class TestLaws:
         with pytest.raises(ValueError):
             law_log_esqpt(-1.0, 1.4)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_laws_reject_non_finite_inputs(self, bad):
+        # the same messages as every semiclassical entry point gives
+        with pytest.raises(ValueError) as ref_omega0:
+            dos_curve(1.2, [-0.5], omega0=bad)
+        with pytest.raises(ValueError) as ref_g:
+            dos_curve(bad, [-0.5])
+        for call, ref in ((lambda: law_power_qpt(bad), ref_omega0),
+                          (lambda: law_log_esqpt(bad, 1.2), ref_omega0),
+                          (lambda: law_log_esqpt(1.0, bad), ref_g)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == str(ref.value)
+
 
 class TestGrid:
     def test_sides(self):

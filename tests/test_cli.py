@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rabi_esqpt.cli import COMMANDS, COMMON_OPTS, main
+from rabi_esqpt import cli, quantum
+from rabi_esqpt.cli import COMMANDS, FILES, main
+from rabi_esqpt.output import format_value
 
 
 def read_csv(path):
@@ -262,10 +265,25 @@ class TestFailedRunWritesNothing:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--quad-tol", "--conv-tol"])
-    def test_nan_tolerance(self, tmp_path, flag):
+    def test_nan_tolerance(self, tmp_path, capsys, flag):
         code, out = run(tmp_path, "dos", "--g", "1.2", "--ratio", "40", "--points", "11",
                         flag, "nan")
+        assert code == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
+    def test_levels_above_the_dim_cap(self, tmp_path, capsys, monkeypatch, name):
+        # at R = 1, g = 0.5 the cap is 200 sites; 1500 levels must fail
+        # before any chain is built, not solve at dim 1500
+        calls = []
+        monkeypatch.setattr(quantum, "diagonalize", lambda *a, **k: calls.append(a))
+        sweep = ["--g-min", "0.5", "--g-max", "0.5", "--g-steps", "1"]
+        code, out = run(tmp_path, name, "--ratio", "1", "--levels", "1500",
+                        *(["--g", "0.5"] if name == "spectrum" else sweep))
         assert code == 1
+        assert "k_max=1500 levels exceed the dim cap 200" in capsys.readouterr().err
+        assert not calls
         assert not out.exists()
 
 
@@ -273,7 +291,7 @@ COMMAND_NAMES = ["spectrum", "gapmap", "dos", "observables", "probabilities", "a
 NEEDS_G = {"dos", "observables", "probabilities", "asymptotics"}
 # (command, flag) -> the smallest accepted value
 BOUNDS = {
-    **{(name, "--ratio"): 1 for name in COMMAND_NAMES},
+    **{(name, "--ratio"): 1 for name in COMMAND_NAMES if name != "asymptotics"},
     ("spectrum", "--g"): 0, ("dos", "--g"): 0, ("observables", "--g"): 0,
     ("probabilities", "--g"): 0,
     ("spectrum", "--g-steps"): 1, ("spectrum", "--levels"): 1,
@@ -292,16 +310,16 @@ class TestOptionTable:
     def test_registry_declares_the_bounds(self):
         assert list(COMMANDS) == COMMAND_NAMES
         declared = {(name, o.flag): o.minimum for name, cmd in COMMANDS.items()
-                    for o in [*COMMON_OPTS, *cmd.opts] if o.minimum is not None}
+                    for o in cmd.opts if o.minimum is not None}
         assert declared == BOUNDS
         required = {name for name, cmd in COMMANDS.items()
-                    for o in [*COMMON_OPTS, *cmd.opts] if o.required}
+                    for o in cmd.opts if o.required}
         assert required == NEEDS_G
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("name, flag", list(BOUNDS))
     def test_value_just_below_bound_rejected(self, tmp_path, capsys, name, flag, source):
-        opt = next(o for o in [*COMMON_OPTS, *COMMANDS[name].opts] if o.flag == flag)
+        opt = next(o for o in COMMANDS[name].opts if o.flag == flag)
         value = just_below(BOUNDS[(name, flag)], opt.typ)
         argv = [name, "--g", "1.4"] if name in NEEDS_G and flag != "--g" else [name]
         if source == "flag":
@@ -334,27 +352,43 @@ class TestOptionTable:
 
 
 class TestNonFiniteRanges:
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--g-min", "nan"],
-        ["gapmap", "--g-max", "inf"],
-        ["gapmap", "--g-min", "-1", "--g-max", "0"],
-        ["asymptotics", "--g", "1.4", "--delta-max", "inf"],
-        ["dos", "--g", "1.2", "--eps-max", "inf"],
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--g-min", "nan"], "--g-min must be finite"),
+        (["gapmap", "--g-max", "inf"], "--g-max must be finite"),
+        (["gapmap", "--g-min", "-1", "--g-max", "0"], "need 0 <= --g-min <= --g-max"),
+        (["asymptotics", "--g", "1.4", "--delta-max", "inf"], "--delta-max must be finite"),
+        (["dos", "--g", "1.2", "--eps-max", "inf"], "--eps-max must be finite"),
     ], ids=["spectrum-g-min-nan", "gapmap-g-max-inf", "gapmap-g-min-negative",
             "asymptotics-delta-max-inf", "dos-eps-max-inf"])
-    def test_usage_error_before_any_numerics(self, tmp_path, capsys, argv):
+    def test_usage_error_before_any_numerics(self, tmp_path, capsys, argv, message):
         # these used to pass the range checks and fail later, some after a
         # numpy RuntimeWarning, with an error that named no option
         code, out = run(tmp_path, *argv)
         assert code == 2
-        assert capsys.readouterr().err.startswith("usage error: need ")
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("eps_max", ["nan", "inf"])
     def test_probabilities_eps_max(self, tmp_path, capsys, eps_max):
         code, out = run(tmp_path, "probabilities", "--g", "1.2", "--eps-max", eps_max)
-        assert code == 1
-        assert f"eps_max must be finite, got {eps_max}" in capsys.readouterr().err
+        assert code == 2
+        assert "--eps-max must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name, flag", [(name, o.flag) for name, cmd in COMMANDS.items()
+                                            for o in cmd.opts if o.typ is float])
+    def test_every_float_option_must_be_finite(self, tmp_path, capsys, name, flag, source):
+        argv = [name, "--g", "1.4"] if name in NEEDS_G and flag != "--g" else [name]
+        if source == "flag":
+            argv += [f"{flag}=inf"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(f'{{"{flag[2:]}": 1e999}}')  # JSON has no inf; this overflows to it
+            argv += ["--config", str(cfg)]
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -421,3 +455,104 @@ class TestConfig:
                         "--config", str(cfg))
         assert code == 2
         assert not out.exists()
+
+
+# one small run per command; dos and observables also set --eps-min
+RECORD_RUNS = {
+    "spectrum": ["spectrum", "--ratio", "20", "--g", "0.5", "--levels", "3"],
+    "gapmap": ["gapmap", "--ratio", "20", "--g-min", "0", "--g-max", "1", "--g-steps", "2",
+               "--levels", "3", "--conv-tol", "1e-9"],
+    "dos": ["dos", "--ratio", "40", "--g", "1.2", "--window", "4", "--points", "11",
+            "--eps-min", "-1.05", "--eps-max", "-0.5"],
+    "observables": ["observables", "--ratio", "40", "--g", "1.2", "--points", "11",
+                    "--eps-min", "-1.05", "--eps-max", "-0.5", "--quad-tol", "1e-10"],
+    "probabilities": ["probabilities", "--omega0", "2", "--ratio", "40", "--g", "1.2",
+                      "--eps-max", "-0.5"],
+    "asymptotics": ["asymptotics", "--g", "1.4", "--points", "8", "--delta-min", "1e-5"],
+}
+# the (command, option) pairs whose code never reads the option
+UNREAD = [("spectrum", "--quad-tol"), ("gapmap", "--quad-tol"),
+          ("probabilities", "--quad-tol"), ("asymptotics", "--conv-tol"),
+          ("asymptotics", "--ratio")]
+
+
+def expected_record(argv):
+    """tool, version, command and each declared option's resolved value, as text."""
+    name = argv[0]
+    record = {"tool": "rabi-esqpt", "version": cli.__version__, "command": name}
+    for opt in COMMANDS[name].opts:
+        value = opt.typ(argv[argv.index(opt.flag) + 1]) if opt.flag in argv else opt.default
+        if opt not in FILES and value is not None:
+            record[opt.dest] = value
+    return record
+
+
+class TestRecord:
+    def test_every_run_is_covered(self):
+        assert list(RECORD_RUNS) == COMMAND_NAMES
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_headers_and_summary_hold_every_option_read(self, tmp_path, monkeypatch, name):
+        results = []
+
+        def spy(args, **fields):
+            results.append(set(fields))
+            return record(args, **fields)
+
+        record = cli._record
+        monkeypatch.setattr(cli, "_record", spy)
+        code, out = run(tmp_path, *RECORD_RUNS[name])
+        assert code == 0
+        expected = expected_record(RECORD_RUNS[name])
+        # no result key shadows an option key
+        assert results and not any(keys & expected.keys() for keys in results)
+        for path in out.glob("*.csv"):
+            meta = read_csv(path)[0]
+            assert list(meta.items())[:len(expected)] == [
+                (key, format_value(v)) for key, v in expected.items()], path.name
+        for path in out.glob("*.json"):
+            summary = json.loads(path.read_text())
+            assert {key: summary[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name, flag", UNREAD)
+    def test_options_a_command_does_not_read_are_unknown(self, tmp_path, capsys, name, flag,
+                                                         source):
+        assert flag not in {o.flag for o in COMMANDS[name].opts}
+        if source == "flag":
+            extra = [flag, "40"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: 40.0}))
+            extra = ["--config", str(cfg)]
+        code, out = run(tmp_path, *RECORD_RUNS[name], *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"unrecognized arguments: {flag}" if source == "flag"
+                else f"unknown config key {flag[2:]!r}") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_help_lists_exactly_the_registry_options(self, capsys, name):
+        assert main([name, "--help"]) == 0
+        flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert flags == {"--help", *(o.flag for o in COMMANDS[name].opts)}
+
+    @pytest.mark.parametrize("name, change", [
+        ("dos", ["--eps-max", "-0.6"]), ("dos", ["--eps-min", "-1.04"]),
+        ("dos", ["--points", "12"]),
+        ("observables", ["--eps-max", "-0.6"]), ("observables", ["--eps-min", "-1.04"]),
+        ("observables", ["--points", "12"]),
+    ])
+    def test_semiclassical_header_names_the_grid(self, tmp_path, name, change):
+        # runs that write different rows must not share a header
+        base = RECORD_RUNS[name]
+        flag, value = change
+        argv = [*base[:base.index(flag) + 1], value, *base[base.index(flag) + 2:]]
+        headers = []
+        for sub, args in (("a", base), ("b", argv)):
+            code, out = run(tmp_path / sub, *args)
+            assert code == 0
+            headers.append(read_csv(out / f"{name}_semiclassical.csv")[0])
+        assert headers[0] != headers[1]
+        assert headers[1][flag[2:].replace("-", "_")] == value

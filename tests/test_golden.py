@@ -58,65 +58,65 @@ FROZEN_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "python": "3.11.7"}
 GOLDEN = {
     "spectrum_sweep": {
         "spectrum.csv":
-            "6c37074b7335f68637569017e06477fa81732046136906ffe5dea43bd59ed0b1",
+            "551be302fc6b938240247da38412cabb1c29a96b1b16cf30dac5d0b2df36cb93",
         "spectrum.svg":
             "34ebb97a87d6d8949c259f6aeec274895a81f23be0ec086bbd96d50cad60918c",
     },
     "gapmap_sweep": {
         "gapmap.csv":
-            "02d21a3dc9e1f0c1e82a736bb288cd3ee85f2fe28f8232a516aff87fa2ddf9c8",
+            "56b6c61b0f1a838be876d85c53096f6bc680f1cc81718429353047384ee5ba99",
         "gapmap.svg":
             "fc7e25193e13d62540256f5cd18cfe6f69d949946c3509eca081e71920f2c0af",
         "gapmap_summary.json":
-            "ded21a3787a25768ad3f545b5ec7e2aa8e8ffbcb6ed1c482d6c44860f86d4a39",
+            "544f21f1815eaa2c7498216c3da598d957924bbc97d9b2eacf77a03e3e4c5b55",
     },
     "dos_r1000": {
         "dos.svg":
             "47abd0255c30374fae20d3d6c1ad2707edf763c900138990a2069b696fe6767a",
         "dos_quantum.csv":
-            "76227f1dadffd092e0320b90776467a2730c46f045c58ef1927c7019964f9969",
+            "f0294189f4969f685d53d74f3f1f58a23c2a6cfbc5641d4bb91f46ad39a1115a",
         "dos_semiclassical.csv":
-            "29919701a2e9bb917b7d6c465862a75ae509c507265680bb546cd7681cd4411c",
+            "b730397660e3a629e56cb9077ea64776818ef686b05a7f409d8d6d9cd1788807",
         "dos_summary.json":
-            "81f52e09aecd49a0b60434006fdb07d5e951ef11ef46c78b517e8a5f41020a54",
+            "7589c61ba756e874f2491feebb6a8a0a24d3db065ce8eafdb7401ddaab100449",
     },
     "observables_r1000": {
         "observables.svg":
             "87fe2060bcb87d35f69d5e0a0f75e6b360ce45916a7f054c125aa483115d4801",
         "observables_quantum.csv":
-            "25c5c111c167d9390d0b21456fa7b996e5caeae74b809489f2518a2d476c37b2",
+            "a2bf4471595153d74c86a1f233964664e674ad08c16e8450386b66566349a9fd",
         "observables_semiclassical.csv":
-            "46e6ce5c19204340af0e289eb35e434f9c0467029cebc4d36b58019ebab176e8",
+            "54f7d1c72286e22ca940cc256e43500f5660b9c83641fb64e55370317480fa40",
         "observables_summary.json":
-            "2ece27890a2db36392dd64c0ee3fab08a599ad88eebfc4c55e9226328bc7e6c1",
+            "e8e3e738bb05cc39ac9b069152ee7ba144aff093ff2b31baa7e9421eb18a8c86",
     },
     "probabilities_r1000": {
         "probabilities.csv":
-            "16bacb69fc5030fbe4882a21260bb4dc9789263c0a92fdfeac79e6af65f03424",
+            "080eb7e25d15b9c1e59666ef94377829561060b6122099777f62db6333cb9577",
         "probabilities.svg":
             "14bcdbab2c58bed3986089917032b93a65ea49154aa5e9b9fc6312fb94c88d7b",
         "probabilities_summary.json":
-            "31377272692208e178dbe453efd5bca2e4e1a16c7a6a1eb36a458a77e1712ce7",
+            "a1b07386359d8ffa15296e5b128f3c9f181efd6779024056f4654d39655b6ee4",
     },
     "asymptotics_power": {
         "asymptotics.json":
-            "f56082cec1d8b3e838046a14b934a4298aad23efa5bd0aa83ffd91be9529396c",
+            "ccae34dd74c4f279cdfac5721253f724c7bafa44d2c2d5073aa13fd9809b372b",
         "asymptotics.svg":
             "e61d45b0fc04130083071f93b6e3ff2ed9ca3f56279556aec0424c50719fb3cf",
         "asymptotics_curve.csv":
-            "56985a1d8470c74beb63148232859a38169dcad75fdad87c4c011c517d4e4c53",
+            "dc74b3ad3158668dd096b8989657a1bf4c6d7d96ad6196bf4dc5a2d653fba391",
     },
     "asymptotics_log": {
         "asymptotics.json":
-            "62db7c5eeefe96cc4b80f3b26423775a29702d046de4ee6ef36cac458f015f08",
+            "1862d2c4effc7cbf339171fd200fcdbe711dcc58c24ef6fa6a02e3b321f20b49",
         "asymptotics.svg":
             "b42252efb5fbd242f7c3b1021b9884ed291dfe5944e5075ababf3f9b819c857d",
         "asymptotics_curve.csv":
-            "a5cc9c5b9b157dfc4fb84ab8f5afd1c971fbbdf0eb4c7928d7d7bcd0a2c919da",
+            "b1f1dc37a95ff50fd4cc73e0e885f978db632ba523496919b96ef43d1fe381eb",
     },
     "spectrum_single": {
         "spectrum.csv":
-            "62557b58621faa78e0ff6d3eec8698a6d01a70cc9ae63463c0373887395c78f7",
+            "9d89e03b03f962a7e0d5cae96b4031f6d281dc8e8a2c55a347eb11f8aa708dfd",
         "spectrum.svg":
             "bf191d9e52266548a60428336e1b2e7cf0e7b131087db4d96e779cc65a40bcce",
     },
@@ -124,19 +124,19 @@ GOLDEN = {
         "dos.svg":
             "57dddedda6c307c662895fcd2e228e7dd643fc0bb6be9d1fbc14fb73efce78a0",
         "dos_quantum.csv":
-            "53252f5ed12198ab884d701230fe7340c9986c30974605fe85599ab8a6b8ffe0",
+            "77915b8881b50dde396bd0c59644a0aa39e5840365e9152437140318fd305da7",
         "dos_semiclassical.csv":
-            "a220064774803fbbdc152c278d2c1f2a8466ff31061bce1631b24142dd3c5567",
+            "b514c1c0b0e3cb3e97627e8b763abaf6f42d5378668185413f2c14ba06ca5866",
         "dos_summary.json":
-            "9116f76450decd77f5896c9169cc66cb5dfb81447f7cce11d068ff9b23b16de1",
+            "8e2bcf5e0532d0f6c5d281a4e2f8478a69fc584aa47ee729ce85844f0e4da90a",
     },
     "dos_shallow_well": {
         "dos_quantum.csv":
-            "fd6a4fdf749be8a058eaa925444420af25d57d1403423375b6712a33180b1973",
+            "8b493bbf45eb6e572385d244486cf66b658db8eecce4eef0d068744a9fd8ee6f",
         "dos_semiclassical.csv":
-            "21cd161029df502daa782489072601311072dbb22c388c9198b704b3ae09470e",
+            "6e47487b4e287ec69f57a09f4fdb4370b31ee6c3c307a2ce80f063c28c9c3d38",
         "dos_summary.json":
-            "ebbad5341e6912644b9203b2f421cfac1bf76f2c9304e98b6ae6eb04fcebd418",
+            "bb80a1a733a3b721c43706c82e7a46d29f96abd1f060c9c3b924779ba58855f0",
     },
 }
 
@@ -144,12 +144,12 @@ GOLDEN = {
 # SHA-256 of each --help text at COLUMNS=80, by subcommand ("" is the top level)
 HELP = {
     "": "5ab5683f0a2445fae0364da2416e4990129bddf2e9853ffc950308cb38dcece6",
-    "spectrum": "266288ae796cc814e5d1395d204f9305adbdf1d8ca4c5d13b30bdafdb8ea8a93",
-    "gapmap": "c20b7297303cd7991a3ccb105652317c227e99940d9d2f232ec005c2afd26bf8",
+    "spectrum": "76e598202dd72a26eb857124881570668a0292beda66a46eb98043180a8a4ff3",
+    "gapmap": "b36590b5cc61fdb2eaa6522c14b4be6fc4a72ed826ee44091ab5fe7a408ccb79",
     "dos": "afbb78f675c6bb512d0cd71245ea37a678515fd6f9a9d417a8092d348a602f4c",
     "observables": "8a10d7dccbf0d8822ae2048c57ae219406fc2502e51ab0871c2c9c0159e79fc6",
-    "probabilities": "9930ccb9553693d42e2034171c76a426cf93fabaa94320ba2ededd2c37c02cba",
-    "asymptotics": "8dbdc37a3fd7482a96b965ade24aa39fcc060c7c7fc1175e066c4fa07cdc20af",
+    "probabilities": "e1f664b3078fd219868059f72cd88659c94320c43c7c52477b413c661f9428df",
+    "asymptotics": "8cf24cdf41857a37f7e51dcdfca87a3ab15e7af722734ef51f4754a6a7edf539",
 }
 
 

@@ -317,6 +317,15 @@ class TestConvergedWindow:
         res = np.linalg.norm(longer.matvec(padded) - spec.energies * padded, axis=0)
         np.testing.assert_allclose(res, spec.tail_residual, rtol=1e-9)
 
+    def test_levels_above_the_cap_fail_before_any_solve(self, monkeypatch):
+        # k_max sites at the least: past the cap the chain would outgrow it
+        p = RabiParams(omega0=1.0, Omega=1.0, g=0.5)  # cap = 200
+        calls = []
+        monkeypatch.setattr(quantum, "diagonalize", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="k_max=201 levels exceed the dim cap 200"):
+            converged_levels(p, Parity.MINUS, k_max=201)
+        assert not calls
+
     def test_tol_validation(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.0)
         with pytest.raises(ValueError):
