@@ -13,11 +13,11 @@ registry.  A command maps the parsed options to a Result: its CSV tables, a
 JSON summary where a comparison is made, and its figure.  Every CSV header
 and every summary starts with one record: the tool, version and command,
 then each option the command declares with its resolved value (the FILES
-options and those left unset aside), then the command's results.  `main`
-is the one place that creates --out and writes files, the figure only under
---emit-svg, and it writes only after the command has returned, so a failed
-run leaves nothing behind.  Two identical invocations produce
-byte-identical files.
+options, those left unset and spectrum's sweep options under a single --g
+aside), then the command's results.  `main` is the one place that creates
+--out and writes files, the figure only under --emit-svg, and it writes
+only after the command has returned, so a failed run leaves nothing
+behind.  Two identical invocations produce byte-identical files.
 
 Options may come from a JSON config file (--config); explicit flags win.
 Bad options, whether flags or config values, exit with status 2 before any
@@ -278,7 +278,12 @@ def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
          Opt("--g", float, None, "single coupling g (omit for a sweep)", minimum=0),
          *G_SWEEP, Opt("--levels", int, 40, "levels per parity sector", minimum=1))
 def _cmd_spectrum(args: argparse.Namespace) -> Result:
-    gs = np.array([args.g]) if args.g is not None else _g_grid(args)
+    if args.g is not None:
+        # a single coupling reads no sweep option, so the record holds none
+        args.g_min = args.g_max = args.g_steps = None
+        gs = np.array([args.g])
+    else:
+        gs = _g_grid(args)
     specs = {(float(g), parity): converged_levels(_params(args, float(g)), parity,
                                                   k_max=args.levels, tol=args.conv_tol)
              for g in gs for parity in (Parity.MINUS, Parity.PLUS)}
@@ -516,7 +521,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
             for side, curve in curves.items() for e, v in zip(curve.eps, curve.nu)]
     tables = {"asymptotics_curve.csv": Table(_record(args), ["side", "delta", "eps", "nu"], rows)}
 
-    summary = _record(args, window=list(windows[Side.ABOVE]))
+    summary = _record(args)
     if at_threshold:
         law = law_power_qpt(args.omega0)
         fit = fit_divergence(curves[Side.ABOVE], LawKind.POWER_QPT,
@@ -530,7 +535,8 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
         summary.update(kind="log_esqpt", slope_law=law.slope)
         for side, window in windows.items():
             fit = fit_divergence(curves[side], LawKind.LOG_ESQPT, side=side, window=window)
-            summary[side.value] = {"slope": fit.slope, "intercept": fit.intercept,
+            summary[side.value] = {"window": list(window), "slope": fit.slope,
+                                   "intercept": fit.intercept,
                                    "slope_rel_dev": abs(fit.slope / law.slope - 1.0),
                                    "residual_rms": fit.residual_rms}
         if len(windows) == 2:

@@ -45,8 +45,26 @@ in-chain one: the tail residual lam sqrt(dim) |v[dim-1]|, from the only
 coupling cut off.  H is self-adjoint, so some exact eigenvalue lies within
 the total residual of the Ritz value (Parlett, The Symmetric Eigenvalue
 Problem, ch. 10-11).  converged_window and converged_levels solve once at
-a truncation sized to the classical orbit and re-solve only when a tail
-residual is not below tol * omega0.
+a truncation of the classical orbit's n_cls sites plus 12 Airy widths
+n_cls^{1/3}, and re-solve only when a tail residual is not below
+tol * omega0.
+
+A solve with vectors reads |v[dim-1]| off stein's vector.  A values-only
+solve computes no vector and bounds |v[dim-1]| from the eigenvalue alone.
+With diag a and offdiag b, the backward pivots of T - w,
+
+    dm[dim-1] = a[dim-1] - w,   dm[i] = a[i] - w - b[i]^2 / dm[i+1],
+
+give v[i-1] / v[i] = -dm[i] / b[i-1], so v[j] = v[dim-1] t[j] with every
+t[j] known, and sum v[j]^2 <= 1 gives |v[dim-1]| <= 1 / ||t||.  The pivots
+are those of LAPACK pttrf on the chain's reversed tail, one call per level;
+the sum runs inward from the chain end, in log space, down to
+n_top - 3 n_top^{1/3}, where n_top is the top level's orbit, cut at the
+chain end.  pttrf stops at the first non-positive pivot, and the level's
+sum stops after the term that pivot gives.  Past the orbit every level is
+classically forbidden and the recurrence is stable; further in, where v
+decays toward site 0, it is not, and the sum would come out orders of
+magnitude too small.  The top level's bound is about 2x its exact value.
 """
 
 from __future__ import annotations
@@ -56,7 +74,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dstein, dsterf
+from scipy.linalg.lapack import dpttrf, dstein, dsterf
 
 __all__ = [
     "Parity",
@@ -80,8 +98,15 @@ RESIDUAL_RTOL = 1e-9
 # Default truncation cap of the certified solves, in units of R max(1, g^2).
 _CAP_PER_R = 200.0
 
-# Levels per stein call; the module docstring says why the solve is sliced.
+# Levels per stein call (the module docstring says why the solve is sliced)
+# and per pivot block of the tail bound.
 _SLICE = 64
+
+# Start truncation past the classical orbit, in Airy widths n_cls^{1/3}.
+_AIRY_PAD = 12.0
+
+# The tail bound sums sites outward of n_top - _TAIL_CUT n_top^{1/3}.
+_TAIL_CUT = 3.0
 
 
 class Parity(enum.Enum):
@@ -189,7 +214,9 @@ class ParitySpectrum:
     energies are bare; eps = 2 E / Omega.  vectors, when present, hold one
     orthonormal column per eigenvalue in chain-site coordinates.
     tail_residual, set by converged_window and converged_levels, bounds
-    each eigenvalue's distance to the untruncated spectrum, and n_converged
+    each eigenvalue's distance to the untruncated spectrum: lam sqrt(dim)
+    |v[dim-1]| from the vector when the solve has vectors, and from the
+    backward-pivot bound on |v[dim-1]| when it has none.  n_converged
     counts the leading levels whose bound is below tol * omega0 (0 for a
     plain diagonalize call, which certifies in-chain residuals only).
     """
@@ -336,14 +363,60 @@ def diagonalize(
     )
 
 
-def _start_dim(params: RabiParams, eps_max: float) -> int:
-    # classical orbit at eps_max reaches n ~ (R/2) u+, u+ the outer turning
-    # point squared; pad by 30% plus a constant floor
+def _orbit_sites(params: RabiParams, eps):
+    # outer turning point of the classical orbit at eps, in chain sites:
+    # n ~ (R/2) u+, u+ the turning point of x^2; elementwise for an array
     g2 = params.g**2
-    disc = max(g2 * g2 + 2.0 * eps_max * g2 + 1.0, 0.0)
-    u_plus = max(eps_max + g2 + math.sqrt(disc), 0.0)
-    n_cls = 0.5 * params.ratio * u_plus
-    return max(int(math.ceil(1.3 * n_cls)) + 64, 64)
+    disc = np.maximum(g2 * g2 + 2.0 * eps * g2 + 1.0, 0.0)
+    return 0.5 * params.ratio * np.maximum(eps + g2 + np.sqrt(disc), 0.0)
+
+
+def _start_dim(params: RabiParams, eps_max: float) -> int:
+    # the orbit plus _AIRY_PAD Airy widths n^{1/3}, where every tail
+    # certifies far below tol
+    n_cls = float(_orbit_sites(params, eps_max))
+    return max(math.ceil(n_cls + _AIRY_PAD * n_cls ** (1.0 / 3.0)), 64)
+
+
+def _tail_bound(chain: ParityChain, w: np.ndarray) -> np.ndarray:
+    # bound on |v[dim-1]| for each eigenvalue w of the chain, from the
+    # backward pivots of T - w; the module docstring gives the derivation
+    n = chain.dim
+    # the top level's orbit, cut at the chain end when it reaches past it
+    n_top = min(_orbit_sites(chain.params, 2.0 * w / chain.params.Omega).max(initial=0.0), n)
+    lo = max(math.ceil(n_top - _TAIL_CUT * n_top ** (1.0 / 3.0)), 0)
+    # sites n-1, ..., lo+1 in reverse: the forward pivots of this chain are
+    # the backward pivots dm[n-1], ..., dm[lo+1] of T, and dm[i] gives
+    # t[i-1] = -t[i] dm[i] / b[i-1], down to t[lo]
+    a = chain.diag[lo + 1:][::-1]
+    b = chain.offdiag[lo:][::-1].copy()
+    # log 0 = -inf is exact at g = 0: every t is infinite, so v[dim-1] = 0
+    with np.errstate(divide="ignore"):
+        log_b = np.log(np.abs(b))
+    bound = np.empty(len(w))
+    for start in range(0, len(w), _SLICE):
+        block = w[start:start + _SLICE]
+        piv = np.ones((len(block), len(a)))
+        n_terms = np.empty(len(block), dtype=int)
+        for k, wk in enumerate(block):
+            # dpttrf stops at the first non-positive pivot, which still
+            # gives one term unless it is zero
+            dm, _, info = dpttrf(a - wk, b[:-1])
+            m = info or len(a)
+            if dm[m - 1] == 0.0:
+                m -= 1
+            piv[k, :m] = dm[:m]
+            n_terms[k] = m
+        # in place, piv becomes log t^2
+        log_t2 = np.log(np.abs(piv, out=piv), out=piv)
+        log_t2 -= log_b
+        np.cumsum(log_t2, axis=1, out=log_t2)
+        log_t2 *= 2.0
+        log_t2[np.arange(len(a)) >= n_terms[:, None]] = -np.inf
+        # t[dim-1] = 1 is the initial term
+        log_norm2 = np.logaddexp.reduce(log_t2, axis=1, initial=0.0)
+        bound[start:start + len(block)] = np.exp(-0.5 * log_norm2)
+    return bound
 
 
 def _certified_spectrum(
@@ -356,11 +429,12 @@ def _certified_spectrum(
 ) -> ParitySpectrum:
     """One certified solve: the lowest k_max levels, or every level below eps_max.
 
-    Each returned eigenvector v, padded with zeros, leaves the residual
+    Each eigenvector v, padded with zeros, leaves the residual
     lam sqrt(dim) |v[dim-1]| against the untruncated chain; a level is
-    certified when that is below tol * omega0.  Only a failed certificate
-    re-solves, at a truncation sized to the top Ritz value, up to the cap
-    of _CAP_PER_R R max(1, g^2).
+    certified when that is below tol * omega0.  Without want_vectors no
+    vector is computed, and _tail_bound stands in for |v[dim-1]|.  Only a
+    failed certificate re-solves, at a truncation sized to the top Ritz
+    value, up to the cap of _CAP_PER_R R max(1, g^2).
     """
     # NaN must fail here: no tail residual is below it, so the solve would
     # regrow to the cap before raising
@@ -381,12 +455,12 @@ def _certified_spectrum(
     dim = min(dim, dim_cap)
     while True:
         chain = build_parity_chain(params, parity, dim)
-        spec = diagonalize(chain, k_max=k_max, want_vectors=True, e_max=e_max)
-        tail = params.lam * math.sqrt(dim) * np.abs(spec.vectors[-1])
+        spec = diagonalize(chain, k_max=k_max, want_vectors=want_vectors, e_max=e_max)
+        last = np.abs(spec.vectors[-1]) if want_vectors else _tail_bound(chain, spec.energies)
+        tail = params.lam * math.sqrt(dim) * last
         certified = tail < tol * params.omega0
         n_conv = len(spec) if certified.all() else int(np.argmin(certified))
-        spec = replace(spec, vectors=spec.vectors if want_vectors else None,
-                       n_converged=n_conv, tail_residual=tail)
+        spec = replace(spec, n_converged=n_conv, tail_residual=tail)
         if n_conv == len(spec):
             return spec
         if dim >= dim_cap:
@@ -411,9 +485,9 @@ def converged_window(
 
     Solves once at a truncation sized to the classical orbit at eps_max and
     certifies every level by its tail residual against the untruncated
-    chain.  Returns (dim, spectrum) with spectrum.n_converged the level
-    count.  Raises TruncationLimitError when the cap (200 R
-    max(1, g^2)) is hit first.
+    chain; without want_vectors no eigenvector is computed.  Returns
+    (dim, spectrum) with spectrum.n_converged the level count.  Raises
+    TruncationLimitError when the cap (200 R max(1, g^2)) is hit first.
     """
     spec = _certified_spectrum(params, parity, tol, want_vectors, eps_max=eps_max)
     return spec.dim, spec

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rabi_esqpt import cli, quantum
-from rabi_esqpt.cli import COMMANDS, FILES, main
+from rabi_esqpt.cli import COMMANDS, FILES, G_SWEEP, main
 from rabi_esqpt.output import format_value
 
 
@@ -123,6 +123,8 @@ class TestSpectrum:
         assert code == 0
         meta, cols, rows = read_csv(out / "spectrum.csv")
         assert meta["g"] == "1.0"
+        # a single coupling reads no sweep option, so none is recorded
+        assert not {"g_min", "g_max", "g_steps"} & meta.keys()
         assert cols == ["g", "parity", "k", "energy", "eps", "dim"]
         assert len(rows) == 2 * 10
         assert {r[1] for r in rows} == {"minus", "plus"}
@@ -232,6 +234,8 @@ class TestAsymptotics:
         # exp(intercept) extrapolates to delta = 1 and soaks up the
         # subleading sqrt(delta) correction, so only a loose bound holds
         assert summary["prefactor_rel_dev"] < 0.05
+        # the window is the two --delta options, which the record holds
+        assert "window" not in summary
 
     def test_log_law_both_sides(self, tmp_path):
         code, out = run(tmp_path, "asymptotics", "--g", "1.4", "--points", "10",
@@ -245,6 +249,18 @@ class TestAsymptotics:
         _, cols, rows = read_csv(out / "asymptotics_curve.csv")
         assert {r[0] for r in rows} == {"above", "below"}
         assert (out / "asymptotics.svg").exists()
+
+    def test_each_side_reports_its_window(self, tmp_path):
+        # g = 1.05: the well is 0.0049 deep, so below eps_c the window ends
+        # at 0.9 of that depth, short of --delta-max
+        code, out = run(tmp_path, "asymptotics", "--g", "1.05", "--points", "8",
+                        "--delta-min", "1e-5", "--delta-max", "1e-2")
+        assert code == 0
+        summary = json.loads((out / "asymptotics.json").read_text())
+        depth = 0.5 * (1.05**2 + 1.05**-2) - 1.0
+        assert "window" not in summary
+        assert summary["above"]["window"] == [1e-5, 1e-2]
+        assert summary["below"]["window"] == [1e-5, pytest.approx(0.9 * depth, rel=1e-12)]
 
     def test_subcritical_rejected(self, tmp_path):
         code, _ = run(tmp_path, "asymptotics", "--g", "0.5")
@@ -477,10 +493,15 @@ UNREAD = [("spectrum", "--quad-tol"), ("gapmap", "--quad-tol"),
 
 
 def expected_record(argv):
-    """tool, version, command and each declared option's resolved value, as text."""
+    """tool, version, command and each declared option's resolved value, as text.
+
+    spectrum with --g leaves the sweep options out: a single coupling reads none.
+    """
     name = argv[0]
     record = {"tool": "rabi-esqpt", "version": cli.__version__, "command": name}
     for opt in COMMANDS[name].opts:
+        if name == "spectrum" and "--g" in argv and opt in G_SWEEP:
+            continue
         value = opt.typ(argv[argv.index(opt.flag) + 1]) if opt.flag in argv else opt.default
         if opt not in FILES and value is not None:
             record[opt.dest] = value

@@ -58,15 +58,15 @@ FROZEN_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "python": "3.11.7"}
 GOLDEN = {
     "spectrum_sweep": {
         "spectrum.csv":
-            "551be302fc6b938240247da38412cabb1c29a96b1b16cf30dac5d0b2df36cb93",
+            "089e6b10f328617e7537465e48c5178409e6df50c72d703dacb64c692b0bbbe3",
         "spectrum.svg":
             "34ebb97a87d6d8949c259f6aeec274895a81f23be0ec086bbd96d50cad60918c",
     },
     "gapmap_sweep": {
         "gapmap.csv":
-            "56b6c61b0f1a838be876d85c53096f6bc680f1cc81718429353047384ee5ba99",
+            "74eb42daea0c0149bb295ed7d5d60a00c50b0dfdcc7135fdb2234e0cb22f1d55",
         "gapmap.svg":
-            "fc7e25193e13d62540256f5cd18cfe6f69d949946c3509eca081e71920f2c0af",
+            "284e20e2fd76641056cb18827450182ebfbf3977792b5b275585508e68db7d86",
         "gapmap_summary.json":
             "544f21f1815eaa2c7498216c3da598d957924bbc97d9b2eacf77a03e3e4c5b55",
     },
@@ -74,33 +74,33 @@ GOLDEN = {
         "dos.svg":
             "47abd0255c30374fae20d3d6c1ad2707edf763c900138990a2069b696fe6767a",
         "dos_quantum.csv":
-            "f0294189f4969f685d53d74f3f1f58a23c2a6cfbc5641d4bb91f46ad39a1115a",
+            "34ed19eb1cc9d02ab727d9619fccd811c265d40e0bcd37a4cbd513fcf1514151",
         "dos_semiclassical.csv":
             "b730397660e3a629e56cb9077ea64776818ef686b05a7f409d8d6d9cd1788807",
         "dos_summary.json":
-            "7589c61ba756e874f2491feebb6a8a0a24d3db065ce8eafdb7401ddaab100449",
+            "a8fd1da262e8b6ac172d364d1b1eb3d0231eee1c6085cdd71ef7a3b229e1e029",
     },
     "observables_r1000": {
         "observables.svg":
             "87fe2060bcb87d35f69d5e0a0f75e6b360ce45916a7f054c125aa483115d4801",
         "observables_quantum.csv":
-            "a2bf4471595153d74c86a1f233964664e674ad08c16e8450386b66566349a9fd",
+            "e8d8991e6cd322e98e57c5d75f83ed2908393aea24613b53e3d803e7eed329e8",
         "observables_semiclassical.csv":
             "54f7d1c72286e22ca940cc256e43500f5660b9c83641fb64e55370317480fa40",
         "observables_summary.json":
-            "e8e3e738bb05cc39ac9b069152ee7ba144aff093ff2b31baa7e9421eb18a8c86",
+            "9887426b7dbe15d5fff5984d5b73828d73e7d5877491b48ec7060e29d443a95a",
     },
     "probabilities_r1000": {
         "probabilities.csv":
-            "080eb7e25d15b9c1e59666ef94377829561060b6122099777f62db6333cb9577",
+            "9df2639d2285a31b006ca901f7d6e220f594f2cb7163ab41b6deeb2bf7e9c935",
         "probabilities.svg":
             "14bcdbab2c58bed3986089917032b93a65ea49154aa5e9b9fc6312fb94c88d7b",
         "probabilities_summary.json":
-            "a1b07386359d8ffa15296e5b128f3c9f181efd6779024056f4654d39655b6ee4",
+            "09c7e7b8cc579b87960ef49ea8656e7a539fcf331cddf3478f508658e660523f",
     },
     "asymptotics_power": {
         "asymptotics.json":
-            "ccae34dd74c4f279cdfac5721253f724c7bafa44d2c2d5073aa13fd9809b372b",
+            "fd5a0592be8e11bc7c0eadd0f22fedac03493e330dfbd0944e2d072d35991cd5",
         "asymptotics.svg":
             "e61d45b0fc04130083071f93b6e3ff2ed9ca3f56279556aec0424c50719fb3cf",
         "asymptotics_curve.csv":
@@ -108,7 +108,7 @@ GOLDEN = {
     },
     "asymptotics_log": {
         "asymptotics.json":
-            "1862d2c4effc7cbf339171fd200fcdbe711dcc58c24ef6fa6a02e3b321f20b49",
+            "22ec08f78d3685bcd2db9125802b3180571113e6e4de33fa91bf7bd7808ec169",
         "asymptotics.svg":
             "b42252efb5fbd242f7c3b1021b9884ed291dfe5944e5075ababf3f9b819c857d",
         "asymptotics_curve.csv":
@@ -116,7 +116,7 @@ GOLDEN = {
     },
     "spectrum_single": {
         "spectrum.csv":
-            "9d89e03b03f962a7e0d5cae96b4031f6d281dc8e8a2c55a347eb11f8aa708dfd",
+            "2be55b71300bdb98feb8b8793c9aa090e8a101039bb92dc50b32cd4cc02c766c",
         "spectrum.svg":
             "bf191d9e52266548a60428336e1b2e7cf0e7b131087db4d96e779cc65a40bcce",
     },
@@ -124,19 +124,19 @@ GOLDEN = {
         "dos.svg":
             "57dddedda6c307c662895fcd2e228e7dd643fc0bb6be9d1fbc14fb73efce78a0",
         "dos_quantum.csv":
-            "77915b8881b50dde396bd0c59644a0aa39e5840365e9152437140318fd305da7",
+            "97ffb7f23c6ed7c3e67f8709544af8df66931945e04c57289b646bf82c0fb9b8",
         "dos_semiclassical.csv":
             "b514c1c0b0e3cb3e97627e8b763abaf6f42d5378668185413f2c14ba06ca5866",
         "dos_summary.json":
-            "8e2bcf5e0532d0f6c5d281a4e2f8478a69fc584aa47ee729ce85844f0e4da90a",
+            "d8e917ad545cb079fdb20f1512b9f35e52d869da7a7b202f90be3fa678ba2374",
     },
     "dos_shallow_well": {
         "dos_quantum.csv":
-            "8b493bbf45eb6e572385d244486cf66b658db8eecce4eef0d068744a9fd8ee6f",
+            "7cf5dcd667b72e187bc7fb260cce829df5d1604912a132c016a65c87a5d32ab0",
         "dos_semiclassical.csv":
             "6e47487b4e287ec69f57a09f4fdb4370b31ee6c3c307a2ce80f063c28c9c3d38",
         "dos_summary.json":
-            "bb80a1a733a3b721c43706c82e7a46d29f96abd1f060c9c3b924779ba58855f0",
+            "8a7fdf0ac17aec65ae4edbfacb8016b7be3e7b6fc4fa5acbfc615288986481e2",
     },
 }
 

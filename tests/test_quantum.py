@@ -373,6 +373,96 @@ class TestConvergedWindow:
         assert spec.dim == dim and spec.vectors.shape == (dim, len(spec))
 
 
+def _stein_last_components(chain, k_max):
+    spec = diagonalize(chain, k_max=k_max, want_vectors=True)
+    return spec.energies, np.abs(spec.vectors[-1])
+
+
+class TestTailBound:
+    @pytest.mark.parametrize("ratio", [1.0, 4.0, 40.0, 200.0])
+    def test_bounds_stein_last_component(self, ratio):
+        # the pivot bound is a bound on every level, and the top level's
+        # bound, the one that sizes a regrow, is within 10x of the exact value
+        for g in np.linspace(0.0, 3.0, 31):
+            p = RabiParams(omega0=1.0, Omega=ratio, g=float(g))
+            for dim in (16, 64, 128, 256):
+                for parity in Parity:
+                    chain = build_parity_chain(p, parity, dim)
+                    w, exact = _stein_last_components(chain, min(20, dim))
+                    bound = quantum._tail_bound(chain, w)
+                    case = (ratio, float(g), dim, parity.label)
+                    assert np.all(bound >= exact - 1e-14), case
+                    if exact[-1] > 1e-12:
+                        assert bound[-1] <= 10.0 * exact[-1], case
+
+    def test_orbit_cut_keeps_the_unstable_region_out(self):
+        # R = 200, g = 2 at dim 128: the pivots stay positive far inward, but
+        # past the chain's last few Airy widths the backward recurrence runs
+        # where v decays toward site 0 and would bound the tail by ~1e-18
+        p = RabiParams(omega0=1.0, Omega=200.0, g=2.0)
+        chain = build_parity_chain(p, Parity.MINUS, 128)
+        w, exact = _stein_last_components(chain, 1)
+        assert exact[0] > 0.03
+        bound = quantum._tail_bound(chain, w)
+        assert exact[0] <= bound[0] <= 10.0 * exact[0]
+
+    def test_empty_window_and_decoupled_chain(self):
+        p = RabiParams(omega0=1.0, Omega=40.0, g=0.2)
+        chain = build_parity_chain(p, Parity.MINUS, 64)
+        assert quantum._tail_bound(chain, np.empty(0)).shape == (0,)
+        # g = 0: every level off the last site has v[dim-1] = 0 exactly
+        chain = build_parity_chain(RabiParams(omega0=1.0, Omega=40.0, g=0.0), Parity.PLUS, 64)
+        w = diagonalize(chain, k_max=20).energies
+        np.testing.assert_array_equal(quantum._tail_bound(chain, w), np.zeros(20))
+
+
+class TestValuesOnlySolve:
+    # the README windows at R = 1000: --eps-max 0 plus the CLI's 0.05 + 2/R pad
+    EPS_MAX = 0.052
+
+    def test_no_eigenvector_is_computed(self, monkeypatch):
+        def no_stein(*args):
+            raise AssertionError("a values-only solve called stein")
+
+        monkeypatch.setattr(quantum, "dstein", no_stein)
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
+        _, win = converged_window(p, Parity.MINUS, eps_max=-0.5)
+        assert win.vectors is None and win.n_converged == len(win) > 0
+        lev = converged_levels(p, Parity.PLUS, k_max=20)
+        assert lev.vectors is None and lev.n_converged == 20
+
+    @pytest.mark.parametrize("g", [1.2, 1.4])
+    def test_readme_windows_solve_once_per_sector(self, g, monkeypatch):
+        calls = []
+        solve = quantum.diagonalize
+
+        def counted(chain, **kwargs):
+            calls.append(chain.dim)
+            return solve(chain, **kwargs)
+
+        monkeypatch.setattr(quantum, "diagonalize", counted)
+        p = RabiParams(omega0=1.0, Omega=1000.0, g=g)
+        for parity in Parity:
+            calls.clear()
+            _, spec = converged_window(p, parity, eps_max=self.EPS_MAX)
+            assert len(calls) == 1, (parity, calls)
+            assert spec.n_converged == len(spec) > 500
+
+    def test_memory_is_far_below_one_vector_block(self):
+        # a vector solve of this window holds a dim x k float64 block (7.5
+        # MB); values only, the solve holds O(dim) floats and one block of
+        # _SLICE levels' tail pivots (measured: 0.3 MB)
+        p = RabiParams(omega0=1.0, Omega=1000.0, g=1.2)
+        tracemalloc.start()
+        try:
+            dim, spec = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(spec) > 500
+        assert peak < dim * len(spec) * 8 / 10
+
+
 class TestObservables:
     def test_requires_vectors(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.0)
