@@ -13,8 +13,8 @@ registry.  A command maps the parsed options to a Result: its CSV tables, a
 JSON summary where a comparison is made, and its figure.  Every CSV header
 and every summary starts with one record: the tool, version and command,
 then each option the command declares with its resolved value (the FILES
-options, those left unset and spectrum's sweep options under a single --g
-aside), then the command's results.  `main` is the one place that creates
+options and those left unset aside, such as the sweep options of a single
+coupling), then the command's results.  `main` is the one place that creates
 --out and writes files, the figure only under --emit-svg, and it writes
 only after the command has returned, so a failed run leaves nothing
 behind.  Two identical invocations produce byte-identical files.
@@ -39,8 +39,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (LawKind, Side, fit_divergence, geometric_eps_grid,
                           law_log_esqpt, law_power_qpt)
-from .quantum import (Parity, ParitySpectrum, RabiParams, converged_levels,
-                      converged_window, eigen_observables)
+from .quantum import Parity, ParitySpectrum, RabiParams, converged_levels, converged_window
 from .semiclassical import (EPS_CRITICAL, dos_curve, ground_state_eps,
                             observables_microcanonical)
 from .spectral import gap_map, windowed_dos
@@ -56,7 +55,7 @@ class Opt:
 
     The bounds are checked once flags and config are merged: a required
     option must be given one way or the other, a float must be finite, and
-    a value below minimum is a usage error.
+    a value below minimum, or at or below above, is a usage error.
     """
 
     flag: str
@@ -64,6 +63,7 @@ class Opt:
     default: object
     help: str
     minimum: float | None = None
+    above: float | None = None
     required: bool = False
 
     @property
@@ -71,10 +71,11 @@ class Opt:
         return self.flag[2:].replace("-", "_")
 
 
-OMEGA0 = Opt("--omega0", float, 1.0, "field frequency omega0 (energy unit)")
+OMEGA0 = Opt("--omega0", float, 1.0, "field frequency omega0 (energy unit)", above=0)
 RATIO = Opt("--ratio", float, 40.0, "frequency ratio R = Omega / omega0", minimum=1)
-QUAD_TOL = Opt("--quad-tol", float, 1e-9, "relative tolerance of orbit quadratures")
-CONV_TOL = Opt("--conv-tol", float, 1e-8, "certified eigenvalue error bound, in units of omega0")
+QUAD_TOL = Opt("--quad-tol", float, 1e-9, "relative tolerance of orbit quadratures", above=0)
+CONV_TOL = Opt("--conv-tol", float, 1e-8, "certified eigenvalue error bound, in units of omega0",
+               above=0)
 # where the files go, never what is in them: no record holds these
 FILES = [
     Opt("--out", str, ".", "output directory (created if missing)"),
@@ -83,11 +84,14 @@ FILES = [
 ]
 
 G_REQUIRED = Opt("--g", float, None, "coupling g (required)", minimum=0, required=True)
+# unset, the sweep options take SWEEP_DEFAULTS in _g_grid, not in the
+# config loader, so that spectrum can tell one given beside --g
 G_SWEEP = [
-    Opt("--g-min", float, 0.0, "sweep start"),
-    Opt("--g-max", float, 3.0, "sweep end"),
-    Opt("--g-steps", int, 61, "sweep points", minimum=1),
+    Opt("--g-min", float, None, "sweep start"),
+    Opt("--g-max", float, None, "sweep end"),
+    Opt("--g-steps", int, None, "sweep points", minimum=1),
 ]
+SWEEP_DEFAULTS = {"g_min": 0.0, "g_max": 3.0, "g_steps": 61}
 EPS_RANGE = [
     Opt("--eps-min", float, None,
         "lower edge of the rescaled energy range (default: just above the bottom)"),
@@ -161,6 +165,8 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise UsageError(f"{opt.flag} must be finite")
         if opt.minimum is not None and value < opt.minimum:
             raise UsageError(f"{opt.flag} must be >= {opt.minimum:g}")
+        if opt.above is not None and not value > opt.above:
+            raise UsageError(f"{opt.flag} must be > {opt.above:g}")
 
 
 class Table(NamedTuple):
@@ -223,6 +229,9 @@ def _record(args: argparse.Namespace, **results: object) -> dict[str, object]:
 
 
 def _g_grid(args: argparse.Namespace) -> np.ndarray:
+    for dest, default in SWEEP_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if not 0.0 <= args.g_min <= args.g_max:
         raise UsageError("need 0 <= --g-min <= --g-max")
     return np.linspace(args.g_min, args.g_max, args.g_steps)
@@ -265,11 +274,11 @@ def _eps_c_guide(lo: float, hi: float, horizontal: bool) -> Series:
 
 
 def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
-                     want_vectors: bool = False) -> list[ParitySpectrum]:
+                     with_observables: bool = False) -> list[ParitySpectrum]:
     """Minus and plus sectors, certified a little past --eps-max."""
     pad = 0.05 + 2.0 / params.ratio
     return [converged_window(params, parity, args.eps_max + pad, tol=args.conv_tol,
-                             want_vectors=want_vectors)[1]
+                             with_observables=with_observables)[1]
             for parity in (Parity.MINUS, Parity.PLUS)]
 
 
@@ -280,7 +289,9 @@ def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
 def _cmd_spectrum(args: argparse.Namespace) -> Result:
     if args.g is not None:
         # a single coupling reads no sweep option, so the record holds none
-        args.g_min = args.g_max = args.g_steps = None
+        given = [opt.flag for opt in G_SWEEP if getattr(args, opt.dest) is not None]
+        if given:
+            raise UsageError(f"spectrum --g takes no sweep option, got {', '.join(given)}")
         gs = np.array([args.g])
     else:
         gs = _g_grid(args)
@@ -426,8 +437,8 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
     params = _params(args, g)
     grid = _eps_grid(args, g)
     curve = observables_microcanonical(g, grid, quad_tol=args.quad_tol)
-    minus, plus = _quantum_sectors(params, args, want_vectors=True)
-    obs = [eigen_observables(minus), eigen_observables(plus)]
+    minus, plus = _quantum_sectors(params, args, with_observables=True)
+    obs = [minus.observables, plus.observables]
     scale = args.omega0 / params.Omega  # <a^dag a> omega0/Omega = <(x^2+p^2)/2> on shell
     rows = [(o.parity.label, k, e, n, n * scale, sz) for o in obs
             for k, (e, n, sz) in enumerate(zip(o.eps, o.n_phot, o.sz))]
@@ -476,8 +487,8 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
 def _cmd_probabilities(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
-    minus, plus = _quantum_sectors(params, args, want_vectors=True)
-    obs = [eigen_observables(minus), eigen_observables(plus)]
+    minus, plus = _quantum_sectors(params, args, with_observables=True)
+    obs = [minus.observables, plus.observables]
     rows = [(o.parity.label, k, e, p) for o in obs for k, (e, p) in enumerate(zip(o.eps, o.p_loc))]
     peaks = {}
     for o in obs:

@@ -26,31 +26,47 @@ energy for g > 1.
 
 Diagonalization never densifies the chain.  For g > 0 every offdiagonal
 entry is nonzero, so the chain is one unreduced block: every eigenvalue
-comes from LAPACK sterf (root-free QL/QR, O(dim^2), no workspace) and the
-eigenvectors of the selected levels from stein (inverse iteration).  At
+comes from LAPACK sterf (root-free QL/QR, O(dim^2), no workspace).  At
 g = 0, or a coupling below roundoff, the chain is diagonal, and its
-eigenpairs are the sorted diagonal and unit vectors.  Every returned
-eigenpair, closed-form ones included, is certified by an explicit
-residual check.  stein reorthogonalizes each vector against all earlier
-ones within 1e-3 ||T||; at large Omega/omega0 that spans the whole level
-window (4.5 omega0 at R = 1000 against spacings of 0.35 omega0), so it is
-called on slices of at most 64 levels that never separate near-degenerate
-ones, which bounds the Gram-Schmidt work by O(64 dim k) instead of
-O(dim k^2).
+eigenpairs are the sorted diagonal and unit vectors.  Only the observables
+solve, converged_window(with_observables=True), computes eigenvectors, and
+it keeps none: stein (inverse iteration) computes them in slices of at
+most 64 levels, and each slice is certified, reduced to <a^dag a>,
+<sigma_z> and p_loc, and dropped on arrival.  So the vectors held at any
+time are one slice, never a dim x k block.  stein reorthogonalizes each
+vector against all earlier ones within 1e-3 ||T||; at large Omega/omega0
+that spans the whole level window (4.5 omega0 at R = 1000 against
+spacings of 0.35 omega0), so slicing also bounds the Gram-Schmidt work
+by O(64 dim k) instead of O(dim k^2).  A slice never separates levels
+closer than sqrt(ulp) ||T||, which must share a call to stay orthogonal.
 
 The truncated chain is certified against the untruncated one in a single
-solve.  Padding an eigenvector v of the dim-site chain with zeros, its
+solve.  Padding an eigenvector v of a d-site chain with zeros, its
 residual against the infinite chain gains one component beyond the
-in-chain one: the tail residual lam sqrt(dim) |v[dim-1]|, from the only
+in-chain one: the tail residual lam sqrt(d) |v[d-1]|, from the only
 coupling cut off.  H is self-adjoint, so some exact eigenvalue lies within
 the total residual of the Ritz value (Parlett, The Symmetric Eigenvalue
 Problem, ch. 10-11).  converged_window and converged_levels solve once at
 a truncation of the classical orbit's n_cls sites plus 12 Airy widths
-n_cls^{1/3}, and re-solve only when a tail residual is not below
+n_cls^{1/3}, and re-solve only when a level's residual is not below
 tol * omega0.
 
-A solve with vectors reads |v[dim-1]| off stein's vector.  A values-only
-solve computes no vector and bounds |v[dim-1]| from the eigenvalue alone.
+The observables solve takes each level's Ritz value w from that window
+chain, but runs each slice's stein on the chain cut at the orbit of the
+slice's top level plus 24 Airy widths, never past the window: on average
+0.7 of the window's sites at R = 1000.  The level's certificate is the
+whole residual of (w, [z; 0]) against the untruncated chain: the in-chain
+residual of z on the cut chain, which also carries the distance from w to
+the cut chain's eigenvalue, and the cut chain's tail.  The window's 12
+widths are too few for a slice, whose top level sits right at its cut,
+while the window's levels stay below the eps_max it is sized to.
+Measured at g = 1.4, the largest cut-chain residual is 1e-6 at 12 widths
+and 2e-12 at 24 at R = 1000; at R = 10^4 it is 5e-8 at 20 widths and
+1e-10 at 24.  A slice that does not certify is solved again on the whole
+window chain; only if that fails too does the window regrow.
+
+A values-only solve (the levels and the windows without observables)
+computes no vector and bounds |v[dim-1]| from the eigenvalue alone.
 With diag a and offdiag b, the backward pivots of T - w,
 
     dm[dim-1] = a[dim-1] - w,   dm[i] = a[i] - w - b[i]^2 / dm[i+1],
@@ -104,6 +120,13 @@ _SLICE = 64
 
 # Start truncation past the classical orbit, in Airy widths n_cls^{1/3}.
 _AIRY_PAD = 12.0
+
+# Cut each vector slice's chain past the orbit of its top level, in the
+# same widths.  The window's levels lie below the eps_max its truncation is
+# sized to; a slice's top level sits right at its own cut, and its
+# certificate must hold at R = 10^4 (the module docstring gives the
+# measured tails).
+_SLICE_PAD = 24.0
 
 # The tail bound sums sites outward of n_top - _TAIL_CUT n_top^{1/3}.
 _TAIL_CUT = 3.0
@@ -208,44 +231,14 @@ class ParityChain:
 
 
 @dataclass(frozen=True)
-class ParitySpectrum:
-    """Ascending eigenvalues of one parity chain, optionally with vectors.
-
-    energies are bare; eps = 2 E / Omega.  vectors, when present, hold one
-    orthonormal column per eigenvalue in chain-site coordinates.
-    tail_residual, set by converged_window and converged_levels, bounds
-    each eigenvalue's distance to the untruncated spectrum: lam sqrt(dim)
-    |v[dim-1]| from the vector when the solve has vectors, and from the
-    backward-pivot bound on |v[dim-1]| when it has none.  n_converged
-    counts the leading levels whose bound is below tol * omega0 (0 for a
-    plain diagonalize call, which certifies in-chain residuals only).
-    """
-
-    params: RabiParams
-    parity: Parity
-    dim: int
-    energies: np.ndarray = field(repr=False)
-    eps: np.ndarray = field(repr=False)
-    vectors: np.ndarray | None = field(repr=False, default=None)
-    n_converged: int = 0
-    tail_residual: np.ndarray | None = field(repr=False, default=None)
-
-    def __post_init__(self):
-        for a in (self.energies, self.eps, self.vectors, self.tail_residual):
-            if a is not None:
-                a.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.energies)
-
-
-@dataclass(frozen=True)
 class EigenObservables:
-    """Per-eigenstate diagnostics computed from eigenvectors.
+    """Per-eigenstate diagnostics of one window, reduced from its eigenvectors.
 
     n_phot = <a^dag a>; sz = <sigma_z>; p_loc is the weight on the lowest
     chain site whose spin is down (site 0 in the minus sector, site 1 in
     the plus sector), the localization marker of the critical eigenstate.
+    converged_window fills them one slice of vectors at a time, and keeps
+    no vector.
     """
 
     parity: Parity
@@ -257,6 +250,47 @@ class EigenObservables:
     def __post_init__(self):
         for a in (self.eps, self.n_phot, self.sz, self.p_loc):
             a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class ParitySpectrum:
+    """Ascending eigenvalues of one parity chain, optionally with observables.
+
+    energies are bare; eps = 2 E / Omega.  observables, set by
+    converged_window(with_observables=True), holds <a^dag a>, <sigma_z>
+    and p_loc of every level.  tail_residual, set by converged_window and
+    converged_levels, bounds each eigenvalue's distance to the untruncated
+    spectrum.  With observables it is the residual, against the
+    untruncated chain, of the level's zero-padded eigenvector: from the
+    chain its slice was cut to, or from the whole chain.  Without them it
+    is lam sqrt(dim) times the backward-pivot bound on |v[dim-1]|.
+    n_converged counts the leading levels whose bound is below
+    tol * omega0 (0 for a plain diagonalize call, which certifies nothing).
+    """
+
+    params: RabiParams
+    parity: Parity
+    dim: int
+    energies: np.ndarray = field(repr=False)
+    eps: np.ndarray = field(repr=False)
+    n_converged: int = 0
+    tail_residual: np.ndarray | None = field(repr=False, default=None)
+    observables: EigenObservables | None = field(repr=False, default=None)
+
+    def __post_init__(self):
+        for a in (self.energies, self.eps, self.tail_residual):
+            if a is not None:
+                a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    @property
+    def vectors(self) -> None:
+        """Always None: each slice of eigenvectors is reduced to observables
+        as it arrives, so no spectrum holds a dim x k block.  The name stays
+        because perfbench/tracing.py reads it."""
+        return None
 
 
 def build_parity_chain(params: RabiParams, parity: Parity, dim: int) -> ParityChain:
@@ -271,11 +305,15 @@ def build_parity_chain(params: RabiParams, parity: Parity, dim: int) -> ParityCh
 
 
 def _certify_residuals(chain: ParityChain, w: np.ndarray, v: np.ndarray,
-                       first: int = 0) -> None:
-    # ||H v - w v|| per eigenpair against RESIDUAL_RTOL * ||H|| bound; an
-    # error names first + k, the level's index in the full solve
-    res = chain.matvec(v) - w[None, :] * v
-    norms = np.linalg.norm(res, axis=0)
+                       first: int = 0) -> np.ndarray:
+    # ||H v - w v|| per eigenpair, one column at a time so that no second
+    # block of vectors is held, checked against RESIDUAL_RTOL * ||H|| bound;
+    # returns the norms.  An error names first + k, the level's index in
+    # the full solve
+    norms = np.empty(len(w))
+    for k in range(len(w)):
+        col = v[:, k:k + 1]
+        norms[k] = np.linalg.norm(chain.matvec(col) - w[k] * col)
     bound = RESIDUAL_RTOL * chain.norm_bound()
     bad = np.nonzero(norms > bound)[0]
     if bad.size:
@@ -285,39 +323,39 @@ def _certify_residuals(chain: ParityChain, w: np.ndarray, v: np.ndarray,
             f"|r| = {norms[bad[0]]:.3e} > {bound:.3e}",
             index=k,
         )
+    return norms
+
+
+def _diagonal_order(chain: ParityChain) -> np.ndarray | None:
+    # a chain whose couplings are all below ulp max|diag| (g = 0, or nearly)
+    # is diagonal to working precision, and stein fails on couplings near
+    # underflow: its levels are its sites in stable ascending order of diag
+    ulp = np.finfo(float).eps
+    if np.max(np.abs(chain.offdiag)) <= ulp * np.max(np.abs(chain.diag)):
+        return np.argsort(chain.diag, kind="stable")
+    return None
 
 
 def diagonalize(
     chain: ParityChain,
     k_max: int | None = None,
-    want_vectors: bool = False,
     e_max: float | None = None,
 ) -> ParitySpectrum:
-    """Lowest k_max eigenpairs of a parity chain, or all with E <= e_max.
+    """Lowest k_max eigenvalues of a parity chain, or all with E <= e_max.
 
     All of them if neither is given.  A chain whose couplings are all
     below ulp max|diag| (g = 0, or nearly) is diagonal: its levels are the
-    diagonal in stable ascending order, each with the unit vector of its
-    site.  Otherwise the eigenvalues come from one sterf call and the
-    eigenvectors from stein, called on slices of at most _SLICE ascending
-    levels (see the module docstring for why).  A slice ends only where the
-    next level is at least sqrt(ulp) ||T|| higher, so near-degenerate levels
-    always share a call and stay orthogonal.  Each slice is certified on
-    arrival and written straight into the one dim x k output.  Raises
-    ConvergenceError if a solve fails or a residual exceeds 1e-9 ||H||; its
-    index is the level's place in the ascending output.
+    diagonal in stable ascending order.  Otherwise they come from one sterf
+    call.  No eigenvector is computed here: converged_window reduces them
+    to observables slice by slice.  Raises ConvergenceError if sterf fails.
     """
     if e_max is not None and k_max is not None:
         raise ValueError("pass k_max or e_max, not both")
     if k_max is not None and not 1 <= k_max <= chain.dim:
         raise ValueError(f"k_max must be in [1, dim], got {k_max}")
-    # g = 0, or couplings below roundoff: the chain is diagonal to working
-    # precision (and stein fails on couplings near underflow)
-    ulp = np.finfo(float).eps
-    decoupled = np.max(np.abs(chain.offdiag)) <= ulp * np.max(np.abs(chain.diag))
-    if decoupled:
-        sites = np.argsort(chain.diag, kind="stable")
-        w_all = chain.diag[sites]
+    order = _diagonal_order(chain)
+    if order is not None:
+        w_all = chain.diag[order]
     else:
         w_all, info = dsterf(chain.diag, chain.offdiag)
         if info:
@@ -327,40 +365,79 @@ def diagonalize(
     else:
         k = chain.dim if k_max is None else k_max
     w = w_all[:k]
-    v = None
-    if want_vectors:
-        v = np.empty((chain.dim, k))
-        gap = math.sqrt(ulp) * chain.norm_bound()
-        cut = np.append(np.diff(w) >= gap, True)
-        # stein's block description of the unreduced chain
-        iblock = np.ones(chain.dim, dtype=np.int32)
-        isplit = np.zeros(chain.dim, dtype=np.int32)
-        isplit[0] = chain.dim
-        a = 0
-        while a < k:
-            b = min(a + _SLICE, k)
-            while not cut[b - 1]:
-                b += 1
-            if decoupled:
-                z = np.zeros((chain.dim, b - a))
-                z[sites[a:b], np.arange(b - a)] = 1.0
-            else:
-                z, info = dstein(chain.diag, chain.offdiag, w[a:b], iblock, isplit)
-                if info:
-                    raise ConvergenceError(
-                        f"inverse iteration failed: {info} of levels {a}..{b - 1} "
-                        "did not converge")
-            _certify_residuals(chain, w[a:b], z, first=a)
-            v[:, a:b] = z
-            a = b
     return ParitySpectrum(
         params=chain.params,
         parity=chain.parity,
         dim=chain.dim,
         energies=w,
         eps=2.0 * w / chain.params.Omega,
-        vectors=v,
     )
+
+
+def _slices(chain: ParityChain, w: np.ndarray):
+    # [a, b) ranges of at most _SLICE of the chain's ascending levels w; a
+    # range ends only where the next level is at least sqrt(ulp) ||T||
+    # higher, so near-degenerate levels share a stein call and stay
+    # orthogonal
+    gap = math.sqrt(np.finfo(float).eps) * chain.norm_bound()
+    cut = np.append(np.diff(w) >= gap, True)
+    a = 0
+    while a < len(w):
+        b = min(a + _SLICE, len(w))
+        while not cut[b - 1]:
+            b += 1
+        yield a, b
+        a = b
+
+
+def _slice_vectors(chain: ParityChain, w: np.ndarray,
+                   first: int) -> tuple[np.ndarray, np.ndarray]:
+    # eigenvectors of the chain's ascending levels w, the levels first,
+    # first + 1, ... of its solve: one stein call, or unit vectors on a
+    # diagonal chain, each certified in-chain.  Also returns the residual of
+    # each, zero-padded, against the untruncated chain: the in-chain one
+    # and the tail lam sqrt(dim) |z[dim-1]| are orthogonal components
+    order = _diagonal_order(chain)
+    if order is not None:
+        z = np.zeros((chain.dim, len(w)))
+        z[order[first:first + len(w)], np.arange(len(w))] = 1.0
+    else:
+        # stein's block description of the unreduced chain
+        iblock = np.ones(chain.dim, dtype=np.int32)
+        isplit = np.zeros(chain.dim, dtype=np.int32)
+        isplit[0] = chain.dim
+        z, info = dstein(chain.diag, chain.offdiag, w, iblock, isplit)
+        if info:
+            raise ConvergenceError(
+                f"inverse iteration failed: {info} of levels {first}..{first + len(w) - 1} "
+                "did not converge")
+    inner = _certify_residuals(chain, w, z, first)
+    tail = chain.params.lam * math.sqrt(chain.dim) * np.abs(z[-1])
+    return z, np.hypot(inner, tail)
+
+
+def _observed_slice(chain: ParityChain, w: np.ndarray, first: int,
+                    bound: float) -> tuple[np.ndarray, ...]:
+    # certificate, n_phot, sz and p_loc of the window chain's levels w, from
+    # vectors on the chain cut _SLICE_PAD Airy widths past the orbit of the
+    # top level, or, where those do not certify below bound, on the whole
+    # chain.  A chain of d sites has d levels, so the cut keeps first + len(w)
+    # sites at least; a diagonal chain is never cut, since its unit vectors
+    # cost nothing and the cut chain's level order need not be the window's
+    params = chain.params
+    d = min(max(_orbit_dim(params, 2.0 * w[-1] / params.Omega, _SLICE_PAD),
+                first + len(w)), chain.dim)
+    if d < chain.dim and _diagonal_order(chain) is None:
+        cut = replace(chain, dim=d, diag=chain.diag[:d], offdiag=chain.offdiag[:d - 1])
+        try:
+            z, res = _slice_vectors(cut, w, first)
+        except ConvergenceError:  # stein or the in-chain check, on a cut too short
+            res = None
+        if res is not None and np.all(res < bound):
+            return (res, *eigen_observables(chain.parity, z))
+        z = None  # one slice of vectors at a time, fallback included
+    z, res = _slice_vectors(chain, w, first)
+    return (res, *eigen_observables(chain.parity, z))
 
 
 def _orbit_sites(params: RabiParams, eps):
@@ -371,11 +448,10 @@ def _orbit_sites(params: RabiParams, eps):
     return 0.5 * params.ratio * np.maximum(eps + g2 + np.sqrt(disc), 0.0)
 
 
-def _start_dim(params: RabiParams, eps_max: float) -> int:
-    # the orbit plus _AIRY_PAD Airy widths n^{1/3}, where every tail
-    # certifies far below tol
-    n_cls = float(_orbit_sites(params, eps_max))
-    return max(math.ceil(n_cls + _AIRY_PAD * n_cls ** (1.0 / 3.0)), 64)
+def _orbit_dim(params: RabiParams, eps: float, widths: float = _AIRY_PAD) -> int:
+    # the orbit at eps plus `widths` Airy widths n^{1/3}, and 64 sites at least
+    n_cls = float(_orbit_sites(params, eps))
+    return max(math.ceil(n_cls + widths * n_cls ** (1.0 / 3.0)), 64)
 
 
 def _tail_bound(chain: ParityChain, w: np.ndarray) -> np.ndarray:
@@ -423,18 +499,20 @@ def _certified_spectrum(
     params: RabiParams,
     parity: Parity,
     tol: float,
-    want_vectors: bool,
+    with_observables: bool,
     k_max: int | None = None,
     eps_max: float | None = None,
 ) -> ParitySpectrum:
     """One certified solve: the lowest k_max levels, or every level below eps_max.
 
-    Each eigenvector v, padded with zeros, leaves the residual
-    lam sqrt(dim) |v[dim-1]| against the untruncated chain; a level is
-    certified when that is below tol * omega0.  Without want_vectors no
-    vector is computed, and _tail_bound stands in for |v[dim-1]|.  Only a
-    failed certificate re-solves, at a truncation sized to the top Ritz
-    value, up to the cap of _CAP_PER_R R max(1, g^2).
+    Each level w is certified when the residual of some vector, padded with
+    zeros, against the untruncated chain is below tol * omega0.  Without
+    with_observables no vector is computed: the residual is
+    lam sqrt(dim) |v[dim-1]|, with _tail_bound standing in for |v[dim-1]|.
+    With it, each slice's vectors are certified on arrival, reduced to
+    observables and dropped.  Only a failed certificate re-solves, at a
+    truncation sized to the top Ritz value, up to the cap of
+    _CAP_PER_R R max(1, g^2).
     """
     # NaN must fail here: no tail residual is below it, so the solve would
     # regrow to the cap before raising
@@ -448,16 +526,23 @@ def _certified_spectrum(
         raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
-        dim = _start_dim(params, eps_max)
+        dim = _orbit_dim(params, eps_max)
     else:
         e_max = None
         dim = max(4 * k_max, 128)
     dim = min(dim, dim_cap)
     while True:
         chain = build_parity_chain(params, parity, dim)
-        spec = diagonalize(chain, k_max=k_max, want_vectors=want_vectors, e_max=e_max)
-        last = np.abs(spec.vectors[-1]) if want_vectors else _tail_bound(chain, spec.energies)
-        tail = params.lam * math.sqrt(dim) * last
+        spec = diagonalize(chain, k_max=k_max, e_max=e_max)
+        if with_observables:
+            out = np.empty((4, len(spec)))
+            for a, b in _slices(chain, spec.energies):
+                out[:, a:b] = _observed_slice(chain, spec.energies[a:b], a,
+                                              tol * params.omega0)
+            tail, n_phot, sz, p_loc = out
+            spec = replace(spec, observables=EigenObservables(parity, spec.eps, n_phot, sz, p_loc))
+        else:
+            tail = params.lam * math.sqrt(dim) * _tail_bound(chain, spec.energies)
         certified = tail < tol * params.omega0
         n_conv = len(spec) if certified.all() else int(np.argmin(certified))
         spec = replace(spec, n_converged=n_conv, tail_residual=tail)
@@ -471,7 +556,7 @@ def _certified_spectrum(
                 dim=dim,
                 spectrum=spec,
             )
-        dim = min(max(2 * dim, _start_dim(params, float(spec.eps[-1]))), dim_cap)
+        dim = min(max(2 * dim, _orbit_dim(params, float(spec.eps[-1]))), dim_cap)
 
 
 def converged_window(
@@ -479,17 +564,22 @@ def converged_window(
     parity: Parity,
     eps_max: float,
     tol: float = 1e-8,
-    want_vectors: bool = False,
+    with_observables: bool = False,
 ) -> tuple[int, ParitySpectrum]:
     """Every level with eps <= eps_max, each certified to within tol * omega0.
 
     Solves once at a truncation sized to the classical orbit at eps_max and
-    certifies every level by its tail residual against the untruncated
-    chain; without want_vectors no eigenvector is computed.  Returns
-    (dim, spectrum) with spectrum.n_converged the level count.  Raises
-    TruncationLimitError when the cap (200 R max(1, g^2)) is hit first.
+    certifies every level against the untruncated chain.  Without
+    with_observables no eigenvector is computed.  With it, the spectrum's
+    observables hold <a^dag a>, <sigma_z> and p_loc of every level: the
+    eigenvectors are computed in slices of at most _SLICE levels, each on
+    the chain cut at its own orbit, and each slice is certified, reduced
+    by eigen_observables and dropped on arrival, so no dim x k block of
+    vectors is ever held.  Returns (dim, spectrum) with
+    spectrum.n_converged the level count.  Raises TruncationLimitError when
+    the cap (200 R max(1, g^2)) is hit first.
     """
-    spec = _certified_spectrum(params, parity, tol, want_vectors, eps_max=eps_max)
+    spec = _certified_spectrum(params, parity, tol, with_observables, eps_max=eps_max)
     return spec.dim, spec
 
 
@@ -507,24 +597,20 @@ def converged_levels(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _certified_spectrum(params, parity, tol, want_vectors=False, k_max=k_max)
+    return _certified_spectrum(params, parity, tol, with_observables=False, k_max=k_max)
 
 
-def eigen_observables(spectrum: ParitySpectrum) -> EigenObservables:
-    """<a^dag a>, <sigma_z>, and down-spin localization weight per eigenstate."""
-    if spectrum.vectors is None:
-        raise ValueError("spectrum carries no eigenvectors; diagonalize with want_vectors=True")
-    v2 = spectrum.vectors**2
-    n = np.arange(spectrum.dim, dtype=float)
-    signs = spectrum.parity.spin_signs(spectrum.dim)
-    n_phot = n @ v2
-    sz = signs @ v2
-    loc_site = 0 if spectrum.parity is Parity.MINUS else 1
-    p_loc = v2[loc_site].copy()
-    return EigenObservables(
-        parity=spectrum.parity,
-        eps=spectrum.eps.copy(),
-        n_phot=n_phot,
-        sz=sz,
-        p_loc=p_loc,
-    )
+def eigen_observables(parity: Parity,
+                      vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<a^dag a>, <sigma_z> and down-spin localization weight per eigenvector.
+
+    vectors is a d x m block, one eigenvector of the parity chain per
+    column in the sites 0..d-1; returns (n_phot, sz, p_loc), one value per
+    column.  converged_window(with_observables=True) applies this to each
+    slice of vectors as it arrives.  No d x m temporary is made.
+    """
+    d = vectors.shape[0]
+    n_phot = np.einsum("i,ij,ij->j", np.arange(d, dtype=float), vectors, vectors)
+    sz = np.einsum("i,ij,ij->j", parity.spin_signs(d), vectors, vectors)
+    p_loc = vectors[0 if parity is Parity.MINUS else 1] ** 2
+    return n_phot, sz, p_loc

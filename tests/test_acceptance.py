@@ -3,8 +3,8 @@
 One test per claim, each printing a single ``[criterion N] PASS/FAIL``
 line (run pytest with ``-s`` to see the lines for passing tests too)
 before asserting at the stated tolerance.  The spin-ratio R = 10^3
-spectra are built once per session and shared; the whole module runs in
-about a minute.
+spectra and their eigenstate observables are built once per module and
+shared; the whole module runs in a few seconds.
 
 Criterion 7a checks how the shell-averaged order parameters pin to their
 critical values (sz, nphot_scaled) = (-1, 0) at eps_c = -1.  With
@@ -36,7 +36,6 @@ from rabi_esqpt import (
     diagonalize,
     dos_curve,
     dos_semiclassical,
-    eigen_observables,
     fit_divergence,
     gap_map,
     geometric_eps_grid,
@@ -71,14 +70,18 @@ def report(tag: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def r1000():
-    """Converged spectra with eigenvectors at R = 10^3 for g = 1.2, 1.4."""
+    """Converged spectra with their eigenstate observables at R = 10^3 for g = 1.2, 1.4.
+
+    The streamed solve reduces each slice of eigenvectors on arrival, so
+    the module holds no vectors.
+    """
     out = {}
     for g in (1.2, 1.4):
         params = RabiParams(omega0=1.0, Omega=1000.0, g=g)
         _, minus = converged_window(params, Parity.MINUS, eps_max=0.08,
-                                    want_vectors=True)
+                                    with_observables=True)
         _, plus = converged_window(params, Parity.PLUS, eps_max=0.08,
-                                   want_vectors=True)
+                                   with_observables=True)
         out[g] = (params, minus, plus)
     return out
 
@@ -285,7 +288,7 @@ def test_criterion_7b_eigenstates_on_shell(r1000):
         worst_n = worst_s = 0.0
         n_cmp = 0
         for spec in (minus, plus):
-            obs = eigen_observables(spec)
+            obs = spec.observables
             pick = ((np.abs(obs.eps - EPS_CRITICAL) > 0.05)
                     & (obs.eps > ground_state_eps(g) + 0.02)
                     & (obs.eps <= 0.0))
@@ -323,7 +326,7 @@ def test_criterion_8_critical_state_localization(r1000):
     details = []
     for g in (1.2, 1.4):
         for spec in r1000[g][1:]:
-            obs = eigen_observables(spec)
+            obs = spec.observables
             k = int(np.argmax(obs.p_loc))
             lo, hi = max(k - 1, 0), min(k + 1, len(obs.eps) - 1)
             spacing = float(obs.eps[hi] - obs.eps[lo]) / max(hi - lo, 1)

@@ -132,6 +132,24 @@ class TestSpectrum:
         assert root.tag.endswith("svg")
         assert root.findall(".//{http://www.w3.org/2000/svg}circle")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("sweep", [{"--g-min": "0.5", "--g-max": "0.1"},
+                                       {"--g-steps": "5"}])
+    def test_single_coupling_rejects_sweep_options(self, tmp_path, capsys, sweep, source):
+        # spectrum --g used to run and ignore them
+        argv = ["spectrum", "--ratio", "40", "--g", "1.4", "--levels", "3"]
+        if source == "flag":
+            argv += [x for kv in sweep.items() for x in kv]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({k[2:]: json.loads(v) for k, v in sweep.items()}))
+            argv += ["--config", str(cfg)]
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert (f"spectrum --g takes no sweep option, got {', '.join(sweep)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_coupling_sweep(self, tmp_path):
         code, out = run(tmp_path, "spectrum", "--g-min", "0", "--g-max", "1",
                         "--g-steps", "3", "--levels", "5", "--ratio", "20")
@@ -316,6 +334,12 @@ BOUNDS = {
     ("observables", "--points"): 1,
     ("asymptotics", "--g"): 1, ("asymptotics", "--points"): 5,
 }
+# (command, flag) -> the strict lower bound: the bound itself is rejected
+STRICT_BOUNDS = {
+    **{(name, flag): 0 for name in COMMAND_NAMES for flag in ("--omega0", "--conv-tol")
+       if name != "asymptotics" or flag == "--omega0"},
+    **{(name, "--quad-tol"): 0 for name in ("dos", "observables", "asymptotics")},
+}
 
 
 def just_below(minimum, typ):
@@ -328,6 +352,9 @@ class TestOptionTable:
         declared = {(name, o.flag): o.minimum for name, cmd in COMMANDS.items()
                     for o in cmd.opts if o.minimum is not None}
         assert declared == BOUNDS
+        strict = {(name, o.flag): o.above for name, cmd in COMMANDS.items()
+                  for o in cmd.opts if o.above is not None}
+        assert strict == STRICT_BOUNDS
         required = {name for name, cmd in COMMANDS.items()
                     for o in cmd.opts if o.required}
         assert required == NEEDS_G
@@ -348,6 +375,26 @@ class TestOptionTable:
         code, out = run(tmp_path, *argv)
         assert code == 2
         assert f"{flag} must be >= {BOUNDS[(name, flag)]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("offset", [0, -1])
+    @pytest.mark.parametrize("name, flag", list(STRICT_BOUNDS))
+    def test_value_at_or_below_strict_bound_rejected(self, tmp_path, capsys, name, flag,
+                                                      offset, source):
+        # a zero omega0 or tolerance used to reach the library, which
+        # rejected it as a failure of the computation (exit 1)
+        value = STRICT_BOUNDS[(name, flag)] + offset
+        argv = [name, "--g", "1.4"] if name in NEEDS_G else [name]
+        if source == "flag":
+            argv += [f"{flag}={value!r}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            argv += ["--config", str(cfg)]
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert f"{flag} must be > {STRICT_BOUNDS[(name, flag)]}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", sorted(NEEDS_G))
@@ -502,7 +549,8 @@ def expected_record(argv):
     for opt in COMMANDS[name].opts:
         if name == "spectrum" and "--g" in argv and opt in G_SWEEP:
             continue
-        value = opt.typ(argv[argv.index(opt.flag) + 1]) if opt.flag in argv else opt.default
+        default = cli.SWEEP_DEFAULTS.get(opt.dest, opt.default)
+        value = opt.typ(argv[argv.index(opt.flag) + 1]) if opt.flag in argv else default
         if opt not in FILES and value is not None:
             record[opt.dest] = value
     return record

@@ -84,19 +84,19 @@ GOLDEN = {
         "observables.svg":
             "87fe2060bcb87d35f69d5e0a0f75e6b360ce45916a7f054c125aa483115d4801",
         "observables_quantum.csv":
-            "e8d8991e6cd322e98e57c5d75f83ed2908393aea24613b53e3d803e7eed329e8",
+            "199130a7c67737a258074c6ba5c7e10e7c7dc7e1dad6698ba4144ac6f331af2b",
         "observables_semiclassical.csv":
             "54f7d1c72286e22ca940cc256e43500f5660b9c83641fb64e55370317480fa40",
         "observables_summary.json":
-            "9887426b7dbe15d5fff5984d5b73828d73e7d5877491b48ec7060e29d443a95a",
+            "d4deb992bb325774b9274a22606c42d7026e37898c8a55c24a99473e98942cce",
     },
     "probabilities_r1000": {
         "probabilities.csv":
-            "9df2639d2285a31b006ca901f7d6e220f594f2cb7163ab41b6deeb2bf7e9c935",
+            "d3a72ad8ce67f5f371f3752fa3dbe5109bfa6914f339e6124f52d8e409ea4b68",
         "probabilities.svg":
             "14bcdbab2c58bed3986089917032b93a65ea49154aa5e9b9fc6312fb94c88d7b",
         "probabilities_summary.json":
-            "09c7e7b8cc579b87960ef49ea8656e7a539fcf331cddf3478f508658e660523f",
+            "841f83bf310a2c02f57b34581db47d4b77f4a9dc7a30a5e1675ca1a2c277d337",
     },
     "asymptotics_power": {
         "asymptotics.json":

@@ -25,6 +25,14 @@ from rabi_esqpt.quantum import _certify_residuals
 from oracles import dense_hamiltonian, dense_sector_data, random_params
 
 
+def stein_vectors(chain, w):
+    """Every vector of the chain's levels w, stitched from the solver's
+    certified slices on the whole chain (the solver itself holds one slice
+    at a time)."""
+    return np.hstack([quantum._slice_vectors(chain, w[a:b], a)[0]
+                      for a, b in quantum._slices(chain, w)])
+
+
 def chain_dense(chain):
     m = np.diag(chain.diag)
     m += np.diag(chain.offdiag, k=1) + np.diag(chain.offdiag, k=-1)
@@ -140,8 +148,8 @@ class TestDiagonalize:
         w_sectors = []
         for parity in (Parity.MINUS, Parity.PLUS):
             chain = build_parity_chain(p, parity, dim)
-            spec = diagonalize(chain, want_vectors=True)
-            v = spec.vectors
+            spec = diagonalize(chain)
+            v = stein_vectors(chain, spec.energies)
             np.testing.assert_allclose(v.T @ v, np.eye(dim), rtol=0, atol=1e-12)
             res = chain.matvec(v) - spec.energies[None, :] * v
             assert np.max(np.linalg.norm(res, axis=0)) <= (
@@ -172,8 +180,8 @@ class TestDiagonalize:
     def test_vectors_orthonormal_and_residuals(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 400)
-        spec = diagonalize(chain, k_max=30, want_vectors=True)
-        v = spec.vectors
+        spec = diagonalize(chain, k_max=30)
+        v = stein_vectors(chain, spec.energies)
         assert v.shape == (400, 30)
         np.testing.assert_allclose(v.T @ v, np.eye(30), atol=1e-12)
         res = chain.matvec(v) - spec.energies[None, :] * v
@@ -182,8 +190,8 @@ class TestDiagonalize:
     def test_certification_rejects_corrupt_vector(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 100)
-        spec = diagonalize(chain, k_max=5, want_vectors=True)
-        v = spec.vectors.copy()
+        spec = diagonalize(chain, k_max=5)
+        v = stein_vectors(chain, spec.energies)
         v[:, 3] = np.roll(v[:, 3], 7)  # still normalized, no longer an eigenvector
         with pytest.raises(ConvergenceError) as err:
             _certify_residuals(chain, spec.energies, v)
@@ -192,9 +200,9 @@ class TestDiagonalize:
     def test_sliced_vectors_orthonormal_across_slices(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 400)
-        spec = diagonalize(chain, want_vectors=True)
+        spec = diagonalize(chain)
         assert len(spec) == 400 > 4 * quantum._SLICE
-        v = spec.vectors
+        v = stein_vectors(chain, spec.energies)
         np.testing.assert_allclose(v.T @ v, np.eye(400), rtol=0, atol=1e-12)
         res = chain.matvec(v) - spec.energies[None, :] * v
         assert np.max(np.linalg.norm(res, axis=0)) < quantum.RESIDUAL_RTOL * chain.norm_bound()
@@ -208,9 +216,9 @@ class TestDiagonalize:
         monkeypatch.setattr(quantum, "_SLICE", 1)
         p0 = RabiParams(omega0=1.0, Omega=41.0, g=0.0)
         chain = build_parity_chain(p0, Parity.MINUS, 300)
-        spec = diagonalize(chain, want_vectors=True)
+        spec = diagonalize(chain)
         assert np.count_nonzero(np.diff(spec.energies) == 0.0) > 100
-        v = spec.vectors
+        v = stein_vectors(chain, spec.energies)
         # each level is a distinct chain site: a permutation of unit vectors
         sites = np.argmax(np.abs(v), axis=0)
         assert sorted(sites) == list(range(300))
@@ -219,9 +227,9 @@ class TestDiagonalize:
 
         p = RabiParams(omega0=1.0, Omega=41.0, g=1e-6)
         chain = build_parity_chain(p, Parity.MINUS, 300)
-        spec = diagonalize(chain, want_vectors=True)
+        spec = diagonalize(chain)
         assert np.min(np.diff(spec.energies)) < 1e-10
-        v = spec.vectors
+        v = stein_vectors(chain, spec.energies)
         np.testing.assert_allclose(v.T @ v, np.eye(300), rtol=0, atol=1e-12)
 
     def test_corrupt_column_past_first_slice_reports_global_index(self, monkeypatch):
@@ -238,26 +246,30 @@ class TestDiagonalize:
         monkeypatch.setattr(quantum, "dstein", corrupting_stein)
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 400)
+        w = diagonalize(chain, k_max=200).energies
         with pytest.raises(ConvergenceError) as err:
-            diagonalize(chain, k_max=200, want_vectors=True)
+            stein_vectors(chain, w)
         assert calls == [quantum._SLICE, quantum._SLICE]
         assert err.value.index == quantum._SLICE + 3
 
     def test_vector_solve_memory_is_the_output(self):
-        # the README observables window at R = 1000: apart from the dim x k
-        # output only slice-sized work arrays may live, no n x n workspace
-        # and no reordered copy of the vectors
+        # the README observables window at R = 1000: each slice of vectors
+        # is reduced and dropped on arrival, so one dim x _SLICE block and
+        # O(dim) work arrays live at a time, never a dim x k block (11.7 MB
+        # here), an n x n workspace or a second slice (measured: 1.2
+        # blocks)
         p = RabiParams(omega0=1.0, Omega=1000.0, g=1.4)
-        chain = build_parity_chain(p, Parity.MINUS, 2832)
         tracemalloc.start()
         try:
-            spec = diagonalize(chain, want_vectors=True, e_max=0.5 * 0.052 * p.Omega)
+            dim, spec = converged_window(p, Parity.MINUS, eps_max=0.052,
+                                         with_observables=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        dim, k = spec.vectors.shape
-        assert k > 500
-        assert peak < 2 * dim * k * 8
+        k = len(spec)
+        assert k > 500 and spec.observables.n_phot.shape == (k,)
+        assert peak < 1.6 * dim * quantum._SLICE * 8
+        assert peak < dim * k * 8 / 5
 
     def test_doublets_below_critical_energy(self):
         # broken phase: parity partners degenerate far below eps = -1
@@ -306,14 +318,14 @@ class TestConvergedWindow:
         # cap = ceil(0.2 R g^2) = ceil(11.52) = 12
         monkeypatch.setattr(quantum, "_CAP_PER_R", 0.2)
         with pytest.raises(TruncationLimitError) as err:
-            converged_window(p, Parity.MINUS, eps_max=0.0, want_vectors=True)
+            converged_window(p, Parity.MINUS, eps_max=0.0, with_observables=True)
         assert err.value.dim == 12
         spec = err.value.spectrum
         assert spec.dim == 12 and spec.n_converged < len(spec)
         # the tail residual is that of the zero-padded vector on a longer chain
         longer = build_parity_chain(p, Parity.MINUS, 17)
         padded = np.zeros((17, len(spec)))
-        padded[:12] = spec.vectors
+        padded[:12] = stein_vectors(build_parity_chain(p, Parity.MINUS, 12), spec.energies)
         res = np.linalg.norm(longer.matvec(padded) - spec.energies * padded, axis=0)
         np.testing.assert_allclose(res, spec.tail_residual, rtol=1e-9)
 
@@ -366,16 +378,16 @@ class TestConvergedWindow:
         p = RabiParams(omega0=1.0, Omega=60.0, g=1.4)
         tol = 1e-8
         dim, spec = converged_window(p, Parity.PLUS, eps_max=-0.5, tol=tol,
-                                     want_vectors=True)
+                                     with_observables=True)
         assert spec.n_converged == len(spec) > 0
         assert spec.tail_residual.shape == (len(spec),)
         assert np.all(spec.tail_residual < tol * p.omega0)
-        assert spec.dim == dim and spec.vectors.shape == (dim, len(spec))
+        assert spec.dim == dim and spec.observables.n_phot.shape == (len(spec),)
 
 
 def _stein_last_components(chain, k_max):
-    spec = diagonalize(chain, k_max=k_max, want_vectors=True)
-    return spec.energies, np.abs(spec.vectors[-1])
+    w = diagonalize(chain, k_max=k_max).energies
+    return w, np.abs(stein_vectors(chain, w)[-1])
 
 
 class TestTailBound:
@@ -427,7 +439,8 @@ class TestValuesOnlySolve:
         monkeypatch.setattr(quantum, "dstein", no_stein)
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         _, win = converged_window(p, Parity.MINUS, eps_max=-0.5)
-        assert win.vectors is None and win.n_converged == len(win) > 0
+        assert win.vectors is None and win.observables is None
+        assert win.n_converged == len(win) > 0
         lev = converged_levels(p, Parity.PLUS, k_max=20)
         assert lev.vectors is None and lev.n_converged == 20
 
@@ -465,26 +478,28 @@ class TestValuesOnlySolve:
 
 class TestObservables:
     def test_requires_vectors(self):
+        # observables come only from the vector solve: a values-only window
+        # has none
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.0)
-        spec = diagonalize(build_parity_chain(p, Parity.MINUS, 50), k_max=5)
-        with pytest.raises(ValueError):
-            eigen_observables(spec)
+        _, spec = converged_window(p, Parity.MINUS, eps_max=-0.5)
+        assert spec.observables is None
+        _, spec = converged_window(p, Parity.MINUS, eps_max=-0.5, with_observables=True)
+        assert spec.observables.n_phot.shape == (len(spec),)
+        assert spec.observables.eps is spec.eps
 
     def test_g0_site_diagnostics(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
         for parity in (Parity.MINUS, Parity.PLUS):
             dim = 40
             chain = build_parity_chain(p, parity, dim)
-            spec = diagonalize(chain, want_vectors=True)
-            obs = eigen_observables(spec)
+            w = diagonalize(chain).energies
+            n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, w))
             # level k lives on the chain site that sorts to position k
             sites = np.argsort(chain.diag, kind="stable")
-            np.testing.assert_allclose(obs.n_phot, sites.astype(float), atol=1e-12)
-            np.testing.assert_allclose(obs.sz, parity.spin_signs(dim)[sites], atol=1e-12)
+            np.testing.assert_allclose(n_phot, sites.astype(float), atol=1e-12)
+            np.testing.assert_allclose(sz, parity.spin_signs(dim)[sites], atol=1e-12)
             loc_site = 0 if parity is Parity.MINUS else 1
-            np.testing.assert_allclose(
-                obs.p_loc, (sites == loc_site).astype(float), atol=1e-12
-            )
+            np.testing.assert_allclose(p_loc, (sites == loc_site).astype(float), atol=1e-12)
 
     def test_matches_dense_oracle(self):
         p = RabiParams(omega0=1.0, Omega=20.0, g=1.2)
@@ -492,10 +507,97 @@ class TestObservables:
         dim = 220
         dense = dense_sector_data(p, dim)
         for parity in (Parity.MINUS, Parity.PLUS):
-            spec = diagonalize(build_parity_chain(p, parity, dim), k_max=k, want_vectors=True)
-            obs = eigen_observables(spec)
+            chain = build_parity_chain(p, parity, dim)
+            w = diagonalize(chain, k_max=k).energies
+            n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, w))
             w_ref, n_ref, sz_ref, p_ref = dense[parity]
-            np.testing.assert_allclose(spec.energies, w_ref[:k], atol=1e-10)
-            np.testing.assert_allclose(obs.n_phot, n_ref[:k], atol=1e-9)
-            np.testing.assert_allclose(obs.sz, sz_ref[:k], atol=1e-9)
-            np.testing.assert_allclose(obs.p_loc, p_ref[:k], atol=1e-9)
+            np.testing.assert_allclose(w, w_ref[:k], atol=1e-10)
+            np.testing.assert_allclose(n_phot, n_ref[:k], atol=1e-9)
+            np.testing.assert_allclose(sz, sz_ref[:k], atol=1e-9)
+            np.testing.assert_allclose(p_loc, p_ref[:k], atol=1e-9)
+
+
+def _record_slice_chains(monkeypatch):
+    # the site count of every chain a slice's vectors are computed on
+    dims = []
+    solve = quantum._slice_vectors
+
+    def recorded(chain, w, first):
+        dims.append(chain.dim)
+        return solve(chain, w, first)
+
+    monkeypatch.setattr(quantum, "_slice_vectors", recorded)
+    return dims
+
+
+class TestStreamedObservables:
+    # the README windows: --eps-max 0 plus the CLI's 0.05 + 2/R pad
+    EPS_MAX = 0.052
+
+    @pytest.mark.parametrize("ratio", [200.0, 1000.0])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_cut_chains_match_the_full_chain(self, ratio, parity, monkeypatch):
+        # each slice runs on its own cut chain, yet every level certifies
+        # and its observables are those of the window chain's vectors
+        p = RabiParams(omega0=1.0, Omega=ratio, g=1.4)
+        tol = 1e-8
+        dims = _record_slice_chains(monkeypatch)
+        dim, spec = converged_window(p, parity, eps_max=self.EPS_MAX, tol=tol,
+                                     with_observables=True)
+        assert min(dims) < dim  # the low slices ran on cut chains
+        assert spec.n_converged == len(spec) > 100
+        assert np.all(spec.tail_residual < tol * p.omega0)
+        chain = build_parity_chain(p, parity, dim)
+        n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, spec.energies))
+        obs = spec.observables
+        np.testing.assert_allclose(obs.n_phot, n_phot, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(obs.sz, sz, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(obs.p_loc, p_loc, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [75, 85, 95])
+    def test_cut_chain_certificate_is_the_padded_residual(self, d):
+        # a level's value w comes from the long chain and its vector z from
+        # the first d sites: the certificate must be the whole residual of
+        # (w, [z; 0]) on the long chain, in-chain part and cut-off tail both
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
+        chain = build_parity_chain(p, Parity.MINUS, 200)
+        w = diagonalize(chain, k_max=10).energies
+        cut = build_parity_chain(p, Parity.MINUS, d)
+        z, res = quantum._slice_vectors(cut, w, 0)
+        padded = np.zeros((chain.dim, len(w)))
+        padded[:d] = z
+        full = np.linalg.norm(chain.matvec(padded) - w * padded, axis=0)
+        np.testing.assert_allclose(res, full, rtol=1e-12, atol=0)
+
+    def test_short_pad_falls_back_to_the_window_chain(self, monkeypatch):
+        # at the window's own 12 Airy widths the top levels of some slices
+        # leave cut-chain residuals near 1e-6: those slices must be solved
+        # again on the whole window chain, still one slice of vectors at a
+        # time, and still certify
+        p = RabiParams(omega0=1.0, Omega=1000.0, g=1.4)
+        tol = 1e-8
+        _, ref = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, tol=tol,
+                                  with_observables=True)
+        monkeypatch.setattr(quantum, "_SLICE_PAD", quantum._AIRY_PAD)
+        dims = _record_slice_chains(monkeypatch)
+        tracemalloc.start()
+        try:
+            dim, spec = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, tol=tol,
+                                         with_observables=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == ref.dim
+        # the cut chain's vectors are dropped before the window chain's arrive
+        assert peak < 1.6 * dim * quantum._SLICE * 8
+        n_cut = sum(d < dim for d in dims)
+        n_slices = len(list(quantum._slices(build_parity_chain(p, Parity.MINUS, dim),
+                                            spec.energies)))
+        # more chains than slices: some slices were solved twice
+        assert n_slices < len(dims) and n_cut > 0
+        assert spec.n_converged == len(spec)
+        assert np.all(spec.tail_residual < tol * p.omega0)
+        np.testing.assert_allclose(spec.observables.n_phot, ref.observables.n_phot,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(spec.observables.sz, ref.observables.sz,
+                                   rtol=0, atol=1e-12)
