@@ -74,30 +74,18 @@ class CriticalLaw:
 class FitReport:
     """Result of a linear fit to a sampled density curve near eps_c.
 
-    ``slope`` and ``intercept`` refer to the regression coordinates: for a
-    power law the fit is ln(nu) vs ln(delta), so ``slope`` estimates the
-    exponent and ``prefactor = exp(intercept)``; for a log law the fit is
-    nu vs -ln(delta), so ``slope`` estimates the divergence slope and
-    ``intercept`` is the value extrapolated to delta = 1.
+    ``slope`` and ``intercept`` refer to the regression coordinates of the
+    law kind fitted: for a power law the fit is ln(nu) vs ln(delta), so
+    ``slope`` estimates the exponent and ``exp(intercept)`` the prefactor;
+    for a log law the fit is nu vs -ln(delta), so ``slope`` estimates the
+    divergence slope and ``intercept`` is the value extrapolated to
+    delta = 1.
     """
 
-    kind: LawKind
     n_points: int
     slope: float
     intercept: float
     residual_rms: float
-
-    @property
-    def exponent(self) -> float:
-        if self.kind is not LawKind.POWER_QPT:
-            raise ValueError("exponent is defined for power-law fits only")
-        return self.slope
-
-    @property
-    def prefactor(self) -> float:
-        if self.kind is not LawKind.POWER_QPT:
-            raise ValueError("prefactor is defined for power-law fits only")
-        return math.exp(self.intercept)
 
 
 def law_power_qpt(omega0: float = 1.0) -> CriticalLaw:
@@ -185,7 +173,6 @@ def fit_divergence(
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     return FitReport(
-        kind=kind,
         n_points=n_points,
         slope=float(slope),
         intercept=float(intercept),

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -437,11 +438,11 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
     params = _params(args, g)
     grid = _eps_grid(args, g)
     curve = observables_microcanonical(g, grid, quad_tol=args.quad_tol)
-    minus, plus = _quantum_sectors(params, args, with_observables=True)
-    obs = [minus.observables, plus.observables]
+    sectors = minus, plus = _quantum_sectors(params, args, with_observables=True)
     scale = args.omega0 / params.Omega  # <a^dag a> omega0/Omega = <(x^2+p^2)/2> on shell
-    rows = [(o.parity.label, k, e, n, n * scale, sz) for o in obs
-            for k, (e, n, sz) in enumerate(zip(o.eps, o.n_phot, o.sz))]
+    rows = [(spec.parity.label, k, e, n, n * scale, sz) for spec in sectors
+            for k, (e, n, sz) in enumerate(zip(spec.eps, spec.observables.n_phot,
+                                               spec.observables.sz))]
     tables = {
         "observables_semiclassical.csv": Table(
             _record(args), ["eps", "nphot_scaled", "sz"],
@@ -452,9 +453,9 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
     }
 
     # pointwise deviation on a subsample of eigenstates away from eps_c
-    eps_all = np.concatenate([o.eps for o in obs])
-    nph_all = np.concatenate([o.n_phot for o in obs]) * scale
-    sz_all = np.concatenate([o.sz for o in obs])
+    eps_all = np.concatenate([spec.eps for spec in sectors])
+    nph_all = np.concatenate([spec.observables.n_phot for spec in sectors]) * scale
+    sz_all = np.concatenate([spec.observables.sz for spec in sectors])
     order = np.argsort(eps_all, kind="stable")
     eps_all, nph_all, sz_all = eps_all[order], nph_all[order], sz_all[order]
     # a level at eps lies on the classical shell at eps + 1/R, so the lowest
@@ -487,23 +488,25 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
 def _cmd_probabilities(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
-    minus, plus = _quantum_sectors(params, args, with_observables=True)
-    obs = [minus.observables, plus.observables]
-    rows = [(o.parity.label, k, e, p) for o in obs for k, (e, p) in enumerate(zip(o.eps, o.p_loc))]
+    sectors = minus, plus = _quantum_sectors(params, args, with_observables=True)
+    rows = [(spec.parity.label, k, e, p) for spec in sectors
+            for k, (e, p) in enumerate(zip(spec.eps, spec.observables.p_loc))]
     peaks = {}
-    for o in obs:
-        if len(o.eps):
-            k = int(np.argmax(o.p_loc))
+    for spec in sectors:
+        if len(spec):
+            eps, p_loc = spec.eps, spec.observables.p_loc
+            k = int(np.argmax(p_loc))
             # mean spacing of the neighbours, one-sided at an edge, none if alone
-            lo, hi = max(k - 1, 0), min(k + 1, len(o.eps) - 1)
-            spacing = float((o.eps[hi] - o.eps[lo]) / (hi - lo)) if hi > lo else None
-            peaks[o.parity.label] = {"k": k, "eps": float(o.eps[k]), "p_loc": float(o.p_loc[k]),
-                                     "local_spacing": spacing}
+            lo, hi = max(k - 1, 0), min(k + 1, len(eps) - 1)
+            spacing = float((eps[hi] - eps[lo]) / (hi - lo)) if hi > lo else None
+            peaks[spec.parity.label] = {"k": k, "eps": float(eps[k]), "p_loc": float(p_loc[k]),
+                                        "local_spacing": spacing}
     tables = {"probabilities.csv": Table(_record(args, dim_minus=minus.dim, dim_plus=plus.dim),
                                          ["parity", "k", "eps", "p_loc"], rows)}
     summary = ("probabilities_summary.json", _record(args, peaks=peaks))
-    series = [Series(o.eps, o.p_loc, label=f"parity {o.parity.label}", color=color,
-                     kind="points", radius=1.8) for o, (_, color) in zip(obs, SECTOR_COLORS)]
+    series = [Series(spec.eps, spec.observables.p_loc, label=f"parity {spec.parity.label}",
+                     color=color, kind="points", radius=1.8)
+              for spec, (_, color) in zip(sectors, SECTOR_COLORS)]
     series.append(_eps_c_guide(0.0, 1.0, horizontal=False))
     return Result(tables, summary, Figure(
         series, f"down-spin localization weight, g={g:g}, R={args.ratio:g}", EPS_LABEL, "p_loc"))
@@ -537,9 +540,10 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
         law = law_power_qpt(args.omega0)
         fit = fit_divergence(curves[Side.ABOVE], LawKind.POWER_QPT,
                              side=Side.ABOVE, window=windows[Side.ABOVE])
-        summary.update(kind="power_qpt", exponent=fit.exponent, exponent_law=law.exponent,
-                       prefactor=fit.prefactor, prefactor_law=law.prefactor,
-                       prefactor_rel_dev=abs(fit.prefactor / law.prefactor - 1.0),
+        prefactor = math.exp(fit.intercept)
+        summary.update(kind="power_qpt", exponent=fit.slope, exponent_law=law.exponent,
+                       prefactor=prefactor, prefactor_law=law.prefactor,
+                       prefactor_rel_dev=abs(prefactor / law.prefactor - 1.0),
                        residual_rms=fit.residual_rms)
     else:
         law = law_log_esqpt(args.omega0, g)
@@ -561,10 +565,29 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
                                           "log10 |eps - eps_c|", "nu(eps) [1/omega0]"))
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    r"""Write `--flag -5e-1` as `--flag=-5e-1` for every flag that takes a value.
+
+    argparse reads -5e-1 as an option string, not a value, because its
+    negative-number pattern (^-\d+$|^-\d*\.\d+$ in Python 3.11) has no
+    exponent; after `=` it is always a value.  No option string here is a
+    dash and a digit, so such a token after a flag that takes a value is
+    always that value.
+    """
+    valued = {opt.flag for cmd in COMMANDS.values() for opt in cmd.opts if opt.typ is not bool}
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in valued and re.match(r"-\.?\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse has printed the message already
         return int(exc.code or 0)
     if args.command is None:

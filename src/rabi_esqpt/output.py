@@ -18,10 +18,11 @@ __all__ = ["format_value", "write_csv", "write_json"]
 
 
 def format_value(v: object) -> str:
-    """Serialize one cell or metadata value deterministically.
+    """Serialize one bool, float, int or str deterministically.
 
     Floats use repr for exact round-tripping; bools map to true/false so the
-    files do not look Python-specific; everything else falls back to str.
+    files do not look Python-specific.  Any other type, numpy's integer and
+    bool scalars included, raises TypeError: the caller converts them.
     """
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -30,13 +31,7 @@ def format_value(v: object) -> str:
         return repr(float(v))
     if isinstance(v, (int, str)):
         return str(v)
-    item = getattr(v, "item", None)
-    if item is not None:  # remaining numpy scalars (integer, bool kinds)
-        return format_value(item())
-    try:
-        return repr(float(v))
-    except (TypeError, ValueError):
-        return str(v)
+    raise TypeError(f"cannot format {type(v).__name__} {v!r}")
 
 
 def write_csv(

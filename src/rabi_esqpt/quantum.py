@@ -24,21 +24,23 @@ the coupling is parametrized by g = 2 lam / sqrt(omega0 Omega), with g = 1
 the ground-state critical point and eps = -1 the excited-state critical
 energy for g > 1.
 
-Diagonalization never densifies the chain.  For g > 0 every offdiagonal
-entry is nonzero, so the chain is one unreduced block: every eigenvalue
-comes from LAPACK sterf (root-free QL/QR, O(dim^2), no workspace).  At
-g = 0, or a coupling below roundoff, the chain is diagonal, and its
-eigenpairs are the sorted diagonal and unit vectors.  Only the observables
-solve, converged_window(with_observables=True), computes eigenvectors, and
-it keeps none: stein (inverse iteration) computes them in slices of at
-most 64 levels, and each slice is certified, reduced to <a^dag a>,
-<sigma_z> and p_loc, and dropped on arrival.  So the vectors held at any
-time are one slice, never a dim x k block.  stein reorthogonalizes each
-vector against all earlier ones within 1e-3 ||T||; at large Omega/omega0
-that spans the whole level window (4.5 omega0 at R = 1000 against
-spacings of 0.35 omega0), so slicing also bounds the Gram-Schmidt work
-by O(64 dim k) instead of O(dim k^2).  A slice never separates levels
-closer than sqrt(ulp) ||T||, which must share a call to stay orthogonal.
+Diagonalization never densifies the chain.  Every eigenvalue of every
+chain comes from one call of LAPACK sterf (root-free QL/QR, O(dim^2), no
+workspace); at g = 0 the chain is diagonal and sterf returns its sorted
+diagonal exactly.  Only the observables solve,
+converged_window(with_observables=True), computes eigenvectors, and it
+keeps none: stein (inverse iteration) computes them in slices of at most
+64 levels, and each slice is certified, reduced to <a^dag a>, <sigma_z>
+and p_loc, and dropped on arrival.  So the vectors held at any time are
+one slice, never a dim x k block.  stein reorthogonalizes each vector
+against all earlier ones within 1e-3 ||T||; at large Omega/omega0 that
+spans the whole level window (4.5 omega0 at R = 1000 against spacings of
+0.35 omega0), so slicing also bounds the Gram-Schmidt work by
+O(64 dim k) instead of O(dim k^2).  A slice never separates levels closer
+than sqrt(ulp) ||T||, which must share a call to stay orthogonal.  stein
+fails on couplings near underflow, so a chain whose couplings are all
+below ulp max|diag| (g = 0, or nearly) takes unit vectors on its sites, in
+ascending order, instead.
 
 The truncated chain is certified against the untruncated one in a single
 solve.  Padding an eigenvector v of a d-site chain with zeros, its
@@ -161,13 +163,12 @@ class ConvergenceError(RuntimeError):
 class TruncationLimitError(RuntimeError):
     """The truncation cap was hit before every requested level certified.
 
-    spectrum is the solve at the cap; its n_converged and tail_residual say
-    which levels did certify.
+    spectrum is the solve at the cap: its dim is the cap, and its
+    n_converged and tail_residual say which levels did certify.
     """
 
-    def __init__(self, message: str, dim: int, spectrum: ParitySpectrum | None = None):
+    def __init__(self, message: str, spectrum: ParitySpectrum):
         super().__init__(message)
-        self.dim = dim
         self.spectrum = spectrum
 
 
@@ -209,13 +210,17 @@ class ParityChain:
 
     params: RabiParams
     parity: Parity
-    dim: int
     diag: np.ndarray = field(repr=False)
     offdiag: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.diag.flags.writeable = False
         self.offdiag.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        """Chain sites 0..dim-1."""
+        return len(self.diag)
 
     def norm_bound(self) -> float:
         """Upper bound on ||H_sector||_2 used for residual certification."""
@@ -238,34 +243,33 @@ class EigenObservables:
     chain site whose spin is down (site 0 in the minus sector, site 1 in
     the plus sector), the localization marker of the critical eigenstate.
     converged_window fills them one slice of vectors at a time, and keeps
-    no vector.
+    no vector.  The parity and the levels are those of the ParitySpectrum
+    that holds them.
     """
 
-    parity: Parity
-    eps: np.ndarray = field(repr=False)
     n_phot: np.ndarray = field(repr=False)
     sz: np.ndarray = field(repr=False)
     p_loc: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.eps, self.n_phot, self.sz, self.p_loc):
+        for a in (self.n_phot, self.sz, self.p_loc):
             a.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class ParitySpectrum:
-    """Ascending eigenvalues of one parity chain, optionally with observables.
+    """The certified solve of one parity chain at truncation dim.
 
-    energies are bare; eps = 2 E / Omega.  observables, set by
+    converged_window and converged_levels return one; energies are the
+    ascending bare levels, eps = 2 E / Omega.  tail_residual bounds each
+    eigenvalue's distance to the untruncated spectrum.  With observables
+    it is the residual, against the untruncated chain, of the level's
+    zero-padded eigenvector: from the chain its slice was cut to, or from
+    the whole chain.  Without them it is lam sqrt(dim) times the
+    backward-pivot bound on |v[dim-1]|.  n_converged counts the leading
+    levels whose bound is below tol * omega0.  observables, set by
     converged_window(with_observables=True), holds <a^dag a>, <sigma_z>
-    and p_loc of every level.  tail_residual, set by converged_window and
-    converged_levels, bounds each eigenvalue's distance to the untruncated
-    spectrum.  With observables it is the residual, against the
-    untruncated chain, of the level's zero-padded eigenvector: from the
-    chain its slice was cut to, or from the whole chain.  Without them it
-    is lam sqrt(dim) times the backward-pivot bound on |v[dim-1]|.
-    n_converged counts the leading levels whose bound is below
-    tol * omega0 (0 for a plain diagonalize call, which certifies nothing).
+    and p_loc of every level.
     """
 
     params: RabiParams
@@ -273,14 +277,13 @@ class ParitySpectrum:
     dim: int
     energies: np.ndarray = field(repr=False)
     eps: np.ndarray = field(repr=False)
-    n_converged: int = 0
-    tail_residual: np.ndarray | None = field(repr=False, default=None)
+    n_converged: int
+    tail_residual: np.ndarray = field(repr=False)
     observables: EigenObservables | None = field(repr=False, default=None)
 
     def __post_init__(self):
         for a in (self.energies, self.eps, self.tail_residual):
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -301,7 +304,7 @@ def build_parity_chain(params: RabiParams, parity: Parity, dim: int) -> ParityCh
     n = np.arange(dim, dtype=float)
     diag = params.omega0 * n + 0.5 * params.Omega * parity.spin_signs(dim)
     offdiag = -params.lam * np.sqrt(n[:-1] + 1.0)
-    return ParityChain(params=params, parity=parity, dim=dim, diag=diag, offdiag=offdiag)
+    return ParityChain(params=params, parity=parity, diag=diag, offdiag=offdiag)
 
 
 def _certify_residuals(chain: ParityChain, w: np.ndarray, v: np.ndarray,
@@ -336,42 +339,16 @@ def _diagonal_order(chain: ParityChain) -> np.ndarray | None:
     return None
 
 
-def diagonalize(
-    chain: ParityChain,
-    k_max: int | None = None,
-    e_max: float | None = None,
-) -> ParitySpectrum:
-    """Lowest k_max eigenvalues of a parity chain, or all with E <= e_max.
+def diagonalize(chain: ParityChain) -> np.ndarray:
+    """Every eigenvalue of a parity chain, ascending, from one sterf call.
 
-    All of them if neither is given.  A chain whose couplings are all
-    below ulp max|diag| (g = 0, or nearly) is diagonal: its levels are the
-    diagonal in stable ascending order.  Otherwise they come from one sterf
-    call.  No eigenvector is computed here: converged_window reduces them
-    to observables slice by slice.  Raises ConvergenceError if sterf fails.
+    No eigenvector is computed here: converged_window reduces them to
+    observables slice by slice.  Raises ConvergenceError if sterf fails.
     """
-    if e_max is not None and k_max is not None:
-        raise ValueError("pass k_max or e_max, not both")
-    if k_max is not None and not 1 <= k_max <= chain.dim:
-        raise ValueError(f"k_max must be in [1, dim], got {k_max}")
-    order = _diagonal_order(chain)
-    if order is not None:
-        w_all = chain.diag[order]
-    else:
-        w_all, info = dsterf(chain.diag, chain.offdiag)
-        if info:
-            raise ConvergenceError(f"sterf: {info} eigenvalues failed to converge")
-    if e_max is not None:
-        k = int(np.searchsorted(w_all, e_max, side="right"))
-    else:
-        k = chain.dim if k_max is None else k_max
-    w = w_all[:k]
-    return ParitySpectrum(
-        params=chain.params,
-        parity=chain.parity,
-        dim=chain.dim,
-        energies=w,
-        eps=2.0 * w / chain.params.Omega,
-    )
+    w, info = dsterf(chain.diag, chain.offdiag)
+    if info:
+        raise ConvergenceError(f"sterf: {info} eigenvalues failed to converge")
+    return w
 
 
 def _slices(chain: ParityChain, w: np.ndarray):
@@ -428,7 +405,7 @@ def _observed_slice(chain: ParityChain, w: np.ndarray, first: int,
     d = min(max(_orbit_dim(params, 2.0 * w[-1] / params.Omega, _SLICE_PAD),
                 first + len(w)), chain.dim)
     if d < chain.dim and _diagonal_order(chain) is None:
-        cut = replace(chain, dim=d, diag=chain.diag[:d], offdiag=chain.offdiag[:d - 1])
+        cut = replace(chain, diag=chain.diag[:d], offdiag=chain.offdiag[:d - 1])
         try:
             z, res = _slice_vectors(cut, w, first)
         except ConvergenceError:  # stein or the in-chain check, on a cut too short
@@ -505,8 +482,10 @@ def _certified_spectrum(
 ) -> ParitySpectrum:
     """One certified solve: the lowest k_max levels, or every level below eps_max.
 
-    Each level w is certified when the residual of some vector, padded with
-    zeros, against the untruncated chain is below tol * omega0.  Without
+    The one place a ParitySpectrum is built, and the one check of k_max
+    (1 <= k_max <= the cap), made before any chain is.  Each level w is
+    certified when the residual of some vector, padded with zeros, against
+    the untruncated chain is below tol * omega0.  Without
     with_observables no vector is computed: the residual is
     lam sqrt(dim) |v[dim-1]|, with _tail_bound standing in for |v[dim-1]|.
     With it, each slice's vectors are certified on arrival, reduced to
@@ -521,39 +500,41 @@ def _certified_spectrum(
     if eps_max is not None and not math.isfinite(eps_max):
         raise ValueError(f"eps_max must be finite, got {eps_max!r}")
     dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
-    # the chain holds at least k_max sites, so above the cap it would outgrow it
-    if k_max is not None and k_max > dim_cap:
-        raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
         dim = _orbit_dim(params, eps_max)
     else:
-        e_max = None
+        if k_max < 1:
+            raise ValueError("k_max must be >= 1")
+        # the chain holds at least k_max sites, so above the cap it would outgrow it
+        if k_max > dim_cap:
+            raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
         dim = max(4 * k_max, 128)
     dim = min(dim, dim_cap)
     while True:
         chain = build_parity_chain(params, parity, dim)
-        spec = diagonalize(chain, k_max=k_max, e_max=e_max)
+        w = diagonalize(chain)
+        w = w[:k_max] if eps_max is None else w[:np.searchsorted(w, e_max, side="right")]
+        observables = None
         if with_observables:
-            out = np.empty((4, len(spec)))
-            for a, b in _slices(chain, spec.energies):
-                out[:, a:b] = _observed_slice(chain, spec.energies[a:b], a,
-                                              tol * params.omega0)
+            out = np.empty((4, len(w)))
+            for a, b in _slices(chain, w):
+                out[:, a:b] = _observed_slice(chain, w[a:b], a, tol * params.omega0)
             tail, n_phot, sz, p_loc = out
-            spec = replace(spec, observables=EigenObservables(parity, spec.eps, n_phot, sz, p_loc))
+            observables = EigenObservables(n_phot, sz, p_loc)
         else:
-            tail = params.lam * math.sqrt(dim) * _tail_bound(chain, spec.energies)
+            tail = params.lam * math.sqrt(dim) * _tail_bound(chain, w)
         certified = tail < tol * params.omega0
-        n_conv = len(spec) if certified.all() else int(np.argmin(certified))
-        spec = replace(spec, n_converged=n_conv, tail_residual=tail)
-        if n_conv == len(spec):
+        n_conv = len(w) if certified.all() else int(np.argmin(certified))
+        spec = ParitySpectrum(params, parity, dim, w, 2.0 * w / params.Omega, n_conv, tail,
+                              observables)
+        if n_conv == len(w):
             return spec
         if dim >= dim_cap:
             raise TruncationLimitError(
-                f"{len(spec) - n_conv} of {len(spec)} levels not certified within "
+                f"{len(w) - n_conv} of {len(w)} levels not certified within "
                 f"dim cap {dim_cap} (tail residual {np.max(tail):.3e} >= "
                 f"{tol * params.omega0:.3e})",
-                dim=dim,
                 spectrum=spec,
             )
         dim = min(max(2 * dim, _orbit_dim(params, float(spec.eps[-1]))), dim_cap)
@@ -595,8 +576,6 @@ def converged_levels(
     max(4 k_max, 128) and certifies every level by its tail residual,
     growing the truncation only when that certificate fails.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     return _certified_spectrum(params, parity, tol, with_observables=False, k_max=k_max)
 
 

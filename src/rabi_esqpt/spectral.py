@@ -214,8 +214,6 @@ def gap_map(
     raising, so one hard point cannot abort a whole sweep.
     """
     g_values = np.atleast_1d(np.asarray(g_values, dtype=float))
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     n_g = len(g_values)
     eps_m = np.empty((n_g, k_max))
     eps_p = np.empty((n_g, k_max))

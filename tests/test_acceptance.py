@@ -95,7 +95,7 @@ def test_criterion_1_chain_matches_dense():
         p = random_params(rng)
         w_dense = np.linalg.eigvalsh(dense_hamiltonian(p, dim))
         w_chain = np.sort(np.concatenate([
-            diagonalize(build_parity_chain(p, parity, dim)).energies
+            diagonalize(build_parity_chain(p, parity, dim))
             for parity in (Parity.MINUS, Parity.PLUS)
         ]))
         worst = max(worst, float(np.max(np.abs(w_chain - w_dense))
@@ -133,10 +133,10 @@ def test_criterion_3_power_law_at_threshold():
     # prefactor checked pointwise at the small edge of the window, where
     # the subleading sqrt(delta) correction is negligible
     ratio = dos_semiclassical(1.0, EPS_CRITICAL + 1e-6) * 1e-6**0.25 / law.prefactor
-    ok_exp = abs(fit.exponent - (-0.25)) <= 0.01
+    ok_exp = abs(fit.slope - (-0.25)) <= 0.01
     ok_pref = abs(ratio - 1.0) <= 0.005
     report("criterion 3", ok_exp and ok_pref,
-           f"fitted exponent {fit.exponent:.5f} (-0.25 +- 0.01); "
+           f"fitted exponent {fit.slope:.5f} (-0.25 +- 0.01); "
            f"prefactor ratio at delta=1e-6: {ratio:.6f} (1 +- 0.005)")
     assert ok_exp and ok_pref
 
@@ -289,11 +289,11 @@ def test_criterion_7b_eigenstates_on_shell(r1000):
         n_cmp = 0
         for spec in (minus, plus):
             obs = spec.observables
-            pick = ((np.abs(obs.eps - EPS_CRITICAL) > 0.05)
-                    & (obs.eps > ground_state_eps(g) + 0.02)
-                    & (obs.eps <= 0.0))
+            pick = ((np.abs(spec.eps - EPS_CRITICAL) > 0.05)
+                    & (spec.eps > ground_state_eps(g) + 0.02)
+                    & (spec.eps <= 0.0))
             for i in np.nonzero(pick)[0]:
-                shell = observables_microcanonical(g, float(obs.eps[i]))
+                shell = observables_microcanonical(g, float(spec.eps[i]))
                 q_n = obs.n_phot[i] * params.omega0 / params.Omega
                 worst_n = max(worst_n, abs(q_n / shell.nphot_scaled[0] - 1.0))
                 worst_s = max(worst_s, abs((obs.sz[i] + 1.0)
@@ -326,11 +326,10 @@ def test_criterion_8_critical_state_localization(r1000):
     details = []
     for g in (1.2, 1.4):
         for spec in r1000[g][1:]:
-            obs = spec.observables
-            k = int(np.argmax(obs.p_loc))
-            lo, hi = max(k - 1, 0), min(k + 1, len(obs.eps) - 1)
-            spacing = float(obs.eps[hi] - obs.eps[lo]) / max(hi - lo, 1)
-            dist = abs(float(obs.eps[k]) - EPS_CRITICAL) / spacing
+            k = int(np.argmax(spec.observables.p_loc))
+            lo, hi = max(k - 1, 0), min(k + 1, len(spec) - 1)
+            spacing = float(spec.eps[hi] - spec.eps[lo]) / max(hi - lo, 1)
+            dist = abs(float(spec.eps[k]) - EPS_CRITICAL) / spacing
             ok &= dist < 10.0
             details.append(f"g={g} {spec.parity.label}: peak at "
                            f"{dist:.2f} spacings from eps_c")

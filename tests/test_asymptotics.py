@@ -98,8 +98,8 @@ class TestFit:
         eps = geometric_eps_grid(2e-6, 5e-4, 20)
         nu = 3.7 * (eps - EPS_CRITICAL) ** -0.25
         rep = fit_divergence(synthetic_curve(eps, nu), LawKind.POWER_QPT)
-        assert rep.exponent == pytest.approx(-0.25, abs=1e-12)
-        assert rep.prefactor == pytest.approx(3.7, rel=1e-12)
+        assert rep.slope == pytest.approx(-0.25, abs=1e-12)
+        assert math.exp(rep.intercept) == pytest.approx(3.7, rel=1e-12)
         assert rep.residual_rms < 1e-13
         assert rep.n_points == 20
 
@@ -112,22 +112,13 @@ class TestFit:
             assert rep.slope == pytest.approx(2.2, abs=1e-12)
             assert rep.intercept == pytest.approx(0.9, abs=1e-10)
 
-    def test_power_properties_rejected_for_log_fits(self):
-        eps = geometric_eps_grid(1e-6, 1e-3, 8)
-        nu = -np.log(eps - EPS_CRITICAL)
-        rep = fit_divergence(synthetic_curve(eps, nu), LawKind.LOG_ESQPT)
-        with pytest.raises(ValueError):
-            rep.exponent
-        with pytest.raises(ValueError):
-            rep.prefactor
-
     def test_masks_invalid_samples(self):
         eps = geometric_eps_grid(2e-6, 5e-4, 10)
         nu = 3.0 * (eps - EPS_CRITICAL) ** -0.25
         nu[0], nu[1] = 0.0, np.nan
         rep = fit_divergence(synthetic_curve(eps, nu), LawKind.POWER_QPT)
         assert rep.n_points == 8
-        assert rep.exponent == pytest.approx(-0.25, abs=1e-12)
+        assert rep.slope == pytest.approx(-0.25, abs=1e-12)
 
     def test_too_few_points_raises(self):
         eps = geometric_eps_grid(1e-6, 1e-3, MIN_FIT_POINTS - 1)

@@ -366,7 +366,6 @@ class TestOptionTable:
         value = just_below(BOUNDS[(name, flag)], opt.typ)
         argv = [name, "--g", "1.4"] if name in NEEDS_G and flag != "--g" else [name]
         if source == "flag":
-            # one token: argparse would take a lone "-5e-324" for an option
             argv += [f"{flag}={value!r}"]
         else:
             cfg = tmp_path / "cfg.json"
@@ -396,6 +395,33 @@ class TestOptionTable:
         assert code == 2
         assert f"{flag} must be > {STRICT_BOUNDS[(name, flag)]}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_value_in_exponent_notation(self, tmp_path):
+        # argparse's negative-number pattern has no exponent: left to it, a
+        # lone -5e-1 is an unknown option and --eps-max has no value
+        written = []
+        for sub, value in (("split", ["--eps-max", "-5e-1"]), ("joined", ["--eps-max=-5e-1"])):
+            code, out = run(tmp_path / sub, "dos", "--ratio", "40", "--g", "1.2",
+                            "--points", "11", *value)
+            assert code == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
+        assert read_csv(tmp_path / "split" / "out" / "dos_quantum.csv")[0]["eps_max"] == "-0.5"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--g", "1.2", "--conv-tol", "-1e-8"], "--conv-tol must be > 0"),
+        (["--g", "-1e0"], "--g must be >= 0"),
+    ])
+    def test_negative_exponent_value_meets_its_bound(self, tmp_path, capsys, argv, message):
+        code, out = run(tmp_path, "dos", "--ratio", "40", *argv)
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_only_numbers_after_valued_flags_are_joined(self):
+        argv = ["dos", "--eps-max", "-5e-1", "--emit-svg", "-1", "--g", "-x", "--out", "-2"]
+        assert cli._join_negative_values(argv) == [
+            "dos", "--eps-max=-5e-1", "--emit-svg", "-1", "--g", "-x", "--out=-2"]
 
     @pytest.mark.parametrize("name", sorted(NEEDS_G))
     def test_missing_g_rejected(self, tmp_path, capsys, name):
@@ -518,6 +544,13 @@ class TestConfig:
                         "--config", str(cfg))
         assert code == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), None, [1.0]])
+def test_format_value_takes_bool_float_int_and_str_only(value):
+    # the CLI converts numpy scalars where it makes each cell
+    with pytest.raises(TypeError):
+        format_value(value)
 
 
 # one small run per command; dos and observables also set --eps-min

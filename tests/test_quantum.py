@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ class TestChain:
         block = rng.standard_normal((9, 4))
         np.testing.assert_allclose(chain.matvec(block), m @ block, rtol=1e-13)
 
+    def test_dim_follows_replace(self):
+        # dim is the site count, never a field of its own, so a chain cut
+        # with replace cannot disagree with its arrays
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
+        chain = build_parity_chain(p, Parity.MINUS, 10)
+        assert chain.dim == 10
+        cut = replace(chain, diag=chain.diag[:4], offdiag=chain.offdiag[:3])
+        assert cut.dim == 4
+        np.testing.assert_array_equal(cut.matvec(np.eye(4)), chain_dense(chain)[:4, :4])
+        with pytest.raises(TypeError):
+            replace(chain, dim=4)
+
     def test_norm_bound_dominates_spectrum(self):
         p = RabiParams(omega0=1.0, Omega=30.0, g=2.0)
         chain = build_parity_chain(p, Parity.MINUS, 40)
@@ -114,11 +127,13 @@ class TestDiagonalize:
         p = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
         for parity, sign in ((Parity.MINUS, -1.0), (Parity.PLUS, 1.0)):
             dim = 64
-            spec = diagonalize(build_parity_chain(p, parity, dim))
+            chain = build_parity_chain(p, parity, dim)
+            w = diagonalize(chain)
             n = np.arange(dim)
             exact = np.sort(p.omega0 * n + sign * ((-1.0) ** n) * 0.5 * p.Omega)
-            np.testing.assert_allclose(spec.energies, exact, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(spec.eps, 2.0 * exact / p.Omega, rtol=1e-15)
+            np.testing.assert_allclose(w, exact, rtol=0, atol=1e-12)
+            # sterf on a decoupled chain returns its sorted diagonal exactly
+            np.testing.assert_array_equal(w, np.sort(chain.diag))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(20260816)
@@ -129,7 +144,7 @@ class TestDiagonalize:
             w_chain = np.sort(
                 np.concatenate(
                     [
-                        diagonalize(build_parity_chain(p, parity, dim)).energies
+                        diagonalize(build_parity_chain(p, parity, dim))
                         for parity in (Parity.MINUS, Parity.PLUS)
                     ]
                 )
@@ -142,19 +157,20 @@ class TestDiagonalize:
            omega0=st.floats(0.5, 2.0), dim=st.integers(2, 24))
     @example(g=0.0, ratio=5.0, omega0=1.0, dim=24)  # exact ties: sites n and n - 5
     @example(g=1e-6, ratio=5.0, omega0=1.0, dim=24)  # the same pairs, split by ~1e-18
+    @example(g=1e-20, ratio=5.0, omega0=1.0, dim=24)  # the same pairs, coupling below ulp
     @example(g=2.2e-311, ratio=1.0, omega0=1.0, dim=2)  # coupling below ulp, near underflow
     def test_sector_union_is_dense_spectrum(self, g, ratio, omega0, dim):
         p = RabiParams(omega0=omega0, Omega=omega0 * ratio, g=g)
         w_sectors = []
         for parity in (Parity.MINUS, Parity.PLUS):
             chain = build_parity_chain(p, parity, dim)
-            spec = diagonalize(chain)
-            v = stein_vectors(chain, spec.energies)
+            w = diagonalize(chain)
+            v = stein_vectors(chain, w)
             np.testing.assert_allclose(v.T @ v, np.eye(dim), rtol=0, atol=1e-12)
-            res = chain.matvec(v) - spec.energies[None, :] * v
+            res = chain.matvec(v) - w[None, :] * v
             assert np.max(np.linalg.norm(res, axis=0)) <= (
                 quantum.RESIDUAL_RTOL * chain.norm_bound())
-            w_sectors.append(spec.energies)
+            w_sectors.append(w)
         w_dense = np.linalg.eigvalsh(dense_hamiltonian(p, dim))
         scale = np.max(np.abs(w_dense))
         assert np.max(np.abs(np.sort(np.concatenate(w_sectors)) - w_dense)) < 1e-10 * scale
@@ -162,52 +178,43 @@ class TestDiagonalize:
     def test_interlacing_under_truncation(self):
         # eigenvalues of the dim-d leading submatrix interlace those at d+1
         p = RabiParams(omega0=1.0, Omega=10.0, g=1.7)
-        big = diagonalize(build_parity_chain(p, Parity.MINUS, 13)).energies
-        small = diagonalize(build_parity_chain(p, Parity.MINUS, 12)).energies
+        big = diagonalize(build_parity_chain(p, Parity.MINUS, 13))
+        small = diagonalize(build_parity_chain(p, Parity.MINUS, 12))
         slack = 1e-12 * np.max(np.abs(big))
         assert np.all(big[:12] <= small + slack)
         assert np.all(small <= big[1:] + slack)
 
-    def test_k_max_validation(self):
-        p = RabiParams(omega0=1.0, Omega=10.0, g=1.0)
-        chain = build_parity_chain(p, Parity.MINUS, 8)
-        for k in (0, 9):
-            with pytest.raises(ValueError):
-                diagonalize(chain, k_max=k)
-        with pytest.raises(ValueError):
-            diagonalize(chain, k_max=3, e_max=0.0)
-
     def test_vectors_orthonormal_and_residuals(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 400)
-        spec = diagonalize(chain, k_max=30)
-        v = stein_vectors(chain, spec.energies)
+        w = diagonalize(chain)[:30]
+        v = stein_vectors(chain, w)
         assert v.shape == (400, 30)
         np.testing.assert_allclose(v.T @ v, np.eye(30), atol=1e-12)
-        res = chain.matvec(v) - spec.energies[None, :] * v
+        res = chain.matvec(v) - w[None, :] * v
         assert np.max(np.linalg.norm(res, axis=0)) < 1e-9 * chain.norm_bound()
 
     def test_certification_rejects_corrupt_vector(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 100)
-        spec = diagonalize(chain, k_max=5)
-        v = stein_vectors(chain, spec.energies)
+        w = diagonalize(chain)[:5]
+        v = stein_vectors(chain, w)
         v[:, 3] = np.roll(v[:, 3], 7)  # still normalized, no longer an eigenvector
         with pytest.raises(ConvergenceError) as err:
-            _certify_residuals(chain, spec.energies, v)
+            _certify_residuals(chain, w, v)
         assert err.value.index == 3
 
     def test_sliced_vectors_orthonormal_across_slices(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 400)
-        spec = diagonalize(chain)
-        assert len(spec) == 400 > 4 * quantum._SLICE
-        v = stein_vectors(chain, spec.energies)
+        w = diagonalize(chain)
+        assert len(w) == 400 > 4 * quantum._SLICE
+        v = stein_vectors(chain, w)
         np.testing.assert_allclose(v.T @ v, np.eye(400), rtol=0, atol=1e-12)
-        res = chain.matvec(v) - spec.energies[None, :] * v
+        res = chain.matvec(v) - w[None, :] * v
         assert np.max(np.linalg.norm(res, axis=0)) < quantum.RESIDUAL_RTOL * chain.norm_bound()
         ref = np.linalg.eigvalsh(chain_dense(chain))
-        np.testing.assert_allclose(spec.energies, ref, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
     def test_tied_levels_share_a_slice(self, monkeypatch):
         # at odd R the g = 0 towers tie exactly (site n and n - R); at tiny g
@@ -216,20 +223,20 @@ class TestDiagonalize:
         monkeypatch.setattr(quantum, "_SLICE", 1)
         p0 = RabiParams(omega0=1.0, Omega=41.0, g=0.0)
         chain = build_parity_chain(p0, Parity.MINUS, 300)
-        spec = diagonalize(chain)
-        assert np.count_nonzero(np.diff(spec.energies) == 0.0) > 100
-        v = stein_vectors(chain, spec.energies)
+        w = diagonalize(chain)
+        assert np.count_nonzero(np.diff(w) == 0.0) > 100
+        v = stein_vectors(chain, w)
         # each level is a distinct chain site: a permutation of unit vectors
         sites = np.argmax(np.abs(v), axis=0)
         assert sorted(sites) == list(range(300))
         np.testing.assert_array_equal(np.abs(v), np.eye(300)[:, sites])
-        np.testing.assert_array_equal(chain.diag[sites], spec.energies)
+        np.testing.assert_array_equal(chain.diag[sites], w)
 
         p = RabiParams(omega0=1.0, Omega=41.0, g=1e-6)
         chain = build_parity_chain(p, Parity.MINUS, 300)
-        spec = diagonalize(chain)
-        assert np.min(np.diff(spec.energies)) < 1e-10
-        v = stein_vectors(chain, spec.energies)
+        w = diagonalize(chain)
+        assert np.min(np.diff(w)) < 1e-10
+        v = stein_vectors(chain, w)
         np.testing.assert_allclose(v.T @ v, np.eye(300), rtol=0, atol=1e-12)
 
     def test_corrupt_column_past_first_slice_reports_global_index(self, monkeypatch):
@@ -246,7 +253,7 @@ class TestDiagonalize:
         monkeypatch.setattr(quantum, "dstein", corrupting_stein)
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 400)
-        w = diagonalize(chain, k_max=200).energies
+        w = diagonalize(chain)[:200]
         with pytest.raises(ConvergenceError) as err:
             stein_vectors(chain, w)
         assert calls == [quantum._SLICE, quantum._SLICE]
@@ -319,7 +326,7 @@ class TestConvergedWindow:
         monkeypatch.setattr(quantum, "_CAP_PER_R", 0.2)
         with pytest.raises(TruncationLimitError) as err:
             converged_window(p, Parity.MINUS, eps_max=0.0, with_observables=True)
-        assert err.value.dim == 12
+        # the spectrum of the solve at the cap, which alone says its truncation
         spec = err.value.spectrum
         assert spec.dim == 12 and spec.n_converged < len(spec)
         # the tail residual is that of the zero-padded vector on a longer chain
@@ -329,13 +336,18 @@ class TestConvergedWindow:
         res = np.linalg.norm(longer.matvec(padded) - spec.energies * padded, axis=0)
         np.testing.assert_allclose(res, spec.tail_residual, rtol=1e-9)
 
-    def test_levels_above_the_cap_fail_before_any_solve(self, monkeypatch):
+    @pytest.mark.parametrize("k_max, message", [
+        (201, "k_max=201 levels exceed the dim cap 200"),
+        (0, "k_max must be >= 1"),
+        (-3, "k_max must be >= 1"),
+    ])
+    def test_bad_level_counts_fail_before_any_chain(self, k_max, message, monkeypatch):
         # k_max sites at the least: past the cap the chain would outgrow it
         p = RabiParams(omega0=1.0, Omega=1.0, g=0.5)  # cap = 200
         calls = []
-        monkeypatch.setattr(quantum, "diagonalize", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match="k_max=201 levels exceed the dim cap 200"):
-            converged_levels(p, Parity.MINUS, k_max=201)
+        monkeypatch.setattr(quantum, "build_parity_chain", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=message):
+            converged_levels(p, Parity.MINUS, k_max=k_max)
         assert not calls
 
     def test_tol_validation(self):
@@ -371,8 +383,8 @@ class TestConvergedWindow:
         spec = converged_levels(p, Parity.MINUS, k_max=20, tol=tol)
         assert spec.dim > 128
         assert spec.n_converged == 20
-        ref = diagonalize(build_parity_chain(p, Parity.MINUS, 4 * spec.dim), k_max=20)
-        np.testing.assert_allclose(spec.energies, ref.energies, rtol=0, atol=tol)
+        ref = diagonalize(build_parity_chain(p, Parity.MINUS, 4 * spec.dim))[:20]
+        np.testing.assert_allclose(spec.energies, ref, rtol=0, atol=tol)
 
     def test_window_reports_tail_residuals(self):
         p = RabiParams(omega0=1.0, Omega=60.0, g=1.4)
@@ -386,7 +398,7 @@ class TestConvergedWindow:
 
 
 def _stein_last_components(chain, k_max):
-    w = diagonalize(chain, k_max=k_max).energies
+    w = diagonalize(chain)[:k_max]
     return w, np.abs(stein_vectors(chain, w)[-1])
 
 
@@ -424,7 +436,7 @@ class TestTailBound:
         assert quantum._tail_bound(chain, np.empty(0)).shape == (0,)
         # g = 0: every level off the last site has v[dim-1] = 0 exactly
         chain = build_parity_chain(RabiParams(omega0=1.0, Omega=40.0, g=0.0), Parity.PLUS, 64)
-        w = diagonalize(chain, k_max=20).energies
+        w = diagonalize(chain)[:20]
         np.testing.assert_array_equal(quantum._tail_bound(chain, w), np.zeros(20))
 
 
@@ -485,14 +497,13 @@ class TestObservables:
         assert spec.observables is None
         _, spec = converged_window(p, Parity.MINUS, eps_max=-0.5, with_observables=True)
         assert spec.observables.n_phot.shape == (len(spec),)
-        assert spec.observables.eps is spec.eps
 
     def test_g0_site_diagnostics(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
         for parity in (Parity.MINUS, Parity.PLUS):
             dim = 40
             chain = build_parity_chain(p, parity, dim)
-            w = diagonalize(chain).energies
+            w = diagonalize(chain)
             n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, w))
             # level k lives on the chain site that sorts to position k
             sites = np.argsort(chain.diag, kind="stable")
@@ -508,7 +519,7 @@ class TestObservables:
         dense = dense_sector_data(p, dim)
         for parity in (Parity.MINUS, Parity.PLUS):
             chain = build_parity_chain(p, parity, dim)
-            w = diagonalize(chain, k_max=k).energies
+            w = diagonalize(chain)[:k]
             n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, w))
             w_ref, n_ref, sz_ref, p_ref = dense[parity]
             np.testing.assert_allclose(w, w_ref[:k], atol=1e-10)
@@ -561,7 +572,7 @@ class TestStreamedObservables:
         # (w, [z; 0]) on the long chain, in-chain part and cut-off tail both
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 200)
-        w = diagonalize(chain, k_max=10).energies
+        w = diagonalize(chain)[:10]
         cut = build_parity_chain(p, Parity.MINUS, d)
         z, res = quantum._slice_vectors(cut, w, 0)
         padded = np.zeros((chain.dim, len(w)))

@@ -27,6 +27,7 @@ def make_spectrum(parity, energies, params=P40, n_converged=None):
         energies=energies,
         eps=2.0 * energies / params.Omega,
         n_converged=len(energies) if n_converged is None else n_converged,
+        tail_residual=np.zeros(len(energies)),
     )
 
 
@@ -47,7 +48,8 @@ class TestMergedLevels:
         np.testing.assert_allclose(wd.nu_bar, 20.0, rtol=1e-11)
 
     def test_requires_converged_spectra(self):
-        plain = diagonalize(build_parity_chain(P40, Parity.MINUS, 32))
+        plain = make_spectrum(Parity.MINUS, diagonalize(build_parity_chain(P40, Parity.MINUS, 32)),
+                              n_converged=0)
         plus = g0_sectors()[1]
         with pytest.raises(ValueError, match="needs converged levels in both sectors"):
             windowed_dos(plain, plus)
@@ -188,6 +190,10 @@ class TestGapMap:
         assert gm.n_unconverged > 0
         assert not np.all(gm.converged)
 
-    def test_k_max_validation(self):
-        with pytest.raises(ValueError):
+    def test_k_max_validation(self, monkeypatch):
+        # the one check, in the certified solve, runs before any chain is built
+        calls = []
+        monkeypatch.setattr(quantum, "build_parity_chain", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
             gap_map(1.0, 40.0, np.array([1.0]), k_max=0)
+        assert not calls
