@@ -48,10 +48,15 @@ residual against the infinite chain gains one component beyond the
 in-chain one: the tail residual lam sqrt(d) |v[d-1]|, from the only
 coupling cut off.  H is self-adjoint, so some exact eigenvalue lies within
 the total residual of the Ritz value (Parlett, The Symmetric Eigenvalue
-Problem, ch. 10-11).  converged_window and converged_levels solve once at
-a truncation of the classical orbit's n_cls sites plus 12 Airy widths
-n_cls^{1/3}, and re-solve only when a level's residual is not below
-tol * omega0.
+Problem, ch. 10-11).  That total, hypot(in-chain term, tail term), is
+each level's one error bound, in every solve.  With vectors the in-chain
+term is the measured residual; without them it is sterf's precision
+4 ulp ||T|| (ParityChain.precision).  converged_window and
+converged_levels solve once at a truncation of the classical orbit's n_cls
+sites plus 12 Airy widths n_cls^{1/3}, and re-solve only when a level's
+bound is not below tol * omega0.  No truncation certifies below the
+precision, which grows with dim, so a chain whose precision is at or
+above tol * omega0 is never solved: the solve raises ValueError instead.
 
 The observables solve takes each level's Ritz value w from that window
 chain, but runs each slice's stein on the chain cut at the orbit of the
@@ -109,10 +114,6 @@ __all__ = [
     "eigen_observables",
 ]
 
-# Residual certification threshold, relative to a cheap tridiagonal norm
-# bound max|diag| + 2 max|offdiag|.
-RESIDUAL_RTOL = 1e-9
-
 # Default truncation cap of the certified solves, in units of R max(1, g^2).
 _CAP_PER_R = 200.0
 
@@ -153,18 +154,14 @@ class Parity(enum.Enum):
 
 
 class ConvergenceError(RuntimeError):
-    """An eigenpair failed its convergence or residual certification."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    """LAPACK reported that an eigenvalue or eigenvector did not converge."""
 
 
 class TruncationLimitError(RuntimeError):
     """The truncation cap was hit before every requested level certified.
 
     spectrum is the solve at the cap: its dim is the cap, and its
-    n_converged and tail_residual say which levels did certify.
+    n_converged and error_bound say which levels did certify.
     """
 
     def __init__(self, message: str, spectrum: ParitySpectrum):
@@ -223,9 +220,13 @@ class ParityChain:
         return len(self.diag)
 
     def norm_bound(self) -> float:
-        """Upper bound on ||H_sector||_2 used for residual certification."""
+        """Upper bound max|diag| + 2 max|offdiag| on ||H_sector||_2."""
         off = float(np.max(np.abs(self.offdiag))) if self.dim > 1 else 0.0
         return float(np.max(np.abs(self.diag))) + 2.0 * off
+
+    def precision(self) -> float:
+        """sterf's eigenvalue precision 4 ulp ||H_sector||, in energy units."""
+        return 4.0 * np.finfo(float).eps * self.norm_bound()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v for a dim x m block of column vectors."""
@@ -261,13 +262,14 @@ class ParitySpectrum:
     """The certified solve of one parity chain at truncation dim.
 
     converged_window and converged_levels return one; energies are the
-    ascending bare levels, eps = 2 E / Omega.  tail_residual bounds each
-    eigenvalue's distance to the untruncated spectrum.  With observables
-    it is the residual, against the untruncated chain, of the level's
-    zero-padded eigenvector: from the chain its slice was cut to, or from
-    the whole chain.  Without them it is lam sqrt(dim) times the
-    backward-pivot bound on |v[dim-1]|.  n_converged counts the leading
-    levels whose bound is below tol * omega0.  observables, set by
+    ascending bare levels, eps = 2 E / Omega.  error_bound bounds each
+    eigenvalue's distance to the untruncated spectrum: the residual,
+    against the untruncated chain, of the level's zero-padded eigenvector.
+    With observables that vector is computed, on the chain its slice was
+    cut to or on the whole chain; without them the in-chain part is the
+    chain's precision and the tail part uses the backward-pivot bound on
+    |v[dim-1]|.  n_converged counts the leading levels whose bound is
+    below tol * omega0.  observables, set by
     converged_window(with_observables=True), holds <a^dag a>, <sigma_z>
     and p_loc of every level.
     """
@@ -278,11 +280,11 @@ class ParitySpectrum:
     energies: np.ndarray = field(repr=False)
     eps: np.ndarray = field(repr=False)
     n_converged: int
-    tail_residual: np.ndarray = field(repr=False)
+    error_bound: np.ndarray = field(repr=False)
     observables: EigenObservables | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        for a in (self.energies, self.eps, self.tail_residual):
+        for a in (self.energies, self.eps, self.error_bound):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -307,26 +309,13 @@ def build_parity_chain(params: RabiParams, parity: Parity, dim: int) -> ParityCh
     return ParityChain(params=params, parity=parity, diag=diag, offdiag=offdiag)
 
 
-def _certify_residuals(chain: ParityChain, w: np.ndarray, v: np.ndarray,
-                       first: int = 0) -> np.ndarray:
-    # ||H v - w v|| per eigenpair, one column at a time so that no second
-    # block of vectors is held, checked against RESIDUAL_RTOL * ||H|| bound;
-    # returns the norms.  An error names first + k, the level's index in
-    # the full solve
-    norms = np.empty(len(w))
-    for k in range(len(w)):
-        col = v[:, k:k + 1]
-        norms[k] = np.linalg.norm(chain.matvec(col) - w[k] * col)
-    bound = RESIDUAL_RTOL * chain.norm_bound()
-    bad = np.nonzero(norms > bound)[0]
-    if bad.size:
-        k = first + int(bad[0])
-        raise ConvergenceError(
-            f"eigenpair {k} failed residual certification: "
-            f"|r| = {norms[bad[0]]:.3e} > {bound:.3e}",
-            index=k,
-        )
-    return norms
+def _error_bound(chain: ParityChain, inner: float | list[float],
+                 v_last: np.ndarray) -> np.ndarray:
+    # the residual, against the untruncated chain, of each level's vector v
+    # padded with zeros: its in-chain part and its tail lam sqrt(dim)
+    # |v[dim-1]| are orthogonal components (the module docstring cites the
+    # bound)
+    return np.hypot(inner, chain.params.lam * math.sqrt(chain.dim) * v_last)
 
 
 def _diagonal_order(chain: ParityChain) -> np.ndarray | None:
@@ -371,9 +360,9 @@ def _slice_vectors(chain: ParityChain, w: np.ndarray,
                    first: int) -> tuple[np.ndarray, np.ndarray]:
     # eigenvectors of the chain's ascending levels w, the levels first,
     # first + 1, ... of its solve: one stein call, or unit vectors on a
-    # diagonal chain, each certified in-chain.  Also returns the residual of
-    # each, zero-padded, against the untruncated chain: the in-chain one
-    # and the tail lam sqrt(dim) |z[dim-1]| are orthogonal components
+    # diagonal chain.  Also returns the error bound of each, from its
+    # measured in-chain residual, one column at a time so that no second
+    # block of vectors is held
     order = _diagonal_order(chain)
     if order is not None:
         z = np.zeros((chain.dim, len(w)))
@@ -388,9 +377,9 @@ def _slice_vectors(chain: ParityChain, w: np.ndarray,
             raise ConvergenceError(
                 f"inverse iteration failed: {info} of levels {first}..{first + len(w) - 1} "
                 "did not converge")
-    inner = _certify_residuals(chain, w, z, first)
-    tail = chain.params.lam * math.sqrt(chain.dim) * np.abs(z[-1])
-    return z, np.hypot(inner, tail)
+    inner = [np.linalg.norm(chain.matvec(z[:, k:k + 1]) - w[k] * z[:, k:k + 1])
+             for k in range(len(w))]
+    return z, _error_bound(chain, inner, np.abs(z[-1]))
 
 
 def _observed_slice(chain: ParityChain, w: np.ndarray, first: int,
@@ -408,7 +397,7 @@ def _observed_slice(chain: ParityChain, w: np.ndarray, first: int,
         cut = replace(chain, diag=chain.diag[:d], offdiag=chain.offdiag[:d - 1])
         try:
             z, res = _slice_vectors(cut, w, first)
-        except ConvergenceError:  # stein or the in-chain check, on a cut too short
+        except ConvergenceError:  # stein, on a cut too short
             res = None
         if res is not None and np.all(res < bound):
             return (res, *eigen_observables(chain.parity, z))
@@ -484,16 +473,16 @@ def _certified_spectrum(
 
     The one place a ParitySpectrum is built, and the one check of k_max
     (1 <= k_max <= the cap), made before any chain is.  Each level w is
-    certified when the residual of some vector, padded with zeros, against
-    the untruncated chain is below tol * omega0.  Without
-    with_observables no vector is computed: the residual is
-    lam sqrt(dim) |v[dim-1]|, with _tail_bound standing in for |v[dim-1]|.
+    certified when its error bound is below tol * omega0.  Without
+    with_observables no vector is computed: the bound's in-chain term is
+    the chain's precision, and _tail_bound stands in for |v[dim-1]|.
     With it, each slice's vectors are certified on arrival, reduced to
     observables and dropped.  Only a failed certificate re-solves, at a
     truncation sized to the top Ritz value, up to the cap of
-    _CAP_PER_R R max(1, g^2).
+    _CAP_PER_R R max(1, g^2).  A chain whose precision is at or above
+    tol * omega0 raises ValueError before it is solved.
     """
-    # NaN must fail here: no tail residual is below it, so the solve would
+    # NaN must fail here: no error bound is below it, so the solve would
     # regrow to the cap before raising
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -513,6 +502,12 @@ def _certified_spectrum(
     dim = min(dim, dim_cap)
     while True:
         chain = build_parity_chain(params, parity, dim)
+        precision = chain.precision()
+        if precision >= tol * params.omega0:
+            raise ValueError(
+                f"tol={tol:g} is at or below the eigenvalue precision "
+                f"{precision / params.omega0:.3e} omega0 of the dim {dim} chain, "
+                "so no truncation certifies it")
         w = diagonalize(chain)
         w = w[:k_max] if eps_max is None else w[:np.searchsorted(w, e_max, side="right")]
         observables = None
@@ -520,20 +515,20 @@ def _certified_spectrum(
             out = np.empty((4, len(w)))
             for a, b in _slices(chain, w):
                 out[:, a:b] = _observed_slice(chain, w[a:b], a, tol * params.omega0)
-            tail, n_phot, sz, p_loc = out
+            error, n_phot, sz, p_loc = out
             observables = EigenObservables(n_phot, sz, p_loc)
         else:
-            tail = params.lam * math.sqrt(dim) * _tail_bound(chain, w)
-        certified = tail < tol * params.omega0
+            error = _error_bound(chain, precision, _tail_bound(chain, w))
+        certified = error < tol * params.omega0
         n_conv = len(w) if certified.all() else int(np.argmin(certified))
-        spec = ParitySpectrum(params, parity, dim, w, 2.0 * w / params.Omega, n_conv, tail,
+        spec = ParitySpectrum(params, parity, dim, w, 2.0 * w / params.Omega, n_conv, error,
                               observables)
         if n_conv == len(w):
             return spec
         if dim >= dim_cap:
             raise TruncationLimitError(
                 f"{len(w) - n_conv} of {len(w)} levels not certified within "
-                f"dim cap {dim_cap} (tail residual {np.max(tail):.3e} >= "
+                f"dim cap {dim_cap} (error bound {np.max(error):.3e} >= "
                 f"{tol * params.omega0:.3e})",
                 spectrum=spec,
             )
@@ -573,7 +568,7 @@ def converged_levels(
     """The lowest k_max levels, each certified to within tol * omega0.
 
     Count-based companion of converged_window: solves once at
-    max(4 k_max, 128) and certifies every level by its tail residual,
+    max(4 k_max, 128) and certifies every level by its error bound,
     growing the truncation only when that certificate fails.
     """
     return _certified_spectrum(params, parity, tol, with_observables=False, k_max=k_max)

@@ -111,14 +111,14 @@ class GapMap:
 
     @property
     def floor(self) -> np.ndarray:
-        """Per coupling, the eps precision floor 4 eps_mach ||H|| (2/Omega) at dim."""
-        norms = [
+        """Per coupling, the larger sector's ParityChain.precision at dim, in eps."""
+        precision = [
             max(build_parity_chain(RabiParams(self.omega0, self.Omega, float(g)),
-                                   parity, int(dim)).norm_bound()
+                                   parity, int(dim)).precision()
                 for parity in Parity)
             for g, dim in zip(self.g, self.dim)
         ]
-        return 4.0 * np.finfo(float).eps * np.array(norms) * 2.0 / self.Omega
+        return np.array(precision) * 2.0 / self.Omega
 
     @property
     def unresolved(self) -> np.ndarray:

@@ -292,10 +292,33 @@ class TestFailedRunWritesNothing:
         assert not out.exists()
 
     def test_runtime_error_after_the_semiclassical_curve(self, tmp_path):
-        # the curve is computed before the quantum sectors fail to certify
+        # the curve is computed before the quantum sectors fail
         code, out = run(tmp_path, "observables", "--ratio", "8", "--g", "1.2",
                         "--points", "11", "--conv-tol", "1e-300")
         assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--g", "1.2", "--levels", "3"],
+        ["gapmap", "--g-steps", "3", "--levels", "3"],
+        ["dos", "--g", "1.2", "--points", "11"],
+        ["observables", "--g", "1.2", "--points", "11"],
+        ["probabilities", "--g", "1.2"],
+    ])
+    def test_tol_below_the_chain_precision(self, tmp_path, capsys, monkeypatch, argv):
+        # no truncation certifies below the eigenvalue precision: the first
+        # chain is never solved and no second one is built
+        built, solved = [], []
+        build, solve = quantum.build_parity_chain, quantum.diagonalize
+        monkeypatch.setattr(quantum, "build_parity_chain",
+                            lambda *a: built.append(a[2]) or build(*a))
+        monkeypatch.setattr(quantum, "diagonalize", lambda c: solved.append(c.dim) or solve(c))
+        code, out = run(tmp_path, *argv, "--ratio", "40", "--conv-tol", "1e-300")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(r"tol=1e-300 is at or below the eigenvalue precision \S+ omega0 "
+                         rf"of the dim {built[0]} chain", err), err
+        assert len(built) == 1 and not solved
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--quad-tol", "--conv-tol"])

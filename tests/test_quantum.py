@@ -1,6 +1,7 @@
 """Unit tests for the parity-chain construction and eigensolver."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -21,7 +22,6 @@ from rabi_esqpt import (
     eigen_observables,
 )
 from rabi_esqpt import quantum
-from rabi_esqpt.quantum import _certify_residuals
 
 from oracles import dense_hamiltonian, dense_sector_data, random_params
 
@@ -168,8 +168,7 @@ class TestDiagonalize:
             v = stein_vectors(chain, w)
             np.testing.assert_allclose(v.T @ v, np.eye(dim), rtol=0, atol=1e-12)
             res = chain.matvec(v) - w[None, :] * v
-            assert np.max(np.linalg.norm(res, axis=0)) <= (
-                quantum.RESIDUAL_RTOL * chain.norm_bound())
+            assert np.max(np.linalg.norm(res, axis=0)) <= 1e-9 * chain.norm_bound()
             w_sectors.append(w)
         w_dense = np.linalg.eigvalsh(dense_hamiltonian(p, dim))
         scale = np.max(np.abs(w_dense))
@@ -194,16 +193,6 @@ class TestDiagonalize:
         res = chain.matvec(v) - w[None, :] * v
         assert np.max(np.linalg.norm(res, axis=0)) < 1e-9 * chain.norm_bound()
 
-    def test_certification_rejects_corrupt_vector(self):
-        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
-        chain = build_parity_chain(p, Parity.MINUS, 100)
-        w = diagonalize(chain)[:5]
-        v = stein_vectors(chain, w)
-        v[:, 3] = np.roll(v[:, 3], 7)  # still normalized, no longer an eigenvector
-        with pytest.raises(ConvergenceError) as err:
-            _certify_residuals(chain, w, v)
-        assert err.value.index == 3
-
     def test_sliced_vectors_orthonormal_across_slices(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 400)
@@ -212,7 +201,7 @@ class TestDiagonalize:
         v = stein_vectors(chain, w)
         np.testing.assert_allclose(v.T @ v, np.eye(400), rtol=0, atol=1e-12)
         res = chain.matvec(v) - w[None, :] * v
-        assert np.max(np.linalg.norm(res, axis=0)) < quantum.RESIDUAL_RTOL * chain.norm_bound()
+        assert np.max(np.linalg.norm(res, axis=0)) < 1e-9 * chain.norm_bound()
         ref = np.linalg.eigvalsh(chain_dense(chain))
         np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
@@ -238,26 +227,6 @@ class TestDiagonalize:
         assert np.min(np.diff(w)) < 1e-10
         v = stein_vectors(chain, w)
         np.testing.assert_allclose(v.T @ v, np.eye(300), rtol=0, atol=1e-12)
-
-    def test_corrupt_column_past_first_slice_reports_global_index(self, monkeypatch):
-        calls = []
-        stein = quantum.dstein
-
-        def corrupting_stein(*args):
-            z, info = stein(*args)
-            calls.append(len(args[2]))
-            if len(calls) == 2:
-                z[:, 3] = np.roll(z[:, 3], 7)
-            return z, info
-
-        monkeypatch.setattr(quantum, "dstein", corrupting_stein)
-        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
-        chain = build_parity_chain(p, Parity.MINUS, 400)
-        w = diagonalize(chain)[:200]
-        with pytest.raises(ConvergenceError) as err:
-            stein_vectors(chain, w)
-        assert calls == [quantum._SLICE, quantum._SLICE]
-        assert err.value.index == quantum._SLICE + 3
 
     def test_vector_solve_memory_is_the_output(self):
         # the README observables window at R = 1000: each slice of vectors
@@ -329,12 +298,12 @@ class TestConvergedWindow:
         # the spectrum of the solve at the cap, which alone says its truncation
         spec = err.value.spectrum
         assert spec.dim == 12 and spec.n_converged < len(spec)
-        # the tail residual is that of the zero-padded vector on a longer chain
+        # the error bound is the residual of the zero-padded vector on a longer chain
         longer = build_parity_chain(p, Parity.MINUS, 17)
         padded = np.zeros((17, len(spec)))
         padded[:12] = stein_vectors(build_parity_chain(p, Parity.MINUS, 12), spec.energies)
         res = np.linalg.norm(longer.matvec(padded) - spec.energies * padded, axis=0)
-        np.testing.assert_allclose(res, spec.tail_residual, rtol=1e-9)
+        np.testing.assert_allclose(res, spec.error_bound, rtol=1e-9)
 
     @pytest.mark.parametrize("k_max, message", [
         (201, "k_max=201 levels exceed the dim cap 200"),
@@ -375,6 +344,40 @@ class TestConvergedWindow:
         with pytest.raises(ValueError, match="eps_max must be finite"):
             converged_window(p, Parity.MINUS, eps_max=eps_max)
 
+    @pytest.mark.parametrize("with_observables", [False, True])
+    def test_tol_below_the_start_chain_precision_fails_before_any_solve(
+            self, with_observables, monkeypatch):
+        # no truncation certifies below the chain's precision, so a tol just
+        # under it at the start dim raises at once, and 10x that certifies
+        p = RabiParams(omega0=0.5, Omega=20.0, g=1.2)
+        dim = quantum._orbit_dim(p, -0.5)
+        precision = build_parity_chain(p, Parity.MINUS, dim).precision()
+        built, solved = [], []
+        build, solve = quantum.build_parity_chain, quantum.diagonalize
+        monkeypatch.setattr(quantum, "build_parity_chain",
+                            lambda *a: built.append(a[2]) or build(*a))
+        monkeypatch.setattr(quantum, "diagonalize", lambda c: solved.append(c.dim) or solve(c))
+        message = (f"tol={0.99 * precision / p.omega0:g} is at or below the eigenvalue "
+                   f"precision {precision / p.omega0:.3e} omega0 of the dim {dim} chain")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            converged_window(p, Parity.MINUS, eps_max=-0.5, tol=0.99 * precision / p.omega0,
+                             with_observables=with_observables)
+        assert built == [dim] and not solved
+        tol = 10.0 * precision / p.omega0
+        _, spec = converged_window(p, Parity.MINUS, eps_max=-0.5, tol=tol,
+                                   with_observables=with_observables)
+        assert spec.n_converged == len(spec) > 10
+        assert np.all(spec.error_bound < tol * p.omega0)
+
+    def test_values_only_bound_holds_the_chain_precision(self):
+        # without vectors the in-chain term is the chain's precision, so no
+        # level's bound is below it, however small its tail
+        p = RabiParams(omega0=1.0, Omega=40.0, g=0.2)
+        spec = converged_levels(p, Parity.PLUS, k_max=5)
+        precision = build_parity_chain(p, Parity.PLUS, spec.dim).precision()
+        assert np.all(spec.error_bound >= precision)
+        np.testing.assert_allclose(spec.error_bound, precision, rtol=1e-6)
+
     def test_levels_grow_past_failed_certificate(self):
         # 20 levels at R = 40, g = 3 reach far beyond the first solve's
         # 128 sites, so the certificate must fail once and force a re-solve
@@ -386,14 +389,14 @@ class TestConvergedWindow:
         ref = diagonalize(build_parity_chain(p, Parity.MINUS, 4 * spec.dim))[:20]
         np.testing.assert_allclose(spec.energies, ref, rtol=0, atol=tol)
 
-    def test_window_reports_tail_residuals(self):
+    def test_window_reports_error_bounds(self):
         p = RabiParams(omega0=1.0, Omega=60.0, g=1.4)
         tol = 1e-8
         dim, spec = converged_window(p, Parity.PLUS, eps_max=-0.5, tol=tol,
                                      with_observables=True)
         assert spec.n_converged == len(spec) > 0
-        assert spec.tail_residual.shape == (len(spec),)
-        assert np.all(spec.tail_residual < tol * p.omega0)
+        assert spec.error_bound.shape == (len(spec),)
+        assert np.all(spec.error_bound < tol * p.omega0)
         assert spec.dim == dim and spec.observables.n_phot.shape == (len(spec),)
 
 
@@ -557,7 +560,7 @@ class TestStreamedObservables:
                                      with_observables=True)
         assert min(dims) < dim  # the low slices ran on cut chains
         assert spec.n_converged == len(spec) > 100
-        assert np.all(spec.tail_residual < tol * p.omega0)
+        assert np.all(spec.error_bound < tol * p.omega0)
         chain = build_parity_chain(p, parity, dim)
         n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, spec.energies))
         obs = spec.observables
@@ -579,6 +582,72 @@ class TestStreamedObservables:
         padded[:d] = z
         full = np.linalg.norm(chain.matvec(padded) - w * padded, axis=0)
         np.testing.assert_allclose(res, full, rtol=1e-12, atol=0)
+
+    def test_bad_vector_on_the_cut_chain_is_solved_again_on_the_window(self, monkeypatch):
+        # a vector that is no eigenvector fails the certificate like any
+        # other: its slice is solved again on the whole window chain, whose
+        # observables match the uncorrupted solve
+        p = RabiParams(omega0=1.0, Omega=200.0, g=1.4)
+        _, ref = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
+        stein, corrupted = quantum.dstein, []
+
+        def corrupting_stein(d, e, w, *args):
+            z, info = stein(d, e, w, *args)
+            if len(d) < ref.dim:  # only on cut chains
+                z[:, 3] = np.roll(z[:, 3], 7)  # still normalized, no eigenvector
+                corrupted.append(len(d))
+            return z, info
+
+        monkeypatch.setattr(quantum, "dstein", corrupting_stein)
+        # cap ceil(2 R g^2) = 784, above the window: a missed fallback fails fast
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 2.0)
+        dims = _record_slice_chains(monkeypatch)
+        dim, spec = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX,
+                                     with_observables=True)
+        assert dim == ref.dim and corrupted
+        # every corrupted cut-chain slice was followed by a window-chain solve
+        assert dims.count(dim) == len(list(quantum._slices(
+            build_parity_chain(p, Parity.MINUS, dim), spec.energies)))
+        assert spec.n_converged == len(spec) == len(ref)
+        assert np.all(spec.error_bound < 1e-8 * p.omega0)
+        for name in ("n_phot", "sz", "p_loc"):
+            np.testing.assert_allclose(getattr(spec.observables, name),
+                                       getattr(ref.observables, name), rtol=1e-12, atol=1e-12)
+
+    def test_bad_vector_on_every_chain_is_never_certified(self, monkeypatch):
+        # corrupted on every call, level 3 of the first slice never certifies,
+        # so the window regrows to the cap and the solve reports levels 0-2
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 5.0)  # cap ceil(5 R g^2) = 392
+        stein, dims = quantum.dstein, []
+
+        def corrupting_stein(d, e, w, *args):
+            z, info = stein(d, e, w, *args)
+            z[:, 3] = np.roll(z[:, 3], 7)
+            dims.append(len(d))
+            return z, info
+
+        monkeypatch.setattr(quantum, "dstein", corrupting_stein)
+        with pytest.raises(TruncationLimitError) as err:
+            converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
+        spec = err.value.spectrum
+        assert spec.dim == max(dims) == 392 and len(set(dims)) > 2
+        assert spec.n_converged == 3 and spec.error_bound[3] >= 1e-8 * p.omega0
+
+    def test_convergence_error_is_lapack_failure(self, monkeypatch):
+        # stein's failure on a cut chain falls back to the window chain; on
+        # the window chain it is the one case that raises ConvergenceError
+        p = RabiParams(omega0=1.0, Omega=200.0, g=1.4)
+        stein, dims = quantum.dstein, []
+
+        def failing_stein(d, *args):
+            dims.append(len(d))
+            return stein(d, *args)[0], 2
+
+        monkeypatch.setattr(quantum, "dstein", failing_stein)
+        with pytest.raises(ConvergenceError, match="inverse iteration failed: 2 of levels 0.."):
+            converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
+        assert len(dims) == 2 and dims[0] < dims[1]
 
     def test_short_pad_falls_back_to_the_window_chain(self, monkeypatch):
         # at the window's own 12 Airy widths the top levels of some slices
@@ -607,7 +676,7 @@ class TestStreamedObservables:
         # more chains than slices: some slices were solved twice
         assert n_slices < len(dims) and n_cut > 0
         assert spec.n_converged == len(spec)
-        assert np.all(spec.tail_residual < tol * p.omega0)
+        assert np.all(spec.error_bound < tol * p.omega0)
         np.testing.assert_allclose(spec.observables.n_phot, ref.observables.n_phot,
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(spec.observables.sz, ref.observables.sz,

@@ -27,7 +27,7 @@ def make_spectrum(parity, energies, params=P40, n_converged=None):
         energies=energies,
         eps=2.0 * energies / params.Omega,
         n_converged=len(energies) if n_converged is None else n_converged,
-        tail_residual=np.zeros(len(energies)),
+        error_bound=np.zeros(len(energies)),
     )
 
 
