@@ -24,8 +24,8 @@ the coupling is parametrized by g = 2 lam / sqrt(omega0 Omega), with g = 1
 the ground-state critical point and eps = -1 the excited-state critical
 energy for g > 1.
 
-Diagonalization never densifies the chain.  Every eigenvalue of every
-chain comes from one call of LAPACK sterf (root-free QL/QR, O(dim^2), no
+Diagonalization never densifies the chain.  Every eigenvalue a solve
+reports comes from one call of LAPACK sterf (root-free QL/QR, O(dim^2), no
 workspace); at g = 0 the chain is diagonal and sterf returns its sorted
 diagonal exactly.  Only the observables solve,
 converged_window(with_observables=True), computes eigenvectors, and it
@@ -54,9 +54,16 @@ term is the measured residual; without them it is sterf's precision
 4 ulp ||T|| (ParityChain.precision).  converged_window and
 converged_levels solve once at a truncation of the classical orbit's n_cls
 sites plus 12 Airy widths n_cls^{1/3}, and re-solve only when a level's
-bound is not below tol * omega0.  No truncation certifies below the
-precision, which grows with dim, so a chain whose precision is at or
-above tol * omega0 is never solved: the solve raises ValueError instead.
+bound is not below tol * omega0.  converged_window takes the orbit at
+eps_max.  converged_levels takes it at the k_max-th eigenvalue of a probe,
+the chain's leading max(4 k_max, 128) sites, found alone by one stebz
+index bisection (about a fifth of a sterf call at 128 sites).  The probe
+is a leading block of the untruncated chain, so by Cauchy interlacing
+(Parlett, ch. 10) that eigenvalue lies at or above the true k_max-th
+level.  No level a solve reports comes from bisection.  No truncation
+certifies below the precision, which grows with dim, so a chain whose
+precision is at or above tol * omega0 is never solved, the probe
+included: the solve raises ValueError instead.
 
 The observables solve takes each level's Ritz value w from that window
 chain, but runs each slice's stein on the chain cut at the orbit of the
@@ -97,7 +104,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dstein, dsterf
+from scipy.linalg.lapack import dpttrf, dstebz, dstein, dsterf
 
 __all__ = [
     "Parity",
@@ -461,6 +468,19 @@ def _tail_bound(chain: ParityChain, w: np.ndarray) -> np.ndarray:
     return bound
 
 
+def _solvable_chain(params: RabiParams, parity: Parity, dim: int, tol: float) -> ParityChain:
+    # the chain at dim, for a solve or the probe: no truncation certifies
+    # below its precision, so a tol at or below that raises before either
+    chain = build_parity_chain(params, parity, dim)
+    precision = chain.precision()
+    if precision >= tol * params.omega0:
+        raise ValueError(
+            f"tol={tol:g} is at or below the eigenvalue precision "
+            f"{precision / params.omega0:.3e} omega0 of the dim {dim} chain, "
+            "so no truncation certifies it")
+    return chain
+
+
 def _certified_spectrum(
     params: RabiParams,
     parity: Parity,
@@ -477,10 +497,13 @@ def _certified_spectrum(
     with_observables no vector is computed: the bound's in-chain term is
     the chain's precision, and _tail_bound stands in for |v[dim-1]|.
     With it, each slice's vectors are certified on arrival, reduced to
-    observables and dropped.  Only a failed certificate re-solves, at a
-    truncation sized to the top Ritz value, up to the cap of
-    _CAP_PER_R R max(1, g^2).  A chain whose precision is at or above
-    tol * omega0 raises ValueError before it is solved.
+    observables and dropped.  The first solve is sized to the orbit at
+    eps_max, or at the probe's k_max-th Ritz value (the module docstring
+    says why that is safe), and holds k_max sites at least.  Only a failed
+    certificate re-solves, at a truncation sized to the top Ritz value, up
+    to the cap of _CAP_PER_R R max(1, g^2).  A chain whose precision is at
+    or above tol * omega0 raises ValueError before it is solved, the probe
+    included.
     """
     # NaN must fail here: no error bound is below it, so the solve would
     # regrow to the cap before raising
@@ -498,16 +521,18 @@ def _certified_spectrum(
         # the chain holds at least k_max sites, so above the cap it would outgrow it
         if k_max > dim_cap:
             raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
-        dim = max(4 * k_max, 128)
+        # the probe: its k_max-th Ritz value, bisected alone (range 2 is by
+        # index), lies at or above the true k_max-th level (the module
+        # docstring), so the orbit there sizes the solve
+        probe = _solvable_chain(params, parity, min(max(4 * k_max, 128), dim_cap), tol)
+        _, theta, _, _, info = dstebz(probe.diag, probe.offdiag, 2, 0.0, 0.0, k_max, k_max,
+                                      0.0, "E")
+        if info:
+            raise ConvergenceError(f"stebz: level {k_max} failed to converge")
+        dim = max(_orbit_dim(params, 2.0 * theta[0] / params.Omega), k_max)
     dim = min(dim, dim_cap)
     while True:
-        chain = build_parity_chain(params, parity, dim)
-        precision = chain.precision()
-        if precision >= tol * params.omega0:
-            raise ValueError(
-                f"tol={tol:g} is at or below the eigenvalue precision "
-                f"{precision / params.omega0:.3e} omega0 of the dim {dim} chain, "
-                "so no truncation certifies it")
+        chain = _solvable_chain(params, parity, dim, tol)
         w = diagonalize(chain)
         w = w[:k_max] if eps_max is None else w[:np.searchsorted(w, e_max, side="right")]
         observables = None
@@ -518,7 +543,7 @@ def _certified_spectrum(
             error, n_phot, sz, p_loc = out
             observables = EigenObservables(n_phot, sz, p_loc)
         else:
-            error = _error_bound(chain, precision, _tail_bound(chain, w))
+            error = _error_bound(chain, chain.precision(), _tail_bound(chain, w))
         certified = error < tol * params.omega0
         n_conv = len(w) if certified.all() else int(np.argmin(certified))
         spec = ParitySpectrum(params, parity, dim, w, 2.0 * w / params.Omega, n_conv, error,
@@ -567,9 +592,10 @@ def converged_levels(
 ) -> ParitySpectrum:
     """The lowest k_max levels, each certified to within tol * omega0.
 
-    Count-based companion of converged_window: solves once at
-    max(4 k_max, 128) and certifies every level by its error bound,
-    growing the truncation only when that certificate fails.
+    Count-based companion of converged_window: solves once at the orbit
+    of the k_max-th level of a max(4 k_max, 128)-site probe, plus 12 Airy
+    widths, and certifies every level by its error bound, growing the
+    truncation only when that certificate fails.
     """
     return _certified_spectrum(params, parity, tol, with_observables=False, k_max=k_max)
 

@@ -58,17 +58,17 @@ FROZEN_WITH = {"numpy": "2.4.6", "scipy": "1.17.1", "python": "3.11.7"}
 GOLDEN = {
     "spectrum_sweep": {
         "spectrum.csv":
-            "089e6b10f328617e7537465e48c5178409e6df50c72d703dacb64c692b0bbbe3",
+            "122b75a569cf6e3e8bc963f2c7eb20978a65f87fe9b03e1bfd7af44e638f2537",
         "spectrum.svg":
             "34ebb97a87d6d8949c259f6aeec274895a81f23be0ec086bbd96d50cad60918c",
     },
     "gapmap_sweep": {
         "gapmap.csv":
-            "74eb42daea0c0149bb295ed7d5d60a00c50b0dfdcc7135fdb2234e0cb22f1d55",
+            "67d220ded710b9a2c283536351f874f6c15ba11c4b4fc401c9e3b7ee9d0d32d3",
         "gapmap.svg":
-            "284e20e2fd76641056cb18827450182ebfbf3977792b5b275585508e68db7d86",
+            "4203416645ee1d91f205aa8c986cbfd32ffc7d8a9353c8afb4b975cab8c2d7d8",
         "gapmap_summary.json":
-            "544f21f1815eaa2c7498216c3da598d957924bbc97d9b2eacf77a03e3e4c5b55",
+            "4321900f18efbd1e6a2d8b8861e58b338f9dea91158a61ce41dafb5292bd7dfd",
     },
     "dos_r1000": {
         "dos.svg":
@@ -116,7 +116,7 @@ GOLDEN = {
     },
     "spectrum_single": {
         "spectrum.csv":
-            "2be55b71300bdb98feb8b8793c9aa090e8a101039bb92dc50b32cd4cc02c766c",
+            "db5a0249e488715b39ec5b8abd241bb9a8588b776b4e78c7b71aa7ea676a9e4c",
         "spectrum.svg":
             "bf191d9e52266548a60428336e1b2e7cf0e7b131087db4d96e779cc65a40bcce",
     },

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dstebz
 
 from rabi_esqpt import (
     ConvergenceError,
@@ -378,15 +379,22 @@ class TestConvergedWindow:
         assert np.all(spec.error_bound >= precision)
         np.testing.assert_allclose(spec.error_bound, precision, rtol=1e-6)
 
-    def test_levels_grow_past_failed_certificate(self):
-        # 20 levels at R = 40, g = 3 reach far beyond the first solve's
-        # 128 sites, so the certificate must fail once and force a re-solve
-        p = RabiParams(omega0=1.0, Omega=40.0, g=3.0)
+    @pytest.mark.parametrize("ratio, g, dims", [(40.0, 1.4, [64, 128]),
+                                                 (200.0, 1.2, [78, 156])])
+    def test_levels_grow_past_failed_certificate(self, ratio, g, dims, monkeypatch):
+        # the ground level in a shallow well: at its orbit plus 12 Airy
+        # widths (64 sites at the least) its vector's tail term is still
+        # above tol (stein gives 2e-8 at R = 40 and 1e-2 at R = 200), so the
+        # certificate fails and the solve regrows once, to twice the dim
+        p = RabiParams(omega0=1.0, Omega=ratio, g=g)
         tol = 1e-8
-        spec = converged_levels(p, Parity.MINUS, k_max=20, tol=tol)
-        assert spec.dim > 128
-        assert spec.n_converged == 20
-        ref = diagonalize(build_parity_chain(p, Parity.MINUS, 4 * spec.dim))[:20]
+        solved = []
+        solve = quantum.diagonalize
+        monkeypatch.setattr(quantum, "diagonalize", lambda c: solved.append(c.dim) or solve(c))
+        spec = converged_levels(p, Parity.MINUS, k_max=1, tol=tol)
+        assert solved == dims and spec.dim == dims[-1]
+        assert spec.n_converged == 1
+        ref = diagonalize(build_parity_chain(p, Parity.MINUS, 4 * spec.dim))[:1]
         np.testing.assert_allclose(spec.energies, ref, rtol=0, atol=tol)
 
     def test_window_reports_error_bounds(self):
@@ -398,6 +406,57 @@ class TestConvergedWindow:
         assert spec.error_bound.shape == (len(spec),)
         assert np.all(spec.error_bound < tol * p.omega0)
         assert spec.dim == dim and spec.observables.n_phot.shape == (len(spec),)
+
+
+class TestLevelsProbe:
+    """converged_levels sizes its one solve from the probe chain's k-th
+    Ritz value, bisected by stebz; sterf gives every reported level."""
+
+    def test_readme_sweep_solves_once_per_sector(self, monkeypatch):
+        # the README spectrum and gapmap sweep: 61 couplings x 2 parities
+        solved = []
+        solve = quantum.diagonalize
+        monkeypatch.setattr(quantum, "diagonalize", lambda c: solved.append(c.dim) or solve(c))
+        for g in np.linspace(0.0, 3.0, 61):
+            p = RabiParams(omega0=1.0, Omega=40.0, g=float(g))
+            for parity in Parity:
+                assert converged_levels(p, parity, k_max=20).n_converged == 20
+        assert len(solved) == 122
+
+    @pytest.mark.parametrize("ratio", [4.0, 40.0, 200.0])
+    def test_probe_ritz_value_bounds_the_level_from_above(self, ratio, monkeypatch):
+        # Cauchy interlacing: the probe is a leading block of the untruncated
+        # chain, so its k-th Ritz value lies at or above the true k-th level
+        ritz = []
+        stebz = quantum.dstebz
+
+        def recorded(*args):
+            out = stebz(*args)
+            ritz.append(out[1][0])
+            return out
+
+        monkeypatch.setattr(quantum, "dstebz", recorded)
+        tol = 1e-8
+        for g in np.linspace(0.0, 3.0, 16):
+            p = RabiParams(omega0=1.0, Omega=ratio, g=float(g))
+            for parity in Parity:
+                specs = []
+                for k_max in (1, 5, 20, 40):
+                    ritz.clear()
+                    spec = converged_levels(p, parity, k_max=k_max, tol=tol)
+                    case = (ratio, float(g), parity.label, k_max)
+                    assert len(ritz) == 1 and ritz[0] >= spec.energies[-1] - tol, case
+                    specs.append(spec)
+                # one reference per sector, at 4x the longest chain: its
+                # lowest 40 levels by bisection, an oracle independent of
+                # sterf and 8x cheaper than it at R = 200
+                chain = build_parity_chain(p, parity, 4 * max(s.dim for s in specs))
+                _, ref, _, _, info = dstebz(chain.diag, chain.offdiag, 2, 0.0, 0.0, 1, 40,
+                                            0.0, "E")
+                assert info == 0
+                for spec in specs:
+                    np.testing.assert_allclose(spec.energies, ref[:len(spec)], rtol=0, atol=tol,
+                                               err_msg=str((ratio, float(g), parity.label)))
 
 
 def _stein_last_components(chain, k_max):
