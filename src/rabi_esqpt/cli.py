@@ -74,7 +74,6 @@ class Opt:
 
 OMEGA0 = Opt("--omega0", float, 1.0, "field frequency omega0 (energy unit)", above=0)
 RATIO = Opt("--ratio", float, 40.0, "frequency ratio R = Omega / omega0", minimum=1)
-QUAD_TOL = Opt("--quad-tol", float, 1e-9, "relative tolerance of orbit quadratures", above=0)
 CONV_TOL = Opt("--conv-tol", float, 1e-8, "certified eigenvalue error bound, in units of omega0",
                above=0)
 # where the files go, never what is in them: no record holds these
@@ -367,14 +366,14 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
 
 
 @command("dos", "windowed quantum density of states against the semiclassical curve",
-         OMEGA0, RATIO, QUAD_TOL, CONV_TOL, *FILES,
+         OMEGA0, RATIO, CONV_TOL, *FILES,
          G_REQUIRED, Opt("--window", int, 10, "spacings per running window", minimum=1),
          *EPS_RANGE, Opt("--points", int, 201, "semiclassical grid size", minimum=1))
 def _cmd_dos(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
     grid = _eps_grid(args, g)
-    sc = dos_curve(g, grid, omega0=args.omega0, quad_tol=args.quad_tol, with_counts=True)
+    sc = dos_curve(g, grid, omega0=args.omega0, with_counts=True)
     minus, plus = _quantum_sectors(params, args)
     wd = windowed_dos(minus, plus, window_n=args.window, eps_max=args.eps_max)
     qc = wd.to_dos_curve()
@@ -390,7 +389,7 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
     # deviation of the windowed estimate from the semiclassical curve, away
     # from the critical energy where the comparison is meaningful pointwise
     off = np.abs(qc.eps - EPS_CRITICAL) > 0.05
-    sc_at_q = dos_curve(g, qc.eps[off], omega0=args.omega0, quad_tol=args.quad_tol).nu
+    sc_at_q = dos_curve(g, qc.eps[off], omega0=args.omega0).nu
     rel = np.abs(qc.nu[off] / sc_at_q - 1.0)
     off_critical = {"n_points": int(rel.size),
                     "median_rel_dev": float(np.median(rel)) if rel.size else None,
@@ -431,13 +430,13 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
 
 
 @command("observables", "photon number and spin expectation values, quantum vs semiclassical",
-         OMEGA0, RATIO, QUAD_TOL, CONV_TOL, *FILES, G_REQUIRED, *EPS_RANGE,
+         OMEGA0, RATIO, CONV_TOL, *FILES, G_REQUIRED, *EPS_RANGE,
          Opt("--points", int, 121, "semiclassical grid size", minimum=1))
 def _cmd_observables(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
     grid = _eps_grid(args, g)
-    curve = observables_microcanonical(g, grid, quad_tol=args.quad_tol)
+    curve = observables_microcanonical(g, grid)
     sectors = minus, plus = _quantum_sectors(params, args, with_observables=True)
     scale = args.omega0 / params.Omega  # <a^dag a> omega0/Omega = <(x^2+p^2)/2> on shell
     rows = [(spec.parity.label, k, e, n, n * scale, sz) for spec in sectors
@@ -464,7 +463,7 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
             & (eps_all > ground_state_eps(g) + 0.01)
             & (eps_all <= args.eps_max))
     idx = np.nonzero(pick)[0][:: max(1, int(np.count_nonzero(pick)) // 120)]
-    shell = observables_microcanonical(g, eps_all[idx], quad_tol=args.quad_tol)
+    shell = observables_microcanonical(g, eps_all[idx])
     dev_n = np.abs(nph_all[idx] - shell.nphot_scaled)
     dev_s = np.abs(sz_all[idx] - shell.sz)
     summary = ("observables_summary.json", _record(
@@ -513,7 +512,7 @@ def _cmd_probabilities(args: argparse.Namespace) -> Result:
 
 
 @command("asymptotics", "fit of the critical density law (power at g = 1, log for g > 1)",
-         OMEGA0, QUAD_TOL, *FILES,
+         OMEGA0, *FILES,
          Opt("--g", float, None, "coupling g >= 1 (required)", minimum=1, required=True),
          Opt("--delta-min", float, 1e-6, "smallest |eps - eps_c| sampled"),
          Opt("--delta-max", float, 1e-3, "largest |eps - eps_c| sampled"),
@@ -529,7 +528,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
     if not at_threshold and edge > args.delta_min:
         windows[Side.BELOW] = (args.delta_min, edge)
     curves = {side: dos_curve(g, geometric_eps_grid(*window, args.points, side=side),
-                              omega0=args.omega0, quad_tol=args.quad_tol)
+                              omega0=args.omega0)
               for side, window in windows.items()}
     rows = [(side.value, abs(e - EPS_CRITICAL), e, v)
             for side, curve in curves.items() for e, v in zip(curve.eps, curve.nu)]

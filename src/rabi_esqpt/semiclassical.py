@@ -33,32 +33,40 @@ Every orbit integral is complete in s = sqrt(1 + 2 g^2 x^2), where
     dx / p = s ds / sqrt((s^2 - 1)(s+ - s)(s - s-)),
     s+- = g^2 +- sqrt(g^4 + 1 + 2 g^2 eps),
 
-between the adjacent roots [1, s+] (connected orbits) or [s-, s+] (in one
-well).  The substitution s = a + (b - a) sin^2(phi) takes out both endpoint
-singularities, so one adaptive Gauss-Kronrod quadrature on [0, pi/2]
-converges to near machine precision.  The root offsets and the weights
-are evaluated without cancellation at eps = -1, at the well bottom and as
-g -> 0.
+between the adjacent roots [a, b] = [1, s+] (connected orbits) or [s-, s+]
+(in one well).  With c = min(1, s-) and s = (a + b u)/(1 + u),
 
-Each public call checks its whole domain once, g, omega0, quad_tol and every
-eps together, before any quadrature; dos_semiclassical and
+    Int w dx/p = Int_0^inf w s du / sqrt(u (alpha + beta u)(gamma + delta u)),
+    alpha = a - c, beta = b - c, gamma = a + 1, delta = b + 1,
+
+and every weight w s needed here is a polynomial of degree at most 3 in
+1/(1 + u).  The moments J_n of that measure against 1/(1 + u)^n come from
+Carlson's symmetric integrals (DLMF 19.29; Carlson, Math. Comp. 49 (1987)
+595): J_0 from R_F, J_1 from R_J and, away from the well bottom, J_2 and
+J_3 from R_D and the recurrence between neighbouring moments.  Near the
+bottom that recurrence cancels, and J_2, J_3 come from a fixed midpoint
+rule that converges geometrically there.  Both cover whole eps arrays at
+once, with no quadrature tolerance.  The root offsets and the weights are
+formed without cancellation at eps = -1, at the well bottom and as g -> 0.
+
+Each public call checks its whole domain once, g, omega0 and every eps
+together, before any orbit is formed; dos_semiclassical and
 accumulated_states are one-point calls of the same path as the curves.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # noqa: F401  never called; perfbench/tracing.py binds the name
+from scipy.special import elliprd, elliprf, elliprj
 
 __all__ = [
     "DosCurve",
     "ObservableCurve",
-    "QuadratureError",
     "EPS_CRITICAL",
     "ground_state_eps",
     "dos_semiclassical",
@@ -73,17 +81,6 @@ EPS_CRITICAL = -1.0
 # No orbit quantities are evaluated closer to eps = -1 than this when the
 # density of states diverges there (g > 1); see _domain.
 CRITICAL_GUARD = 1e-8
-
-DEFAULT_QUAD_TOL = 1e-9
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature missed its accuracy target."""
-
-    def __init__(self, message: str, value: float, errest: float):
-        super().__init__(message)
-        self.value = value
-        self.errest = errest
 
 
 @dataclass(frozen=True)
@@ -145,101 +142,128 @@ def ground_state_eps(g: float) -> float:
     return -0.5 * (g * g + 1.0 / (g * g))
 
 
-# Orbit integrals.  The orbit is [a, b] = [max(1, s-), s+] in s; with
-# c = min(1, s-) and s = a + (b - a) sin^2(phi) (see the module docstring),
-#     Int w dx/p = 2 Int_0^{pi/2} w s / sqrt((s + 1)(s - c)) dphi.
+# Orbit integrals, over whole eps arrays.  The orbit is [a, b] in s and
+# c = min(1, s-); with s = (a + b u)/(1 + u) (see the module docstring)
+#     Int w dx/p = Int_0^inf w s dmu,
+#     dmu = du / sqrt(u (alpha + beta u)(gamma + delta u)),
+# and the moments are J_n = Int dmu / (1 + u)^n.
 
 
 class _Orbit(NamedTuple):
-    a: float  # lower end max(1, s-) of the orbit in s
-    span: float  # b - a, upper end b = s+
-    a_c: float  # a - c
-    a_sm: float  # a - s-
-    span_g2: float  # (b - a) / g^2
-    a1_g2: float  # (a - 1) / g^2
+    a: np.ndarray  # lower end max(1, s-) of the orbit in s
+    span: np.ndarray  # b - a, upper end b = s+
+    a_c: np.ndarray  # a - c
+    a_sm: np.ndarray  # a - s-
+    span_g2: np.ndarray  # (b - a) / g^2
+    a1_g2: np.ndarray  # (a - 1) / g^2
 
 
-def _orbit(g: float, eps: float) -> _Orbit:
-    """The orbit in s, with every offset formed without cancellation.
+def _orbit(g: float, eps) -> _Orbit:
+    """The orbits in s at each eps, with every offset formed without cancellation.
 
     The root offsets s+ - 1 and 1 - s- have product 2 g^2 (eps + 1); the one
     that would cancel is taken from that product instead, so nothing is lost
     at eps = -1, at the well bottom or as g -> 0.
     """
+    eps = np.asarray(eps, dtype=float)
     g2 = g * g
     k = (g - 1.0) * (g + 1.0)
-    d = k * k + 2.0 * g2 * (eps + 1.0)  # (s+ - s-)^2 / 4
-    r = math.sqrt(max(d, 0.0))
-    if k >= 0.0:
-        up = k + r  # s+ - 1
-        lo = 2.0 * g2 * (eps + 1.0) / up if up > 0.0 else 0.0  # 1 - s-
-        up_g2 = up / g2
-    else:
-        lo = r - k
-        up_g2 = 2.0 * (eps + 1.0) / lo
-        up = g2 * up_g2
-    if d < 0.0 or up < 0.0:
-        raise ValueError(f"no allowed orbit at eps={eps}, g={g} (below the ground state)")
-    if lo >= 0.0:  # connected: the orbit passes through x = 0
-        return _Orbit(1.0, up, lo, lo, up_g2, 0.0)
-    # in one well: s- > 1 is the inner turning point
-    return _Orbit(1.0 - lo, 2.0 * r, -lo, 0.0, 2.0 * r / g2, -lo / g2)
+    e1 = eps + 1.0
+    d = k * k + 2.0 * g2 * e1  # (s+ - s-)^2 / 4
+    bad = eps[(d < 0.0) | ((k < 0.0) & (e1 < 0.0))]  # s+- complex, or s+ < 1
+    if bad.size:
+        raise ValueError(f"no allowed orbit at eps={bad.flat[0]}, g={g} "
+                         "(below the ground state)")
+    r = np.sqrt(d)
+    if k < 0.0:  # g < 1: a single well, every orbit connected
+        lo = r - k  # 1 - s-
+        up_g2 = 2.0 * e1 / lo
+        zero = np.zeros_like(lo)
+        return _Orbit(a=zero + 1.0, span=g2 * up_g2, a_c=lo, a_sm=lo,
+                      span_g2=up_g2, a1_g2=zero)
+    up = k + r  # s+ - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(up > 0.0, 2.0 * g2 * e1 / up, 0.0)
+    # connected where lo >= 0: the orbit passes through x = 0; otherwise in
+    # one well, where s- > 1 is the inner turning point
+    well = lo < 0.0
+    span = np.where(well, 2.0 * r, up)
+    return _Orbit(a=np.where(well, 1.0 - lo, 1.0), span=span, a_c=np.abs(lo),
+                  a_sm=np.where(well, 0.0, lo), span_g2=span / g2,
+                  a1_g2=np.where(well, -lo / g2, 0.0))
 
 
-def _w_one(o: _Orbit, s: float, sn: float, cs: float) -> float:
-    return 1.0
+# Midpoint nodes on [0, pi/2] for J_2 and J_3 near the well bottom, where
+#     J_n = (2/sqrt(beta delta)) Int_0^{pi/2} sin^2n(t) dt
+#           / sqrt((1 - A sin^2 t)(1 - B sin^2 t)),   A = span/beta, B = span/delta.
+# The integrand is periodic and analytic; for A, B <= 1/2 the rule is exact
+# to roundoff from 16 nodes on (2e-11 at 8), so 32 leave a wide margin.
+_NODES = 32
+_SIN2 = np.sin((np.arange(_NODES) + 0.5) * (0.5 * math.pi / _NODES)) ** 2
 
 
-def _w_p2(o: _Orbit, s: float, sn: float, cs: float) -> float:
-    # p^2 = (b - s)(s - s-) / (2 g^2)
-    return 0.5 * o.span_g2 * cs * (o.a_sm + o.span * sn)
+def _moments(o: _Orbit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """J_0, J_1, J_2 and J_3 on every orbit."""
+    span = o.span
+    beta = span + o.a_c
+    gamma = o.a + 1.0
+    delta = gamma + span
+    x, y, p = o.a_c * delta, gamma * beta, beta * delta
+    j0 = 2.0 * elliprf(0.0, x, y)
+    j1 = (2.0 / 3.0) * p * elliprj(0.0, x, y, p)
+    A, B = span / beta, span / delta
+    j2, j3 = np.empty_like(j0), np.empty_like(j0)
+    near = np.maximum(A, B) <= 0.5
+    if near.any():
+        w = (math.pi / _NODES) / np.sqrt(p[near, None] * (1.0 - A[near, None] * _SIN2)
+                                         * (1.0 - B[near, None] * _SIN2))
+        j2[near] = w @ _SIN2**2
+        j3[near] = w @ _SIN2**3
+    far = ~near
+    if far.any():
+        # With Q = u (u + 1 - A)(u + 1 - B), the derivatives of
+        # sqrt(Q) (1/(1+u) - 1/(u+1-B)) and of sqrt(Q)/(1+u)^2 integrate to 0 over
+        # [0, inf).  Solved for J_2 and J_3 they divide by A B, which vanishes at
+        # the well bottom: there the midpoint rule above takes over.
+        A, B, i0, i1 = A[far], B[far], j0[far], j1[far]
+        jd = (2.0 / 3.0) * p[far] * elliprd(0.0, x[far], y[far])  # Int delta dmu/(gamma + delta u)
+        s1, s2, ab2 = 1.0 + A + B, A + B + A * B, 2.0 * A * B
+        i2 = (s2 * i1 - B * i0 + (y[far] / p[far]) * (B - A) * jd) / ab2
+        j2[far] = i2
+        j3[far] = (0.5 * i0 - s1 * i1 + 1.5 * s2 * i2) / ab2
+    return j0, j1, j2, j3
 
 
-def _w_sz(o: _Orbit, s: float, sn: float, cs: float) -> float:
-    return -1.0 / s
+class _Integrals(NamedTuple):
+    """Int w dx/p for the four weights the curves need, on every orbit."""
+
+    one: np.ndarray  # w = 1
+    p2: np.ndarray  # w = p^2
+    sz: np.ndarray  # w = -1/s, i.e. sigma_z
+    nphot: np.ndarray  # w = (x^2 + p^2)/2, i.e. the scaled photon number
 
 
-def _w_nphot(o: _Orbit, s: float, sn: float, cs: float) -> float:
-    # (x^2 + p^2)/2 with x^2 = (s + 1)(s - 1) / (2 g^2): a sum of non-negative
-    # terms, where eps + s would cancel at the well bottom
-    x2 = 0.5 * (s + 1.0) * (o.a1_g2 + o.span_g2 * sn)
-    return 0.5 * (x2 + _w_p2(o, s, sn, cs))
-
-
-def _orbit_integral(
-    g: float,
-    eps: float,
-    weight: Callable[[_Orbit, float, float, float], float],
-    quad_tol: float,
-) -> float:
-    """Int w dx/p over the orbit; w is evaluated from the orbit offsets."""
+def _orbit_integrals(g: float, eps: np.ndarray) -> _Integrals:
     o = _orbit(g, eps)
-    a, span, a_c = o.a, o.span, o.a_c
-
-    def f(phi: float) -> float:
-        sn = math.sin(phi) ** 2
-        s = a + span * sn
-        return s * weight(o, s, sn, math.cos(phi) ** 2) / math.sqrt((s + 1.0) * (a_c + span * sn))
-
-    with warnings.catch_warnings():
-        # accuracy is judged on the error estimate below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        half, half_err = quad(f, 0.0, 0.5 * math.pi, epsabs=0.0,
-                              epsrel=max(quad_tol / 8.0, 1e-13), limit=200)
-    value, errest = 2.0 * half, 2.0 * half_err
-    scale = max(abs(value), 1e-300)
-    if errest > 10.0 * quad_tol * scale:
-        raise QuadratureError(
-            f"quadrature error estimate {errest:.3e} exceeds "
-            f"{10.0 * quad_tol:.1e} x |I| = {10.0 * quad_tol * scale:.3e} "
-            f"at g={g}, eps={eps}",
-            value=value,
-            errest=errest,
-        )
-    return value
+    j0, j1, j2, j3 = _moments(o)
+    span = o.span
+    b = o.a + span
+    # each weight times s = b - span v, v = 1/(1 + u), is a polynomial in v
+    # x^2 + p^2 = eps + s = x_b - span v, with x_b = eps + b = x^2 at s = b
+    # formed as in x^2 = (s + 1)(s - 1)/(2 g^2): eps + s would cancel at the
+    # well bottom
+    x_b = 0.5 * (b + 1.0) * (o.a1_g2 + o.span_g2)
+    # p^2 = (b - s)(s - s-)/(2 g^2) = (span_g2/2) v (b_m - span v), b_m = b - s-
+    b_m = span + o.a_sm
+    return _Integrals(
+        one=b * j0 - span * j1,
+        p2=0.5 * o.span_g2 * (b * b_m * j1 - span * (b + b_m) * j2 + span * span * j3),
+        sz=-j0,
+        nphot=0.5 * (b * x_b * j0 - span * (b + x_b) * j1 + span * span * j2),
+    )
 
 
-def _domain(g, eps, quad_tol: float, omega0: float = 1.0,
+def _domain(g, eps, omega0: float = 1.0,
             ground_ok: bool = False) -> tuple[float, np.ndarray]:
     """The one domain check of a call: returns g as a float and eps as a 1-D array.
 
@@ -249,11 +273,8 @@ def _domain(g, eps, quad_tol: float, omega0: float = 1.0,
     e_gs = ground_state_eps(g)
     g = float(g)
     _check_omega0(omega0)
-    # a NaN tolerance would switch the quadrature error check off
-    if not (math.isfinite(quad_tol) and quad_tol > 0):
-        raise ValueError(f"quad_tol must be finite and positive, got {quad_tol!r}")
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    # NaN and inf pass every check below and would integrate to a silent 0
+    # NaN and inf pass every check below and would give a silent NaN or 0
     bad = eps[~np.isfinite(eps)]
     if bad.size:
         raise ValueError(f"eps must be finite, got {bad[0]}")
@@ -269,68 +290,50 @@ def _domain(g, eps, quad_tol: float, omega0: float = 1.0,
     return g, eps
 
 
-def dos_semiclassical(
-    g: float, eps: float, omega0: float = 1.0, quad_tol: float = DEFAULT_QUAD_TOL
-) -> float:
+def dos_semiclassical(g: float, eps: float, omega0: float = 1.0) -> float:
     """nu(eps, g) = (2/(omega0 pi)) Int dx/p over the orbit, in 1/omega0.
 
     Requires eps strictly above the ground-state energy and, for g > 1,
     at least 1e-8 away from the critical energy eps = -1 where nu
     diverges.
     """
-    return dos_curve(g, eps, omega0, quad_tol).nu.item()
+    return dos_curve(g, eps, omega0).nu.item()
 
 
-def accumulated_states(
-    g: float, eps: float, omega0: float = 1.0, quad_tol: float = DEFAULT_QUAD_TOL
-) -> float:
+def accumulated_states(g: float, eps: float, omega0: float = 1.0) -> float:
     """N(eps, g) = (4/(omega0 pi)) Int p dx: phase-space count below eps.
 
     Normalized so dN/deps = nu and N matches (2/Omega x) the merged
     two-parity quantum level count.  N(eps_gs) = 0.  Same domain as
     dos_semiclassical, except that eps may sit at the ground state.
     """
-    g, (eps,) = _domain(g, eps, quad_tol, omega0, ground_ok=True)
-    if eps == ground_state_eps(g):
+    g, eps = _domain(g, eps, omega0, ground_ok=True)
+    if eps.item() == ground_state_eps(g):
         return 0.0
-    return 4.0 / (omega0 * math.pi) * _orbit_integral(g, eps, _w_p2, quad_tol)
+    return 4.0 / (omega0 * math.pi) * _orbit_integrals(g, eps).p2.item()
 
 
 def dos_curve(
     g: float,
     eps: np.ndarray,
     omega0: float = 1.0,
-    quad_tol: float = DEFAULT_QUAD_TOL,
     with_counts: bool = False,
 ) -> DosCurve:
     """Sample nu (and optionally N) on an eps grid; the domain of dos_semiclassical."""
-    g, eps = _domain(g, eps, quad_tol, omega0)
-    nu = np.array([2.0 / (omega0 * math.pi) * _orbit_integral(g, e, _w_one, quad_tol)
-                   for e in eps.tolist()])
-    n_cum = None
-    if with_counts:
-        n_cum = np.array([4.0 / (omega0 * math.pi) * _orbit_integral(g, e, _w_p2, quad_tol)
-                          for e in eps.tolist()])
-    return DosCurve(eps=eps, nu=nu, n_cum=n_cum)
+    g, eps = _domain(g, eps, omega0)
+    ints = _orbit_integrals(g, eps)
+    n_cum = 4.0 / (omega0 * math.pi) * ints.p2 if with_counts else None
+    return DosCurve(eps=eps, nu=2.0 / (omega0 * math.pi) * ints.one, n_cum=n_cum)
 
 
-def observables_microcanonical(
-    g: float,
-    eps,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-) -> ObservableCurve:
+def observables_microcanonical(g: float, eps) -> ObservableCurve:
     """Shell-averaged nphot_scaled and sz on an eps grid.
 
     nphot_scaled is <a^dag a> omega0/Omega = <x^2 + p^2>/2; sz is
     <sigma_z> = -<1/sqrt(1+2g^2x^2)>.  Same domain restrictions as
     dos_semiclassical.
     """
-    g, eps = _domain(g, eps, quad_tol)
-    nphot = np.empty_like(eps)
-    sz = np.empty_like(eps)
-    for i, e in enumerate(eps.tolist()):
-        # shell averages: <A> = Int (A/p) dx / Int (1/p) dx on the orbit
-        denom = _orbit_integral(g, e, _w_one, quad_tol)
-        sz[i] = _orbit_integral(g, e, _w_sz, quad_tol) / denom
-        nphot[i] = _orbit_integral(g, e, _w_nphot, quad_tol) / denom
-    return ObservableCurve(eps=eps, nphot_scaled=nphot, sz=sz)
+    g, eps = _domain(g, eps)
+    ints = _orbit_integrals(g, eps)
+    # shell averages: <A> = Int (A/p) dx / Int (1/p) dx on the orbit
+    return ObservableCurve(eps=eps, nphot_scaled=ints.nphot / ints.one, sz=ints.sz / ints.one)

@@ -5,10 +5,12 @@ knows nothing about the chain decomposition; agreement between the two is
 therefore a real cross-check, not a tautology.  The Hellmann-Feynman
 observables differentiate the accumulated level count instead of averaging
 over the orbit shell, so they check the package's shell averages by a
-second route.  The quadrature and shell-average oracle tables were
-generated with mpmath tanh-sinh integration in x at 40 significant digits,
-and the critical pinning constants at 50; all three are frozen here so the
-suite does not depend on mpmath at run time.  Running this file regenerates
+second route.  The quadrature route evaluates each orbit integral by one
+adaptive quad call, as the package did before its closed forms, and checks
+the closed forms point by point.  The quadrature and shell-average oracle
+tables were generated with mpmath tanh-sinh integration in x at 40
+significant digits, and the critical pinning constants at 50; all three are
+frozen here so the suite does not depend on mpmath at run time.  Running this file regenerates
 them (see the entry at the bottom).
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from rabi_esqpt import Parity, RabiParams, accumulated_states, dos_semiclassical
 
@@ -75,7 +78,7 @@ def dense_sector_data(params: RabiParams, n_max: int):
     return out
 
 
-def _count_bare(E: float, omega0: float, Omega: float, lam: float, quad_tol: float) -> float:
+def _count_bare(E: float, omega0: float, Omega: float, lam: float) -> float:
     """Accumulated level count below bare energy E, in bare variables.
 
     (Omega/2) x the scaled N: the true number of levels (merged parities)
@@ -83,14 +86,10 @@ def _count_bare(E: float, omega0: float, Omega: float, lam: float, quad_tol: flo
     """
     g = 2.0 * lam / math.sqrt(omega0 * Omega)
     eps = 2.0 * E / Omega
-    return 0.5 * Omega * accumulated_states(g, eps, omega0=omega0, quad_tol=quad_tol)
+    return 0.5 * Omega * accumulated_states(g, eps, omega0=omega0)
 
 
-def observables_hellmann_feynman(
-    params: RabiParams,
-    eps: float,
-    quad_tol: float = 1e-12,
-) -> tuple[float, float]:
+def observables_hellmann_feynman(params: RabiParams, eps: float) -> tuple[float, float]:
     """(nphot_scaled, sz) from Hellmann-Feynman derivatives of the count.
 
     <a^dag a> = -(1/nu) dN/d omega0 and <sigma_z> = -(2/nu) dN/d Omega,
@@ -101,23 +100,67 @@ def observables_hellmann_feynman(
     """
     omega0, Omega, lam = params.omega0, params.Omega, params.lam
     E = 0.5 * eps * Omega
-    nu_bare = dos_semiclassical(params.g, eps, omega0=omega0, quad_tol=quad_tol)
+    nu_bare = dos_semiclassical(params.g, eps, omega0=omega0)
 
     dw = 1e-5 * omega0
     n_w = (
-        _count_bare(E, omega0 + dw, Omega, lam, quad_tol)
-        - _count_bare(E, omega0 - dw, Omega, lam, quad_tol)
+        _count_bare(E, omega0 + dw, Omega, lam)
+        - _count_bare(E, omega0 - dw, Omega, lam)
     ) / (2.0 * dw)
     n_phot = -n_w / nu_bare
 
     dO = 1e-5 * Omega
     n_O = (
-        _count_bare(E, omega0, Omega + dO, lam, quad_tol)
-        - _count_bare(E, omega0, Omega - dO, lam, quad_tol)
+        _count_bare(E, omega0, Omega + dO, lam)
+        - _count_bare(E, omega0, Omega - dO, lam)
     ) / (2.0 * dO)
     sz = -2.0 * n_O / nu_bare
 
     return (omega0 / Omega) * n_phot, sz
+
+
+def quadrature_integrals(g: float, eps: float, tol: float = 1e-13) -> tuple[float, ...]:
+    """Int w dx/p over the orbit for w = 1, p^2, -1/s and (x^2 + p^2)/2.
+
+    One adaptive quad per weight, in s = sqrt(1 + 2 g^2 x^2) on the orbit
+    [a, b] = [max(1, s-), s+] with c = min(1, s-):
+        Int w dx/p = 2 Int_0^{pi/2} w s / sqrt((s + 1)(s - c)) dphi,
+        s = a + (b - a) sin^2(phi).
+    The root offsets are formed as the package forms them, without
+    cancellation; accurate to about tol where |eps + 1| >= 1e-5.
+    """
+    g2 = g * g
+    k = (g - 1.0) * (g + 1.0)
+    d = k * k + 2.0 * g2 * (eps + 1.0)
+    r = math.sqrt(d)
+    if k >= 0.0:
+        up = k + r  # s+ - 1
+        lo = 2.0 * g2 * (eps + 1.0) / up if up > 0.0 else 0.0  # 1 - s-
+        up_g2 = up / g2
+    else:
+        lo = r - k
+        up_g2 = 2.0 * (eps + 1.0) / lo
+        up = g2 * up_g2
+    if lo >= 0.0:  # connected
+        a, span, a_c, a_sm, span_g2, a1_g2 = 1.0, up, lo, lo, up_g2, 0.0
+    else:  # in one well
+        a, span, a_c, a_sm, span_g2, a1_g2 = 1.0 - lo, 2.0 * r, -lo, 0.0, 2.0 * r / g2, -lo / g2
+
+    def p2(s, sn, cs):  # (b - s)(s - s-) / (2 g^2)
+        return 0.5 * span_g2 * cs * (a_sm + span * sn)
+
+    def nphot(s, sn, cs):  # x^2 = (s + 1)(s - 1) / (2 g^2)
+        return 0.5 * (0.5 * (s + 1.0) * (a1_g2 + span_g2 * sn) + p2(s, sn, cs))
+
+    def integral(w):
+        def f(phi):
+            sn = math.sin(phi) ** 2
+            s = a + span * sn
+            return s * w(s, sn, math.cos(phi) ** 2) / math.sqrt((s + 1.0) * (a_c + span * sn))
+        return 2.0 * quad(f, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=tol, limit=200)[0]
+
+    return tuple(integral(w) for w in (lambda s, sn, cs: 1.0, p2,
+                                       lambda s, sn, cs: -1.0 / s, nphot))
 
 
 def random_params(rng: np.random.Generator) -> RabiParams:
@@ -163,11 +206,13 @@ PINNING_ORACLE = {
 
 # (g, eps) -> (nphot_scaled, sz) at omega0 = 1, from mpmath tanh-sinh at 40
 # digits: shell averages of (eps + s)/2 and -1/s over the orbit measure dx/p.
-# The last two lie within 1e-7 of the bottom of the single well.
+# (0.5, ...) and (0.9, ...) lie within 1e-7 of the bottom of the single well,
+# (1.4, -0.99999999) just 1e-8 above eps_c.
 SHELL_ORACLE = {
     (1.3, -0.4): (0.89120363742862098, -0.53904366958840889),
     (0.5, -0.999999999): (5.8333331681991498e-10, -0.99999999983333334),
     (0.9, -0.9999999): (1.5657882129028814e-7, -0.99999978684242552),
+    (1.4, -0.99999999): (0.14377575314218325, -0.87070162785625102),
 }
 
 

@@ -311,7 +311,7 @@ def test_criterion_7c_observable_routes_agree():
     params = RabiParams(omega0=1.0, Omega=1000.0, g=1.2)
     worst = 0.0
     for eps in (-1.05, -0.5, -0.2):
-        shell = observables_microcanonical(1.2, eps, quad_tol=1e-12)
+        shell = observables_microcanonical(1.2, eps)
         nphot_hf, sz_hf = observables_hellmann_feynman(params, eps)
         worst = max(worst, abs(nphot_hf - shell.nphot_scaled[0]),
                     abs(sz_hf - shell.sz[0]))

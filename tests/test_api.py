@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "Parity", "RabiParams", "ParityChain", "ParitySpectrum", "EigenObservables",
     "ConvergenceError", "TruncationLimitError", "build_parity_chain", "diagonalize",
     "converged_window", "converged_levels", "eigen_observables",
-    "DosCurve", "ObservableCurve", "QuadratureError", "EPS_CRITICAL", "ground_state_eps",
+    "DosCurve", "ObservableCurve", "EPS_CRITICAL", "ground_state_eps",
     "dos_semiclassical", "accumulated_states", "dos_curve", "observables_microcanonical",
     "LawKind", "Side", "CriticalLaw", "FitReport", "law_power_qpt", "law_log_esqpt",
     "fit_divergence", "geometric_eps_grid",

@@ -3,8 +3,9 @@
 perfbench/tracing.py swaps package functions for wrappers by name, and only
 the traced benchmark run uses it: a renamed or removed function, or a result
 field it reads, would break that run alone.  Here five tiny invocations run
-under the tracer, every exact counter must move, and uninstalling must put
-every module attribute back.
+under the tracer, every exact counter but the quadrature count must move
+(the orbit integrals are closed forms, so no quad call remains), and
+uninstalling must put every module attribute back.
 """
 
 from pathlib import Path
@@ -39,6 +40,7 @@ def test_traced_runs_move_every_exact_counter(tmp_path, monkeypatch):
         tracer.uninstall()
     counters = tracer.counters(0)
     assert set(counters) == set(tracing.EXACT_COUNTERS)
+    assert counters.pop("semiclassical.quad_calls") == 0
     assert all(v > 0 for v in counters.values()), counters
     for mod, attrs in zip(mods, before):
         now = vars(mod)

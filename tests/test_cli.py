@@ -321,7 +321,7 @@ class TestFailedRunWritesNothing:
         assert len(built) == 1 and not solved
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--quad-tol", "--conv-tol"])
+    @pytest.mark.parametrize("flag", ["--conv-tol"])
     def test_nan_tolerance(self, tmp_path, capsys, flag):
         code, out = run(tmp_path, "dos", "--g", "1.2", "--ratio", "40", "--points", "11",
                         flag, "nan")
@@ -361,7 +361,6 @@ BOUNDS = {
 STRICT_BOUNDS = {
     **{(name, flag): 0 for name in COMMAND_NAMES for flag in ("--omega0", "--conv-tol")
        if name != "asymptotics" or flag == "--omega0"},
-    **{(name, "--quad-tol"): 0 for name in ("dos", "observables", "asymptotics")},
 }
 
 
@@ -584,7 +583,7 @@ RECORD_RUNS = {
     "dos": ["dos", "--ratio", "40", "--g", "1.2", "--window", "4", "--points", "11",
             "--eps-min", "-1.05", "--eps-max", "-0.5"],
     "observables": ["observables", "--ratio", "40", "--g", "1.2", "--points", "11",
-                    "--eps-min", "-1.05", "--eps-max", "-0.5", "--quad-tol", "1e-10"],
+                    "--eps-min", "-1.05", "--eps-max", "-0.5"],
     "probabilities": ["probabilities", "--omega0", "2", "--ratio", "40", "--g", "1.2",
                       "--eps-max", "-0.5"],
     "asymptotics": ["asymptotics", "--g", "1.4", "--points", "8", "--delta-min", "1e-5"],
@@ -655,6 +654,22 @@ class TestRecord:
         err = capsys.readouterr().err
         assert (f"unrecognized arguments: {flag}" if source == "flag"
                 else f"unknown config key {flag[2:]!r}") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["dos", "observables", "asymptotics"])
+    def test_quad_tol_is_gone(self, tmp_path, capsys, name, source):
+        # the orbit integrals are closed forms: no command takes a tolerance
+        if source == "flag":
+            extra = ["--quad-tol", "1e-9"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"quad_tol": 1e-9}))
+            extra = ["--config", str(cfg)]
+        code, out = run(tmp_path, *RECORD_RUNS[name], *extra)
+        assert code == 2
+        assert ("unrecognized arguments: --quad-tol" if source == "flag"
+                else "unknown config key 'quad_tol'") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", COMMAND_NAMES)

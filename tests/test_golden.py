@@ -74,21 +74,21 @@ GOLDEN = {
         "dos.svg":
             "47abd0255c30374fae20d3d6c1ad2707edf763c900138990a2069b696fe6767a",
         "dos_quantum.csv":
-            "34ed19eb1cc9d02ab727d9619fccd811c265d40e0bcd37a4cbd513fcf1514151",
+            "27e421922693a664c78b2182716eb12ee6ac533d50bb826a98587821f76f56a0",
         "dos_semiclassical.csv":
-            "b730397660e3a629e56cb9077ea64776818ef686b05a7f409d8d6d9cd1788807",
+            "4ad85deaedec2fcbc116b9f6aa276c8eb0e0b9f9d32dab36785db8f2f8146e63",
         "dos_summary.json":
-            "a8fd1da262e8b6ac172d364d1b1eb3d0231eee1c6085cdd71ef7a3b229e1e029",
+            "1685ed574b00344a106f9b5535a57decd20e6b4b072cb9c45c398b449f05bbda",
     },
     "observables_r1000": {
         "observables.svg":
             "87fe2060bcb87d35f69d5e0a0f75e6b360ce45916a7f054c125aa483115d4801",
         "observables_quantum.csv":
-            "199130a7c67737a258074c6ba5c7e10e7c7dc7e1dad6698ba4144ac6f331af2b",
+            "422a268e3cdbf97afd97daf67778e3e0916bea7578505cecf479528cdfe2e730",
         "observables_semiclassical.csv":
-            "54f7d1c72286e22ca940cc256e43500f5660b9c83641fb64e55370317480fa40",
+            "d621888e37e44f2adafb83404ea6e17df374cdfd628cff7d6da9933848d22a94",
         "observables_summary.json":
-            "d4deb992bb325774b9274a22606c42d7026e37898c8a55c24a99473e98942cce",
+            "a17abccf54da683c1c017a2d16ad19d2eff6492eee5b32cac311e34a222bfe1f",
     },
     "probabilities_r1000": {
         "probabilities.csv":
@@ -100,19 +100,19 @@ GOLDEN = {
     },
     "asymptotics_power": {
         "asymptotics.json":
-            "fd5a0592be8e11bc7c0eadd0f22fedac03493e330dfbd0944e2d072d35991cd5",
+            "e98e192bd268c83e97bf650bc458d6207e6b64aad6f684a9ecdb9eba38ba2625",
         "asymptotics.svg":
             "e61d45b0fc04130083071f93b6e3ff2ed9ca3f56279556aec0424c50719fb3cf",
         "asymptotics_curve.csv":
-            "dc74b3ad3158668dd096b8989657a1bf4c6d7d96ad6196bf4dc5a2d653fba391",
+            "75868838ffe1e7396b6d99116d3bf536c009acdb4c9a6fe254516067d84beaad",
     },
     "asymptotics_log": {
         "asymptotics.json":
-            "22ec08f78d3685bcd2db9125802b3180571113e6e4de33fa91bf7bd7808ec169",
+            "240dd78aab020282b2d61537b33c5f4dbb73481c8e7d81237896fddd683f2a66",
         "asymptotics.svg":
             "b42252efb5fbd242f7c3b1021b9884ed291dfe5944e5075ababf3f9b819c857d",
         "asymptotics_curve.csv":
-            "b1f1dc37a95ff50fd4cc73e0e885f978db632ba523496919b96ef43d1fe381eb",
+            "3db67f3c3ac543595ea09d7246e85c6b782f342627938584a02f22731774f59e",
     },
     "spectrum_single": {
         "spectrum.csv":
@@ -124,19 +124,19 @@ GOLDEN = {
         "dos.svg":
             "57dddedda6c307c662895fcd2e228e7dd643fc0bb6be9d1fbc14fb73efce78a0",
         "dos_quantum.csv":
-            "97ffb7f23c6ed7c3e67f8709544af8df66931945e04c57289b646bf82c0fb9b8",
+            "71651e9db34f0ef43eec3019cc318f7122f966b58957591c975a05699c0524b1",
         "dos_semiclassical.csv":
-            "b514c1c0b0e3cb3e97627e8b763abaf6f42d5378668185413f2c14ba06ca5866",
+            "05117ebba8c2016a65e2eea405471d44a313db6fee65a10629b7894d01e2cb88",
         "dos_summary.json":
-            "d8e917ad545cb079fdb20f1512b9f35e52d869da7a7b202f90be3fa678ba2374",
+            "6152a564fd7cfa71ff8f13a5d76a4b39341b86844dfc77d09969f4869ce32e28",
     },
     "dos_shallow_well": {
         "dos_quantum.csv":
-            "7cf5dcd667b72e187bc7fb260cce829df5d1604912a132c016a65c87a5d32ab0",
+            "45fd1c1dab98612d12d0caf1a44c663ac0430e9883af391118ce8b2a3355888f",
         "dos_semiclassical.csv":
-            "6e47487b4e287ec69f57a09f4fdb4370b31ee6c3c307a2ce80f063c28c9c3d38",
+            "de413994fdbd000c42aa0c1de1479bb8b47bade5a3325cab1233055a24dc5d53",
         "dos_summary.json":
-            "8a7fdf0ac17aec65ae4edbfacb8016b7be3e7b6fc4fa5acbfc615288986481e2",
+            "c326cd42859be7ea4f22ee85a44643b02d5a36b84efdb5fa0176915fadf02b10",
     },
 }
 
@@ -146,10 +146,10 @@ HELP = {
     "": "5ab5683f0a2445fae0364da2416e4990129bddf2e9853ffc950308cb38dcece6",
     "spectrum": "76e598202dd72a26eb857124881570668a0292beda66a46eb98043180a8a4ff3",
     "gapmap": "b36590b5cc61fdb2eaa6522c14b4be6fc4a72ed826ee44091ab5fe7a408ccb79",
-    "dos": "afbb78f675c6bb512d0cd71245ea37a678515fd6f9a9d417a8092d348a602f4c",
-    "observables": "8a10d7dccbf0d8822ae2048c57ae219406fc2502e51ab0871c2c9c0159e79fc6",
+    "dos": "d197f186f8c06b0f1c5575c909d893707ee252e0c34bd8bd8ab8713d6e6d46e1",
+    "observables": "d0dd6d2c38337ea7569933d887b753ed28a7d412213e8a87382e315992264005",
     "probabilities": "e1f664b3078fd219868059f72cd88659c94320c43c7c52477b413c661f9428df",
-    "asymptotics": "8cf24cdf41857a37f7e51dcdfca87a3ab15e7af722734ef51f4754a6a7edf539",
+    "asymptotics": "a42f2a3845bfe594d7d0bd2badd05d7fd354dc724f9a659e1444a32edb16748e",
 }
 
 

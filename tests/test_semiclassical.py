@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rabi_esqpt import (
     DosCurve,
-    QuadratureError,
     RabiParams,
     accumulated_states,
     dos_curve,
@@ -17,9 +16,10 @@ from rabi_esqpt import (
     ground_state_eps,
     observables_microcanonical,
 )
-from rabi_esqpt.semiclassical import EPS_CRITICAL, _orbit
+from rabi_esqpt.semiclassical import EPS_CRITICAL, _orbit, _orbit_integrals
 
-from oracles import QUAD_ORACLE, SHELL_ORACLE, observables_hellmann_feynman
+from oracles import (QUAD_ORACLE, SHELL_ORACLE, observables_hellmann_feynman,
+                     quadrature_integrals)
 
 
 def p_squared(g: float, eps: float, x: float) -> float:
@@ -117,10 +117,10 @@ class TestTurningPoints:
 class TestDensity:
     def test_quadrature_oracle(self):
         for (g, eps), (nu_ref, n_ref) in QUAD_ORACLE.items():
-            assert dos_semiclassical(g, eps, quad_tol=1e-12) == pytest.approx(
+            assert dos_semiclassical(g, eps) == pytest.approx(
                 nu_ref, rel=1e-12
             )
-            assert accumulated_states(g, eps, quad_tol=1e-12) == pytest.approx(
+            assert accumulated_states(g, eps) == pytest.approx(
                 n_ref, rel=1e-12
             )
 
@@ -141,10 +141,10 @@ class TestDensity:
     def test_count_derivative_is_density(self):
         h = 1e-5
         for g, eps in [(0.5, -0.3), (1.2, -0.5), (1.2, -1.05), (1.4, -1.15), (2.0, 0.0)]:
-            nu = dos_semiclassical(g, eps, quad_tol=1e-12)
+            nu = dos_semiclassical(g, eps)
             dn = (
-                accumulated_states(g, eps + h, quad_tol=1e-12)
-                - accumulated_states(g, eps - h, quad_tol=1e-12)
+                accumulated_states(g, eps + h)
+                - accumulated_states(g, eps - h)
             ) / (2.0 * h)
             assert dn == pytest.approx(nu, rel=1e-7)
 
@@ -156,12 +156,12 @@ class TestDensity:
         eps = lo + t * (3.0 - lo)
         assume(g <= 1.0 or abs(eps - EPS_CRITICAL) >= 1e-3)
         h = 1e-5
-        n_lo, n_hi = (accumulated_states(g, eps + d, quad_tol=1e-12) for d in (-h, h))
+        n_lo, n_hi = (accumulated_states(g, eps + d) for d in (-h, h))
         assert n_hi > n_lo
         # Simpson's mean of nu over [eps - h, eps + h], so that the O((h/delta)^2)
         # curvature of nu near eps = -1 (5e-6 at g = 1, eps = -0.999) stays
         # out of the comparison
-        nu = [dos_semiclassical(g, eps + d, quad_tol=1e-12) for d in (-h, 0.0, h)]
+        nu = [dos_semiclassical(g, eps + d) for d in (-h, 0.0, h)]
         nu_mean = (nu[0] + 4.0 * nu[1] + nu[2]) / 6.0
         assert (n_hi - n_lo) / (2.0 * h) == pytest.approx(nu_mean, rel=1e-6)
 
@@ -188,26 +188,12 @@ class TestDensity:
         with pytest.raises(ValueError, match="eps must be finite"):
             accumulated_states(1.2, eps)
 
-    @pytest.mark.parametrize("quad_tol", [math.nan, math.inf, 0.0, -1e-9])
-    def test_quad_tol_must_be_finite_and_positive(self, quad_tol):
-        # a NaN tolerance would turn the error-estimate check off
-        for call in (dos_semiclassical, accumulated_states, observables_microcanonical):
-            with pytest.raises(ValueError, match="quad_tol must be finite and positive"):
-                call(1.2, -0.5, quad_tol=quad_tol)
-        with pytest.raises(ValueError, match="quad_tol must be finite and positive"):
-            dos_curve(1.2, np.array([-0.5, 0.0]), quad_tol=quad_tol)
-
     def test_critical_guard(self):
         for eps in (-1.0, -1.0 + 0.5e-8, -1.0 - 0.5e-8):
             with pytest.raises(ValueError):
                 dos_semiclassical(1.2, eps)
         # no guard below the coupling threshold
         assert dos_semiclassical(0.9, -1.0 + 0.5e-8) > 0.0
-
-    def test_quadrature_failure_reported(self):
-        with pytest.raises(QuadratureError) as err:
-            dos_semiclassical(1.2, -1.0 + 2e-8, quad_tol=1e-15)
-        assert err.value.value > 0.0 and err.value.errest > 0.0
 
     def test_divergence_brackets(self):
         # nu grows without bound approaching eps_c from either side (g > 1)
@@ -236,7 +222,7 @@ class TestShellAverages:
         # includes points within 1e-7 of the single-well bottom, where
         # eps + s would cancel
         for (g, eps), (nphot_ref, sz_ref) in SHELL_ORACLE.items():
-            curve = observables_microcanonical(g, eps, quad_tol=1e-12)
+            curve = observables_microcanonical(g, eps)
             assert curve.nphot_scaled[0] == pytest.approx(nphot_ref, rel=1e-12)
             assert curve.sz[0] == pytest.approx(sz_ref, rel=1e-12)
 
@@ -247,7 +233,7 @@ class TestShellAverages:
             (RabiParams(omega0=0.5, Omega=30.0, g=0.8), 0.3),
         ]
         for params, eps in cases:
-            curve = observables_microcanonical(params.g, eps, quad_tol=1e-12)
+            curve = observables_microcanonical(params.g, eps)
             nphot_hf, sz_hf = observables_hellmann_feynman(params, eps)
             assert nphot_hf == pytest.approx(curve.nphot_scaled[0], abs=1e-4)
             assert sz_hf == pytest.approx(curve.sz[0], abs=1e-4)
@@ -276,28 +262,51 @@ class TestShellAverages:
 
 
 ENTRY_POINTS = {
-    "dos_semiclassical": lambda g, eps, quad_tol: dos_semiclassical(g, eps, quad_tol=quad_tol),
-    "accumulated_states": lambda g, eps, quad_tol: accumulated_states(g, eps, quad_tol=quad_tol),
+    "dos_semiclassical": dos_semiclassical,
+    "accumulated_states": accumulated_states,
     # the bad point second, after a good one
-    "dos_curve": lambda g, eps, quad_tol: dos_curve(g, [-0.5, eps], quad_tol=quad_tol,
-                                                    with_counts=True),
-    "observables_microcanonical": lambda g, eps, quad_tol: observables_microcanonical(
-        g, [-0.5, eps], quad_tol=quad_tol),
+    "dos_curve": lambda g, eps: dos_curve(g, [-0.5, eps], with_counts=True),
+    "observables_microcanonical": lambda g, eps: observables_microcanonical(g, [-0.5, eps]),
 }
 
 
-@pytest.mark.parametrize("g, eps, quad_tol, message", [
-    (1.2, -1.5, 1e-9, "no allowed orbit: eps=-1.5 is not above the ground-state eps="),
-    (1.2, math.nan, 1e-9, "eps must be finite, got nan"),
-    (1.2, EPS_CRITICAL + 0.5e-8, 1e-9, "is within 1e-08 of eps = -1.0, where nu diverges"),
-    (1.2, -0.5, math.nan, "quad_tol must be finite and positive, got nan"),
-    (-1.0, -0.5, 1e-9, "g must be finite and non-negative, got -1.0"),
-], ids=["below-ground-state", "nan-eps", "near-critical", "nan-quad-tol", "negative-g"])
-def test_entry_points_share_one_domain_check(g, eps, quad_tol, message):
+@pytest.mark.parametrize("g, eps, message", [
+    (1.2, -1.5, "no allowed orbit: eps=-1.5 is not above the ground-state eps="),
+    (1.2, math.nan, "eps must be finite, got nan"),
+    (1.2, EPS_CRITICAL + 0.5e-8, "is within 1e-08 of eps = -1.0, where nu diverges"),
+    (-1.0, -0.5, "g must be finite and non-negative, got -1.0"),
+], ids=["below-ground-state", "nan-eps", "near-critical", "negative-g"])
+def test_entry_points_share_one_domain_check(g, eps, message):
     messages = {}
     for name, call in ENTRY_POINTS.items():
         with pytest.raises(ValueError) as err:
-            call(g, eps, quad_tol)
+            call(g, eps)
         messages[name] = str(err.value)
     assert len(set(messages.values())) == 1, messages
     assert message in messages["dos_curve"]
+
+
+def test_closed_forms_match_quadrature():
+    """The four orbit integrals against one adaptive quad each, at rel 1e-11.
+
+    From 1e-14 above each well bottom up to eps = 1, at least 1e-5 from
+    eps = -1, where quad still meets its tolerance; the grid holds both orbit
+    types and both routes to J_2 and J_3 (the midpoint rule where the span
+    is at most half the distance to each outer root, R_D beyond).  No
+    absolute tolerance: N and nphot are as small as 1e-14 at the bottom.
+    """
+    kinds = set()
+    for g in (0.0, 1e-4, 0.5, 1.0, 1.001, 1.2, 1.4, 2.0, 3.0, 5.0):
+        e_gs = ground_state_eps(g)
+        eps = e_gs + np.geomspace(1e-14, 1.0 - e_gs, 29)
+        eps = np.concatenate([eps, [-1.0 - 1e-5, -1.0 + 1e-5]])
+        eps = eps[(eps > e_gs) & (np.abs(eps + 1.0) >= 1e-5)]
+        o = _orbit(g, eps)
+        near = np.maximum(o.span / (o.span + o.a_c), o.span / (o.a + 1.0 + o.span)) <= 0.5
+        kinds |= set(zip(o.a > 1.0, near))
+        ints = _orbit_integrals(g, eps)
+        for i, e in enumerate(eps):
+            for name, got, want in zip(ints._fields, (v[i] for v in ints),
+                                       quadrature_integrals(g, e)):
+                assert got == pytest.approx(want, rel=1e-11, abs=0.0), (name, g, e)
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
