@@ -44,10 +44,11 @@ and every weight w s needed here is a polynomial of degree at most 3 in
 Carlson's symmetric integrals (DLMF 19.29; Carlson, Math. Comp. 49 (1987)
 595): J_0 from R_F, J_1 from R_J and, away from the well bottom, J_2 and
 J_3 from R_D and the recurrence between neighbouring moments.  Near the
-bottom that recurrence cancels, and J_2, J_3 come from a fixed midpoint
-rule that converges geometrically there.  Both cover whole eps arrays at
-once, with no quadrature tolerance.  The root offsets and the weights are
-formed without cancellation at eps = -1, at the well bottom and as g -> 0.
+bottom, and at g = 1 near eps = -1, that recurrence cancels, and J_2, J_3
+come from a fixed midpoint rule that converges geometrically there.  Both
+cover whole eps arrays at once, with no quadrature tolerance.  The root
+offsets and the weights are formed without cancellation at eps = -1, at
+the well bottom and as g -> 0.
 
 Each public call checks its whole domain once, g, omega0 and every eps
 together, before any orbit is formed; dos_semiclassical and
@@ -197,8 +198,11 @@ def _orbit(g: float, eps) -> _Orbit:
 #     J_n = (2/sqrt(beta delta)) Int_0^{pi/2} sin^2n(t) dt
 #           / sqrt((1 - A sin^2 t)(1 - B sin^2 t)),   A = span/beta, B = span/delta.
 # The integrand is periodic and analytic; for A, B <= 1/2 the rule is exact
-# to roundoff from 16 nodes on (2e-11 at 8), so 32 leave a wide margin.
+# to roundoff from 16 nodes on (2e-11 at 8), and for A, B <= 0.9 from 32.
+# The rule serves up to 0.9 and not just to 1/2: at g = 1, A is 1/2 and
+# B -> 0 as eps -> -1, where the recurrence below loses up to 1e-4 of J_3.
 _NODES = 32
+_NEAR = 0.9
 _SIN2 = np.sin((np.arange(_NODES) + 0.5) * (0.5 * math.pi / _NODES)) ** 2
 
 
@@ -213,7 +217,7 @@ def _moments(o: _Orbit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     j1 = (2.0 / 3.0) * p * elliprj(0.0, x, y, p)
     A, B = span / beta, span / delta
     j2, j3 = np.empty_like(j0), np.empty_like(j0)
-    near = np.maximum(A, B) <= 0.5
+    near = np.maximum(A, B) <= _NEAR
     if near.any():
         w = (math.pi / _NODES) / np.sqrt(p[near, None] * (1.0 - A[near, None] * _SIN2)
                                          * (1.0 - B[near, None] * _SIN2))
@@ -224,7 +228,8 @@ def _moments(o: _Orbit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         # With Q = u (u + 1 - A)(u + 1 - B), the derivatives of
         # sqrt(Q) (1/(1+u) - 1/(u+1-B)) and of sqrt(Q)/(1+u)^2 integrate to 0 over
         # [0, inf).  Solved for J_2 and J_3 they divide by A B, which vanishes at
-        # the well bottom: there the midpoint rule above takes over.
+        # the well bottom and, with B, at g = 1 near eps = -1: there the midpoint
+        # rule above takes over.
         A, B, i0, i1 = A[far], B[far], j0[far], j1[far]
         jd = (2.0 / 3.0) * p[far] * elliprd(0.0, x[far], y[far])  # Int delta dmu/(gamma + delta u)
         s1, s2, ab2 = 1.0 + A + B, A + B + A * B, 2.0 * A * B

@@ -76,7 +76,7 @@ GOLDEN = {
         "dos_quantum.csv":
             "27e421922693a664c78b2182716eb12ee6ac533d50bb826a98587821f76f56a0",
         "dos_semiclassical.csv":
-            "4ad85deaedec2fcbc116b9f6aa276c8eb0e0b9f9d32dab36785db8f2f8146e63",
+            "a2f222a6471bdb6c4333012554beb49fad8d3ddf52b8c550611d1a50abf092d4",
         "dos_summary.json":
             "1685ed574b00344a106f9b5535a57decd20e6b4b072cb9c45c398b449f05bbda",
     },
@@ -86,9 +86,9 @@ GOLDEN = {
         "observables_quantum.csv":
             "422a268e3cdbf97afd97daf67778e3e0916bea7578505cecf479528cdfe2e730",
         "observables_semiclassical.csv":
-            "d621888e37e44f2adafb83404ea6e17df374cdfd628cff7d6da9933848d22a94",
+            "bfb2ddbbc1611d080fdc1b873230b95858961d0b3f252a4168b86ae98d9a78db",
         "observables_summary.json":
-            "a17abccf54da683c1c017a2d16ad19d2eff6492eee5b32cac311e34a222bfe1f",
+            "c2a87d46e5591d0f100f9302487356fd2d06eb508a174c31127633e894b971ff",
     },
     "probabilities_r1000": {
         "probabilities.csv":
@@ -126,7 +126,7 @@ GOLDEN = {
         "dos_quantum.csv":
             "71651e9db34f0ef43eec3019cc318f7122f966b58957591c975a05699c0524b1",
         "dos_semiclassical.csv":
-            "05117ebba8c2016a65e2eea405471d44a313db6fee65a10629b7894d01e2cb88",
+            "848f7f713217d336a433216c1ef43f4f9925235b973382382fc13847c35b857f",
         "dos_summary.json":
             "6152a564fd7cfa71ff8f13a5d76a4b39341b86844dfc77d09969f4869ce32e28",
     },
@@ -134,7 +134,7 @@ GOLDEN = {
         "dos_quantum.csv":
             "45fd1c1dab98612d12d0caf1a44c663ac0430e9883af391118ce8b2a3355888f",
         "dos_semiclassical.csv":
-            "de413994fdbd000c42aa0c1de1479bb8b47bade5a3325cab1233055a24dc5d53",
+            "1527936233e78ff19cc7b44a50d5bb7377078f411f4d86068db144b49ee3cfe4",
         "dos_summary.json":
             "c326cd42859be7ea4f22ee85a44643b02d5a36b84efdb5fa0176915fadf02b10",
     },

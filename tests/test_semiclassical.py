@@ -16,7 +16,8 @@ from rabi_esqpt import (
     ground_state_eps,
     observables_microcanonical,
 )
-from rabi_esqpt.semiclassical import EPS_CRITICAL, _orbit, _orbit_integrals
+from rabi_esqpt.semiclassical import (CRITICAL_GUARD, EPS_CRITICAL, _NEAR, _orbit,
+                                      _orbit_integrals)
 
 from oracles import (QUAD_ORACLE, SHELL_ORACLE, observables_hellmann_feynman,
                      quadrature_integrals)
@@ -275,7 +276,12 @@ ENTRY_POINTS = {
     (1.2, math.nan, "eps must be finite, got nan"),
     (1.2, EPS_CRITICAL + 0.5e-8, "is within 1e-08 of eps = -1.0, where nu diverges"),
     (-1.0, -0.5, "g must be finite and non-negative, got -1.0"),
-], ids=["below-ground-state", "nan-eps", "near-critical", "negative-g"])
+    (1.2, math.inf, "eps must be finite, got inf"),
+    (1.2, -math.inf, "eps must be finite, got -inf"),
+    (math.nan, -0.5, "g must be finite and non-negative, got nan"),
+    (math.inf, -0.5, "g must be finite and non-negative, got inf"),
+], ids=["below-ground-state", "nan-eps", "near-critical", "negative-g", "inf-eps",
+        "minus-inf-eps", "nan-g", "inf-g"])
 def test_entry_points_share_one_domain_check(g, eps, message):
     messages = {}
     for name, call in ENTRY_POINTS.items():
@@ -286,27 +292,84 @@ def test_entry_points_share_one_domain_check(g, eps, message):
     assert message in messages["dos_curve"]
 
 
-def test_closed_forms_match_quadrature():
+QUADRATURE_G = (0.0, 1e-4, 0.5, 1.0, 1.001, 1.2, 1.4, 2.0, 3.0, 5.0)
+
+
+def quadrature_grid(g: float) -> np.ndarray:
+    """29 eps from 1e-14 above the well bottom to eps = 1 and one each side of
+    eps = -1, all at least 1e-5 from it, where quad still meets its tolerance."""
+    e_gs = ground_state_eps(g)
+    eps = e_gs + np.geomspace(1e-14, 1.0 - e_gs, 29)
+    eps = np.concatenate([eps, [-1.0 - 1e-5, -1.0 + 1e-5]])
+    return eps[(eps > e_gs) & (np.abs(eps + 1.0) >= 1e-5)]
+
+
+def assert_closed_forms_match_quadrature(g: float, eps: np.ndarray) -> None:
     """The four orbit integrals against one adaptive quad each, at rel 1e-11.
 
-    From 1e-14 above each well bottom up to eps = 1, at least 1e-5 from
-    eps = -1, where quad still meets its tolerance; the grid holds both orbit
-    types and both routes to J_2 and J_3 (the midpoint rule where the span
-    is at most half the distance to each outer root, R_D beyond).  No
-    absolute tolerance: N and nphot are as small as 1e-14 at the bottom.
+    No absolute tolerance: N and nphot are as small as 1e-14 at the bottom.
     """
+    ints = _orbit_integrals(g, eps)
+    for i, e in enumerate(eps):
+        for name, got, want in zip(ints._fields, (v[i] for v in ints),
+                                   quadrature_integrals(g, e)):
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0), (name, g, e)
+
+
+@pytest.mark.parametrize("g", QUADRATURE_G)
+def test_closed_forms_match_quadrature(g):
+    assert_closed_forms_match_quadrature(g, quadrature_grid(g))
+
+
+def test_quadrature_grids_reach_both_orbits_and_both_routes():
+    # between them the grids above hold connected and in-well orbits, each
+    # with J_2 and J_3 from the midpoint rule (span at most _NEAR of the
+    # distance to each outer root) and from R_D (beyond)
     kinds = set()
-    for g in (0.0, 1e-4, 0.5, 1.0, 1.001, 1.2, 1.4, 2.0, 3.0, 5.0):
-        e_gs = ground_state_eps(g)
-        eps = e_gs + np.geomspace(1e-14, 1.0 - e_gs, 29)
-        eps = np.concatenate([eps, [-1.0 - 1e-5, -1.0 + 1e-5]])
-        eps = eps[(eps > e_gs) & (np.abs(eps + 1.0) >= 1e-5)]
-        o = _orbit(g, eps)
-        near = np.maximum(o.span / (o.span + o.a_c), o.span / (o.a + 1.0 + o.span)) <= 0.5
+    for g in QUADRATURE_G:
+        o = _orbit(g, quadrature_grid(g))
+        near = np.maximum(o.span / (o.span + o.a_c), o.span / (o.a + 1.0 + o.span)) <= _NEAR
         kinds |= set(zip(o.a > 1.0, near))
-        ints = _orbit_integrals(g, eps)
-        for i, e in enumerate(eps):
-            for name, got, want in zip(ints._fields, (v[i] for v in ints),
-                                       quadrature_integrals(g, e)):
-                assert got == pytest.approx(want, rel=1e-11, abs=0.0), (name, g, e)
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("g", [0.999, 1.0, 1.000001, 1.0001])
+def test_closed_forms_match_quadrature_at_the_coupling_threshold(g):
+    # about g = 1 the orbit just above eps = -1 is half as deep as it is wide
+    # (A = 1/2) and short against the outer root (B -> 0), where the R_D
+    # recurrence loses J_3; quad is still exact there when g <= 1 or for eps
+    # at least CRITICAL_GUARD from -1
+    lo = CRITICAL_GUARD if g > 1.0 else 1e-14
+    assert_closed_forms_match_quadrature(g, -1.0 + np.geomspace(lo, 1e-5, 40))
+
+
+@pytest.mark.parametrize("g", [0.0, 0.3, 0.7, 0.95, 1.05, 1.5, 3.0])
+def test_density_at_the_well_bottom_is_harmonic(g):
+    # small oscillations about the minimum have frequency omega0 sqrt(1 - g^2)
+    # for g < 1 and omega0 sqrt(1 - g^-4) in each of the two wells for g > 1;
+    # nu approaches the inverse spacing linearly in the height above the bottom
+    nu_bottom = 1.0 / math.sqrt(1.0 - g * g) if g < 1.0 else 2.0 / math.sqrt(1.0 - g**-4)
+    assert dos_semiclassical(g, ground_state_eps(g) + 1e-14) == pytest.approx(
+        nu_bottom, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 1.2, 2.0])
+def test_curves_match_pointwise_calls_in_any_order(g):
+    # one grid through both orbit types and both routes to J_2 and J_3: the
+    # array path gives every point what a one-point call gives it, whatever
+    # its neighbours
+    e_gs = ground_state_eps(g)
+    eps = e_gs + np.geomspace(1e-12, 2.0 - e_gs, 41)
+    eps = eps[np.abs(eps + 1.0) >= 1e-6]
+    curve = dos_curve(g, eps, with_counts=True)
+    obs = observables_microcanonical(g, eps)
+    for i, e in enumerate(eps):
+        assert curve.nu[i] == pytest.approx(dos_semiclassical(g, e), rel=1e-15, abs=0.0)
+        assert curve.n_cum[i] == pytest.approx(accumulated_states(g, e), rel=1e-15, abs=0.0)
+        one = observables_microcanonical(g, e)
+        assert obs.nphot_scaled[i] == pytest.approx(one.nphot_scaled[0], rel=1e-15, abs=0.0)
+        assert obs.sz[i] == pytest.approx(one.sz[0], rel=1e-15, abs=0.0)
+    order = np.random.default_rng(7).permutation(len(eps))
+    shuffled = dos_curve(g, eps[order], with_counts=True)
+    np.testing.assert_allclose(shuffled.nu, curve.nu[order], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(shuffled.n_cum, curve.n_cum[order], rtol=1e-15, atol=0.0)
