@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401  never called; perfbench/tracing.py binds the name
 from scipy.special import elliprd, elliprf, elliprj
 
 __all__ = [
@@ -75,6 +74,19 @@ __all__ = [
     "dos_curve",
     "observables_microcanonical",
 ]
+
+
+def __getattr__(name):
+    # No package code calls quad; only perfbench/tracing.py binds the name.
+    # It resolves on first access, so a CLI start loads no scipy.integrate.
+    # Delete this once the benchmark stops binding the name.
+    if name == "quad":
+        from scipy.integrate import quad
+
+        globals()["quad"] = quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Rescaled critical energy of the excited-state transition (g > 1).
 EPS_CRITICAL = -1.0

@@ -1,4 +1,10 @@
-"""The package namespace: the public names and where they are declared."""
+"""The package namespace: the public names, where they are declared, and what
+importing the CLI loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import rabi_esqpt
 from rabi_esqpt import asymptotics, quantum, semiclassical, spectral
@@ -29,3 +35,19 @@ def test_public_names_are_the_module_lists():
     # each name is declared once, in its module's __all__
     assert rabi_esqpt.__all__ == ["__version__", *quantum.__all__, *semiclassical.__all__,
                                   *asymptotics.__all__, *spectral.__all__]
+
+
+def test_cli_import_loads_no_quadrature():
+    # a fresh interpreter, since tests/oracles.py loads scipy.integrate here
+    code = (
+        "import sys, rabi_esqpt.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n"
+        "from rabi_esqpt import semiclassical\n"
+        "import scipy.integrate\n"
+        "assert semiclassical.quad is scipy.integrate.quad\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -29,6 +29,7 @@ def test_traced_runs_move_every_exact_counter(tmp_path, monkeypatch):
     import tracing
 
     mods = (cli, spectral, quantum, semiclassical)
+    semiclassical.quad  # resolve the lazy name the tracer binds before the snapshot
     before = [dict(vars(mod)) for mod in mods]
     tracer = tracing.Tracer(*mods)
     tracer.install()

@@ -119,10 +119,10 @@ class TestDensity:
     def test_quadrature_oracle(self):
         for (g, eps), (nu_ref, n_ref) in QUAD_ORACLE.items():
             assert dos_semiclassical(g, eps) == pytest.approx(
-                nu_ref, rel=1e-12
+                nu_ref, rel=1e-12, abs=0.0
             )
             assert accumulated_states(g, eps) == pytest.approx(
-                n_ref, rel=1e-12
+                n_ref, rel=1e-12, abs=0.0
             )
 
     def test_decoupled_limit(self):
@@ -224,8 +224,8 @@ class TestShellAverages:
         # eps + s would cancel
         for (g, eps), (nphot_ref, sz_ref) in SHELL_ORACLE.items():
             curve = observables_microcanonical(g, eps)
-            assert curve.nphot_scaled[0] == pytest.approx(nphot_ref, rel=1e-12)
-            assert curve.sz[0] == pytest.approx(sz_ref, rel=1e-12)
+            assert curve.nphot_scaled[0] == pytest.approx(nphot_ref, rel=1e-12, abs=0.0)
+            assert curve.sz[0] == pytest.approx(sz_ref, rel=1e-12, abs=0.0)
 
     def test_matches_hellmann_feynman(self):
         cases = [
