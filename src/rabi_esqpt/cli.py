@@ -373,7 +373,7 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
     grid = _eps_grid(args, g)
-    sc = dos_curve(g, grid, omega0=args.omega0, with_counts=True)
+    sc = dos_curve(g, grid, omega0=args.omega0)
     minus, plus = _quantum_sectors(params, args)
     wd = windowed_dos(minus, plus, window_n=args.window, eps_max=args.eps_max)
     qc = wd.to_dos_curve()

@@ -51,8 +51,8 @@ offsets and the weights are formed without cancellation at eps = -1, at
 the well bottom and as g -> 0.
 
 Each public call checks its whole domain once, g, omega0 and every eps
-together, before any orbit is formed; dos_semiclassical and
-accumulated_states are one-point calls of the same path as the curves.
+together, before any orbit is formed.  dos_curve gives nu and N together,
+from the one orbit-integral pass, at one eps or on a whole grid.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ __all__ = [
     "ObservableCurve",
     "EPS_CRITICAL",
     "ground_state_eps",
-    "dos_semiclassical",
-    "accumulated_states",
     "dos_curve",
     "observables_microcanonical",
 ]
@@ -101,7 +99,7 @@ class DosCurve:
     """Density of states nu(eps) in 1/omega0 units on an eps grid.
 
     n_cum, when present, is the accumulated count N(eps) in the same
-    normalization (so dN/deps = nu).
+    normalization (so dN/deps = nu); dos_curve always fills it.
     """
 
     eps: np.ndarray = field(repr=False)
@@ -280,12 +278,11 @@ def _orbit_integrals(g: float, eps: np.ndarray) -> _Integrals:
     )
 
 
-def _domain(g, eps, omega0: float = 1.0,
-            ground_ok: bool = False) -> tuple[float, np.ndarray]:
+def _domain(g, eps, omega0: float = 1.0) -> tuple[float, np.ndarray]:
     """The one domain check of a call: returns g as a float and eps as a 1-D array.
 
-    Every eps must be finite and above the ground state (at it, with
-    ground_ok) and, for g > 1, at least CRITICAL_GUARD from eps = -1.
+    Every eps must be finite, strictly above the ground state and, for
+    g > 1, at least CRITICAL_GUARD from eps = -1.
     """
     e_gs = ground_state_eps(g)
     g = float(g)
@@ -295,7 +292,7 @@ def _domain(g, eps, omega0: float = 1.0,
     bad = eps[~np.isfinite(eps)]
     if bad.size:
         raise ValueError(f"eps must be finite, got {bad[0]}")
-    bad = eps[eps < e_gs] if ground_ok else eps[eps <= e_gs]
+    bad = eps[eps <= e_gs]
     if bad.size:
         raise ValueError(f"no allowed orbit: eps={bad[0]} is not above the "
                          f"ground-state eps={e_gs}")
@@ -307,48 +304,25 @@ def _domain(g, eps, omega0: float = 1.0,
     return g, eps
 
 
-def dos_semiclassical(g: float, eps: float, omega0: float = 1.0) -> float:
-    """nu(eps, g) = (2/(omega0 pi)) Int dx/p over the orbit, in 1/omega0.
+def dos_curve(g: float, eps, omega0: float = 1.0) -> DosCurve:
+    """nu = (2/(omega0 pi)) Int dx/p and N = (4/(omega0 pi)) Int p dx at each eps.
 
-    Requires eps strictly above the ground-state energy and, for g > 1,
-    at least 1e-8 away from the critical energy eps = -1 where nu
-    diverges.
+    N is the phase-space count below eps, normalized so dN/deps = nu and
+    N matches (2/Omega x) the merged two-parity quantum level count.  Every
+    eps must lie strictly above the ground-state energy and, for g > 1, at
+    least CRITICAL_GUARD = 1e-8 away from eps = -1, where nu diverges.
     """
-    return dos_curve(g, eps, omega0).nu.item()
-
-
-def accumulated_states(g: float, eps: float, omega0: float = 1.0) -> float:
-    """N(eps, g) = (4/(omega0 pi)) Int p dx: phase-space count below eps.
-
-    Normalized so dN/deps = nu and N matches (2/Omega x) the merged
-    two-parity quantum level count.  N(eps_gs) = 0.  Same domain as
-    dos_semiclassical, except that eps may sit at the ground state.
-    """
-    g, eps = _domain(g, eps, omega0, ground_ok=True)
-    if eps.item() == ground_state_eps(g):
-        return 0.0
-    return 4.0 / (omega0 * math.pi) * _orbit_integrals(g, eps).p2.item()
-
-
-def dos_curve(
-    g: float,
-    eps: np.ndarray,
-    omega0: float = 1.0,
-    with_counts: bool = False,
-) -> DosCurve:
-    """Sample nu (and optionally N) on an eps grid; the domain of dos_semiclassical."""
     g, eps = _domain(g, eps, omega0)
     ints = _orbit_integrals(g, eps)
-    n_cum = 4.0 / (omega0 * math.pi) * ints.p2 if with_counts else None
-    return DosCurve(eps=eps, nu=2.0 / (omega0 * math.pi) * ints.one, n_cum=n_cum)
+    return DosCurve(eps=eps, nu=2.0 / (omega0 * math.pi) * ints.one,
+                    n_cum=4.0 / (omega0 * math.pi) * ints.p2)
 
 
 def observables_microcanonical(g: float, eps) -> ObservableCurve:
     """Shell-averaged nphot_scaled and sz on an eps grid.
 
     nphot_scaled is <a^dag a> omega0/Omega = <x^2 + p^2>/2; sz is
-    <sigma_z> = -<1/sqrt(1+2g^2x^2)>.  Same domain restrictions as
-    dos_semiclassical.
+    <sigma_z> = -<1/sqrt(1+2g^2x^2)>.  Same domain as dos_curve.
     """
     g, eps = _domain(g, eps)
     ints = _orbit_integrals(g, eps)

@@ -66,7 +66,8 @@ class WindowedDos:
         """Rescale to levels per unit bare energy (the semiclassical normalization).
 
         d(count)/dE = d(count)/d(eps) * 2/Omega, so the windowed estimate and
-        dos_semiclassical can be overlaid without further bookkeeping.
+        dos_curve's nu can be overlaid without further bookkeeping.  n_cum
+        stays None: the windows give no count.
         """
         return DosCurve(
             eps=self.eps_bar.copy(),
@@ -78,16 +79,15 @@ class WindowedDos:
 class GapMap:
     """Signed parity splitting delta_k = eps_k^+ - eps_k^- over a coupling sweep.
 
-    Arrays are shaped (n_g, k_max).  converged marks levels whose energies in
-    both sectors passed the truncation certificate; unconverged entries stay
-    in the arrays for inspection but carry no physics claim.  dim holds the
-    larger of the two sector truncations per coupling.  A converged splitting
-    at or below floor, the eigenvalue precision of the two sector solves, is
-    roundoff and counts as unresolved.
+    Arrays are shaped (n_g, k_max); g, dim and floor hold one entry per
+    coupling.  converged marks levels whose energies in both sectors passed
+    the truncation certificate; unconverged entries stay in the arrays for
+    inspection but carry no physics claim.  dim holds the larger of the two
+    sector truncations, and floor, in eps, the larger sector's
+    ParityChain.precision at that dim.  A converged splitting at or below
+    floor is roundoff and counts as unresolved.
     """
 
-    omega0: float
-    Omega: float
     g: np.ndarray = field(repr=False)
     eps_minus: np.ndarray = field(repr=False)
     eps_plus: np.ndarray = field(repr=False)
@@ -95,10 +95,11 @@ class GapMap:
     eps_mid: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
     dim: np.ndarray = field(repr=False)
+    floor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for a in (self.g, self.eps_minus, self.eps_plus, self.delta,
-                  self.eps_mid, self.converged, self.dim):
+                  self.eps_mid, self.converged, self.dim, self.floor):
             a.flags.writeable = False
 
     @property
@@ -108,17 +109,6 @@ class GapMap:
     @property
     def n_unconverged(self) -> int:
         return int(self.converged.size - np.count_nonzero(self.converged))
-
-    @property
-    def floor(self) -> np.ndarray:
-        """Per coupling, the larger sector's ParityChain.precision at dim, in eps."""
-        precision = [
-            max(build_parity_chain(RabiParams(self.omega0, self.Omega, float(g)),
-                                   parity, int(dim)).precision()
-                for parity in Parity)
-            for g, dim in zip(self.g, self.dim)
-        ]
-        return np.array(precision) * 2.0 / self.Omega
 
     @property
     def unresolved(self) -> np.ndarray:
@@ -219,6 +209,7 @@ def gap_map(
     eps_p = np.empty((n_g, k_max))
     conv = np.empty((n_g, k_max), dtype=bool)
     dims = np.empty(n_g, dtype=int)
+    precision = np.empty(n_g)
     for i, g in enumerate(g_values):
         params = RabiParams(omega0=omega0, Omega=Omega, g=float(g))
         minus, plus = (_levels_or_last(params, parity, k_max, tol)
@@ -227,9 +218,9 @@ def gap_map(
         eps_p[i] = plus.eps
         conv[i] = np.arange(k_max) < min(minus.n_converged, plus.n_converged)
         dims[i] = max(minus.dim, plus.dim)
+        precision[i] = max(build_parity_chain(params, parity, int(dims[i])).precision()
+                           for parity in Parity)
     return GapMap(
-        omega0=float(omega0),
-        Omega=float(Omega),
         g=g_values.copy(),
         eps_minus=eps_m,
         eps_plus=eps_p,
@@ -237,4 +228,5 @@ def gap_map(
         eps_mid=0.5 * (eps_p + eps_m),
         converged=conv,
         dim=dims,
+        floor=precision * 2.0 / Omega,
     )

@@ -13,11 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 __all__ = ["Series", "render", "save"]
+
+
+def _escape(text: str) -> str:
+    """XML character data: & first, so the entities added after stay intact."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 @dataclass
 class Series:
@@ -87,18 +92,13 @@ def _data_range(series: list[Series]) -> tuple[float, float, float, float]:
     return x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
 
 
-def render(
-    series: list[Series],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-) -> str:
+def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     """Render the series list to a standalone 720 x 480 SVG document string."""
     if not series:
         raise ValueError("no series to plot")
     width, height = 720, 480
     x0, x1, y0, y1 = _data_range(series)
-    ml, mr, mt, mb = 72, 24, 42 if title else 24, 54
+    ml, mr, mt, mb = 72, 24, 42, 54
     pw, ph = width - ml - mr, height - mt - mb
 
     def px(v: float) -> float:
@@ -183,22 +183,19 @@ def render(
     out.append("</g>")
 
     # labels and legend
-    if title:
-        out.append(
-            f'<text x="{width / 2:.2f}" y="24" font-size="14" font-family="sans-serif" '
-            f'text-anchor="middle">{escape(title)}</text>'
-        )
-    if xlabel:
-        out.append(
-            f'<text x="{ml + pw / 2:.2f}" y="{height - 12}" font-size="12" '
-            f'font-family="sans-serif" text-anchor="middle">{escape(xlabel)}</text>'
-        )
-    if ylabel:
-        yc = mt + ph / 2
-        out.append(
-            f'<text x="18" y="{yc:.2f}" font-size="12" font-family="sans-serif" '
-            f'text-anchor="middle" transform="rotate(-90 18 {yc:.2f})">{escape(ylabel)}</text>'
-        )
+    out.append(
+        f'<text x="{width / 2:.2f}" y="24" font-size="14" font-family="sans-serif" '
+        f'text-anchor="middle">{_escape(title)}</text>'
+    )
+    out.append(
+        f'<text x="{ml + pw / 2:.2f}" y="{height - 12}" font-size="12" '
+        f'font-family="sans-serif" text-anchor="middle">{_escape(xlabel)}</text>'
+    )
+    yc = mt + ph / 2
+    out.append(
+        f'<text x="18" y="{yc:.2f}" font-size="12" font-family="sans-serif" '
+        f'text-anchor="middle" transform="rotate(-90 18 {yc:.2f})">{_escape(ylabel)}</text>'
+    )
     labeled = [s for s in series if s.label]
     if labeled:
         lx, ly = ml + pw - 170, mt + 10
@@ -217,7 +214,7 @@ def render(
                 out.append(f'<circle cx="{lx + 11}" cy="{Y}" r="{s.radius}" fill="{s.color}"/>')
             out.append(
                 f'<text x="{lx + 28}" y="{Y + 4}" font-size="11" '
-                f'font-family="sans-serif">{escape(s.label)}</text>'
+                f'font-family="sans-serif">{_escape(s.label)}</text>'
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from rabi_esqpt import Parity, RabiParams, accumulated_states, dos_semiclassical
+from rabi_esqpt import Parity, RabiParams, dos_curve
 
 
 def dense_hamiltonian(params: RabiParams, n_max: int) -> np.ndarray:
@@ -86,7 +86,7 @@ def _count_bare(E: float, omega0: float, Omega: float, lam: float) -> float:
     """
     g = 2.0 * lam / math.sqrt(omega0 * Omega)
     eps = 2.0 * E / Omega
-    return 0.5 * Omega * accumulated_states(g, eps, omega0=omega0)
+    return 0.5 * Omega * dos_curve(g, eps, omega0=omega0).n_cum[0]
 
 
 def observables_hellmann_feynman(params: RabiParams, eps: float) -> tuple[float, float]:
@@ -100,7 +100,7 @@ def observables_hellmann_feynman(params: RabiParams, eps: float) -> tuple[float,
     """
     omega0, Omega, lam = params.omega0, params.Omega, params.lam
     E = 0.5 * eps * Omega
-    nu_bare = dos_semiclassical(params.g, eps, omega0=omega0)
+    nu_bare = dos_curve(params.g, eps, omega0=omega0).nu[0]
 
     dw = 1e-5 * omega0
     n_w = (

@@ -35,7 +35,6 @@ from rabi_esqpt import (
     converged_window,
     diagonalize,
     dos_curve,
-    dos_semiclassical,
     fit_divergence,
     gap_map,
     geometric_eps_grid,
@@ -115,7 +114,7 @@ def test_criterion_2_decoupled_limit():
         n = np.arange(spec.dim)
         exact = np.sort(2.0 * n * p.omega0 / p.Omega + s0 * (-1.0) ** n)[:40]
         worst_q = max(worst_q, float(np.max(np.abs(spec.eps - exact))))
-    nu = np.array([dos_semiclassical(0.0, e) for e in np.linspace(-0.999, 2.0, 61)])
+    nu = dos_curve(0.0, np.linspace(-0.999, 2.0, 61)).nu
     worst_nu = float(np.max(np.abs(nu - 1.0)))
     ok = worst_q < 1e-10 and worst_nu < 1e-8
     report("criterion 2", ok,
@@ -132,7 +131,7 @@ def test_criterion_3_power_law_at_threshold():
                          window=(1e-6, 1e-3))
     # prefactor checked pointwise at the small edge of the window, where
     # the subleading sqrt(delta) correction is negligible
-    ratio = dos_semiclassical(1.0, EPS_CRITICAL + 1e-6) * 1e-6**0.25 / law.prefactor
+    ratio = dos_curve(1.0, EPS_CRITICAL + 1e-6).nu[0] * 1e-6**0.25 / law.prefactor
     ok_exp = abs(fit.slope - (-0.25)) <= 0.01
     ok_pref = abs(ratio - 1.0) <= 0.005
     report("criterion 3", ok_exp and ok_pref,
@@ -172,7 +171,7 @@ def test_criterion_5_windowed_density(r1000):
         wd = windowed_dos(minus, plus, window_n=10)
         qc = wd.to_dos_curve()
         sel = band_mask(qc.eps, g)
-        sc = np.array([dos_semiclassical(g, float(e)) for e in qc.eps[sel]])
+        sc = dos_curve(g, qc.eps[sel]).nu
         rel = np.abs(qc.nu[sel] / sc - 1.0)
         band_ok = bool(np.max(rel) < 0.05)
 
@@ -181,7 +180,7 @@ def test_criterion_5_windowed_density(r1000):
         # level spacings
         near = np.abs(qc.eps - EPS_CRITICAL) <= 0.05
         peak = float(np.max(qc.nu[near]))
-        ref = dos_semiclassical(g, EPS_CRITICAL + 0.05)
+        ref = dos_curve(g, EPS_CRITICAL + 0.05).nu[0]
         spacing = float(1.0 / np.max(wd.nu_bar))
         law = law_log_esqpt(1.0, g)
         fit = fit_divergence(qc, LawKind.LOG_ESQPT, side=Side.ABOVE,
@@ -355,7 +354,7 @@ def test_criterion_9_window_insensitivity(r1000):
             c = curves[n]
             near = (np.abs(c.eps - EPS_CRITICAL) <= 0.05) \
                 & (np.abs(c.eps - EPS_CRITICAL) > 1e-5)
-            sc = np.array([dos_semiclassical(g, float(e)) for e in c.eps[near]])
+            sc = dos_curve(g, c.eps[near]).nu
             devs[n] = float(np.max(np.abs(c.nu[near] / sc - 1.0)))
         ok &= band_rel < 0.05 and devs[40] > devs[10]
         details.append(f"g={g}: N=4 vs N=10 band dev {band_rel:.4f} (tol 0.05); "

@@ -1,7 +1,9 @@
 """The package namespace: the public names, where they are declared, and what
 importing the CLI loads."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +11,16 @@ from pathlib import Path
 import rabi_esqpt
 from rabi_esqpt import asymptotics, quantum, semiclassical, spectral
 
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rabi_esqpt"
+
 PUBLIC_NAMES = [
     "__version__",
     "Parity", "RabiParams", "ParityChain", "ParitySpectrum", "EigenObservables",
     "ConvergenceError", "TruncationLimitError", "build_parity_chain", "diagonalize",
     "converged_window", "converged_levels", "eigen_observables",
     "DosCurve", "ObservableCurve", "EPS_CRITICAL", "ground_state_eps",
-    "dos_semiclassical", "accumulated_states", "dos_curve", "observables_microcanonical",
+    "dos_curve", "observables_microcanonical",
     "LawKind", "Side", "CriticalLaw", "FitReport", "law_power_qpt", "law_log_esqpt",
     "fit_divergence", "geometric_eps_grid",
     "WindowedDos", "GapMap", "windowed_dos", "gap_map",
@@ -37,17 +42,64 @@ def test_public_names_are_the_module_lists():
                                   *asymptotics.__all__, *spectral.__all__]
 
 
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
 def test_cli_import_loads_no_quadrature():
-    # a fresh interpreter, since tests/oracles.py loads scipy.integrate here
+    # a fresh interpreter, since tests/oracles.py loads scipy.integrate here;
+    # xml.sax would bring urllib.request with it, for one escape in svgplot
     code = (
         "import sys, rabi_esqpt.cli\n"
-        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n"
+        "for mod in ('scipy.integrate', 'xml.sax', 'urllib.request'):\n"
+        "    assert mod not in sys.modules, mod + ' loaded'\n"
         "from rabi_esqpt import semiclassical\n"
         "import scipy.integrate\n"
         "assert semiclassical.quad is scipy.integrate.quad\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
+    run = _run_fresh(code)
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_example_runs():
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    run = _run_fresh(block.group(1))
+    assert run.returncode == 0, run.stderr
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names the module reads, outside the top-level definition of each name."""
+    reads = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name != own:
+                reads.add(name)
+    return reads
+
+
+def _declared(tree: ast.Module) -> list[str]:
+    """The string entries of the module's __all__."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return []
+
+
+def test_every_public_name_has_a_package_reader():
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    reads = set().union(*map(_reads, trees.values()))
+    unread = [f"{module}:{name}" for module, tree in sorted(trees.items())
+              for name in _declared(tree) if name not in reads]
+    assert unread == []

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from rabi_esqpt import (
     DosCurve,
     RabiParams,
-    accumulated_states,
     dos_curve,
-    dos_semiclassical,
     ground_state_eps,
     observables_microcanonical,
 )
@@ -108,46 +106,39 @@ class TestTurningPoints:
         with pytest.raises(ValueError):
             _orbit(1.2, -1.1)
         with pytest.raises(ValueError):
-            dos_semiclassical(1.2, -1.1)
+            dos_curve(1.2, -1.1)
         with pytest.raises(ValueError):
-            dos_semiclassical(0.5, -1.0001)
+            dos_curve(0.5, -1.0001)
         with pytest.raises(ValueError):
-            dos_semiclassical(1.0, math.inf)
+            dos_curve(1.0, math.inf)
 
 
 class TestDensity:
     def test_quadrature_oracle(self):
         for (g, eps), (nu_ref, n_ref) in QUAD_ORACLE.items():
-            assert dos_semiclassical(g, eps) == pytest.approx(
-                nu_ref, rel=1e-12, abs=0.0
-            )
-            assert accumulated_states(g, eps) == pytest.approx(
-                n_ref, rel=1e-12, abs=0.0
-            )
+            curve = dos_curve(g, eps)
+            assert curve.nu[0] == pytest.approx(nu_ref, rel=1e-12, abs=0.0)
+            assert curve.n_cum[0] == pytest.approx(n_ref, rel=1e-12, abs=0.0)
 
     def test_decoupled_limit(self):
         # g = 0: harmonic oscillator, nu = 1/omega0 and N = eps + 1 exactly
         for eps in (-0.999, -0.5, 0.0, 1.0, 2.0):
-            assert dos_semiclassical(0.0, eps) == pytest.approx(1.0, rel=1e-11)
-            assert accumulated_states(0.0, eps) == pytest.approx(eps + 1.0, rel=1e-11)
+            curve = dos_curve(0.0, eps)
+            assert curve.nu[0] == pytest.approx(1.0, rel=1e-11)
+            assert curve.n_cum[0] == pytest.approx(eps + 1.0, rel=1e-11)
 
     def test_omega0_scaling(self):
-        nu1 = dos_semiclassical(1.2, -0.5, omega0=1.0)
-        nu2 = dos_semiclassical(1.2, -0.5, omega0=2.0)
-        assert nu2 == pytest.approx(0.5 * nu1, rel=1e-12)
-        n1 = accumulated_states(1.2, -0.5, omega0=1.0)
-        n2 = accumulated_states(1.2, -0.5, omega0=2.0)
-        assert n2 == pytest.approx(0.5 * n1, rel=1e-12)
+        c1 = dos_curve(1.2, -0.5, omega0=1.0)
+        c2 = dos_curve(1.2, -0.5, omega0=2.0)
+        assert c2.nu[0] == pytest.approx(0.5 * c1.nu[0], rel=1e-12)
+        assert c2.n_cum[0] == pytest.approx(0.5 * c1.n_cum[0], rel=1e-12)
 
     def test_count_derivative_is_density(self):
         h = 1e-5
         for g, eps in [(0.5, -0.3), (1.2, -0.5), (1.2, -1.05), (1.4, -1.15), (2.0, 0.0)]:
-            nu = dos_semiclassical(g, eps)
-            dn = (
-                accumulated_states(g, eps + h)
-                - accumulated_states(g, eps - h)
-            ) / (2.0 * h)
-            assert dn == pytest.approx(nu, rel=1e-7)
+            nu = dos_curve(g, eps).nu[0]
+            n_lo, n_hi = dos_curve(g, [eps - h, eps + h]).n_cum
+            assert (n_hi - n_lo) / (2.0 * h) == pytest.approx(nu, rel=1e-7)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(g=st.floats(0.0, 3.0), t=st.floats(0.0, 1.0))
@@ -157,56 +148,51 @@ class TestDensity:
         eps = lo + t * (3.0 - lo)
         assume(g <= 1.0 or abs(eps - EPS_CRITICAL) >= 1e-3)
         h = 1e-5
-        n_lo, n_hi = (accumulated_states(g, eps + d) for d in (-h, h))
+        curve = dos_curve(g, [eps - h, eps, eps + h])
+        n_lo, n_hi = curve.n_cum[0], curve.n_cum[2]
         assert n_hi > n_lo
         # Simpson's mean of nu over [eps - h, eps + h], so that the O((h/delta)^2)
         # curvature of nu near eps = -1 (5e-6 at g = 1, eps = -0.999) stays
         # out of the comparison
-        nu = [dos_semiclassical(g, eps + d) for d in (-h, 0.0, h)]
+        nu = curve.nu
         nu_mean = (nu[0] + 4.0 * nu[1] + nu[2]) / 6.0
         assert (n_hi - n_lo) / (2.0 * h) == pytest.approx(nu_mean, rel=1e-6)
 
-    def test_count_vanishes_at_ground_state(self):
-        assert accumulated_states(1.4, ground_state_eps(1.4)) == 0.0
-        # and grows from there
-        assert accumulated_states(1.4, ground_state_eps(1.4) + 1e-4) > 0.0
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            dos_semiclassical(1.2, ground_state_eps(1.2))  # not strictly above
+            dos_curve(1.2, ground_state_eps(1.2))  # not strictly above
         with pytest.raises(ValueError):
-            accumulated_states(1.2, -1.5)
+            dos_curve(1.2, -1.5)
         with pytest.raises(ValueError):
-            dos_semiclassical(1.2, -0.5, omega0=0.0)
+            dos_curve(1.2, -0.5, omega0=0.0)
         with pytest.raises(ValueError):
-            dos_semiclassical(-1.0, -0.5)
+            dos_curve(-1.0, -0.5)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_eps_rejected(self, eps):
         # unchecked, NaN and inf integrate to a silent 0.0
         with pytest.raises(ValueError, match="eps must be finite"):
-            dos_semiclassical(1.2, eps)
-        with pytest.raises(ValueError, match="eps must be finite"):
-            accumulated_states(1.2, eps)
+            dos_curve(1.2, eps)
 
     def test_critical_guard(self):
         for eps in (-1.0, -1.0 + 0.5e-8, -1.0 - 0.5e-8):
             with pytest.raises(ValueError):
-                dos_semiclassical(1.2, eps)
+                dos_curve(1.2, eps)
         # no guard below the coupling threshold
-        assert dos_semiclassical(0.9, -1.0 + 0.5e-8) > 0.0
+        assert dos_curve(0.9, -1.0 + 0.5e-8).nu[0] > 0.0
 
     def test_divergence_brackets(self):
         # nu grows without bound approaching eps_c from either side (g > 1)
-        above = [dos_semiclassical(1.2, -1.0 + d) for d in (1e-2, 1e-4, 1e-6)]
-        below = [dos_semiclassical(1.2, -1.0 - d) for d in (1e-2, 1e-4, 1e-6)]
+        d = np.array([1e-2, 1e-4, 1e-6])
+        above = dos_curve(1.2, -1.0 + d).nu
+        below = dos_curve(1.2, -1.0 - d).nu
         assert above[0] < above[1] < above[2]
         assert below[0] < below[1] < below[2]
 
     def test_dos_curve_container(self):
         grid = np.array([-0.8, -0.4, 0.0, 0.5])
-        curve = dos_curve(1.2, grid, with_counts=True)
-        assert curve.n_cum is not None and np.all(np.diff(curve.n_cum) > 0)
+        curve = dos_curve(1.2, grid)
+        assert np.all(np.diff(curve.n_cum) > 0)
         assert len(curve.eps) == len(curve.nu) == 4
         with pytest.raises(ValueError):
             DosCurve(eps=np.zeros(3), nu=np.zeros(2))
@@ -263,10 +249,8 @@ class TestShellAverages:
 
 
 ENTRY_POINTS = {
-    "dos_semiclassical": dos_semiclassical,
-    "accumulated_states": accumulated_states,
     # the bad point second, after a good one
-    "dos_curve": lambda g, eps: dos_curve(g, [-0.5, eps], with_counts=True),
+    "dos_curve": lambda g, eps: dos_curve(g, [-0.5, eps]),
     "observables_microcanonical": lambda g, eps: observables_microcanonical(g, [-0.5, eps]),
 }
 
@@ -343,14 +327,32 @@ def test_closed_forms_match_quadrature_at_the_coupling_threshold(g):
     assert_closed_forms_match_quadrature(g, -1.0 + np.geomspace(lo, 1e-5, 40))
 
 
-@pytest.mark.parametrize("g", [0.0, 0.3, 0.7, 0.95, 1.05, 1.5, 3.0])
+BOTTOM_G = [0.0, 0.3, 0.7, 0.95, 1.05, 1.5, 3.0]
+
+
+def harmonic_nu_bottom(g: float) -> float:
+    """nu at the well bottom: small oscillations about the minimum have
+    frequency omega0 sqrt(1 - g^2) for g < 1 and omega0 sqrt(1 - g^-4) in each
+    of the two wells for g > 1, and nu is the inverse level spacing."""
+    return 1.0 / math.sqrt(1.0 - g * g) if g < 1.0 else 2.0 / math.sqrt(1.0 - g**-4)
+
+
+@pytest.mark.parametrize("g", BOTTOM_G)
 def test_density_at_the_well_bottom_is_harmonic(g):
-    # small oscillations about the minimum have frequency omega0 sqrt(1 - g^2)
-    # for g < 1 and omega0 sqrt(1 - g^-4) in each of the two wells for g > 1;
     # nu approaches the inverse spacing linearly in the height above the bottom
-    nu_bottom = 1.0 / math.sqrt(1.0 - g * g) if g < 1.0 else 2.0 / math.sqrt(1.0 - g**-4)
-    assert dos_semiclassical(g, ground_state_eps(g) + 1e-14) == pytest.approx(
-        nu_bottom, rel=1e-12)
+    assert dos_curve(g, ground_state_eps(g) + 1e-14).nu[0] == pytest.approx(
+        harmonic_nu_bottom(g), rel=1e-12)
+
+
+@pytest.mark.parametrize("g", BOTTOM_G)
+def test_count_at_the_well_bottom_is_harmonic(g):
+    # N vanishes at the bottom and grows as nu_bottom d, to first order in the
+    # height d; d is the height of the eps actually sampled, not the 1e-8 asked
+    e_gs = ground_state_eps(g)
+    eps = e_gs + 1e-8
+    d = eps - e_gs
+    assert dos_curve(g, eps).n_cum[0] / (harmonic_nu_bottom(g) * d) == pytest.approx(
+        1.0, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("g", [0.5, 1.0, 1.2, 2.0])
@@ -361,15 +363,16 @@ def test_curves_match_pointwise_calls_in_any_order(g):
     e_gs = ground_state_eps(g)
     eps = e_gs + np.geomspace(1e-12, 2.0 - e_gs, 41)
     eps = eps[np.abs(eps + 1.0) >= 1e-6]
-    curve = dos_curve(g, eps, with_counts=True)
+    curve = dos_curve(g, eps)
     obs = observables_microcanonical(g, eps)
     for i, e in enumerate(eps):
-        assert curve.nu[i] == pytest.approx(dos_semiclassical(g, e), rel=1e-15, abs=0.0)
-        assert curve.n_cum[i] == pytest.approx(accumulated_states(g, e), rel=1e-15, abs=0.0)
+        point = dos_curve(g, e)
+        assert curve.nu[i] == pytest.approx(point.nu[0], rel=1e-15, abs=0.0)
+        assert curve.n_cum[i] == pytest.approx(point.n_cum[0], rel=1e-15, abs=0.0)
         one = observables_microcanonical(g, e)
         assert obs.nphot_scaled[i] == pytest.approx(one.nphot_scaled[0], rel=1e-15, abs=0.0)
         assert obs.sz[i] == pytest.approx(one.sz[0], rel=1e-15, abs=0.0)
     order = np.random.default_rng(7).permutation(len(eps))
-    shuffled = dos_curve(g, eps[order], with_counts=True)
+    shuffled = dos_curve(g, eps[order])
     np.testing.assert_allclose(shuffled.nu, curve.nu[order], rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(shuffled.n_cum, curve.n_cum[order], rtol=1e-15, atol=0.0)
