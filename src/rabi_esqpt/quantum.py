@@ -29,18 +29,18 @@ reports comes from one call of LAPACK sterf (root-free QL/QR, O(dim^2), no
 workspace); at g = 0 the chain is diagonal and sterf returns its sorted
 diagonal exactly.  Only the observables solve,
 converged_window(with_observables=True), computes eigenvectors, and it
-keeps none: stein (inverse iteration) computes them in slices of at most
-64 levels, and each slice is certified, reduced to <a^dag a>, <sigma_z>
-and p_loc, and dropped on arrival.  So the vectors held at any time are
-one slice, never a dim x k block.  stein reorthogonalizes each vector
-against all earlier ones within 1e-3 ||T||; at large Omega/omega0 that
-spans the whole level window (4.5 omega0 at R = 1000 against spacings of
-0.35 omega0), so slicing also bounds the Gram-Schmidt work by
-O(64 dim k) instead of O(dim k^2).  A slice never separates levels closer
-than sqrt(ulp) ||T||, which must share a call to stay orthogonal.  stein
-fails on couplings near underflow, so a chain whose couplings are all
-below ulp max|diag| (g = 0, or nearly) takes unit vectors on its sites, in
-ascending order, instead.
+keeps none: they come in slices of at most 64 levels, and each slice is
+certified, reduced to <a^dag a>, <sigma_z> and p_loc, and dropped on
+arrival.  So the vectors held at any time are one slice, never a dim x k
+block.  Each vector takes two steps of inverse iteration (Parlett, ch. 4):
+one LU of T - w, two solves from a fixed pseudo-random start.  A solve
+multiplies the level's own component, against that of a level delta
+away, by delta / |w - E|, with |w - E| about ulp ||T||; so two leave the
+vector orthogonal to working precision to every level at least
+sqrt(ulp) ||T|| away.  Closer levels share a slice, where each solve is
+projected off the earlier ones.  A chain whose couplings are all below ulp max|diag| (g = 0,
+or nearly) takes unit vectors on its sites, in ascending order, instead,
+so that its exact ties stay site vectors.
 
 The truncated chain is certified against the untruncated one in a single
 solve.  Padding an eigenvector v of a d-site chain with zeros, its
@@ -66,8 +66,8 @@ precision is at or above tol * omega0 is never solved, the probe
 included: the solve raises ValueError instead.
 
 The observables solve takes each level's Ritz value w from that window
-chain, but runs each slice's stein on the chain cut at the orbit of the
-slice's top level plus 24 Airy widths, never past the window: on average
+chain, but solves each slice's vectors on the chain cut at the orbit of
+the slice's top level plus 24 Airy widths, never past the window: on average
 0.7 of the window's sites at R = 1000.  The level's certificate is the
 whole residual of (w, [z; 0]) against the untruncated chain: the in-chain
 residual of z on the cut chain, which also carries the distance from w to
@@ -104,7 +104,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dstebz, dstein, dsterf
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dstebz, dsterf
 
 __all__ = [
     "Parity",
@@ -124,8 +124,8 @@ __all__ = [
 # Default truncation cap of the certified solves, in units of R max(1, g^2).
 _CAP_PER_R = 200.0
 
-# Levels per stein call (the module docstring says why the solve is sliced)
-# and per pivot block of the tail bound.
+# Levels per slice of vectors (the module docstring says why the solve is
+# sliced) and per pivot block of the tail bound.
 _SLICE = 64
 
 # Start truncation past the classical orbit, in Airy widths n_cls^{1/3}.
@@ -161,7 +161,7 @@ class Parity(enum.Enum):
 
 
 class ConvergenceError(RuntimeError):
-    """LAPACK reported that an eigenvalue or eigenvector did not converge."""
+    """LAPACK reported that an eigenvalue did not converge (sterf or stebz)."""
 
 
 class TruncationLimitError(RuntimeError):
@@ -327,8 +327,8 @@ def _error_bound(chain: ParityChain, inner: float | list[float],
 
 def _diagonal_order(chain: ParityChain) -> np.ndarray | None:
     # a chain whose couplings are all below ulp max|diag| (g = 0, or nearly)
-    # is diagonal to working precision, and stein fails on couplings near
-    # underflow: its levels are its sites in stable ascending order of diag
+    # is diagonal to working precision: its levels are its sites in stable
+    # ascending order of diag, and their unit vectors keep exact ties apart
     ulp = np.finfo(float).eps
     if np.max(np.abs(chain.offdiag)) <= ulp * np.max(np.abs(chain.diag)):
         return np.argsort(chain.diag, kind="stable")
@@ -350,8 +350,8 @@ def diagonalize(chain: ParityChain) -> np.ndarray:
 def _slices(chain: ParityChain, w: np.ndarray):
     # [a, b) ranges of at most _SLICE of the chain's ascending levels w; a
     # range ends only where the next level is at least sqrt(ulp) ||T||
-    # higher, so near-degenerate levels share a stein call and stay
-    # orthogonal
+    # higher: closer levels must share a slice, whose solve projects each
+    # off the earlier ones, to stay orthogonal
     gap = math.sqrt(np.finfo(float).eps) * chain.norm_bound()
     cut = np.append(np.diff(w) >= gap, True)
     a = 0
@@ -363,27 +363,50 @@ def _slices(chain: ParityChain, w: np.ndarray):
         a = b
 
 
+def _inverse_iteration(chain: ParityChain, w: np.ndarray) -> np.ndarray:
+    # one eigenvector per ascending level w of the chain: one LU of T - w
+    # (gttrf) and two solves (gttrs) from a fixed pseudo-random start, each
+    # normalized and projected off the earlier vectors of its cluster of
+    # levels closer than sqrt(ulp) ||T|| (the module docstring says why)
+    n, ulp, norm = chain.dim, np.finfo(float).eps, chain.norm_bound()
+    # a decoupled site of unit pivot borders the chain: the LU of the
+    # chain's rows is unchanged, its component stays 0, and scipy's gttrf,
+    # which rejects n = 2, gets three sites at least
+    off = np.append(chain.offdiag, 0.0)
+    start = np.append(np.random.default_rng(0).uniform(-1.0, 1.0, n), 0.0)
+    z = np.empty((n, len(w)))
+    tie = 0
+    for k, wk in enumerate(w):
+        if k and wk - w[k - 1] >= math.sqrt(ulp) * norm:
+            tie = k
+        dl, d, du, du2, ipiv, info = dgttrf(off, np.append(chain.diag - wk, 1.0), off,
+                                            overwrite_d=1)
+        if info:  # an exact zero pivot of U, perturbed as LAPACK dlagts does
+            d[d == 0.0] = ulp * norm
+        x = start.copy()
+        for _ in range(2):
+            x = dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=1)[0]
+            if tie < k:
+                x[:n] -= z[:, tie:k] @ (z[:, tie:k].T @ x[:n])
+            x /= np.linalg.norm(x)
+        z[:, k] = x[:n]
+    return z
+
+
 def _slice_vectors(chain: ParityChain, w: np.ndarray,
                    first: int) -> tuple[np.ndarray, np.ndarray]:
     # eigenvectors of the chain's ascending levels w, the levels first,
-    # first + 1, ... of its solve: one stein call, or unit vectors on a
-    # diagonal chain.  Also returns the error bound of each, from its
-    # measured in-chain residual, one column at a time so that no second
-    # block of vectors is held
+    # first + 1, ... of its solve: by inverse iteration, which keeps a slice's
+    # near-degenerate levels orthogonal, or unit vectors on a diagonal
+    # chain.  Also returns the error bound of each, from its measured
+    # in-chain residual, one column at a time so that no second block of
+    # vectors is held
     order = _diagonal_order(chain)
     if order is not None:
         z = np.zeros((chain.dim, len(w)))
         z[order[first:first + len(w)], np.arange(len(w))] = 1.0
     else:
-        # stein's block description of the unreduced chain
-        iblock = np.ones(chain.dim, dtype=np.int32)
-        isplit = np.zeros(chain.dim, dtype=np.int32)
-        isplit[0] = chain.dim
-        z, info = dstein(chain.diag, chain.offdiag, w, iblock, isplit)
-        if info:
-            raise ConvergenceError(
-                f"inverse iteration failed: {info} of levels {first}..{first + len(w) - 1} "
-                "did not converge")
+        z = _inverse_iteration(chain, w)
     inner = [np.linalg.norm(chain.matvec(z[:, k:k + 1]) - w[k] * z[:, k:k + 1])
              for k in range(len(w))]
     return z, _error_bound(chain, inner, np.abs(z[-1]))
@@ -402,11 +425,8 @@ def _observed_slice(chain: ParityChain, w: np.ndarray, first: int,
                 first + len(w)), chain.dim)
     if d < chain.dim and _diagonal_order(chain) is None:
         cut = replace(chain, diag=chain.diag[:d], offdiag=chain.offdiag[:d - 1])
-        try:
-            z, res = _slice_vectors(cut, w, first)
-        except ConvergenceError:  # stein, on a cut too short
-            res = None
-        if res is not None and np.all(res < bound):
+        z, res = _slice_vectors(cut, w, first)
+        if np.all(res < bound):
             return (res, *eigen_observables(chain.parity, z))
         z = None  # one slice of vectors at a time, fallback included
     z, res = _slice_vectors(chain, w, first)

@@ -84,19 +84,19 @@ GOLDEN = {
         "observables.svg":
             "87fe2060bcb87d35f69d5e0a0f75e6b360ce45916a7f054c125aa483115d4801",
         "observables_quantum.csv":
-            "422a268e3cdbf97afd97daf67778e3e0916bea7578505cecf479528cdfe2e730",
+            "fe2117f332486b4ba19d1dc4ac58ceba0a4ec0631a208914d4454a4b38492506",
         "observables_semiclassical.csv":
             "bfb2ddbbc1611d080fdc1b873230b95858961d0b3f252a4168b86ae98d9a78db",
         "observables_summary.json":
-            "c2a87d46e5591d0f100f9302487356fd2d06eb508a174c31127633e894b971ff",
+            "a53bd85e0b963022abcfbd5a1f3093d1ac6ca31ade3043e2338e28efd1f0adb4",
     },
     "probabilities_r1000": {
         "probabilities.csv":
-            "d3a72ad8ce67f5f371f3752fa3dbe5109bfa6914f339e6124f52d8e409ea4b68",
+            "38339d0563b527661bc0f3dc02dfd874219b2641cb0bfac33ca8466215c35ae0",
         "probabilities.svg":
             "14bcdbab2c58bed3986089917032b93a65ea49154aa5e9b9fc6312fb94c88d7b",
         "probabilities_summary.json":
-            "841f83bf310a2c02f57b34581db47d4b77f4a9dc7a30a5e1675ca1a2c277d337",
+            "49f90474e333d53b1d2c658493c66d0bed215e25aae6f7689d88322e8b30a474",
     },
     "asymptotics_power": {
         "asymptotics.json":

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dstebz
 
 from rabi_esqpt import (
-    ConvergenceError,
     Parity,
     RabiParams,
     TruncationLimitError,
@@ -27,7 +26,7 @@ from rabi_esqpt import quantum
 from oracles import dense_hamiltonian, dense_sector_data, random_params
 
 
-def stein_vectors(chain, w):
+def slice_vectors(chain, w):
     """Every vector of the chain's levels w, stitched from the solver's
     certified slices on the whole chain (the solver itself holds one slice
     at a time)."""
@@ -166,7 +165,7 @@ class TestDiagonalize:
         for parity in (Parity.MINUS, Parity.PLUS):
             chain = build_parity_chain(p, parity, dim)
             w = diagonalize(chain)
-            v = stein_vectors(chain, w)
+            v = slice_vectors(chain, w)
             np.testing.assert_allclose(v.T @ v, np.eye(dim), rtol=0, atol=1e-12)
             res = chain.matvec(v) - w[None, :] * v
             assert np.max(np.linalg.norm(res, axis=0)) <= 1e-9 * chain.norm_bound()
@@ -188,10 +187,43 @@ class TestDiagonalize:
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         chain = build_parity_chain(p, Parity.MINUS, 400)
         w = diagonalize(chain)[:30]
-        v = stein_vectors(chain, w)
+        v = slice_vectors(chain, w)
         assert v.shape == (400, 30)
         np.testing.assert_allclose(v.T @ v, np.eye(30), atol=1e-12)
         res = chain.matvec(v) - w[None, :] * v
+        assert np.max(np.linalg.norm(res, axis=0)) < 1e-9 * chain.norm_bound()
+
+    def test_two_site_chain(self):
+        # the smallest chain build_parity_chain makes: its vectors match the
+        # dense ones up to sign
+        p = RabiParams(omega0=1.0, Omega=3.0, g=1.3)
+        for parity in Parity:
+            chain = build_parity_chain(p, parity, 2)
+            w = diagonalize(chain)
+            z = slice_vectors(chain, w)
+            w_ref, v_ref = np.linalg.eigh(chain_dense(chain))
+            np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.abs(z.T @ v_ref), np.eye(2), rtol=0, atol=1e-14)
+
+    def test_exact_zero_pivot_is_perturbed(self, monkeypatch):
+        # at R = 1 the top level of this chain is an eigenvalue of it so
+        # exactly that the LU of T - w has a zero last pivot: the solve must
+        # still give a finite eigenvector, not divide by zero
+        p = RabiParams(omega0=1.0, Omega=1.0, g=float(np.linspace(0.0, 3.0, 31)[23]))
+        chain = build_parity_chain(p, Parity.MINUS, 16)
+        factor, infos = quantum.dgttrf, []
+
+        def recorded(*args, **kwargs):
+            lu = factor(*args, **kwargs)
+            infos.append(lu[-1])
+            return lu
+
+        monkeypatch.setattr(quantum, "dgttrf", recorded)
+        w = diagonalize(chain)
+        z, _ = quantum._slice_vectors(chain, w, 0)
+        assert infos[-1] == chain.dim and not any(infos[:-1])
+        np.testing.assert_allclose(z.T @ z, np.eye(16), rtol=0, atol=1e-12)
+        res = chain.matvec(z) - w[None, :] * z
         assert np.max(np.linalg.norm(res, axis=0)) < 1e-9 * chain.norm_bound()
 
     def test_sliced_vectors_orthonormal_across_slices(self):
@@ -199,7 +231,7 @@ class TestDiagonalize:
         chain = build_parity_chain(p, Parity.MINUS, 400)
         w = diagonalize(chain)
         assert len(w) == 400 > 4 * quantum._SLICE
-        v = stein_vectors(chain, w)
+        v = slice_vectors(chain, w)
         np.testing.assert_allclose(v.T @ v, np.eye(400), rtol=0, atol=1e-12)
         res = chain.matvec(v) - w[None, :] * v
         assert np.max(np.linalg.norm(res, axis=0)) < 1e-9 * chain.norm_bound()
@@ -209,13 +241,14 @@ class TestDiagonalize:
     def test_tied_levels_share_a_slice(self, monkeypatch):
         # at odd R the g = 0 towers tie exactly (site n and n - R); at tiny g
         # they stay tied to ~1e-11 inside one block, where only a shared
-        # stein call keeps the pair orthogonal
+        # slice, whose solve projects each tie off the other, keeps the pair
+        # orthogonal
         monkeypatch.setattr(quantum, "_SLICE", 1)
         p0 = RabiParams(omega0=1.0, Omega=41.0, g=0.0)
         chain = build_parity_chain(p0, Parity.MINUS, 300)
         w = diagonalize(chain)
         assert np.count_nonzero(np.diff(w) == 0.0) > 100
-        v = stein_vectors(chain, w)
+        v = slice_vectors(chain, w)
         # each level is a distinct chain site: a permutation of unit vectors
         sites = np.argmax(np.abs(v), axis=0)
         assert sorted(sites) == list(range(300))
@@ -226,7 +259,7 @@ class TestDiagonalize:
         chain = build_parity_chain(p, Parity.MINUS, 300)
         w = diagonalize(chain)
         assert np.min(np.diff(w)) < 1e-10
-        v = stein_vectors(chain, w)
+        v = slice_vectors(chain, w)
         np.testing.assert_allclose(v.T @ v, np.eye(300), rtol=0, atol=1e-12)
 
     def test_vector_solve_memory_is_the_output(self):
@@ -302,7 +335,7 @@ class TestConvergedWindow:
         # the error bound is the residual of the zero-padded vector on a longer chain
         longer = build_parity_chain(p, Parity.MINUS, 17)
         padded = np.zeros((17, len(spec)))
-        padded[:12] = stein_vectors(build_parity_chain(p, Parity.MINUS, 12), spec.energies)
+        padded[:12] = slice_vectors(build_parity_chain(p, Parity.MINUS, 12), spec.energies)
         res = np.linalg.norm(longer.matvec(padded) - spec.energies * padded, axis=0)
         np.testing.assert_allclose(res, spec.error_bound, rtol=1e-9)
 
@@ -384,7 +417,7 @@ class TestConvergedWindow:
     def test_levels_grow_past_failed_certificate(self, ratio, g, dims, monkeypatch):
         # the ground level in a shallow well: at its orbit plus 12 Airy
         # widths (64 sites at the least) its vector's tail term is still
-        # above tol (stein gives 2e-8 at R = 40 and 1e-2 at R = 200), so the
+        # above tol (2e-8 at R = 40 and 1e-2 at R = 200), so the
         # certificate fails and the solve regrows once, to twice the dim
         p = RabiParams(omega0=1.0, Omega=ratio, g=g)
         tol = 1e-8
@@ -459,14 +492,14 @@ class TestLevelsProbe:
                                                err_msg=str((ratio, float(g), parity.label)))
 
 
-def _stein_last_components(chain, k_max):
+def _exact_last_components(chain, k_max):
     w = diagonalize(chain)[:k_max]
-    return w, np.abs(stein_vectors(chain, w)[-1])
+    return w, np.abs(slice_vectors(chain, w)[-1])
 
 
 class TestTailBound:
     @pytest.mark.parametrize("ratio", [1.0, 4.0, 40.0, 200.0])
-    def test_bounds_stein_last_component(self, ratio):
+    def test_bounds_the_last_component(self, ratio):
         # the pivot bound is a bound on every level, and the top level's
         # bound, the one that sizes a regrow, is within 10x of the exact value
         for g in np.linspace(0.0, 3.0, 31):
@@ -474,7 +507,7 @@ class TestTailBound:
             for dim in (16, 64, 128, 256):
                 for parity in Parity:
                     chain = build_parity_chain(p, parity, dim)
-                    w, exact = _stein_last_components(chain, min(20, dim))
+                    w, exact = _exact_last_components(chain, min(20, dim))
                     bound = quantum._tail_bound(chain, w)
                     case = (ratio, float(g), dim, parity.label)
                     assert np.all(bound >= exact - 1e-14), case
@@ -487,7 +520,7 @@ class TestTailBound:
         # where v decays toward site 0 and would bound the tail by ~1e-18
         p = RabiParams(omega0=1.0, Omega=200.0, g=2.0)
         chain = build_parity_chain(p, Parity.MINUS, 128)
-        w, exact = _stein_last_components(chain, 1)
+        w, exact = _exact_last_components(chain, 1)
         assert exact[0] > 0.03
         bound = quantum._tail_bound(chain, w)
         assert exact[0] <= bound[0] <= 10.0 * exact[0]
@@ -507,10 +540,11 @@ class TestValuesOnlySolve:
     EPS_MAX = 0.052
 
     def test_no_eigenvector_is_computed(self, monkeypatch):
-        def no_stein(*args):
-            raise AssertionError("a values-only solve called stein")
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("a values-only solve called inverse iteration")
 
-        monkeypatch.setattr(quantum, "dstein", no_stein)
+        for name in ("_inverse_iteration", "dgttrf", "dgttrs"):
+            monkeypatch.setattr(quantum, name, no_vectors)
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         _, win = converged_window(p, Parity.MINUS, eps_max=-0.5)
         assert win.vectors is None and win.observables is None
@@ -566,7 +600,7 @@ class TestObservables:
             dim = 40
             chain = build_parity_chain(p, parity, dim)
             w = diagonalize(chain)
-            n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, w))
+            n_phot, sz, p_loc = eigen_observables(parity, slice_vectors(chain, w))
             # level k lives on the chain site that sorts to position k
             sites = np.argsort(chain.diag, kind="stable")
             np.testing.assert_allclose(n_phot, sites.astype(float), atol=1e-12)
@@ -582,7 +616,7 @@ class TestObservables:
         for parity in (Parity.MINUS, Parity.PLUS):
             chain = build_parity_chain(p, parity, dim)
             w = diagonalize(chain)[:k]
-            n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, w))
+            n_phot, sz, p_loc = eigen_observables(parity, slice_vectors(chain, w))
             w_ref, n_ref, sz_ref, p_ref = dense[parity]
             np.testing.assert_allclose(w, w_ref[:k], atol=1e-10)
             np.testing.assert_allclose(n_phot, n_ref[:k], atol=1e-9)
@@ -621,7 +655,7 @@ class TestStreamedObservables:
         assert spec.n_converged == len(spec) > 100
         assert np.all(spec.error_bound < tol * p.omega0)
         chain = build_parity_chain(p, parity, dim)
-        n_phot, sz, p_loc = eigen_observables(parity, stein_vectors(chain, spec.energies))
+        n_phot, sz, p_loc = eigen_observables(parity, slice_vectors(chain, spec.energies))
         obs = spec.observables
         np.testing.assert_allclose(obs.n_phot, n_phot, rtol=1e-12, atol=0)
         np.testing.assert_allclose(obs.sz, sz, rtol=0, atol=1e-12)
@@ -648,16 +682,16 @@ class TestStreamedObservables:
         # observables match the uncorrupted solve
         p = RabiParams(omega0=1.0, Omega=200.0, g=1.4)
         _, ref = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
-        stein, corrupted = quantum.dstein, []
+        solve, corrupted = quantum._inverse_iteration, []
 
-        def corrupting_stein(d, e, w, *args):
-            z, info = stein(d, e, w, *args)
-            if len(d) < ref.dim:  # only on cut chains
+        def corrupting(chain, w):
+            z = solve(chain, w)
+            if chain.dim < ref.dim:  # only on cut chains
                 z[:, 3] = np.roll(z[:, 3], 7)  # still normalized, no eigenvector
-                corrupted.append(len(d))
-            return z, info
+                corrupted.append(chain.dim)
+            return z
 
-        monkeypatch.setattr(quantum, "dstein", corrupting_stein)
+        monkeypatch.setattr(quantum, "_inverse_iteration", corrupting)
         # cap ceil(2 R g^2) = 784, above the window: a missed fallback fails fast
         monkeypatch.setattr(quantum, "_CAP_PER_R", 2.0)
         dims = _record_slice_chains(monkeypatch)
@@ -678,35 +712,20 @@ class TestStreamedObservables:
         # so the window regrows to the cap and the solve reports levels 0-2
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         monkeypatch.setattr(quantum, "_CAP_PER_R", 5.0)  # cap ceil(5 R g^2) = 392
-        stein, dims = quantum.dstein, []
+        solve, dims = quantum._inverse_iteration, []
 
-        def corrupting_stein(d, e, w, *args):
-            z, info = stein(d, e, w, *args)
+        def corrupting(chain, w):
+            z = solve(chain, w)
             z[:, 3] = np.roll(z[:, 3], 7)
-            dims.append(len(d))
-            return z, info
+            dims.append(chain.dim)
+            return z
 
-        monkeypatch.setattr(quantum, "dstein", corrupting_stein)
+        monkeypatch.setattr(quantum, "_inverse_iteration", corrupting)
         with pytest.raises(TruncationLimitError) as err:
             converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
         spec = err.value.spectrum
         assert spec.dim == max(dims) == 392 and len(set(dims)) > 2
         assert spec.n_converged == 3 and spec.error_bound[3] >= 1e-8 * p.omega0
-
-    def test_convergence_error_is_lapack_failure(self, monkeypatch):
-        # stein's failure on a cut chain falls back to the window chain; on
-        # the window chain it is the one case that raises ConvergenceError
-        p = RabiParams(omega0=1.0, Omega=200.0, g=1.4)
-        stein, dims = quantum.dstein, []
-
-        def failing_stein(d, *args):
-            dims.append(len(d))
-            return stein(d, *args)[0], 2
-
-        monkeypatch.setattr(quantum, "dstein", failing_stein)
-        with pytest.raises(ConvergenceError, match="inverse iteration failed: 2 of levels 0.."):
-            converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
-        assert len(dims) == 2 and dims[0] < dims[1]
 
     def test_short_pad_falls_back_to_the_window_chain(self, monkeypatch):
         # at the window's own 12 Airy widths the top levels of some slices
