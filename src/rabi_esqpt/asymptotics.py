@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .semiclassical import EPS_CRITICAL, DosCurve, _check_g, _check_omega0
 
@@ -97,7 +96,7 @@ def law_power_qpt(omega0: float = 1.0) -> CriticalLaw:
     ``C = Gamma(5/4) / Gamma(3/4) * 2**(5/4) / (omega0 * sqrt(pi))``.
     """
     omega0 = _check_omega0(omega0)
-    pref = float(_gamma(1.25) / _gamma(0.75) * 2.0**1.25 / (omega0 * math.sqrt(math.pi)))
+    pref = math.gamma(1.25) / math.gamma(0.75) * 2.0**1.25 / (omega0 * math.sqrt(math.pi))
     return CriticalLaw(exponent=-0.25, prefactor=pref)
 
 

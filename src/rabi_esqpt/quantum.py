@@ -100,11 +100,39 @@ magnitude too small.  The top level's bound is about 2x its exact value.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
+import operator
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dstebz, dsterf
+
+
+def _flapack():
+    # The compiled LAPACK wrappers that scipy.linalg.lapack re-exports, so the
+    # same routines, loaded by path: by name they cost scipy.linalg's package
+    # init, whose array-API imports take a third of a second of every CLI
+    # start.  The module is private to scipy; on any failure the public
+    # import stands in.
+    name = "scipy.linalg._flapack"
+    try:
+        (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+        path = next(path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.isfile(path := os.path.join(root, "linalg", "_flapack" + suffix)))
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        return module
+    except Exception:
+        from scipy.linalg import lapack
+
+        return lapack
+
+
+dgttrf, dgttrs, dpttrf, dstebz, dsterf = operator.attrgetter(
+    "dgttrf", "dgttrs", "dpttrf", "dstebz", "dsterf")(_flapack())
 
 __all__ = [
     "Parity",
@@ -236,10 +264,12 @@ class ParityChain:
         return 4.0 * np.finfo(float).eps * self.norm_bound()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """H v for a dim x m block of column vectors."""
-        out = self.diag[:, None] * v
-        out[:-1] += self.offdiag[:, None] * v[1:]
-        out[1:] += self.offdiag[:, None] * v[:-1]
+        """H v for one vector or a dim x m block of column vectors."""
+        a, b = (self.diag, self.offdiag) if v.ndim == 1 else (self.diag[:, None],
+                                                               self.offdiag[:, None])
+        out = a * v
+        out[:-1] += b * v[1:]
+        out[1:] += b * v[:-1]
         return out
 
 
@@ -316,7 +346,7 @@ def build_parity_chain(params: RabiParams, parity: Parity, dim: int) -> ParityCh
     return ParityChain(params=params, parity=parity, diag=diag, offdiag=offdiag)
 
 
-def _error_bound(chain: ParityChain, inner: float | list[float],
+def _error_bound(chain: ParityChain, inner: float | np.ndarray,
                  v_last: np.ndarray) -> np.ndarray:
     # the residual, against the untruncated chain, of each level's vector v
     # padded with zeros: its in-chain part and its tail lam sqrt(dim)
@@ -363,18 +393,20 @@ def _slices(chain: ParityChain, w: np.ndarray):
         a = b
 
 
-def _inverse_iteration(chain: ParityChain, w: np.ndarray) -> np.ndarray:
+def _inverse_iteration(chain: ParityChain,
+                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # one eigenvector per ascending level w of the chain: one LU of T - w
     # (gttrf) and two solves (gttrs) from a fixed pseudo-random start, each
     # normalized and projected off the earlier vectors of its cluster of
-    # levels closer than sqrt(ulp) ||T|| (the module docstring says why)
+    # levels closer than sqrt(ulp) ||T|| (the module docstring says why).
+    # Also returns each vector's in-chain residual ||T z - w z||
     n, ulp, norm = chain.dim, np.finfo(float).eps, chain.norm_bound()
     # a decoupled site of unit pivot borders the chain: the LU of the
     # chain's rows is unchanged, its component stays 0, and scipy's gttrf,
     # which rejects n = 2, gets three sites at least
     off = np.append(chain.offdiag, 0.0)
     start = np.append(np.random.default_rng(0).uniform(-1.0, 1.0, n), 0.0)
-    z = np.empty((n, len(w)))
+    z, res = np.empty((n, len(w))), np.empty(len(w))
     tie = 0
     for k, wk in enumerate(w):
         if k and wk - w[k - 1] >= math.sqrt(ulp) * norm:
@@ -390,7 +422,8 @@ def _inverse_iteration(chain: ParityChain, w: np.ndarray) -> np.ndarray:
                 x[:n] -= z[:, tie:k] @ (z[:, tie:k].T @ x[:n])
             x /= np.linalg.norm(x)
         z[:, k] = x[:n]
-    return z
+        res[k] = np.linalg.norm(chain.matvec(x[:n]) - wk * x[:n])
+    return z, res
 
 
 def _slice_vectors(chain: ParityChain, w: np.ndarray,
@@ -399,16 +432,14 @@ def _slice_vectors(chain: ParityChain, w: np.ndarray,
     # first + 1, ... of its solve: by inverse iteration, which keeps a slice's
     # near-degenerate levels orthogonal, or unit vectors on a diagonal
     # chain.  Also returns the error bound of each, from its measured
-    # in-chain residual, one column at a time so that no second block of
-    # vectors is held
+    # in-chain residual
     order = _diagonal_order(chain)
-    if order is not None:
+    if order is None:
+        z, inner = _inverse_iteration(chain, w)
+    else:
         z = np.zeros((chain.dim, len(w)))
         z[order[first:first + len(w)], np.arange(len(w))] = 1.0
-    else:
-        z = _inverse_iteration(chain, w)
-    inner = [np.linalg.norm(chain.matvec(z[:, k:k + 1]) - w[k] * z[:, k:k + 1])
-             for k in range(len(w))]
+        inner = np.linalg.norm(chain.matvec(z) - w * z, axis=0)
     return z, _error_bound(chain, inner, np.abs(z[-1]))
 
 

@@ -42,8 +42,9 @@ between the adjacent roots [a, b] = [1, s+] (connected orbits) or [s-, s+]
 and every weight w s needed here is a polynomial of degree at most 3 in
 1/(1 + u).  The moments J_n of that measure against 1/(1 + u)^n come from
 Carlson's symmetric integrals (DLMF 19.29; Carlson, Math. Comp. 49 (1987)
-595): J_0 from R_F, J_1 from R_J and, away from the well bottom, J_2 and
-J_3 from R_D and the recurrence between neighbouring moments.  Near the
+595), all three from one numpy duplication loop: J_0 from R_F, J_1 from R_J
+and, away from the well bottom, J_2 and J_3 from R_D and the recurrence
+between neighbouring moments.  Near the
 bottom, and at g = 1 near eps = -1, that recurrence cancels, and J_2, J_3
 come from a fixed midpoint rule that converges geometrically there.  Both
 cover whole eps arrays at once, with no quadrature tolerance.  The root
@@ -62,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import elliprd, elliprf, elliprj
 
 __all__ = [
     "DosCurve",
@@ -215,6 +215,65 @@ _NODES = 32
 _NEAR = 0.9
 _SIN2 = np.sin((np.arange(_NODES) + 0.5) * (0.5 * math.pi / _NODES)) ** 2
 
+# Duplication steps of _carlson.  Carlson's stopping rule 4^-m Q < A_m, for
+# relative error 2^-53, holds at 9 for every p >= x, y > 0 with
+# min(x, y) >= 2^-52 max(x, y).  A fixed count gives a point the same bits
+# in any array.
+_STEPS = 9
+
+
+def _carlson(x: np.ndarray, y: np.ndarray,
+             p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R_F(0, x, y), R_J(0, x, y, p) and R_D(0, x, y) for p >= x, y > 0.
+
+    One loop of Carlson's duplication (Numer. Algorithms 10 (1995) 13; DLMF
+    19.36(i)) serves all three: lambda depends only on x, y and z = 0, and
+    R_D(0, x, y) = R_J(0, x, y, y).  R_J runs at q = x y / p <= x, y, by
+    p R_J(0, x, y, p) + q R_J(0, x, y, q) = 3 R_F(0, x, y), so that a p far
+    above x and y costs no extra steps.
+    """
+    q = x * y / p
+    # s is (x, z, y, q) times 4^m after m steps, so a step adds lambda and
+    # keeps q - x, q - y and q - z: e_m of R_J is sq^2 / d_m^2 >= 0, and
+    # R_C(1, 1 + e) = atan(sqrt e) / sqrt e.  R_D has p = y and e = 0.
+    s = np.stack([x, np.zeros_like(x), y, q])
+    d = np.empty((_STEPS, 2, len(x)))  # d_m of R_D and of R_J, times 8^m
+    for m in range(_STEPS):
+        r = np.sqrt(s)
+        lam = r[0] * r[2]
+        lam += r[1] * (r[0] + r[2])
+        t = r[3] + r[:3]
+        np.multiply(t[0] * t[1], t[2], out=d[m, 1])
+        s += lam
+        # (sqrt y + sqrt x)(sqrt y + sqrt z) = y + lambda, the next y
+        np.multiply(r[2], s[2], out=d[m, 0])
+    # sq is 0 where p = x or p = y (a zero span); there the floor turns
+    # atan(sq / d) / sq into 1 / d
+    sq = np.maximum(q * np.sqrt((p - x) * (p - y) / p), 1e-150)
+    d[:, 0] = 0.5 / d[:, 0]
+    d[:, 1] = np.arctan(sq / d[:, 1])
+    d *= 2.0 ** np.arange(_STEPS)[:, None, None]
+    tail = 6.0 * sum(d)  # row by row: in step order for any number of points
+    tail[1] /= sq
+    # the closing series in X = (A_0 - x) / (4^m A_m), ..., 4^m A_m the mean of s
+    x_m, z_m, y_m, q_m = s
+    a, a0 = (x_m + z_m + y_m) / 3.0, (x + y) / 3.0
+    X, Y = (a0 - x) / a, (a0 - y) / a
+    e2, e3 = X * Y - (X + Y) ** 2, -X * Y * (X + Y)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 / 44.0 * e2 * e3) / np.sqrt(a)
+    # R_D and R_J(0, x, y, q) together, with fourth arguments y and q
+    a = (x_m + z_m + y_m + 2.0 * np.stack([y_m, q_m])) / 5.0
+    a0 = (x + y + 2.0 * np.stack([y, q])) / 5.0
+    X, Y, Z = (a0 - x) / a, (a0 - y) / a, a0 / a
+    P = -0.5 * (X + Y + Z)
+    xyz, e2 = X * Y * Z, X * Y + Z * (X + Y) - 3.0 * P * P
+    e3, e4 = xyz + P * (2.0 * e2 + 4.0 * P * P), P * (2.0 * xyz + P * (e2 + 3.0 * P * P))
+    series = (1.0 - 3.0 / 14.0 * e2 + e3 / 6.0 + 9.0 / 88.0 * e2 * e2 - 3.0 / 22.0 * e4
+              - 9.0 / 52.0 * e2 * e3 + 3.0 / 26.0 * xyz * P * P)
+    rd, rj_q = series * 2.0**_STEPS / (a * np.sqrt(a)) + tail
+    rf *= 2.0**_STEPS
+    return rf, (3.0 * rf - q * rj_q) / p, rd
+
 
 def _moments(o: _Orbit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """J_0, J_1, J_2 and J_3 on every orbit."""
@@ -222,9 +281,11 @@ def _moments(o: _Orbit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     beta = span + o.a_c
     gamma = o.a + 1.0
     delta = gamma + span
+    # x / p = 1 - A and y / p = 1 - B below: p >= x, y, as _carlson needs
     x, y, p = o.a_c * delta, gamma * beta, beta * delta
-    j0 = 2.0 * elliprf(0.0, x, y)
-    j1 = (2.0 / 3.0) * p * elliprj(0.0, x, y, p)
+    rf, rj, rd = _carlson(x, y, p)
+    j0 = 2.0 * rf
+    j1 = (2.0 / 3.0) * p * rj
     A, B = span / beta, span / delta
     j2, j3 = np.empty_like(j0), np.empty_like(j0)
     near = np.maximum(A, B) <= _NEAR
@@ -241,7 +302,7 @@ def _moments(o: _Orbit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         # the well bottom and, with B, at g = 1 near eps = -1: there the midpoint
         # rule above takes over.
         A, B, i0, i1 = A[far], B[far], j0[far], j1[far]
-        jd = (2.0 / 3.0) * p[far] * elliprd(0.0, x[far], y[far])  # Int delta dmu/(gamma + delta u)
+        jd = (2.0 / 3.0) * p[far] * rd[far]  # Int delta dmu/(gamma + delta u)
         s1, s2, ab2 = 1.0 + A + B, A + B + A * B, 2.0 * A * B
         i2 = (s2 * i1 - B * i0 + (y[far] / p[far]) * (B - A) * jd) / ab2
         j2[far] = i2

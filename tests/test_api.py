@@ -1,5 +1,5 @@
 """The package namespace: the public names, where they are declared, and what
-importing the CLI loads."""
+importing and running the CLI loads."""
 
 import ast
 import os
@@ -58,6 +58,37 @@ def test_cli_import_loads_no_quadrature():
         "from rabi_esqpt import semiclassical\n"
         "import scipy.integrate\n"
         "assert semiclassical.quad is scipy.integrate.quad\n"
+    )
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+
+
+# every command once, small; --emit-svg reaches svgplot as well
+SMALL_RUNS = [
+    ["spectrum", "--ratio", "40", "--g", "1.4", "--levels", "4"],
+    ["gapmap", "--ratio", "40", "--g-min", "0", "--g-max", "2", "--g-steps", "3",
+     "--levels", "4"],
+    ["dos", "--ratio", "40", "--g", "1.2", "--points", "11"],
+    ["observables", "--ratio", "40", "--g", "1.4", "--points", "11"],
+    ["probabilities", "--ratio", "40", "--g", "1.2"],
+    ["asymptotics", "--g", "1.4", "--points", "6"],
+]
+
+
+def test_cli_commands_run_without_scipy_package_init(tmp_path):
+    # a fresh interpreter: the orbit integrals need no scipy.special, and the
+    # chain solves take LAPACK from scipy's compiled extension, loaded by
+    # path, so neither scipy.linalg's package init nor the public fallback
+    # to it ever runs
+    code = (
+        "import sys\n"
+        "from rabi_esqpt import cli, quantum\n"
+        f"for i, argv in enumerate({SMALL_RUNS!r}):\n"
+        f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
+        "    assert cli.main([*argv, '--emit-svg', '--out', out]) == 0, argv\n"
+        "for mod in ('scipy.special', 'scipy.linalg', 'scipy.integrate'):\n"
+        "    assert mod not in sys.modules, mod + ' loaded'\n"
+        "assert quantum.dsterf is sys.modules['scipy.linalg._flapack'].dsterf\n"
     )
     run = _run_fresh(code)
     assert run.returncode == 0, run.stderr

@@ -76,9 +76,9 @@ GOLDEN = {
         "dos_quantum.csv":
             "27e421922693a664c78b2182716eb12ee6ac533d50bb826a98587821f76f56a0",
         "dos_semiclassical.csv":
-            "a2f222a6471bdb6c4333012554beb49fad8d3ddf52b8c550611d1a50abf092d4",
+            "b65394fdf803aea0c375276d384ec0b8054e5c761549d953c3e05d29babb6037",
         "dos_summary.json":
-            "1685ed574b00344a106f9b5535a57decd20e6b4b072cb9c45c398b449f05bbda",
+            "67f68c980a43ca2bc71f43ac5792080eaafac51925de5bcbf8e138cfef010778",
     },
     "observables_r1000": {
         "observables.svg":
@@ -86,9 +86,9 @@ GOLDEN = {
         "observables_quantum.csv":
             "fe2117f332486b4ba19d1dc4ac58ceba0a4ec0631a208914d4454a4b38492506",
         "observables_semiclassical.csv":
-            "bfb2ddbbc1611d080fdc1b873230b95858961d0b3f252a4168b86ae98d9a78db",
+            "bd68e7e38c5ae64b1e963068d0c6d64c1df3e407eab6cc9ab6cfd0db979b8888",
         "observables_summary.json":
-            "a53bd85e0b963022abcfbd5a1f3093d1ac6ca31ade3043e2338e28efd1f0adb4",
+            "389f71736f99181c037544eed63a88d9d4222c72b3d4bd9f89b56237d4acd8da",
     },
     "probabilities_r1000": {
         "probabilities.csv":
@@ -100,19 +100,19 @@ GOLDEN = {
     },
     "asymptotics_power": {
         "asymptotics.json":
-            "e98e192bd268c83e97bf650bc458d6207e6b64aad6f684a9ecdb9eba38ba2625",
+            "d7540e4cfa43422b49e49dcb393abdd5baa89c23b3f7bfda05676599bb6df75e",
         "asymptotics.svg":
             "e61d45b0fc04130083071f93b6e3ff2ed9ca3f56279556aec0424c50719fb3cf",
         "asymptotics_curve.csv":
-            "75868838ffe1e7396b6d99116d3bf536c009acdb4c9a6fe254516067d84beaad",
+            "460e5339e23fb183cf52e447bc818317447dd5d5404a7888472a9e6d0f78a1c1",
     },
     "asymptotics_log": {
         "asymptotics.json":
-            "240dd78aab020282b2d61537b33c5f4dbb73481c8e7d81237896fddd683f2a66",
+            "707806560673f9d746289b90a92542f80cb709335d076dfb9d1988a1d7a66c8c",
         "asymptotics.svg":
             "b42252efb5fbd242f7c3b1021b9884ed291dfe5944e5075ababf3f9b819c857d",
         "asymptotics_curve.csv":
-            "3db67f3c3ac543595ea09d7246e85c6b782f342627938584a02f22731774f59e",
+            "73373e77345cb24e202d0809a9e0c490fd0d89f19ff0f7a1ec8016ddc8d88361",
     },
     "spectrum_single": {
         "spectrum.csv":
@@ -126,15 +126,15 @@ GOLDEN = {
         "dos_quantum.csv":
             "71651e9db34f0ef43eec3019cc318f7122f966b58957591c975a05699c0524b1",
         "dos_semiclassical.csv":
-            "848f7f713217d336a433216c1ef43f4f9925235b973382382fc13847c35b857f",
+            "04584374bd25e7cf3b739721022fa68b446e635290f8d4500ba4ed9de982214f",
         "dos_summary.json":
-            "6152a564fd7cfa71ff8f13a5d76a4b39341b86844dfc77d09969f4869ce32e28",
+            "a727df1c6bceaa0cbe52aa3d679f5bbc59bad4a6e1c31a915a8420fbb0fbc4fb",
     },
     "dos_shallow_well": {
         "dos_quantum.csv":
             "45fd1c1dab98612d12d0caf1a44c663ac0430e9883af391118ce8b2a3355888f",
         "dos_semiclassical.csv":
-            "1527936233e78ff19cc7b44a50d5bb7377078f411f4d86068db144b49ee3cfe4",
+            "f4bdbd37ba8a547b21a89242a1ab14eb05148f387b219bbd3c8de27d46029c74",
         "dos_summary.json":
             "c326cd42859be7ea4f22ee85a44643b02d5a36b84efdb5fa0176915fadf02b10",
     },

@@ -624,6 +624,31 @@ class TestObservables:
             np.testing.assert_allclose(p_loc, p_ref[:k], atol=1e-9)
 
 
+def _corrupt_level_3(monkeypatch, on_chain=lambda dim: True):
+    # the second gttrs solve of level 3 in each slice, on chains whose dim
+    # passes on_chain, comes back rolled by 7 sites: normalized, yet no
+    # eigenvector, so the residual the solve measures must fail it.
+    # Returns the dim of each chain corrupted
+    iterate, solve = quantum._inverse_iteration, quantum.dgttrs
+    state, corrupted = {}, []
+
+    def iterating(chain, w):
+        state.update(solves=0, dim=chain.dim)
+        return iterate(chain, w)
+
+    def solving(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        state["solves"] += 1
+        if state["solves"] == 8 and on_chain(state["dim"]):
+            x[:-1] = np.roll(x[:-1], 7)  # the last site borders the chain
+            corrupted.append(state["dim"])
+        return x, info
+
+    monkeypatch.setattr(quantum, "_inverse_iteration", iterating)
+    monkeypatch.setattr(quantum, "dgttrs", solving)
+    return corrupted
+
+
 def _record_slice_chains(monkeypatch):
     # the site count of every chain a slice's vectors are computed on
     dims = []
@@ -682,16 +707,7 @@ class TestStreamedObservables:
         # observables match the uncorrupted solve
         p = RabiParams(omega0=1.0, Omega=200.0, g=1.4)
         _, ref = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
-        solve, corrupted = quantum._inverse_iteration, []
-
-        def corrupting(chain, w):
-            z = solve(chain, w)
-            if chain.dim < ref.dim:  # only on cut chains
-                z[:, 3] = np.roll(z[:, 3], 7)  # still normalized, no eigenvector
-                corrupted.append(chain.dim)
-            return z
-
-        monkeypatch.setattr(quantum, "_inverse_iteration", corrupting)
+        corrupted = _corrupt_level_3(monkeypatch, on_chain=lambda dim: dim < ref.dim)
         # cap ceil(2 R g^2) = 784, above the window: a missed fallback fails fast
         monkeypatch.setattr(quantum, "_CAP_PER_R", 2.0)
         dims = _record_slice_chains(monkeypatch)
@@ -712,15 +728,7 @@ class TestStreamedObservables:
         # so the window regrows to the cap and the solve reports levels 0-2
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
         monkeypatch.setattr(quantum, "_CAP_PER_R", 5.0)  # cap ceil(5 R g^2) = 392
-        solve, dims = quantum._inverse_iteration, []
-
-        def corrupting(chain, w):
-            z = solve(chain, w)
-            z[:, 3] = np.roll(z[:, 3], 7)
-            dims.append(chain.dim)
-            return z
-
-        monkeypatch.setattr(quantum, "_inverse_iteration", corrupting)
+        dims = _corrupt_level_3(monkeypatch)
         with pytest.raises(TruncationLimitError) as err:
             converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
         spec = err.value.spectrum

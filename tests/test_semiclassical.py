@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from rabi_esqpt import (
     DosCurve,
@@ -14,7 +15,8 @@ from rabi_esqpt import (
     ground_state_eps,
     observables_microcanonical,
 )
-from rabi_esqpt.semiclassical import (CRITICAL_GUARD, EPS_CRITICAL, _NEAR, _orbit,
+from rabi_esqpt import semiclassical
+from rabi_esqpt.semiclassical import (CRITICAL_GUARD, EPS_CRITICAL, _NEAR, _carlson, _orbit,
                                       _orbit_integrals)
 
 from oracles import (QUAD_ORACLE, SHELL_ORACLE, observables_hellmann_feynman,
@@ -376,3 +378,78 @@ def test_curves_match_pointwise_calls_in_any_order(g):
     shuffled = dos_curve(g, eps[order])
     np.testing.assert_allclose(shuffled.nu, curve.nu[order], rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(shuffled.n_cum, curve.n_cum[order], rtol=1e-15, atol=0.0)
+
+
+# Carlson's published values (Numer. Algorithms 10 (1995) 13, section 3) of
+# the complete forms: R_F(1, 2, 0), R_D(0, 2, 1) and R_J(0, 1, 2, 3).  Taking
+# X of the closing series from the last x instead of the first misses
+# R_F(1, 2, 0) by far more than 1e-13.
+@pytest.mark.parametrize("x, y, p, index, value", [
+    (1.0, 2.0, 3.0, 0, 1.3110287771461),
+    (2.0, 1.0, 2.0, 0, 1.3110287771461),
+    (2.0, 1.0, 2.0, 2, 1.7972103521034),
+    (1.0, 2.0, 3.0, 1, 0.77688623778582),
+])
+def test_carlson_matches_published_values(x, y, p, index, value):
+    got = _carlson(np.array([x]), np.array([y]), np.array([p]))[index][0]
+    assert got == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+CARLSON_G = (0.3, 0.9, 1.0, 1.0 + 1e-9, 1.2, 1.4, 2.0, 3.0)
+
+
+def carlson_arguments(g: float, monkeypatch) -> tuple[np.ndarray, ...]:
+    """The (x, y, p) dos_curve hands _carlson at g, from 1e-14 above the well
+    bottom up to eps = 10, and from CRITICAL_GUARD (or 1e-14 for g <= 1) to
+    0.5 on each side of eps = -1."""
+    e_gs = ground_state_eps(g)
+    near = np.geomspace(CRITICAL_GUARD if g > 1.0 else 1e-14, 0.5, 40)
+    eps = np.concatenate([e_gs + np.geomspace(1e-14, 10.0 - e_gs, 80), -1.0 + near,
+                          -1.0 - near])
+    eps = eps[(eps > e_gs) & (np.abs(eps + 1.0) >= CRITICAL_GUARD)]
+    seen = []
+
+    def recorded(*args):
+        seen.append(args)
+        return _carlson(*args)
+
+    monkeypatch.setattr(semiclassical, "_carlson", recorded)
+    dos_curve(g, eps)
+    return seen[0]
+
+
+def assert_carlson_matches_scipy(x, y, p):
+    want = (special.elliprf(0.0, x, y), special.elliprj(0.0, x, y, p),
+            special.elliprd(0.0, x, y))
+    for got, ref in zip(_carlson(x, y, p), want):
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def wide_arguments(seed: int, n: int) -> tuple[np.ndarray, ...]:
+    """x / y from 1e-11 to 3 and p from max(x, y) to 5e4 max(x, y)."""
+    rng = np.random.default_rng(seed)
+    y = 10.0 ** rng.uniform(-9.0, 2.0, n)
+    x = y * 10.0 ** rng.uniform(-11.0, 0.5, n)
+    return x, y, np.maximum(x, y) * 10.0 ** rng.uniform(0.0, 4.7, n)
+
+
+@pytest.mark.parametrize("g", CARLSON_G)
+def test_carlson_matches_scipy_on_the_package_arguments(g, monkeypatch):
+    assert_carlson_matches_scipy(*carlson_arguments(g, monkeypatch))
+
+
+def test_carlson_matches_scipy_at_wide_argument_ratios():
+    # with R_J(0, 1.6e-14, 1.2e-3, 61), where twelve duplication steps on p
+    # itself err by 8e-6
+    x, y, p = wide_arguments(5, 400)
+    assert_carlson_matches_scipy(np.append(x, 1.6e-14), np.append(y, 1.2e-3),
+                                 np.append(p, 61.0))
+
+
+def test_carlson_gives_a_point_the_same_bits_in_any_array():
+    # a fixed step count: no point's value depends on its neighbours
+    x, y, p = wide_arguments(6, 50)
+    whole = np.array(_carlson(x, y, p))
+    for i in range(len(x)):
+        one = np.array(_carlson(x[i:i + 1], y[i:i + 1], p[i:i + 1]))
+        np.testing.assert_array_equal(one[:, 0], whole[:, i])
