@@ -20,10 +20,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .semiclassical import EPS_CRITICAL, DosCurve, _check_g, _check_omega0
+
+if TYPE_CHECKING:
+    from .spectral import WindowedDos
 
 __all__ = [
     "LawKind",
@@ -136,7 +140,7 @@ def geometric_eps_grid(
 
 
 def fit_divergence(
-    curve: DosCurve,
+    curve: DosCurve | WindowedDos,
     kind: LawKind,
     side: Side = Side.ABOVE,
     window: tuple[float, float] = (1e-6, 1e-3),
@@ -147,8 +151,8 @@ def fit_divergence(
     side falls inside ``window``, then regresses ln(nu) on ln(delta) for a
     power law or nu on -ln(delta) for a log law. The estimate is invariant
     under rescaling eps - eps_c within the window (slope of a straight line),
-    so the same routine serves smooth semiclassical grids and noisy windowed
-    quantum data alike.
+    so the same routine takes any curve with eps and nu arrays: a DosCurve's
+    smooth grid or a WindowedDos's noisy quantum windows.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):

@@ -376,21 +376,20 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
     sc = dos_curve(g, grid, omega0=args.omega0)
     minus, plus = _quantum_sectors(params, args)
     wd = windowed_dos(minus, plus, window_n=args.window, eps_max=args.eps_max)
-    qc = wd.to_dos_curve()
     tables = {
         "dos_semiclassical.csv": Table(
             _record(args), ["eps", "nu", "n_cum"], list(zip(sc.eps, sc.nu, sc.n_cum))),
         "dos_quantum.csv": Table(
             _record(args, n_levels=wd.n_levels, dim_minus=minus.dim, dim_plus=plus.dim,
                     truncated=wd.truncated),
-            ["eps", "nu_per_eps", "nu"], list(zip(wd.eps_bar, wd.nu_bar, qc.nu))),
+            ["eps", "nu_per_eps", "nu"], list(zip(wd.eps, wd.nu_per_eps, wd.nu))),
     }
 
     # deviation of the windowed estimate from the semiclassical curve, away
     # from the critical energy where the comparison is meaningful pointwise
-    off = np.abs(qc.eps - EPS_CRITICAL) > 0.05
-    sc_at_q = dos_curve(g, qc.eps[off], omega0=args.omega0).nu
-    rel = np.abs(qc.nu[off] / sc_at_q - 1.0)
+    off = np.abs(wd.eps - EPS_CRITICAL) > 0.05
+    sc_at_q = dos_curve(g, wd.eps[off], omega0=args.omega0).nu
+    rel = np.abs(wd.nu[off] / sc_at_q - 1.0)
     off_critical = {"n_points": int(rel.size),
                     "median_rel_dev": float(np.median(rel)) if rel.size else None,
                     "max_rel_dev": float(np.max(rel)) if rel.size else None}
@@ -400,7 +399,7 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
         law = law_log_esqpt(args.omega0, g)
         w_lo = min(max(3.0 * args.window / args.ratio, 1e-3), 0.05)
         fits: dict[str, object] = {"slope_law": law.slope}
-        for name, curve in (("semiclassical", sc), ("quantum", qc)):
+        for name, curve in (("semiclassical", sc), ("quantum", wd)):
             # below eps_c only down to 0.9 of the well depth, as in asymptotics
             for side, w_hi in ((Side.ABOVE, 0.1), (Side.BELOW, _below_edge(g, 0.1))):
                 key, window = f"{name}_{side.value}", (w_lo, w_hi)
@@ -421,7 +420,7 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
     summary = ("dos_summary.json", summary)
     series = [
         Series(sc.eps, sc.nu, label="semiclassical", color="#1f77b4"),
-        Series(qc.eps, qc.nu, label=f"quantum, N={args.window} window",
+        Series(wd.eps, wd.nu, label=f"quantum, N={args.window} window",
                color="#d62728", kind="points", radius=1.8),
         _eps_c_guide(0.0, float(np.nanmax(sc.nu)), horizontal=False),
     ]

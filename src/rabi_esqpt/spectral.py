@@ -3,9 +3,9 @@
 The quantum side of the density comparison merges the certified levels of
 both parity towers into one ascending list, cut at the lower of the two
 sector tops.  A running window of N consecutive spacings turns that list
-into a density estimate nu_bar = N / (eps_{k+N} - eps_k) attached to the
-window midpoint, directly comparable with the semiclassical curve once
-rescaled to per-unit-bare-energy normalization.
+into a density estimate N / (eps_{k+N} - eps_k) levels per unit eps,
+attached to the window midpoint, and rescales it by 2/Omega to levels per
+unit bare energy, the normalization of the semiclassical curve.
 
 The gap map tracks the signed splitting delta_k = eps_k^+ - eps_k^- of
 parity partner levels across a coupling sweep.  Its collapse to numerical
@@ -29,7 +29,6 @@ from .quantum import (
     build_parity_chain,
     converged_levels,
 )
-from .semiclassical import DosCurve
 
 __all__ = [
     "WindowedDos",
@@ -43,36 +42,25 @@ __all__ = [
 class WindowedDos:
     """Running-window density estimate from the merged level list.
 
-    nu_bar[k] = N / (eps[k+N] - eps[k]) levels per unit eps for windows of
-    N = window_n spacings, located at the window midpoint
-    eps_bar[k] = (eps[k+N] + eps[k]) / 2; stride one, so consecutive points
-    share all but one level.  truncated means the
-    estimate does not cover the requested range: the sources carried an
-    unconverged tail, or the windows stop more than one window width short
-    of the requested eps_max.
+    nu_per_eps[k] = N / (eps[k+N] - eps[k]) levels per unit eps for windows
+    of N = window_n spacings, located at the window midpoint
+    eps[k] = (eps[k+N] + eps[k]) / 2; stride one, so consecutive points
+    share all but one level.  nu = nu_per_eps * 2/Omega is per unit bare
+    energy, dos_curve's normalization, so fit_divergence takes it as it
+    takes a DosCurve.  truncated means the estimate does not cover the
+    requested range: the sources carried an unconverged tail, or the
+    windows stop more than one window width short of the requested eps_max.
     """
 
-    params: RabiParams
-    eps_bar: np.ndarray = field(repr=False)
-    nu_bar: np.ndarray = field(repr=False)
+    eps: np.ndarray = field(repr=False)
+    nu_per_eps: np.ndarray = field(repr=False)
+    nu: np.ndarray = field(repr=False)
     n_levels: int = 0
     truncated: bool = False
 
     def __post_init__(self):
-        self.eps_bar.flags.writeable = False
-        self.nu_bar.flags.writeable = False
-
-    def to_dos_curve(self) -> DosCurve:
-        """Rescale to levels per unit bare energy (the semiclassical normalization).
-
-        d(count)/dE = d(count)/d(eps) * 2/Omega, so the windowed estimate and
-        dos_curve's nu can be overlaid without further bookkeeping.  n_cum
-        stays None: the windows give no count.
-        """
-        return DosCurve(
-            eps=self.eps_bar.copy(),
-            nu=self.nu_bar * (2.0 / self.params.Omega),
-        )
+        for a in (self.eps, self.nu_per_eps, self.nu):
+            a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -159,25 +147,17 @@ def windowed_dos(
             f"degenerate window of {window_n} spacings; enlarge window_n "
             "(parity doublets collapse pairwise in the broken phase)"
         )
-    eps_bar = 0.5 * (eps[window_n:] + eps[:-window_n])
-    nu_bar = window_n / width
+    mid = 0.5 * (eps[window_n:] + eps[:-window_n])
     # sources that carried levels beyond their certified count
     truncated = len(minus) > n_m or len(plus) > n_p
     if eps_max is not None:
-        keep = eps_bar <= eps_max
-        eps_bar, nu_bar = eps_bar[keep], nu_bar[keep]
-        if len(eps_bar) == 0:
-            truncated = True
-        elif eps_bar[-1] + window_n / nu_bar[-1] < eps_max:
-            # at least one more whole window would have fit below eps_max
-            truncated = True
-    return WindowedDos(
-        params=minus.params,
-        eps_bar=eps_bar,
-        nu_bar=nu_bar,
-        n_levels=len(eps),
-        truncated=truncated,
-    )
+        keep = mid <= eps_max
+        mid, width = mid[keep], width[keep]
+        # no window kept, or one more whole window would have fit below eps_max
+        truncated = truncated or len(mid) == 0 or bool(mid[-1] + width[-1] < eps_max)
+    nu_per_eps = window_n / width
+    return WindowedDos(eps=mid, nu_per_eps=nu_per_eps, nu=nu_per_eps * (2.0 / minus.params.Omega),
+                       n_levels=len(eps), truncated=truncated)
 
 
 def _levels_or_last(params: RabiParams, parity: Parity, k_max: int,

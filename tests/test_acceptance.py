@@ -169,21 +169,20 @@ def test_criterion_5_windowed_density(r1000):
     for g in (1.2, 1.4):
         params, minus, plus = r1000[g]
         wd = windowed_dos(minus, plus, window_n=10)
-        qc = wd.to_dos_curve()
-        sel = band_mask(qc.eps, g)
-        sc = dos_curve(g, qc.eps[sel]).nu
-        rel = np.abs(qc.nu[sel] / sc - 1.0)
+        sel = band_mask(wd.eps, g)
+        sc = dos_curve(g, wd.eps[sel]).nu
+        rel = np.abs(wd.nu[sel] / sc - 1.0)
         band_ok = bool(np.max(rel) < 0.05)
 
         # near eps_c the estimate saturates at a finite peak above the
         # off-critical level while tracking the log law down to a few
         # level spacings
-        near = np.abs(qc.eps - EPS_CRITICAL) <= 0.05
-        peak = float(np.max(qc.nu[near]))
+        near = np.abs(wd.eps - EPS_CRITICAL) <= 0.05
+        peak = float(np.max(wd.nu[near]))
         ref = dos_curve(g, EPS_CRITICAL + 0.05).nu[0]
-        spacing = float(1.0 / np.max(wd.nu_bar))
+        spacing = float(1.0 / np.max(wd.nu_per_eps))
         law = law_log_esqpt(1.0, g)
-        fit = fit_divergence(qc, LawKind.LOG_ESQPT, side=Side.ABOVE,
+        fit = fit_divergence(wd, LawKind.LOG_ESQPT, side=Side.ABOVE,
                              window=(3.0 * spacing, 0.1))
         sat_ok = (math.isfinite(peak) and peak > ref
                   and abs(fit.slope / law.slope - 1.0) < 0.10)
@@ -342,7 +341,7 @@ def test_criterion_9_window_insensitivity(r1000):
     details = []
     for g in (1.2, 1.4):
         params, minus, plus = r1000[g]
-        curves = {n: windowed_dos(minus, plus, window_n=n).to_dos_curve()
+        curves = {n: windowed_dos(minus, plus, window_n=n)
                   for n in (4, 10, 40)}
         c10 = curves[10]
         sel = band_mask(c10.eps, g)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from rabi_esqpt import (
+    DosCurve,
+    LawKind,
     Parity,
     ParitySpectrum,
     RabiParams,
+    Side,
     converged_window,
     diagonalize,
     build_parity_chain,
+    fit_divergence,
     gap_map,
     windowed_dos,
 )
@@ -44,8 +48,8 @@ class TestMergedLevels:
         wd = windowed_dos(*g0_sectors(), window_n=1)
         # merged eps = -1 + k/20, parities alternating: every spacing is 1/20
         k = np.arange(wd.n_levels - 1)
-        np.testing.assert_allclose(wd.eps_bar, -1.0 + (k + 0.5) / 20.0, atol=1e-13)
-        np.testing.assert_allclose(wd.nu_bar, 20.0, rtol=1e-11)
+        np.testing.assert_allclose(wd.eps, -1.0 + (k + 0.5) / 20.0, atol=1e-13)
+        np.testing.assert_allclose(wd.nu_per_eps, 20.0, rtol=1e-11)
 
     def test_requires_converged_spectra(self):
         plain = make_spectrum(Parity.MINUS, diagonalize(build_parity_chain(P40, Parity.MINUS, 32)),
@@ -69,8 +73,8 @@ class TestMergedLevels:
         plus = make_spectrum(Parity.PLUS, [0.0, 1.0, 2.0])
         wd = windowed_dos(minus, plus, window_n=2)
         assert wd.n_levels == 6
-        np.testing.assert_allclose(wd.eps_bar, np.array([0.5, 0.5, 1.5, 1.5]) / 20.0, rtol=1e-15)
-        np.testing.assert_allclose(wd.nu_bar, 40.0, rtol=1e-15)
+        np.testing.assert_allclose(wd.eps, np.array([0.5, 0.5, 1.5, 1.5]) / 20.0, rtol=1e-15)
+        np.testing.assert_allclose(wd.nu_per_eps, 40.0, rtol=1e-15)
 
     def test_cut_at_lower_sector_top(self):
         minus = make_spectrum(Parity.MINUS, [0.0, 2.0, 4.0, 6.0])
@@ -79,7 +83,7 @@ class TestMergedLevels:
         # nothing beyond the plus-sector top 3.0 can be trusted complete;
         # the cut itself is the merge contract, not a truncation warning
         assert wd.n_levels == 4
-        np.testing.assert_allclose(wd.eps_bar, np.array([0.5, 1.5, 2.5]) / 20.0, rtol=1e-15)
+        np.testing.assert_allclose(wd.eps, np.array([0.5, 1.5, 2.5]) / 20.0, rtol=1e-15)
         assert not wd.truncated
 
     def test_unconverged_tail_flag(self):
@@ -87,7 +91,7 @@ class TestMergedLevels:
         plus = make_spectrum(Parity.PLUS, [0.5, 1.5])
         wd = windowed_dos(minus, plus, window_n=1)
         assert wd.n_levels == 3
-        np.testing.assert_allclose(wd.eps_bar, np.array([0.25, 0.75]) / 20.0, rtol=1e-15)
+        np.testing.assert_allclose(wd.eps, np.array([0.25, 0.75]) / 20.0, rtol=1e-15)
         assert wd.truncated
 
 
@@ -95,11 +99,33 @@ class TestWindowedDos:
     def test_decoupled_window_density(self):
         minus, plus = g0_sectors()
         wd = windowed_dos(minus, plus, window_n=2)
-        # uniform merged spacing 1/20 in eps: nu_bar = 2 / (2/20) = 20
-        np.testing.assert_allclose(wd.nu_bar, 20.0, rtol=1e-12)
-        curve = wd.to_dos_curve()
+        # uniform merged spacing 1/20 in eps: nu_per_eps = 2 / (2/20) = 20
+        np.testing.assert_allclose(wd.nu_per_eps, 20.0, rtol=1e-12)
         # per unit bare energy: matches the harmonic value 1/omega0
-        np.testing.assert_allclose(curve.nu, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(wd.nu, 1.0, rtol=1e-12)
+
+    def test_nu_is_nu_per_eps_rescaled_to_bare_energy(self):
+        p = RabiParams(omega0=1.0, Omega=100.0, g=1.2)
+        minus = converged_window(p, Parity.MINUS, eps_max=-0.3)[1]
+        plus = converged_window(p, Parity.PLUS, eps_max=-0.3)[1]
+        for eps_max in (None, -0.6):
+            wd = windowed_dos(minus, plus, window_n=10, eps_max=eps_max)
+            # the dos_quantum.csv columns: same bits as the product, not close
+            assert np.array_equal(wd.nu, wd.nu_per_eps * (2.0 / p.Omega))
+            assert not any(a.flags.writeable for a in (wd.eps, wd.nu_per_eps, wd.nu))
+
+    def test_fit_divergence_takes_the_windowed_dos(self):
+        # the well at g = 1.4 is 0.235 deep, so both sides hold a window
+        p = RabiParams(omega0=1.0, Omega=100.0, g=1.4)
+        minus = converged_window(p, Parity.MINUS, eps_max=-0.3)[1]
+        plus = converged_window(p, Parity.PLUS, eps_max=-0.3)[1]
+        wd = windowed_dos(minus, plus, window_n=10)
+        for side in Side:
+            direct = fit_divergence(wd, LawKind.LOG_ESQPT, side=side, window=(0.03, 0.2))
+            via_curve = fit_divergence(DosCurve(wd.eps, wd.nu), LawKind.LOG_ESQPT,
+                                       side=side, window=(0.03, 0.2))
+            assert direct.n_points >= 5
+            assert direct == via_curve
 
     def test_window_count_telescopes(self):
         p = RabiParams(omega0=1.0, Omega=100.0, g=1.2)
@@ -112,7 +138,7 @@ class TestWindowedDos:
         eps = eps[eps <= min(minus.eps[-1], plus.eps[-1])]
         assert wd.n_levels == len(eps)
         # disjoint windows recover the total level count exactly
-        widths = n / wd.nu_bar
+        widths = n / wd.nu_per_eps
         total = np.sum(widths[::n][: (len(eps) - 1) // n])
         k_used = n * ((len(eps) - 1) // n)
         assert total == pytest.approx(eps[k_used] - eps[0], rel=1e-12)
@@ -122,14 +148,14 @@ class TestWindowedDos:
         minus = converged_window(p, Parity.MINUS, eps_max=-0.3)[1]
         plus = converged_window(p, Parity.PLUS, eps_max=-0.3)[1]
         wd = windowed_dos(minus, plus, window_n=10)
-        peak = int(np.argmax(wd.nu_bar))
-        width = 10.0 / wd.nu_bar[peak]
-        assert abs(wd.eps_bar[peak] + 1.0) < 1.5 * width
+        peak = int(np.argmax(wd.nu_per_eps))
+        width = 10.0 / wd.nu_per_eps[peak]
+        assert abs(wd.eps[peak] + 1.0) < 1.5 * width
 
     def test_eps_max_filter_and_truncated(self):
         minus, plus = g0_sectors(eps_max=0.5)
         wd = windowed_dos(minus, plus, window_n=2, eps_max=-0.5)
-        assert np.all(wd.eps_bar <= -0.5)
+        assert np.all(wd.eps <= -0.5)
         assert not wd.truncated
         wd_far = windowed_dos(minus, plus, window_n=2, eps_max=10.0)
         assert wd_far.truncated
