@@ -292,8 +292,8 @@ def _moments(o: _Orbit) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     if near.any():
         w = (math.pi / _NODES) / np.sqrt(p[near, None] * (1.0 - A[near, None] * _SIN2)
                                          * (1.0 - B[near, None] * _SIN2))
-        j2[near] = w @ _SIN2**2
-        j3[near] = w @ _SIN2**3
+        j2[near] = (w * _SIN2**2).sum(axis=1)
+        j3[near] = (w * _SIN2**3).sum(axis=1)
     far = ~near
     if far.any():
         # With Q = u (u + 1 - A)(u + 1 - B), the derivatives of

@@ -76,7 +76,7 @@ GOLDEN = {
         "dos_quantum.csv":
             "27e421922693a664c78b2182716eb12ee6ac533d50bb826a98587821f76f56a0",
         "dos_semiclassical.csv":
-            "b65394fdf803aea0c375276d384ec0b8054e5c761549d953c3e05d29babb6037",
+            "69c2fadd716987d8825a863a8948e903e156917bdabdb8dc9d33547275af22e9",
         "dos_summary.json":
             "67f68c980a43ca2bc71f43ac5792080eaafac51925de5bcbf8e138cfef010778",
     },
@@ -86,7 +86,7 @@ GOLDEN = {
         "observables_quantum.csv":
             "fe2117f332486b4ba19d1dc4ac58ceba0a4ec0631a208914d4454a4b38492506",
         "observables_semiclassical.csv":
-            "bd68e7e38c5ae64b1e963068d0c6d64c1df3e407eab6cc9ab6cfd0db979b8888",
+            "8897b93f85835687d6f09e7172c2696dbb607c3a88e883d857437da52e525278",
         "observables_summary.json":
             "389f71736f99181c037544eed63a88d9d4222c72b3d4bd9f89b56237d4acd8da",
     },
@@ -126,7 +126,7 @@ GOLDEN = {
         "dos_quantum.csv":
             "71651e9db34f0ef43eec3019cc318f7122f966b58957591c975a05699c0524b1",
         "dos_semiclassical.csv":
-            "04584374bd25e7cf3b739721022fa68b446e635290f8d4500ba4ed9de982214f",
+            "646580a8efccd8070972194ab700ed6289da1d7ccc22e3bb599c7da2a72c319b",
         "dos_summary.json":
             "a727df1c6bceaa0cbe52aa3d679f5bbc59bad4a6e1c31a915a8420fbb0fbc4fb",
     },
@@ -134,7 +134,7 @@ GOLDEN = {
         "dos_quantum.csv":
             "45fd1c1dab98612d12d0caf1a44c663ac0430e9883af391118ce8b2a3355888f",
         "dos_semiclassical.csv":
-            "f4bdbd37ba8a547b21a89242a1ab14eb05148f387b219bbd3c8de27d46029c74",
+            "6511df7ddd2110d65a9ee6e8c3be479e518c8431ac475284bc818ec4ca9ac9ab",
         "dos_summary.json":
             "c326cd42859be7ea4f22ee85a44643b02d5a36b84efdb5fa0176915fadf02b10",
     },
