@@ -41,7 +41,7 @@ from . import __version__
 from .asymptotics import (LawKind, Side, fit_divergence, geometric_eps_grid,
                           law_log_esqpt, law_power_qpt)
 from .quantum import Parity, ParitySpectrum, RabiParams, converged_levels, converged_window
-from .semiclassical import (EPS_CRITICAL, dos_curve, ground_state_eps,
+from .semiclassical import (CRITICAL_GUARD, EPS_CRITICAL, dos_curve, ground_state_eps,
                             observables_microcanonical)
 from .spectral import gap_map, windowed_dos
 from .output import write_csv, write_json
@@ -526,9 +526,14 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
     edge = _below_edge(g, args.delta_max)
     if not at_threshold and edge > args.delta_min:
         windows[Side.BELOW] = (args.delta_min, edge)
-    curves = {side: dos_curve(g, geometric_eps_grid(*window, args.points, side=side),
-                              omega0=args.omega0)
-              for side, window in windows.items()}
+    grids = {side: geometric_eps_grid(*window, args.points, side=side)
+             for side, window in windows.items()}
+    # dos_curve's guard, on the samples: -1 + 1e-8 itself rounds inside it
+    if g > 1.0 and any(np.any(np.abs(eps - EPS_CRITICAL) < CRITICAL_GUARD)
+                       for eps in grids.values()):
+        raise UsageError(f"--delta-min must keep every sample at least {CRITICAL_GUARD:g} "
+                         f"from eps_c for g > 1, where nu diverges; {args.delta_min:g} does not")
+    curves = {side: dos_curve(g, eps, omega0=args.omega0) for side, eps in grids.items()}
     rows = [(side.value, abs(e - EPS_CRITICAL), e, v)
             for side, curve in curves.items() for e, v in zip(curve.eps, curve.nu)]
     tables = {"asymptotics_curve.csv": Table(_record(args), ["side", "delta", "eps", "nu"], rows)}

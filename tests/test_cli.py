@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabi_esqpt import cli, quantum
+from rabi_esqpt import cli, quantum, semiclassical
 from rabi_esqpt.cli import COMMANDS, FILES, G_SWEEP, main
 from rabi_esqpt.output import format_value
 
@@ -283,6 +283,29 @@ class TestAsymptotics:
     def test_subcritical_rejected(self, tmp_path):
         code, _ = run(tmp_path, "asymptotics", "--g", "0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("g, delta_min", [(1.4, "1e-9"), (1.4, "1e-8"), (1.0 + 1e-13, "1e-9")])
+    def test_delta_min_inside_the_guard_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         g, delta_min):
+        # -1 + 1e-8 rounds to within 1e-8 of eps_c, so 1e-8 is refused too;
+        # the check comes before any orbit integral
+        def no_integrals(*args):
+            raise AssertionError("orbit integral evaluated")
+        monkeypatch.setattr(semiclassical, "_orbit_integrals", no_integrals)
+        code, out = run(tmp_path, "asymptotics", "--g", repr(g), "--delta-min", delta_min)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --delta-min must keep every sample at least 1e-08 ")
+        assert err.endswith(f"; {float(delta_min):g} does not\n")
+        assert not out.exists()
+
+    def test_delta_min_below_the_guard_at_threshold(self, tmp_path):
+        # nu stays finite at eps_c for g = 1, so the guard does not apply
+        code, out = run(tmp_path, "asymptotics", "--g", "1.0", "--delta-min", "1e-9",
+                        "--points", "8")
+        assert code == 0
+        summary = json.loads((out / "asymptotics.json").read_text())
+        assert summary["kind"] == "power_qpt"
 
 
 class TestFailedRunWritesNothing:
