@@ -29,8 +29,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -40,7 +43,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import (LawKind, Side, fit_divergence, geometric_eps_grid,
                           law_log_esqpt, law_power_qpt)
-from .quantum import Parity, ParitySpectrum, RabiParams, converged_levels, converged_window
+from .quantum import (Parity, ParitySpectrum, RabiParams, converged_levels, converged_window,
+                      window_dim)
 from .semiclassical import (CRITICAL_GUARD, EPS_CRITICAL, dos_curve, ground_state_eps,
                             observables_microcanonical)
 from .spectral import gap_map, windowed_dos
@@ -251,9 +255,13 @@ def _eps_grid(args: argparse.Namespace, g: float) -> np.ndarray:
     if eps_min < EPS_CRITICAL < eps_max:
         d = np.geomspace(3e-4, 3e-2, 10)
         grid = np.concatenate([grid, EPS_CRITICAL + d, EPS_CRITICAL - d])
-    grid = grid[(grid > eps_gs) & (grid <= eps_max)]
-    # keep clear of the integrable singularity at eps_c itself
+    # keep clear of the integrable singularity at eps_c itself, before the
+    # range is cut, so that a sample moved past eps_max is dropped
     grid[np.abs(grid - EPS_CRITICAL) < 1e-7] = EPS_CRITICAL + 1e-7
+    grid = grid[(grid > eps_gs) & (grid <= eps_max)]
+    if not grid.size:
+        raise UsageError(f"every sample up to eps-max={eps_max:.9g} lies within 1e-7 of "
+                         f"eps_c = {EPS_CRITICAL:g}, which the grid keeps clear of")
     return np.unique(grid)
 
 
@@ -273,13 +281,85 @@ def _eps_c_guide(lo: float, hi: float, horizontal: bool) -> Series:
     return Series(x, y, color="#555555", dash="5,4", label="eps_c", stroke_width=1.0)
 
 
+# A window whose first chain has this many sites or more solves its plus
+# sector in a forked child while this process solves the minus one.  A fork
+# round trip costs about 3.5 ms, one sector of 517 sites 7.6 ms values-only
+# and 15.5 ms with vectors.  An R = 40 window at g <= 1.4 starts at 141
+# sites at most, so it stays in-process; the README's R = 1000 windows
+# start at 1786 or more.
+FORK_SITES = 512
+
+
+def _beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[object, object]:
+    """(here(), there()), with there() run meanwhile in a forked child.
+
+    The child pickles its result, or the exception it raised, into a pipe
+    and always ends with os._exit.  This process raises its own exception
+    first, after it has killed and reaped the child, and then the child's:
+    the order of a sequential here(), there().
+    """
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on a fork beside other threads; here those are
+        # the BLAS pools, which OpenBLAS quiesces around a fork itself
+        # (pthread_atfork), and the child runs no thread of this process
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                sent = (True, there())
+            except Exception as exc:
+                sent = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            first = here()
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        import signal  # only on this path: it is not loaded at CLI start
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if status != 0:
+        raise ChildProcessError(f"the forked solve exited with status "
+                                f"{os.waitstatus_to_exitcode(status)} and no result")
+    ok, second = pickle.loads(data)
+    if not ok:
+        raise second
+    return first, second
+
+
 def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
                      with_observables: bool = False) -> list[ParitySpectrum]:
-    """Minus and plus sectors, certified a little past --eps-max."""
+    """Minus and plus sectors, certified a little past --eps-max.
+
+    From FORK_SITES sites on, the plus sector is solved in a forked child,
+    by the same call with the same bits.
+    """
     pad = 0.05 + 2.0 / params.ratio
-    return [converged_window(params, parity, args.eps_max + pad, tol=args.conv_tol,
-                             with_observables=with_observables)[1]
-            for parity in (Parity.MINUS, Parity.PLUS)]
+    eps_max = args.eps_max + pad
+
+    def solve(parity: Parity) -> ParitySpectrum:
+        return converged_window(params, parity, eps_max, tol=args.conv_tol,
+                                with_observables=with_observables)[1]
+
+    # never on macOS, whose system libraries may run threads that a forked
+    # child cannot use (why multiprocessing spawns there since Python 3.8)
+    if (hasattr(os, "fork") and sys.platform != "darwin"
+            and window_dim(params, eps_max) >= FORK_SITES):
+        return list(_beside(lambda: solve(Parity.MINUS), lambda: solve(Parity.PLUS)))
+    return [solve(parity) for parity in (Parity.MINUS, Parity.PLUS)]
 
 
 @command("spectrum", "parity-resolved level energies, single coupling or sweep",
@@ -520,7 +600,9 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
     g = args.g
     if not 0.0 < args.delta_min < args.delta_max:
         raise UsageError("need 0 < --delta-min < --delta-max")
-    at_threshold = math.isclose(g, 1.0, rel_tol=0.0, abs_tol=1e-12)
+    # g = 1 is the threshold only exactly: dos_curve guards eps_c, and
+    # law_log_esqpt applies, for every g > 1
+    at_threshold = not g > 1.0
     # |eps - eps_c| range per side; below eps_c only where the well reaches
     windows = {Side.ABOVE: (args.delta_min, args.delta_max)}
     edge = _below_edge(g, args.delta_max)
@@ -529,8 +611,8 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
     grids = {side: geometric_eps_grid(*window, args.points, side=side)
              for side, window in windows.items()}
     # dos_curve's guard, on the samples: -1 + 1e-8 itself rounds inside it
-    if g > 1.0 and any(np.any(np.abs(eps - EPS_CRITICAL) < CRITICAL_GUARD)
-                       for eps in grids.values()):
+    if not at_threshold and any(np.any(np.abs(eps - EPS_CRITICAL) < CRITICAL_GUARD)
+                                for eps in grids.values()):
         raise UsageError(f"--delta-min must keep every sample at least {CRITICAL_GUARD:g} "
                          f"from eps_c for g > 1, where nu diverges; {args.delta_min:g} does not")
     curves = {side: dos_curve(g, eps, omega0=args.omega0) for side, eps in grids.items()}

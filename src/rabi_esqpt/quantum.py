@@ -105,7 +105,7 @@ import importlib.util
 import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -188,6 +188,12 @@ class Parity(enum.Enum):
         return "minus" if self is Parity.MINUS else "plus"
 
 
+def _through_init(record):
+    # a record's __reduce__: pickle rebuilds it through __init__, whose
+    # __post_init__ makes the arrays of an unpickled copy read-only too
+    return type(record), tuple(getattr(record, f.name) for f in fields(record))
+
+
 class ConvergenceError(RuntimeError):
     """LAPACK reported that an eigenvalue did not converge (sterf or stebz)."""
 
@@ -202,6 +208,10 @@ class TruncationLimitError(RuntimeError):
     def __init__(self, message: str, spectrum: ParitySpectrum):
         super().__init__(message)
         self.spectrum = spectrum
+
+    def __reduce__(self):
+        # args holds the message alone, so pickle must be told the spectrum
+        return type(self), (*self.args, self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -293,6 +303,8 @@ class EigenObservables:
         for a in (self.n_phot, self.sz, self.p_loc):
             a.flags.writeable = False
 
+    __reduce__ = _through_init
+
 
 @dataclass(frozen=True)
 class ParitySpectrum:
@@ -323,6 +335,8 @@ class ParitySpectrum:
     def __post_init__(self):
         for a in (self.energies, self.eps, self.error_bound):
             a.flags.writeable = False
+
+    __reduce__ = _through_init
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -478,6 +492,12 @@ def _orbit_dim(params: RabiParams, eps: float, widths: float = _AIRY_PAD) -> int
     return max(math.ceil(n_cls + widths * n_cls ** (1.0 / 3.0)), 64)
 
 
+def window_dim(params: RabiParams, eps_max: float) -> int:
+    """Sites of the first chain converged_window solves for the levels up to
+    eps_max, before the cap: the orbit at eps_max plus 12 Airy widths."""
+    return _orbit_dim(params, eps_max)
+
+
 def _tail_bound(chain: ParityChain, w: np.ndarray) -> np.ndarray:
     # bound on |v[dim-1]| for each eigenvalue w of the chain, from the
     # backward pivots of T - w; the module docstring gives the derivation
@@ -565,7 +585,7 @@ def _certified_spectrum(
     dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
-        dim = _orbit_dim(params, eps_max)
+        dim = window_dim(params, eps_max)
     else:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")

@@ -72,6 +72,8 @@ SMALL_RUNS = [
     ["observables", "--ratio", "40", "--g", "1.4", "--points", "11"],
     ["probabilities", "--ratio", "40", "--g", "1.2"],
     ["asymptotics", "--g", "1.4", "--points", "6"],
+    # a window large enough that its plus sector is solved in a forked child
+    ["probabilities", "--ratio", "1000", "--g", "1.2", "--eps-max", "-0.95"],
 ]
 
 
@@ -79,14 +81,16 @@ def test_cli_commands_run_without_scipy_package_init(tmp_path):
     # a fresh interpreter: the orbit integrals need no scipy.special, and the
     # chain solves take LAPACK from scipy's compiled extension, loaded by
     # path, so neither scipy.linalg's package init nor the public fallback
-    # to it ever runs
+    # to it ever runs; and the large window forks with os.fork alone, so no
+    # process-pool package adds to the start
     code = (
         "import sys\n"
         "from rabi_esqpt import cli, quantum\n"
         f"for i, argv in enumerate({SMALL_RUNS!r}):\n"
         f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
         "    assert cli.main([*argv, '--emit-svg', '--out', out]) == 0, argv\n"
-        "for mod in ('scipy.special', 'scipy.linalg', 'scipy.integrate'):\n"
+        "for mod in ('scipy.special', 'scipy.linalg', 'scipy.integrate',\n"
+        "            'multiprocessing', 'concurrent.futures'):\n"
         "    assert mod not in sys.modules, mod + ' loaded'\n"
         "assert quantum.dsterf is sys.modules['scipy.linalg._flapack'].dsterf\n"
     )

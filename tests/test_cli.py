@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import math
+import os
 import re
+import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -114,6 +118,24 @@ class TestDos:
     def test_window_validation(self, tmp_path):
         code, _ = run(tmp_path, "dos", "--g", "1.2", "--window", "0")
         assert code == 2
+
+    def test_samples_moved_off_eps_c_stay_below_eps_max(self, tmp_path):
+        # the top sample lies within 1e-7 of eps_c; moved above it, it would
+        # pass --eps-max, so it is dropped instead
+        code, out = run(tmp_path, "dos", "--ratio", "400", "--g", "1.2", "--window", "2",
+                        "--eps-min", "-1.06", "--eps-max", "-1.00000005", "--points", "3")
+        assert code == 0
+        _, _, rows = read_csv(out / "dos_semiclassical.csv")
+        eps = [float(r[0]) for r in rows]
+        assert eps and all(-1.06 <= e <= -1.00000005 for e in eps), eps
+
+    @pytest.mark.parametrize("name", ["dos", "observables"])
+    def test_range_inside_the_eps_c_gap_is_a_usage_error(self, tmp_path, capsys, name):
+        code, out = run(tmp_path, name, "--ratio", "400", "--g", "1.2",
+                        "--eps-min", "-1.00000008", "--eps-max", "-1.00000005", "--points", "3")
+        assert code == 2
+        assert "lies within 1e-7 of eps_c" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSpectrum:
@@ -299,6 +321,14 @@ class TestAsymptotics:
         assert err.endswith(f"; {float(delta_min):g} does not\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("g, kind", [(1.0, "power_qpt"), (1.0 + 1e-13, "log_esqpt")])
+    def test_threshold_is_g_one_exactly(self, tmp_path, g, kind):
+        # the rule dos_curve's guard at eps_c follows: every g > 1 is above
+        # the threshold, so the guard and the fitted law never disagree
+        code, out = run(tmp_path, "asymptotics", "--g", repr(g), "--points", "8")
+        assert code == 0
+        assert json.loads((out / "asymptotics.json").read_text())["kind"] == kind
+
     def test_delta_min_below_the_guard_at_threshold(self, tmp_path):
         # nu stays finite at eps_c for g = 1, so the guard does not apply
         code, out = run(tmp_path, "asymptotics", "--g", "1.0", "--delta-min", "1e-9",
@@ -365,6 +395,146 @@ class TestFailedRunWritesNothing:
         assert "k_max=1500 levels exceed the dim cap 200" in capsys.readouterr().err
         assert not calls
         assert not out.exists()
+
+
+def no_child_left():
+    # every child this process forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
+                    reason="the CLI forks only where os.fork exists, and not on macOS")
+class TestForkedSectors:
+    """A window of cli.FORK_SITES sites or more solves its plus sector in a
+    forked child; the window here is R = 1000 at eps_max = -0.95."""
+
+    PARAMS = quantum.RabiParams(omega0=1.0, Omega=1000.0, g=1.2)
+    ARGS = argparse.Namespace(eps_max=-0.95, conv_tol=1e-8)
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """Make cli's converged_window raise exc for the given parities."""
+        solve = cli.converged_window
+
+        def fail(exc, *parities):
+            def window(params, parity, *args, **kwargs):
+                if parity in parities:
+                    raise exc
+                return solve(params, parity, *args, **kwargs)
+            monkeypatch.setattr(cli, "converged_window", window)
+        return fail
+
+    def sectors(self):
+        return cli._quantum_sectors(self.PARAMS, self.ARGS, with_observables=True)
+
+    def test_the_window_forks(self, monkeypatch):
+        pad = 0.05 + 2.0 / self.PARAMS.ratio
+        assert quantum.window_dim(self.PARAMS, self.ARGS.eps_max + pad) >= cli.FORK_SITES
+
+        def fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(AssertionError, match="forked"):
+            self.sectors()
+
+    def test_same_spectra_as_in_process(self, monkeypatch):
+        forked = self.sectors()
+        assert no_child_left()
+        monkeypatch.delattr(os, "fork")
+        for a, b in zip(forked, self.sectors(), strict=True):
+            assert (a.parity, a.dim, a.n_converged) == (b.parity, b.dim, b.n_converged)
+            for name in ("energies", "error_bound"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            for name in ("n_phot", "sz", "p_loc"):
+                np.testing.assert_array_equal(getattr(a.observables, name),
+                                              getattr(b.observables, name))
+            assert not a.eps.flags.writeable and not a.observables.p_loc.flags.writeable
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("plus sector refused"),
+        quantum.ConvergenceError("sterf: 3 levels failed to converge"),
+        cli.UsageError("plus sector usage"),
+    ])
+    def test_child_failure_raises_as_in_process(self, monkeypatch, failing, exc):
+        failing(exc, quantum.Parity.PLUS)
+        with pytest.raises(Exception) as forked:
+            self.sectors()
+        assert no_child_left()
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(Exception) as in_process:
+            self.sectors()
+        assert type(forked.value) is type(in_process.value) is type(exc)
+        assert str(forked.value) == str(in_process.value) == str(exc)
+
+    def test_child_truncation_limit_keeps_its_spectrum(self, failing):
+        _, spec = quantum.converged_window(quantum.RabiParams(1.0, 40.0, 1.2),
+                                           quantum.Parity.PLUS, -0.5)
+        failing(quantum.TruncationLimitError("cap hit", spec), quantum.Parity.PLUS)
+        with pytest.raises(quantum.TruncationLimitError, match="^cap hit$") as err:
+            self.sectors()
+        assert no_child_left()
+        np.testing.assert_array_equal(err.value.spectrum.energies, spec.energies)
+
+    def test_minus_failure_comes_first_and_kills_the_child(self, monkeypatch, failing):
+        # the child would sleep for a minute; the parent must not wait for it
+        failing(ValueError("minus fails"), quantum.Parity.MINUS)
+        solve = cli.converged_window
+
+        def window(params, parity, *args, **kwargs):
+            if parity is quantum.Parity.PLUS:
+                time.sleep(60)
+                raise ValueError("plus fails")
+            return solve(params, parity, *args, **kwargs)
+        monkeypatch.setattr(cli, "converged_window", window)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="^minus fails$"):
+            self.sectors()
+        assert time.perf_counter() - t0 < 30
+        assert no_child_left()
+
+    def test_both_fail_raises_the_minus_error(self, failing):
+        failing(ValueError("either fails"), quantum.Parity.MINUS, quantum.Parity.PLUS)
+        with pytest.raises(ValueError, match="^either fails$"):
+            self.sectors()
+        assert no_child_left()
+
+    def test_child_without_a_result(self, failing, monkeypatch):
+        solve = cli.converged_window
+
+        def window(params, parity, *args, **kwargs):
+            if parity is quantum.Parity.PLUS:
+                os._exit(3)
+            return solve(params, parity, *args, **kwargs)
+        monkeypatch.setattr(cli, "converged_window", window)
+        with pytest.raises(ChildProcessError, match="exited with status 3 and no result"):
+            self.sectors()
+        assert no_child_left()
+
+    def test_command_failure_exits_as_in_process(self, tmp_path, capsys, monkeypatch,
+                                                 failing):
+        failing(ValueError("plus sector refused"), quantum.Parity.PLUS)
+        argv = ["probabilities", "--ratio", "1000", "--g", "1.2", "--eps-max", "-0.95"]
+        code, out = run(tmp_path / "a", *argv)
+        err = capsys.readouterr().err
+        assert no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert (code, err) == (run(tmp_path / "b", *argv)[0], capsys.readouterr().err)
+        assert code == 1 and err == "error: plus sector refused\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["dos", "--g", "1.0", "--window", "4", "--points", "11"],
+        ["observables", "--g", "1.4", "--points", "11"],
+        ["probabilities", "--g", "1.2"],
+    ])
+    def test_ratio_40_windows_never_fork(self, tmp_path, monkeypatch, argv):
+        def fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", fork)
+        code, _ = run(tmp_path, *argv, "--ratio", "40")
+        assert code == 0
 
 
 COMMAND_NAMES = ["spectrum", "gapmap", "dos", "observables", "probabilities", "asymptotics"]

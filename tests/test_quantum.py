@@ -1,6 +1,7 @@
 """Unit tests for the parity-chain construction and eigensolver."""
 
 import math
+import pickle
 import re
 import tracemalloc
 from dataclasses import replace
@@ -722,6 +723,25 @@ class TestStreamedObservables:
         for name in ("n_phot", "sz", "p_loc"):
             np.testing.assert_allclose(getattr(spec.observables, name),
                                        getattr(ref.observables, name), rtol=1e-12, atol=1e-12)
+
+    def test_truncation_limit_error_pickles_with_its_spectrum(self, monkeypatch):
+        # the CLI's forked window solve sends its exception back pickled
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 0.2)
+        with pytest.raises(TruncationLimitError) as err:
+            converged_window(p, Parity.MINUS, eps_max=0.0, with_observables=True)
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is TruncationLimitError and copy.args == err.value.args
+        spec, back = err.value.spectrum, copy.spectrum
+        assert (back.params, back.parity, back.dim, back.n_converged) == (
+            spec.params, spec.parity, spec.dim, spec.n_converged)
+        arrays = [(getattr(spec, name), getattr(back, name))
+                  for name in ("energies", "eps", "error_bound")]
+        arrays += [(getattr(spec.observables, name), getattr(back.observables, name))
+                   for name in ("n_phot", "sz", "p_loc")]
+        for a, b in arrays:
+            np.testing.assert_array_equal(b, a)
+            assert not b.flags.writeable  # read-only, like the original
 
     def test_bad_vector_on_every_chain_is_never_certified(self, monkeypatch):
         # corrupted on every call, level 3 of the first slice never certifies,
