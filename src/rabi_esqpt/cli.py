@@ -299,13 +299,18 @@ def _beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[ob
     the order of a sequential here(), there().
     """
     read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on a fork beside other threads; here those are
-        # the BLAS pools, which OpenBLAS quiesces around a fork itself
-        # (pthread_atfork), and the child runs no thread of this process
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                DeprecationWarning)
-        pid = os.fork()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork beside other threads; here those
+            # are the BLAS pools, which OpenBLAS quiesces around a fork
+            # itself (pthread_atfork), and the child starts no thread
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         status = 1
         try:

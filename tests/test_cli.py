@@ -397,6 +397,12 @@ class TestFailedRunWritesNothing:
         assert not out.exists()
 
 
+def raising(exc):
+    def action():
+        raise exc
+    return action
+
+
 def no_child_left():
     # every child this process forked has been reaped
     with pytest.raises(ChildProcessError):
@@ -414,17 +420,17 @@ class TestForkedSectors:
     ARGS = argparse.Namespace(eps_max=-0.95, conv_tol=1e-8)
 
     @pytest.fixture
-    def failing(self, monkeypatch):
-        """Make cli's converged_window raise exc for the given parities."""
+    def instead(self, monkeypatch):
+        """Make cli's converged_window call actions[parity]() for those parities."""
         solve = cli.converged_window
 
-        def fail(exc, *parities):
+        def patch(actions):
             def window(params, parity, *args, **kwargs):
-                if parity in parities:
-                    raise exc
+                if parity in actions:
+                    return actions[parity]()
                 return solve(params, parity, *args, **kwargs)
             monkeypatch.setattr(cli, "converged_window", window)
-        return fail
+        return patch
 
     def sectors(self):
         return cli._quantum_sectors(self.PARAMS, self.ARGS, with_observables=True)
@@ -457,8 +463,8 @@ class TestForkedSectors:
         quantum.ConvergenceError("sterf: 3 levels failed to converge"),
         cli.UsageError("plus sector usage"),
     ])
-    def test_child_failure_raises_as_in_process(self, monkeypatch, failing, exc):
-        failing(exc, quantum.Parity.PLUS)
+    def test_child_failure_raises_as_in_process(self, monkeypatch, instead, exc):
+        instead({quantum.Parity.PLUS: raising(exc)})
         with pytest.raises(Exception) as forked:
             self.sectors()
         assert no_child_left()
@@ -468,53 +474,50 @@ class TestForkedSectors:
         assert type(forked.value) is type(in_process.value) is type(exc)
         assert str(forked.value) == str(in_process.value) == str(exc)
 
-    def test_child_truncation_limit_keeps_its_spectrum(self, failing):
+    def test_child_truncation_limit_keeps_its_spectrum(self, instead):
         _, spec = quantum.converged_window(quantum.RabiParams(1.0, 40.0, 1.2),
                                            quantum.Parity.PLUS, -0.5)
-        failing(quantum.TruncationLimitError("cap hit", spec), quantum.Parity.PLUS)
+        instead({quantum.Parity.PLUS: raising(quantum.TruncationLimitError("cap hit", spec))})
         with pytest.raises(quantum.TruncationLimitError, match="^cap hit$") as err:
             self.sectors()
         assert no_child_left()
         np.testing.assert_array_equal(err.value.spectrum.energies, spec.energies)
 
-    def test_minus_failure_comes_first_and_kills_the_child(self, monkeypatch, failing):
+    def test_minus_failure_comes_first_and_kills_the_child(self, instead):
         # the child would sleep for a minute; the parent must not wait for it
-        failing(ValueError("minus fails"), quantum.Parity.MINUS)
-        solve = cli.converged_window
-
-        def window(params, parity, *args, **kwargs):
-            if parity is quantum.Parity.PLUS:
-                time.sleep(60)
-                raise ValueError("plus fails")
-            return solve(params, parity, *args, **kwargs)
-        monkeypatch.setattr(cli, "converged_window", window)
+        def sleep_then_fail():
+            time.sleep(60)
+            raise ValueError("plus fails")
+        instead({quantum.Parity.MINUS: raising(ValueError("minus fails")),
+                 quantum.Parity.PLUS: sleep_then_fail})
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="^minus fails$"):
             self.sectors()
         assert time.perf_counter() - t0 < 30
         assert no_child_left()
 
-    def test_both_fail_raises_the_minus_error(self, failing):
-        failing(ValueError("either fails"), quantum.Parity.MINUS, quantum.Parity.PLUS)
-        with pytest.raises(ValueError, match="^either fails$"):
+    def test_both_fail_raises_the_minus_error(self, instead):
+        instead({quantum.Parity.MINUS: raising(ValueError("minus fails")),
+                 quantum.Parity.PLUS: raising(ValueError("plus fails"))})
+        with pytest.raises(ValueError, match="^minus fails$"):
             self.sectors()
         assert no_child_left()
 
-    def test_child_without_a_result(self, failing, monkeypatch):
-        solve = cli.converged_window
+    def test_child_without_a_result(self, instead):
+        parent = os.getpid()
 
-        def window(params, parity, *args, **kwargs):
-            if parity is quantum.Parity.PLUS:
-                os._exit(3)
-            return solve(params, parity, *args, **kwargs)
-        monkeypatch.setattr(cli, "converged_window", window)
+        def exit_in_child():
+            if os.getpid() == parent:  # not forked: never end the test run itself
+                raise AssertionError("not forked")
+            os._exit(3)
+        instead({quantum.Parity.PLUS: exit_in_child})
         with pytest.raises(ChildProcessError, match="exited with status 3 and no result"):
             self.sectors()
         assert no_child_left()
 
     def test_command_failure_exits_as_in_process(self, tmp_path, capsys, monkeypatch,
-                                                 failing):
-        failing(ValueError("plus sector refused"), quantum.Parity.PLUS)
+                                                 instead):
+        instead({quantum.Parity.PLUS: raising(ValueError("plus sector refused"))})
         argv = ["probabilities", "--ratio", "1000", "--g", "1.2", "--eps-max", "-0.95"]
         code, out = run(tmp_path / "a", *argv)
         err = capsys.readouterr().err
