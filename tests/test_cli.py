@@ -403,11 +403,10 @@ def raising(exc):
     return action
 
 
-def no_child_left():
+def assert_no_child_left():
     # every child this process forked has been reaped
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
@@ -447,7 +446,7 @@ class TestForkedSectors:
 
     def test_same_spectra_as_in_process(self, monkeypatch):
         forked = self.sectors()
-        assert no_child_left()
+        assert_no_child_left()
         monkeypatch.delattr(os, "fork")
         for a, b in zip(forked, self.sectors(), strict=True):
             assert (a.parity, a.dim, a.n_converged) == (b.parity, b.dim, b.n_converged)
@@ -467,7 +466,7 @@ class TestForkedSectors:
         instead({quantum.Parity.PLUS: raising(exc)})
         with pytest.raises(Exception) as forked:
             self.sectors()
-        assert no_child_left()
+        assert_no_child_left()
         monkeypatch.delattr(os, "fork")
         with pytest.raises(Exception) as in_process:
             self.sectors()
@@ -480,7 +479,7 @@ class TestForkedSectors:
         instead({quantum.Parity.PLUS: raising(quantum.TruncationLimitError("cap hit", spec))})
         with pytest.raises(quantum.TruncationLimitError, match="^cap hit$") as err:
             self.sectors()
-        assert no_child_left()
+        assert_no_child_left()
         np.testing.assert_array_equal(err.value.spectrum.energies, spec.energies)
 
     def test_minus_failure_comes_first_and_kills_the_child(self, instead):
@@ -494,14 +493,14 @@ class TestForkedSectors:
         with pytest.raises(ValueError, match="^minus fails$"):
             self.sectors()
         assert time.perf_counter() - t0 < 30
-        assert no_child_left()
+        assert_no_child_left()
 
     def test_both_fail_raises_the_minus_error(self, instead):
         instead({quantum.Parity.MINUS: raising(ValueError("minus fails")),
                  quantum.Parity.PLUS: raising(ValueError("plus fails"))})
         with pytest.raises(ValueError, match="^minus fails$"):
             self.sectors()
-        assert no_child_left()
+        assert_no_child_left()
 
     def test_child_without_a_result(self, instead):
         parent = os.getpid()
@@ -513,7 +512,7 @@ class TestForkedSectors:
         instead({quantum.Parity.PLUS: exit_in_child})
         with pytest.raises(ChildProcessError, match="exited with status 3 and no result"):
             self.sectors()
-        assert no_child_left()
+        assert_no_child_left()
 
     def test_command_failure_exits_as_in_process(self, tmp_path, capsys, monkeypatch,
                                                  instead):
@@ -521,7 +520,7 @@ class TestForkedSectors:
         argv = ["probabilities", "--ratio", "1000", "--g", "1.2", "--eps-max", "-0.95"]
         code, out = run(tmp_path / "a", *argv)
         err = capsys.readouterr().err
-        assert no_child_left()
+        assert_no_child_left()
         monkeypatch.delattr(os, "fork")
         assert (code, err) == (run(tmp_path / "b", *argv)[0], capsys.readouterr().err)
         assert code == 1 and err == "error: plus sector refused\n"
