@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .asymptotics import (LawKind, Side, fit_divergence, geometric_eps_grid,
+from .asymptotics import (MIN_FIT_POINTS, LawKind, Side, fit_divergence, geometric_eps_grid,
                           law_log_esqpt, law_power_qpt)
 from .quantum import (Parity, ParitySpectrum, RabiParams, converged_levels, converged_window,
                       window_dim)
@@ -600,7 +600,7 @@ def _cmd_probabilities(args: argparse.Namespace) -> Result:
          Opt("--g", float, None, "coupling g >= 1 (required)", minimum=1, required=True),
          Opt("--delta-min", float, 1e-6, "smallest |eps - eps_c| sampled"),
          Opt("--delta-max", float, 1e-3, "largest |eps - eps_c| sampled"),
-         Opt("--points", int, 25, "samples per side", minimum=5))
+         Opt("--points", int, 25, "samples per side", minimum=MIN_FIT_POINTS))
 def _cmd_asymptotics(args: argparse.Namespace) -> Result:
     g = args.g
     if not 0.0 < args.delta_min < args.delta_max:

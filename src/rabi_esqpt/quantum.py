@@ -87,14 +87,20 @@ With diag a and offdiag b, the backward pivots of T - w,
 
 give v[i-1] / v[i] = -dm[i] / b[i-1], so v[j] = v[dim-1] t[j] with every
 t[j] known, and sum v[j]^2 <= 1 gives |v[dim-1]| <= 1 / ||t||.  The pivots
-are those of LAPACK pttrf on the chain's reversed tail, one call per level;
-the sum runs inward from the chain end, in log space, down to
-n_top - 3 n_top^{1/3}, where n_top is the top level's orbit, cut at the
-chain end.  pttrf stops at the first non-positive pivot, and the level's
-sum stops after the term that pivot gives.  Past the orbit every level is
-classically forbidden and the recurrence is stable; further in, where v
-decays toward site 0, it is not, and the sum would come out orders of
-magnitude too small.  The top level's bound is about 2x its exact value.
+are those of LAPACK pttrf on the chain's reversed tail, one call per solve,
+at the top level w; the sum runs inward from the chain end, in log space,
+down to n_top - 3 n_top^{1/3}, where n_top is the top level's orbit, cut at
+the chain end.  pttrf stops at the first non-positive pivot.  A positive
+pivot only grows as w falls: with dm[i+1](w') >= dm[i+1](w) > 0 for w' < w,
+dm[i](w') >= dm[i](w) + (w - w'), so every |t[j]| grows too, and the sum of
+the positive-pivot terms at the top level bounds every lower level.  The
+top level's own sum also takes the term its first non-positive pivot
+gives, unless that pivot is zero, so its bound is never the larger.  The
+lower levels share one bound, so a solve certifies all its levels or none.
+Past the orbit every level is classically forbidden and the recurrence is
+stable; further in, where v decays toward site 0, it is not, and the sum
+would come out orders of magnitude too small.  The top level's bound is
+about 2x its exact value.
 """
 
 from __future__ import annotations
@@ -153,7 +159,7 @@ __all__ = [
 _CAP_PER_R = 200.0
 
 # Levels per slice of vectors (the module docstring says why the solve is
-# sliced) and per pivot block of the tail bound.
+# sliced).
 _SLICE = 64
 
 # Start truncation past the classical orbit, in Airy widths n_cls^{1/3}.
@@ -499,43 +505,33 @@ def window_dim(params: RabiParams, eps_max: float) -> int:
 
 
 def _tail_bound(chain: ParityChain, w: np.ndarray) -> np.ndarray:
-    # bound on |v[dim-1]| for each eigenvalue w of the chain, from the
-    # backward pivots of T - w; the module docstring gives the derivation
-    n = chain.dim
+    # bound on |v[dim-1]| for each ascending eigenvalue w of the chain, from
+    # one pass of the backward pivots of T - w[-1]; the module docstring
+    # gives the derivation and why the pass bounds every lower level too
+    bound = np.empty(len(w))
+    if not len(w):
+        return bound
     # the top level's orbit, cut at the chain end when it reaches past it
-    n_top = min(_orbit_sites(chain.params, 2.0 * w / chain.params.Omega).max(initial=0.0), n)
+    n_top = min(float(_orbit_sites(chain.params, 2.0 * w[-1] / chain.params.Omega)), chain.dim)
     lo = max(math.ceil(n_top - _TAIL_CUT * n_top ** (1.0 / 3.0)), 0)
-    # sites n-1, ..., lo+1 in reverse: the forward pivots of this chain are
-    # the backward pivots dm[n-1], ..., dm[lo+1] of T, and dm[i] gives
+    # sites dim-1, ..., lo+1 in reverse: the forward pivots of this chain are
+    # the backward pivots dm[dim-1], ..., dm[lo+1] of T, and dm[i] gives
     # t[i-1] = -t[i] dm[i] / b[i-1], down to t[lo]
     a = chain.diag[lo + 1:][::-1]
-    b = chain.offdiag[lo:][::-1].copy()
+    b = chain.offdiag[lo:][::-1]
+    # dpttrf stops at the first non-positive pivot; the lower levels take the
+    # positive ones, the top level also the term that pivot gives, unless it
+    # is zero (log 0 - log 0 would be NaN at g = 0)
+    dm, _, info = dpttrf(a - w[-1], b[:-1])
+    m_low = info - 1 if info else len(a)
+    m_top = m_low + 1 if info and dm[m_low] != 0.0 else m_low
     # log 0 = -inf is exact at g = 0: every t is infinite, so v[dim-1] = 0
     with np.errstate(divide="ignore"):
-        log_b = np.log(np.abs(b))
-    bound = np.empty(len(w))
-    for start in range(0, len(w), _SLICE):
-        block = w[start:start + _SLICE]
-        piv = np.ones((len(block), len(a)))
-        n_terms = np.empty(len(block), dtype=int)
-        for k, wk in enumerate(block):
-            # dpttrf stops at the first non-positive pivot, which still
-            # gives one term unless it is zero
-            dm, _, info = dpttrf(a - wk, b[:-1])
-            m = info or len(a)
-            if dm[m - 1] == 0.0:
-                m -= 1
-            piv[k, :m] = dm[:m]
-            n_terms[k] = m
-        # in place, piv becomes log t^2
-        log_t2 = np.log(np.abs(piv, out=piv), out=piv)
-        log_t2 -= log_b
-        np.cumsum(log_t2, axis=1, out=log_t2)
-        log_t2 *= 2.0
-        log_t2[np.arange(len(a)) >= n_terms[:, None]] = -np.inf
-        # t[dim-1] = 1 is the initial term
-        log_norm2 = np.logaddexp.reduce(log_t2, axis=1, initial=0.0)
-        bound[start:start + len(block)] = np.exp(-0.5 * log_norm2)
+        log_t2 = 2.0 * np.cumsum(np.log(np.abs(dm[:m_top])) - np.log(np.abs(b[:m_top])))
+    # t[dim-1] = 1 is the initial term
+    log_norm2 = np.logaddexp.accumulate(np.append(0.0, log_t2))
+    bound[:] = np.exp(-0.5 * log_norm2[m_low])
+    bound[-1] = np.exp(-0.5 * log_norm2[m_top])
     return bound
 
 

@@ -181,7 +181,9 @@ def gap_map(
     certified to within tol * omega0 of the untruncated spectrum.  A sector
     that hits the truncation cap keeps its last solve, and its uncertified
     levels are excluded from any claim via the converged mask rather than
-    raising, so one hard point cannot abort a whole sweep.
+    raising, so one hard point cannot abort a whole sweep.  A values-only
+    solve certifies all its levels or none, so a capped coupling loses all
+    its doublets, not only the top ones.
     """
     g_values = np.atleast_1d(np.asarray(g_values, dtype=float))
     n_g = len(g_values)

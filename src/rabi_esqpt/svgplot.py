@@ -44,18 +44,16 @@ class Series:
     point_colors: list[str] | None = field(default=None, repr=False)
 
 
-def _nice_step(span: float, target: int = 6) -> float:
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:
+    # the least 1, 2, 2.5, 5 or 10 times a power of ten that covers span / 6
+    raw = span / 6
     mag = 10.0 ** math.floor(math.log10(raw))
-    for m in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if m * mag >= raw:
-            return m * mag
-    return 10.0 * mag
+    return next((m * mag for m in (1.0, 2.0, 2.5, 5.0) if m * mag >= raw), 10.0 * mag)
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if not (hi > lo):
-        return [lo]
+    # lo < hi, as _data_range makes them; a tick within roundoff of zero is
+    # 0.0, so no label reads -0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []
@@ -64,11 +62,6 @@ def _ticks(lo: float, hi: float) -> list[float]:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
-
-
-def _fmt_tick(v: float) -> str:
-    s = f"{v:.6g}"
-    return "0" if s == "-0" else s
 
 
 def _data_range(series: list[Series]) -> tuple[float, float, float, float]:
@@ -129,7 +122,7 @@ def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
         )
         out.append(
             f'<text x="{X:.2f}" y="{mt + ph + 18}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="middle">{_fmt_tick(t)}</text>'
+            f'font-family="sans-serif" text-anchor="middle">{t:.6g}</text>'
         )
     for t in yticks:
         Y = py(t)
@@ -143,7 +136,7 @@ def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
         )
         out.append(
             f'<text x="{ml - 8}" y="{Y + 4:.2f}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="end">{_fmt_tick(t)}</text>'
+            f'font-family="sans-serif" text-anchor="end">{t:.6g}</text>'
         )
     out.append(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '

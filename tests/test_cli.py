@@ -15,7 +15,7 @@ import pytest
 
 from rabi_esqpt import cli, quantum, semiclassical
 from rabi_esqpt.cli import COMMANDS, FILES, G_SWEEP, main
-from rabi_esqpt.output import format_value
+from rabi_esqpt.output import format_value, write_csv
 
 
 def read_csv(path):
@@ -211,6 +211,16 @@ class TestGapmap:
         assert summary["n_unresolved"] == 0
         assert summary["abs_delta_min"] > 0.04
 
+    def test_one_coupling_with_svg(self, tmp_path):
+        # one g: the plot widens the point x range, and the one-sample eps_GS
+        # line is left out rather than drawn as a polyline of one point
+        code, out = run(tmp_path, "gapmap", "--ratio", "40", "--g-min", "1.2", "--g-max", "1.2",
+                        "--g-steps", "1", "--levels", "5", "--emit-svg")
+        assert code == 0
+        lines = ET.parse(out / "gapmap.svg").getroot().findall(
+            ".//{http://www.w3.org/2000/svg}polyline")
+        assert lines and all(len(line.get("points").split()) >= 2 for line in lines)
+
 
 class TestObservables:
     def test_run_and_summary(self, tmp_path):
@@ -306,6 +316,13 @@ class TestAsymptotics:
         code, _ = run(tmp_path, "asymptotics", "--g", "0.5")
         assert code == 2
 
+    def test_delta_range_must_be_ordered(self, tmp_path, capsys):
+        code, out = run(tmp_path, "asymptotics", "--g", "1.4", "--delta-min", "1e-3",
+                        "--delta-max", "1e-4")
+        assert code == 2
+        assert "need 0 < --delta-min < --delta-max" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("g, delta_min", [(1.4, "1e-9"), (1.4, "1e-8"), (1.0 + 1e-13, "1e-9")])
     def test_delta_min_inside_the_guard_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
                                                          g, delta_min):
@@ -394,6 +411,16 @@ class TestFailedRunWritesNothing:
         assert code == 1
         assert "k_max=1500 levels exceed the dim cap 200" in capsys.readouterr().err
         assert not calls
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, message", [("dsterf", "sterf: 1 eigenvalues failed"),
+                                               ("dstebz", "stebz: level 3 failed")])
+    def test_lapack_failure(self, tmp_path, capsys, monkeypatch, name, message):
+        routine = getattr(quantum, name)
+        monkeypatch.setattr(quantum, name, lambda *args: (*routine(*args)[:-1], 1))
+        code, out = run(tmp_path, "spectrum", "--ratio", "40", "--g", "1.2", "--levels", "3")
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -731,6 +758,21 @@ class TestConfig:
         code, _ = run(tmp_path, "dos", "--g", "1.2", "--config", str(cfg))
         assert code == 2
 
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "dos", "--g", "1.2", "--config", str(tmp_path / "none.json"))
+        assert code == 2
+        assert "usage error: cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["command", "config"])
+    def test_reserved_key_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "dos"}))
+        code, out = run(tmp_path, "dos", "--g", "1.2", "--config", str(cfg))
+        assert code == 2
+        assert f"config key {key!r} is not allowed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_object_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -768,6 +810,12 @@ def test_format_value_takes_bool_float_int_and_str_only(value):
     # the CLI converts numpy scalars where it makes each cell
     with pytest.raises(TypeError):
         format_value(value)
+
+
+def test_write_csv_rejects_a_row_of_the_wrong_length(tmp_path):
+    with pytest.raises(ValueError, match="row has 1 cells, expected 2"):
+        write_csv(tmp_path / "table.csv", {}, ["a", "b"], [(1.0, 2.0), (3.0,)])
+    assert not (tmp_path / "table.csv").exists()
 
 
 # one small run per command; dos and observables also set --eps-min

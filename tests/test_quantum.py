@@ -585,6 +585,54 @@ class TestValuesOnlySolve:
         assert peak < dim * len(spec) * 8 / 10
 
 
+class TestOnePivotPass:
+    """A values-only solve makes one backward-pivot pass, at its top level,
+    and that pass bounds every level below it: all of them certify, or none."""
+
+    @pytest.mark.parametrize("solve, n_levels", [
+        (lambda: converged_levels(RabiParams(1.0, 40.0, 1.4), Parity.MINUS, 20), 20),
+        (lambda: converged_window(RabiParams(1.0, 1000.0, 1.2), Parity.MINUS, 0.052)[1], 526),
+    ], ids=["readme-sweep-chain", "readme-window"])
+    def test_one_dpttrf_call_per_solve(self, solve, n_levels, monkeypatch):
+        calls, factor = [], quantum.dpttrf
+        monkeypatch.setattr(quantum, "dpttrf", lambda *args: calls.append(args) or factor(*args))
+        spec = solve()
+        assert spec.n_converged == len(spec) == n_levels
+        assert len(calls) == 1
+
+    def test_lower_levels_share_a_bound_no_smaller_than_the_top_one(self):
+        p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
+        chain = build_parity_chain(p, Parity.PLUS, 64)
+        bound = quantum._tail_bound(chain, diagonalize(chain)[:20])
+        assert np.all(bound[:-1] == bound[0]) and bound[-1] <= bound[0]
+
+    def test_capped_solve_certifies_no_level(self, monkeypatch):
+        # cap = R g^2 = 160 sites: the top levels of 20 at g = 2 miss the
+        # certificate there, so the shared bound fails every level (the
+        # per-level bound certified the lowest 18)
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 1.0)
+        p = RabiParams(omega0=1.0, Omega=40.0, g=2.0)
+        with pytest.raises(TruncationLimitError, match="20 of 20 levels not certified") as err:
+            converged_levels(p, Parity.MINUS, 20)
+        spec = err.value.spectrum
+        assert spec.dim == 160 and spec.n_converged == 0
+        assert np.all(spec.error_bound >= 1e-8 * p.omega0)
+
+
+class TestLapackFailure:
+    def test_sterf_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(quantum, "dsterf", lambda d, e: (np.sort(d), 2))
+        chain = build_parity_chain(RabiParams(1.0, 40.0, 1.2), Parity.MINUS, 16)
+        with pytest.raises(quantum.ConvergenceError, match="sterf: 2 eigenvalues failed"):
+            diagonalize(chain)
+
+    def test_stebz_failure_raises(self, monkeypatch):
+        bisect = quantum.dstebz
+        monkeypatch.setattr(quantum, "dstebz", lambda *args: (*bisect(*args)[:4], 1))
+        with pytest.raises(quantum.ConvergenceError, match="stebz: level 5 failed"):
+            converged_levels(RabiParams(1.0, 40.0, 1.2), Parity.MINUS, 5)
+
+
 class TestObservables:
     def test_requires_vectors(self):
         # observables come only from the vector solve: a values-only window

@@ -216,6 +216,17 @@ class TestGapMap:
         assert gm.n_unconverged > 0
         assert not np.all(gm.converged)
 
+    def test_capped_coupling_loses_all_its_doublets(self, monkeypatch):
+        # cap = R max(1, g^2): 160 sites at g = 2, too few for the top of 20
+        # levels, and 360 at g = 3, enough.  A values-only solve certifies
+        # all its levels or none, so g = 2 keeps no doublet (the per-level
+        # bound kept 18) while the sweep goes on to g = 3
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 1.0)
+        gm = gap_map(1.0, 40.0, np.array([2.0, 3.0]), k_max=20)
+        assert gm.dim[0] == 160
+        assert not gm.converged[0].any() and gm.converged[1].all()
+        assert gm.n_unconverged == 20
+
     def test_k_max_validation(self, monkeypatch):
         # the one check, in the certified solve, runs before any chain is built
         calls = []
