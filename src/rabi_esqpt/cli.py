@@ -9,7 +9,8 @@ quantum density on the semiclassical curve, `observables` and
 Each command is declared once, by the `command` decorator on its function:
 its name, its help line and the options it reads, each with its bounds.
 `build_parser`, the config loader, `main` and the file records read that one
-registry.  A command maps the parsed options to a Result: its CSV tables, a
+registry, the parser for the options of the invoked command only.  A command
+maps the parsed options to a Result: its CSV tables, each held by column, a
 JSON summary where a comparison is made, and its figure.  Every CSV header
 and every summary starts with one record: the tool, version and command,
 then each option the command declares with its resolved value (the FILES
@@ -102,16 +103,16 @@ EPS_RANGE = [
     Opt("--eps-max", float, 0.0, "upper edge of the rescaled energy range"),
 ]
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: str | None) -> argparse.ArgumentParser:
+    """Every command with its help line, and the options of command `name` only."""
     parser = argparse.ArgumentParser(
         prog="rabi-esqpt",
-        description="excited-state criticality toolkit for the quantum Rabi model",
-    )
+        description="excited-state criticality toolkit for the quantum Rabi model")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        for opt in cmd.opts:
+    for cmd_name, cmd in COMMANDS.items():
+        p = sub.add_parser(cmd_name, help=cmd.help)
+        for opt in cmd.opts if cmd_name == name else ():
             # default=None so that a config file can tell set from unset
             how = {"action": "store_true"} if opt.typ is bool else {"type": opt.typ}
             p.add_argument(opt.flag, default=None, help=opt.help, **how)
@@ -174,11 +175,10 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 class Table(NamedTuple):
-    """One CSV file: `# key=value` metadata, a header row, data rows."""
+    """One CSV file: `# key=value` metadata and its columns by name."""
 
     meta: dict[str, object]
-    columns: list[str]
-    rows: list
+    columns: dict[str, object]
 
 
 class Figure(NamedTuple):
@@ -232,6 +232,12 @@ def _record(args: argparse.Namespace, **results: object) -> dict[str, object]:
     return {**record, **results}
 
 
+def _level_columns(sectors: list[ParitySpectrum]) -> dict[str, object]:
+    """The parity and k columns of the levels of sectors, listed sector by sector."""
+    return {"parity": [spec.parity.label for spec in sectors for _ in range(len(spec))],
+            "k": np.concatenate([np.arange(len(spec)) for spec in sectors])}
+
+
 def _g_grid(args: argparse.Namespace) -> np.ndarray:
     for dest, default in SWEEP_DEFAULTS.items():
         if getattr(args, dest) is None:
@@ -247,10 +253,8 @@ def _eps_grid(args: argparse.Namespace, g: float) -> np.ndarray:
     eps_min = args.eps_min if args.eps_min is not None else eps_gs + 0.01
     eps_max = args.eps_max
     if not eps_gs < eps_min < eps_max:
-        raise UsageError(
-            f"need ground-state eps {eps_gs:.6g} < eps-min < eps-max, "
-            f"got eps-min={eps_min:.6g}, eps-max={eps_max:.6g}"
-        )
+        raise UsageError(f"need ground-state eps {eps_gs:.6g} < eps-min < eps-max, "
+                         f"got eps-min={eps_min:.6g}, eps-max={eps_max:.6g}")
     grid = np.linspace(eps_min, eps_max, args.points)
     if eps_min < EPS_CRITICAL < eps_max:
         d = np.geomspace(3e-4, 3e-2, 10)
@@ -380,24 +384,22 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
         gs = np.array([args.g])
     else:
         gs = _g_grid(args)
-    specs = {(float(g), parity): converged_levels(_params(args, float(g)), parity,
-                                                  k_max=args.levels, tol=args.conv_tol)
-             for g in gs for parity in (Parity.MINUS, Parity.PLUS)}
-    rows = [(g, parity.label, k, spec.energies[k], spec.eps[k], spec.dim)
-            for (g, parity), spec in specs.items() for k in range(args.levels)]
-    tables = {"spectrum.csv": Table(_record(args),
-                                    ["g", "parity", "k", "energy", "eps", "dim"], rows)}
+    sectors = [converged_levels(_params(args, float(g)), parity, k_max=args.levels,
+                                tol=args.conv_tol) for g in gs for parity, _ in SECTOR_COLORS]
+    eps = np.concatenate([spec.eps for spec in sectors])
+    tables = {"spectrum.csv": Table(_record(args), {
+        "g": np.repeat(gs, 2 * args.levels), **_level_columns(sectors),
+        "energy": np.concatenate([spec.energies for spec in sectors]), "eps": eps,
+        "dim": np.repeat([spec.dim for spec in sectors], args.levels)})}
+    eps = eps.reshape(len(gs), len(SECTOR_COLORS), args.levels)  # [g, sector, k]
     if len(gs) == 1:
-        series = [Series(np.arange(args.levels, dtype=float), specs[(float(gs[0]), parity)].eps,
+        series = [Series(np.arange(args.levels, dtype=float), eps[0, i],
                          label=f"parity {parity.label}", color=color, kind="points")
-                  for parity, color in SECTOR_COLORS]
+                  for i, (parity, color) in enumerate(SECTOR_COLORS)]
         title, xlabel = f"parity-resolved spectrum, g={gs[0]:g}, R={args.ratio:g}", "level index k"
     else:
-        series = []
-        for parity, color in SECTOR_COLORS:
-            eps_mat = np.array([specs[(float(g), parity)].eps for g in gs])
-            series += [Series(gs, eps_mat[:, k], color=color, stroke_width=0.8)
-                       for k in range(args.levels)]
+        series = [Series(gs, eps[:, i, k], color=color, stroke_width=0.8)
+                  for i, (_, color) in enumerate(SECTOR_COLORS) for k in range(args.levels)]
         series.append(_eps_c_guide(gs[0], gs[-1], horizontal=True))
         title, xlabel = f"parity-resolved spectra vs g, R={args.ratio:g}", "g"
     return Result(tables, None, Figure(series, title, xlabel, EPS_LABEL))
@@ -418,29 +420,24 @@ def _ramp(t: float) -> str:
          *G_SWEEP, Opt("--levels", int, 40, "doublets per coupling", minimum=1))
 def _cmd_gapmap(args: argparse.Namespace) -> Result:
     gs = _g_grid(args)
-    gm = gap_map(args.omega0, args.omega0 * args.ratio, gs,
-                 k_max=args.levels, tol=args.conv_tol)
-    rows = [(float(g), k, gm.eps_minus[i, k], gm.eps_plus[i, k], gm.eps_mid[i, k],
-             gm.delta[i, k], bool(gm.converged[i, k]), int(gm.dim[i]))
-            for i, g in enumerate(gm.g) for k in range(gm.k_max)]
-    columns = ["g", "k", "eps_minus", "eps_plus", "eps_mid", "delta", "converged", "dim"]
-    tables = {"gapmap.csv": Table(_record(args, n_unconverged=gm.n_unconverged), columns, rows)}
+    gm = gap_map(args.omega0, args.omega0 * args.ratio, gs, k_max=args.levels, tol=args.conv_tol)
+    columns = {"g": np.repeat(gm.g, gm.k_max), "k": np.tile(np.arange(gm.k_max), len(gm.g)),
+               "eps_minus": gm.eps_minus.ravel(), "eps_plus": gm.eps_plus.ravel(),
+               "eps_mid": gm.eps_mid.ravel(), "delta": gm.delta.ravel(),
+               "converged": gm.converged.ravel(), "dim": np.repeat(gm.dim, gm.k_max)}
+    tables = {"gapmap.csv": Table(_record(args, n_unconverged=gm.n_unconverged), columns)}
     # a splitting at the precision floor is roundoff; once one is, the
     # minimum is not known
     abs_delta = np.abs(gm.delta[gm.converged])
     n_unresolved = int(np.count_nonzero(gm.unresolved))
     summary = ("gapmap_summary.json", _record(
         args, n_unconverged=gm.n_unconverged, n_unresolved=n_unresolved,
-        abs_delta_min=float(np.min(abs_delta))
-        if abs_delta.size and not n_unresolved else None,
+        abs_delta_min=float(np.min(abs_delta)) if abs_delta.size and not n_unresolved else None,
         abs_delta_max=float(np.max(abs_delta)) if abs_delta.size else None))
-    mask = gm.converged
-    x = np.broadcast_to(gm.g[:, None], gm.delta.shape)[mask]
-    d = np.abs(gm.delta[mask])
-    tval = (np.log10(np.maximum(d, 1e-14)) + 14.0) / 14.0  # [1e-14, 1] -> [0, 1]
+    tval = (np.log10(np.maximum(abs_delta, 1e-14)) + 14.0) / 14.0  # [1e-14, 1] -> [0, 1]
     series = [
-        Series(x, gm.eps_mid[mask], kind="points", radius=1.6,
-               point_colors=[_ramp(t) for t in tval],
+        Series(columns["g"][columns["converged"]], gm.eps_mid[gm.converged], kind="points",
+               radius=1.6, point_colors=[_ramp(t) for t in tval],
                label="|delta|: blue small, red large", color="#6baed6"),
         _eps_c_guide(gs[0], gs[-1], horizontal=True),
         Series(gs, np.array([ground_state_eps(float(g)) for g in gs]),
@@ -456,18 +453,16 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
          *EPS_RANGE, Opt("--points", int, 201, "semiclassical grid size", minimum=1))
 def _cmd_dos(args: argparse.Namespace) -> Result:
     g = args.g
-    params = _params(args, g)
-    grid = _eps_grid(args, g)
-    sc = dos_curve(g, grid, omega0=args.omega0)
-    minus, plus = _quantum_sectors(params, args)
+    sc = dos_curve(g, _eps_grid(args, g), omega0=args.omega0)
+    minus, plus = _quantum_sectors(_params(args, g), args)
     wd = windowed_dos(minus, plus, window_n=args.window, eps_max=args.eps_max)
     tables = {
         "dos_semiclassical.csv": Table(
-            _record(args), ["eps", "nu", "n_cum"], list(zip(sc.eps, sc.nu, sc.n_cum))),
+            _record(args), {"eps": sc.eps, "nu": sc.nu, "n_cum": sc.n_cum}),
         "dos_quantum.csv": Table(
             _record(args, n_levels=wd.n_levels, dim_minus=minus.dim, dim_plus=plus.dim,
                     truncated=wd.truncated),
-            ["eps", "nu_per_eps", "nu"], list(zip(wd.eps, wd.nu_per_eps, wd.nu))),
+            {"eps": wd.eps, "nu_per_eps": wd.nu_per_eps, "nu": wd.nu}),
     }
 
     # deviation of the windowed estimate from the semiclassical curve, away
@@ -493,8 +488,7 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
                                             f"deep, the window starts at {w_lo:g}"}
                     continue
                 try:
-                    fit = fit_divergence(curve, LawKind.LOG_ESQPT, side=side,
-                                         window=window)
+                    fit = fit_divergence(curve, LawKind.LOG_ESQPT, side=side, window=window)
                 except ValueError as exc:
                     fits[key] = {"skipped": str(exc)}
                     continue
@@ -519,26 +513,23 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
 def _cmd_observables(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
-    grid = _eps_grid(args, g)
-    curve = observables_microcanonical(g, grid)
+    curve = observables_microcanonical(g, _eps_grid(args, g))
     sectors = minus, plus = _quantum_sectors(params, args, with_observables=True)
     scale = args.omega0 / params.Omega  # <a^dag a> omega0/Omega = <(x^2+p^2)/2> on shell
-    rows = [(spec.parity.label, k, e, n, n * scale, sz) for spec in sectors
-            for k, (e, n, sz) in enumerate(zip(spec.eps, spec.observables.n_phot,
-                                               spec.observables.sz))]
+    eps_all = np.concatenate([spec.eps for spec in sectors])
+    n_phot = np.concatenate([spec.observables.n_phot for spec in sectors])
+    nph_all = n_phot * scale
+    sz_all = np.concatenate([spec.observables.sz for spec in sectors])
     tables = {
         "observables_semiclassical.csv": Table(
-            _record(args), ["eps", "nphot_scaled", "sz"],
-            list(zip(curve.eps, curve.nphot_scaled, curve.sz))),
+            _record(args), {"eps": curve.eps, "nphot_scaled": curve.nphot_scaled, "sz": curve.sz}),
         "observables_quantum.csv": Table(
             _record(args, dim_minus=minus.dim, dim_plus=plus.dim),
-            ["parity", "k", "eps", "n_phot", "nphot_scaled", "sz"], rows),
+            {**_level_columns(sectors), "eps": eps_all, "n_phot": n_phot,
+             "nphot_scaled": nph_all, "sz": sz_all}),
     }
 
     # pointwise deviation on a subsample of eigenstates away from eps_c
-    eps_all = np.concatenate([spec.eps for spec in sectors])
-    nph_all = np.concatenate([spec.observables.n_phot for spec in sectors]) * scale
-    sz_all = np.concatenate([spec.observables.sz for spec in sectors])
     order = np.argsort(eps_all, kind="stable")
     eps_all, nph_all, sz_all = eps_all[order], nph_all[order], sz_all[order]
     # a level at eps lies on the classical shell at eps + 1/R, so the lowest
@@ -551,7 +542,7 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
     dev_n = np.abs(nph_all[idx] - shell.nphot_scaled)
     dev_s = np.abs(sz_all[idx] - shell.sz)
     summary = ("observables_summary.json", _record(
-        args, n_states=len(rows), compared_states=int(idx.size),
+        args, n_states=len(eps_all), compared_states=int(idx.size),
         nphot_scaled_abs_dev_max=float(np.max(dev_n)) if idx.size else None,
         sz_abs_dev_max=float(np.max(dev_s)) if idx.size else None))
     series = []
@@ -570,22 +561,19 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
          G_REQUIRED, Opt("--eps-max", float, 0.0, "include eigenstates up to this eps"))
 def _cmd_probabilities(args: argparse.Namespace) -> Result:
     g = args.g
-    params = _params(args, g)
-    sectors = minus, plus = _quantum_sectors(params, args, with_observables=True)
-    rows = [(spec.parity.label, k, e, p) for spec in sectors
-            for k, (e, p) in enumerate(zip(spec.eps, spec.observables.p_loc))]
+    sectors = minus, plus = _quantum_sectors(_params(args, g), args, with_observables=True)
     peaks = {}
-    for spec in sectors:
-        if len(spec):
-            eps, p_loc = spec.eps, spec.observables.p_loc
-            k = int(np.argmax(p_loc))
-            # mean spacing of the neighbours, one-sided at an edge, none if alone
-            lo, hi = max(k - 1, 0), min(k + 1, len(eps) - 1)
-            spacing = float((eps[hi] - eps[lo]) / (hi - lo)) if hi > lo else None
-            peaks[spec.parity.label] = {"k": k, "eps": float(eps[k]), "p_loc": float(p_loc[k]),
-                                        "local_spacing": spacing}
-    tables = {"probabilities.csv": Table(_record(args, dim_minus=minus.dim, dim_plus=plus.dim),
-                                         ["parity", "k", "eps", "p_loc"], rows)}
+    for spec in filter(len, sectors):  # the sectors with levels
+        eps, p_loc = spec.eps, spec.observables.p_loc
+        k = int(np.argmax(p_loc))
+        # mean spacing of the neighbours, one-sided at an edge, none if alone
+        lo, hi = max(k - 1, 0), min(k + 1, len(eps) - 1)
+        spacing = float((eps[hi] - eps[lo]) / (hi - lo)) if hi > lo else None
+        peaks[spec.parity.label] = {"k": k, "eps": float(eps[k]), "p_loc": float(p_loc[k]),
+                                    "local_spacing": spacing}
+    tables = {"probabilities.csv": Table(_record(args, dim_minus=minus.dim, dim_plus=plus.dim), {
+        **_level_columns(sectors), "eps": np.concatenate([spec.eps for spec in sectors]),
+        "p_loc": np.concatenate([spec.observables.p_loc for spec in sectors])})}
     summary = ("probabilities_summary.json", _record(args, peaks=peaks))
     series = [Series(spec.eps, spec.observables.p_loc, label=f"parity {spec.parity.label}",
                      color=color, kind="points", radius=1.8)
@@ -621,9 +609,11 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
         raise UsageError(f"--delta-min must keep every sample at least {CRITICAL_GUARD:g} "
                          f"from eps_c for g > 1, where nu diverges; {args.delta_min:g} does not")
     curves = {side: dos_curve(g, eps, omega0=args.omega0) for side, eps in grids.items()}
-    rows = [(side.value, abs(e - EPS_CRITICAL), e, v)
-            for side, curve in curves.items() for e, v in zip(curve.eps, curve.nu)]
-    tables = {"asymptotics_curve.csv": Table(_record(args), ["side", "delta", "eps", "nu"], rows)}
+    eps = np.concatenate([curve.eps for curve in curves.values()])
+    tables = {"asymptotics_curve.csv": Table(_record(args), {
+        "side": [side.value for side, curve in curves.items() for _ in curve.eps],
+        "delta": np.abs(eps - EPS_CRITICAL), "eps": eps,
+        "nu": np.concatenate([curve.nu for curve in curves.values()])})}
 
     summary = _record(args)
     if at_threshold:
@@ -656,7 +646,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    r"""Write `--flag -5e-1` as `--flag=-5e-1` for every flag that takes a value.
+    r"""Write `--flag -5e-1` as `--flag=-5e-1` for each valued flag of command argv[0].
 
     argparse reads -5e-1 as an option string, not a value, because its
     negative-number pattern (^-\d+$|^-\d*\.\d+$ in Python 3.11) has no
@@ -664,7 +654,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     dash and a digit, so such a token after a flag that takes a value is
     always that value.
     """
-    valued = {opt.flag for cmd in COMMANDS.values() for opt in cmd.opts if opt.typ is not bool}
+    cmd = COMMANDS.get(argv[0]) if argv else None
+    valued = {opt.flag for opt in cmd.opts if opt.typ is not bool} if cmd else set()
     joined: list[str] = []
     for arg in argv:
         if joined and joined[-1] in valued and re.match(r"-\.?\d", arg):
@@ -675,9 +666,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:  # argparse has printed the message already
         return int(exc.code or 0)
     if args.command is None:
@@ -690,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, table in result.tables.items():
-            write_csv(out / name, table.meta, table.columns, table.rows)
+            write_csv(out / name, table.meta, table.columns)
         if result.summary is not None:
             write_json(out / result.summary[0], result.summary[1])
         if args.emit_svg:

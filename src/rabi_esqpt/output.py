@@ -5,14 +5,17 @@ shortest round-tripping decimal form), metadata is emitted in insertion
 order as ``# key=value`` header lines, and nothing time- or host-dependent
 is ever written.  Every parameter needed to re-derive a file's rows belongs
 in its header; the CLI meets this by construction, as each header starts
-with every option its command reads.
+with every option its command reads.  Tables are columnar: write_csv takes
+each column whole, an array or a list.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 from pathlib import Path
+
+import numpy as np
 
 __all__ = ["format_value", "write_csv", "write_json"]
 
@@ -34,21 +37,26 @@ def format_value(v: object) -> str:
     raise TypeError(f"cannot format {type(v).__name__} {v!r}")
 
 
-def write_csv(
-    path: str | Path,
-    metadata: Mapping[str, object],
-    columns: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> Path:
-    """Write one table: ``# key=value`` header lines, column line, data rows."""
+def _cells(column: object) -> list[str]:
+    """format_value of each cell, with no per-cell dispatch for a 1-D float64 array."""
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "biuf":
+        if column.dtype == np.float64:
+            return list(map(repr, column.tolist()))
+        column = column.tolist()  # Python bools, ints and floats
+    return [format_value(v) for v in column]
+
+
+def write_csv(path: str | Path, metadata: Mapping[str, object],
+              columns: Mapping[str, object]) -> Path:
+    """Write one table: ``# key=value`` header lines, column line, rows of equal-length columns."""
     path = Path(path)
     lines = [f"# {key}={format_value(val)}" for key, val in metadata.items()]
     lines.append(",".join(columns))
-    n_cols = len(columns)
-    for row in rows:
-        if len(row) != n_cols:
-            raise ValueError(f"row has {len(row)} cells, expected {n_cols}")
-        lines.append(",".join(format_value(cell) for cell in row))
+    cells = [_cells(column) for column in columns.values()]
+    for name, column in zip(columns, cells):
+        if len(column) != len(cells[0]):
+            raise ValueError(f"column {name!r} has {len(column)} cells, expected {len(cells[0])}")
+    lines += map(",".join, zip(*cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

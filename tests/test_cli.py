@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rabi_esqpt import cli, quantum, semiclassical
+from rabi_esqpt import __version__, cli, quantum, semiclassical
 from rabi_esqpt.cli import COMMANDS, FILES, G_SWEEP, main
 from rabi_esqpt.output import format_value, write_csv
 
@@ -41,11 +43,37 @@ def run(tmp_path, *argv):
 
 
 class TestDispatch:
-    def test_no_command(self):
+    def test_no_command(self, capsys):
         assert main([]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: rabi-esqpt")
+        assert all(name in err for name in COMMANDS)
 
-    def test_unknown_command(self):
+    def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+    def test_help_lists_every_command_with_its_help_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
+        assert main(["--help"]) == 0
+        # argparse puts the help line of a long name on the next line
+        listed = re.findall(r"^    (\S+)\s+(\S.*)$", capsys.readouterr().out, re.M)
+        assert len(COMMANDS) == 6
+        assert listed == [(name, cmd.help) for name, cmd in COMMANDS.items()]
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"rabi-esqpt {__version__}\n"
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_command_help_lists_its_own_options(self, capsys, name):
+        assert main([name, "--help"]) == 0
+        flags = set(re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.M))
+        assert flags == {opt.flag for opt in COMMANDS[name].opts}
+
+    def test_option_of_another_command_rejected(self, capsys):
+        assert main(["spectrum", "--window", "3"]) == 2
+        assert "unrecognized arguments: --window 3" in capsys.readouterr().err
 
     def test_missing_g(self, tmp_path):
         code, _ = run(tmp_path, "dos", "--ratio", "40")
@@ -662,6 +690,15 @@ class TestOptionTable:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_eps_max_joined_for_the_invoked_command_only(self, name):
+        argv = [name, "--eps-max", "-5e-1"]
+        has_eps_max = any(opt.flag == "--eps-max" for opt in COMMANDS[name].opts)
+        joined = cli._join_negative_values(argv)
+        assert joined == ([name, "--eps-max=-5e-1"] if has_eps_max else argv)
+        if has_eps_max:
+            assert cli.build_parser(name).parse_args(joined).eps_max == -0.5
+
     def test_only_numbers_after_valued_flags_are_joined(self):
         argv = ["dos", "--eps-max", "-5e-1", "--emit-svg", "-1", "--g", "-x", "--out", "-2"]
         assert cli._join_negative_values(argv) == [
@@ -812,10 +849,47 @@ def test_format_value_takes_bool_float_int_and_str_only(value):
         format_value(value)
 
 
-def test_write_csv_rejects_a_row_of_the_wrong_length(tmp_path):
-    with pytest.raises(ValueError, match="row has 1 cells, expected 2"):
-        write_csv(tmp_path / "table.csv", {}, ["a", "b"], [(1.0, 2.0), (3.0,)])
+def test_write_csv_rejects_a_column_of_the_wrong_length(tmp_path):
+    with pytest.raises(ValueError, match="column 'b' has 1 cells, expected 2"):
+        write_csv(tmp_path / "table.csv", {}, {"a": np.array([1.0, 2.0]), "b": [3.0]})
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("column", [np.array([1.0, 2j]), None], ids=["complex", "none"])
+def test_write_csv_rejects_a_column_of_another_type(tmp_path, column):
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "table.csv", {}, {"a": [1.0, 2.0], "b": column})
+    assert not (tmp_path / "table.csv").exists()
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3, 1e300])
+# each kind of column a command hands over, drawn n cells long
+COLUMN_KINDS = {
+    "float list": lambda n: st.lists(FLOATS, min_size=n, max_size=n),
+    "float64 array": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(np.array),
+    "int64 array": lambda n: st.lists(st.integers(-2**63, 2**63 - 1), min_size=n,
+                                      max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+    "bool array": lambda n: st.lists(st.booleans(), min_size=n,
+                                     max_size=n).map(lambda v: np.array(v, dtype=bool)),
+    "int list": lambda n: st.lists(st.integers(), min_size=n, max_size=n),
+    "str list": lambda n: st.lists(st.text(st.characters(blacklist_categories=("Cs",))),
+                                   min_size=n, max_size=n),
+}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12),
+       kinds=st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5),
+       meta=st.dictionaries(st.text("abc", min_size=1), FLOATS | st.integers() | st.booleans()))
+def test_write_csv_writes_each_cell_as_format_value_does(tmp_path_factory, data, n, kinds, meta):
+    columns = {f"c{i}": data.draw(COLUMN_KINDS[kind](n)) for i, kind in enumerate(kinds)}
+    # an array's cells are its tolist(): format_value takes no numpy int or bool
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    lines = [f"# {key}={format_value(val)}" for key, val in meta.items()]
+    lines += [",".join(columns)] + [",".join(map(format_value, row)) for row in zip(*cells)]
+    path = write_csv(tmp_path_factory.getbasetemp() / "table.csv", meta, columns)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # one small run per command; dos and observables also set --eps-min

@@ -572,8 +572,9 @@ class TestValuesOnlySolve:
 
     def test_memory_is_far_below_one_vector_block(self):
         # a vector solve of this window holds a dim x k float64 block (7.5
-        # MB); values only, the solve holds O(dim) floats and one block of
-        # _SLICE levels' tail pivots (measured: 0.3 MB)
+        # MB); values only, the solve holds O(dim) floats: the chain, its
+        # levels and one pass of tail pivots at the top level (measured:
+        # 0.07 MB)
         p = RabiParams(omega0=1.0, Omega=1000.0, g=1.2)
         tracemalloc.start()
         try:
