@@ -107,7 +107,8 @@ def build_parser(name: str | None) -> argparse.ArgumentParser:
     """Every command with its help line, and the options of command `name` only."""
     parser = argparse.ArgumentParser(
         prog="rabi-esqpt",
-        description="excited-state criticality toolkit for the quantum Rabi model")
+        description="excited-state criticality toolkit for the quantum Rabi model",
+    )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
     for cmd_name, cmd in COMMANDS.items():
@@ -253,8 +254,10 @@ def _eps_grid(args: argparse.Namespace, g: float) -> np.ndarray:
     eps_min = args.eps_min if args.eps_min is not None else eps_gs + 0.01
     eps_max = args.eps_max
     if not eps_gs < eps_min < eps_max:
-        raise UsageError(f"need ground-state eps {eps_gs:.6g} < eps-min < eps-max, "
-                         f"got eps-min={eps_min:.6g}, eps-max={eps_max:.6g}")
+        raise UsageError(
+            f"need ground-state eps {eps_gs:.6g} < eps-min < eps-max, "
+            f"got eps-min={eps_min:.6g}, eps-max={eps_max:.6g}"
+        )
     grid = np.linspace(eps_min, eps_max, args.points)
     if eps_min < EPS_CRITICAL < eps_max:
         d = np.geomspace(3e-4, 3e-2, 10)
@@ -420,7 +423,8 @@ def _ramp(t: float) -> str:
          *G_SWEEP, Opt("--levels", int, 40, "doublets per coupling", minimum=1))
 def _cmd_gapmap(args: argparse.Namespace) -> Result:
     gs = _g_grid(args)
-    gm = gap_map(args.omega0, args.omega0 * args.ratio, gs, k_max=args.levels, tol=args.conv_tol)
+    gm = gap_map(args.omega0, args.omega0 * args.ratio, gs,
+                 k_max=args.levels, tol=args.conv_tol)
     columns = {"g": np.repeat(gm.g, gm.k_max), "k": np.tile(np.arange(gm.k_max), len(gm.g)),
                "eps_minus": gm.eps_minus.ravel(), "eps_plus": gm.eps_plus.ravel(),
                "eps_mid": gm.eps_mid.ravel(), "delta": gm.delta.ravel(),
@@ -432,7 +436,8 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
     n_unresolved = int(np.count_nonzero(gm.unresolved))
     summary = ("gapmap_summary.json", _record(
         args, n_unconverged=gm.n_unconverged, n_unresolved=n_unresolved,
-        abs_delta_min=float(np.min(abs_delta)) if abs_delta.size and not n_unresolved else None,
+        abs_delta_min=float(np.min(abs_delta))
+        if abs_delta.size and not n_unresolved else None,
         abs_delta_max=float(np.max(abs_delta)) if abs_delta.size else None))
     tval = (np.log10(np.maximum(abs_delta, 1e-14)) + 14.0) / 14.0  # [1e-14, 1] -> [0, 1]
     series = [
@@ -453,8 +458,10 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
          *EPS_RANGE, Opt("--points", int, 201, "semiclassical grid size", minimum=1))
 def _cmd_dos(args: argparse.Namespace) -> Result:
     g = args.g
-    sc = dos_curve(g, _eps_grid(args, g), omega0=args.omega0)
-    minus, plus = _quantum_sectors(_params(args, g), args)
+    params = _params(args, g)
+    grid = _eps_grid(args, g)
+    sc = dos_curve(g, grid, omega0=args.omega0)
+    minus, plus = _quantum_sectors(params, args)
     wd = windowed_dos(minus, plus, window_n=args.window, eps_max=args.eps_max)
     tables = {
         "dos_semiclassical.csv": Table(
@@ -488,7 +495,8 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
                                             f"deep, the window starts at {w_lo:g}"}
                     continue
                 try:
-                    fit = fit_divergence(curve, LawKind.LOG_ESQPT, side=side, window=window)
+                    fit = fit_divergence(curve, LawKind.LOG_ESQPT, side=side,
+                                         window=window)
                 except ValueError as exc:
                     fits[key] = {"skipped": str(exc)}
                     continue
@@ -513,7 +521,8 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
 def _cmd_observables(args: argparse.Namespace) -> Result:
     g = args.g
     params = _params(args, g)
-    curve = observables_microcanonical(g, _eps_grid(args, g))
+    grid = _eps_grid(args, g)
+    curve = observables_microcanonical(g, grid)
     sectors = minus, plus = _quantum_sectors(params, args, with_observables=True)
     scale = args.omega0 / params.Omega  # <a^dag a> omega0/Omega = <(x^2+p^2)/2> on shell
     eps_all = np.concatenate([spec.eps for spec in sectors])
@@ -561,16 +570,18 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
          G_REQUIRED, Opt("--eps-max", float, 0.0, "include eigenstates up to this eps"))
 def _cmd_probabilities(args: argparse.Namespace) -> Result:
     g = args.g
-    sectors = minus, plus = _quantum_sectors(_params(args, g), args, with_observables=True)
+    params = _params(args, g)
+    sectors = minus, plus = _quantum_sectors(params, args, with_observables=True)
     peaks = {}
-    for spec in filter(len, sectors):  # the sectors with levels
-        eps, p_loc = spec.eps, spec.observables.p_loc
-        k = int(np.argmax(p_loc))
-        # mean spacing of the neighbours, one-sided at an edge, none if alone
-        lo, hi = max(k - 1, 0), min(k + 1, len(eps) - 1)
-        spacing = float((eps[hi] - eps[lo]) / (hi - lo)) if hi > lo else None
-        peaks[spec.parity.label] = {"k": k, "eps": float(eps[k]), "p_loc": float(p_loc[k]),
-                                    "local_spacing": spacing}
+    for spec in sectors:
+        if len(spec):
+            eps, p_loc = spec.eps, spec.observables.p_loc
+            k = int(np.argmax(p_loc))
+            # mean spacing of the neighbours, one-sided at an edge, none if alone
+            lo, hi = max(k - 1, 0), min(k + 1, len(eps) - 1)
+            spacing = float((eps[hi] - eps[lo]) / (hi - lo)) if hi > lo else None
+            peaks[spec.parity.label] = {"k": k, "eps": float(eps[k]), "p_loc": float(p_loc[k]),
+                                        "local_spacing": spacing}
     tables = {"probabilities.csv": Table(_record(args, dim_minus=minus.dim, dim_plus=plus.dim), {
         **_level_columns(sectors), "eps": np.concatenate([spec.eps for spec in sectors]),
         "p_loc": np.concatenate([spec.observables.p_loc for spec in sectors])})}

@@ -52,11 +52,8 @@ def write_csv(path: str | Path, metadata: Mapping[str, object],
     path = Path(path)
     lines = [f"# {key}={format_value(val)}" for key, val in metadata.items()]
     lines.append(",".join(columns))
-    cells = [_cells(column) for column in columns.values()]
-    for name, column in zip(columns, cells):
-        if len(column) != len(cells[0]):
-            raise ValueError(f"column {name!r} has {len(column)} cells, expected {len(cells[0])}")
-    lines += map(",".join, zip(*cells))
+    # strict: columns of unequal length raise ValueError before any file is made
+    lines += map(",".join, zip(*[_cells(column) for column in columns.values()], strict=True))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
