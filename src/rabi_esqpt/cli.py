@@ -16,9 +16,9 @@ and every summary starts with one record: the tool, version and command,
 then each option the command declares with its resolved value (the FILES
 options and those left unset aside, such as the sweep options of a single
 coupling), then the command's results.  `main` is the one place that creates
---out and writes files, the figure only under --emit-svg, and it writes
-only after the command has returned, so a failed run leaves nothing
-behind.  Two identical invocations produce byte-identical files.
+--out and writes files, and it builds and writes the figure only under
+--emit-svg.  It writes once the command and the figure are done, so a failed
+run leaves nothing behind.  Two identical invocations produce byte-identical files.
 
 Options may come from a JSON config file (--config); explicit flags win.
 Bad options, whether flags or config values, exit with status 2 before any
@@ -191,11 +191,11 @@ class Figure(NamedTuple):
 
 class Result(NamedTuple):
     """One command's outputs: tables and summary by file name in --out, and
-    the figure, written as <command>.svg under --emit-svg."""
+    the function that builds the figure written as <command>.svg under --emit-svg."""
 
     tables: dict[str, Table]
     summary: tuple[str, dict[str, object]] | None
-    figure: Figure
+    figure: Callable[[], Figure]
 
 
 class Command(NamedTuple):
@@ -394,18 +394,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
         "g": np.repeat(gs, 2 * args.levels), **_level_columns(sectors),
         "energy": np.concatenate([spec.energies for spec in sectors]), "eps": eps,
         "dim": np.repeat([spec.dim for spec in sectors], args.levels)})}
-    eps = eps.reshape(len(gs), len(SECTOR_COLORS), args.levels)  # [g, sector, k]
-    if len(gs) == 1:
-        series = [Series(np.arange(args.levels, dtype=float), eps[0, i],
-                         label=f"parity {parity.label}", color=color, kind="points")
-                  for i, (parity, color) in enumerate(SECTOR_COLORS)]
-        title, xlabel = f"parity-resolved spectrum, g={gs[0]:g}, R={args.ratio:g}", "level index k"
-    else:
-        series = [Series(gs, eps[:, i, k], color=color, stroke_width=0.8)
+
+    def figure() -> Figure:
+        levels = eps.reshape(len(gs), len(SECTOR_COLORS), args.levels)  # [g, sector, k]
+        if len(gs) == 1:
+            series = [Series(np.arange(args.levels, dtype=float), levels[0, i],
+                             label=f"parity {parity.label}", color=color, kind="points")
+                      for i, (parity, color) in enumerate(SECTOR_COLORS)]
+            return Figure(series, f"parity-resolved spectrum, g={gs[0]:g}, R={args.ratio:g}",
+                          "level index k", EPS_LABEL)
+        series = [Series(gs, levels[:, i, k], color=color, stroke_width=0.8)
                   for i, (_, color) in enumerate(SECTOR_COLORS) for k in range(args.levels)]
         series.append(_eps_c_guide(gs[0], gs[-1], horizontal=True))
-        title, xlabel = f"parity-resolved spectra vs g, R={args.ratio:g}", "g"
-    return Result(tables, None, Figure(series, title, xlabel, EPS_LABEL))
+        return Figure(series, f"parity-resolved spectra vs g, R={args.ratio:g}", "g", EPS_LABEL)
+    return Result(tables, None, figure)
 
 
 def _ramp(t: float) -> str:
@@ -439,17 +441,19 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
         abs_delta_min=float(np.min(abs_delta))
         if abs_delta.size and not n_unresolved else None,
         abs_delta_max=float(np.max(abs_delta)) if abs_delta.size else None))
-    tval = (np.log10(np.maximum(abs_delta, 1e-14)) + 14.0) / 14.0  # [1e-14, 1] -> [0, 1]
-    series = [
-        Series(columns["g"][columns["converged"]], gm.eps_mid[gm.converged], kind="points",
-               radius=1.6, point_colors=[_ramp(t) for t in tval],
-               label="|delta|: blue small, red large", color="#6baed6"),
-        _eps_c_guide(gs[0], gs[-1], horizontal=True),
-        Series(gs, np.array([ground_state_eps(float(g)) for g in gs]),
-               color="#000000", label="eps_GS(g)", stroke_width=1.2),
-    ]
-    return Result(tables, summary,
-                  Figure(series, f"parity splitting map, R={args.ratio:g}", "g", EPS_LABEL))
+
+    def figure() -> Figure:
+        tval = (np.log10(np.maximum(abs_delta, 1e-14)) + 14.0) / 14.0  # [1e-14, 1] -> [0, 1]
+        series = [
+            Series(columns["g"][columns["converged"]], gm.eps_mid[gm.converged], kind="points",
+                   radius=1.6, point_colors=[_ramp(t) for t in tval],
+                   label="|delta|: blue small, red large", color="#6baed6"),
+            _eps_c_guide(gs[0], gs[-1], horizontal=True),
+            Series(gs, np.array([ground_state_eps(float(g)) for g in gs]),
+                   color="#000000", label="eps_GS(g)", stroke_width=1.2),
+        ]
+        return Figure(series, f"parity splitting map, R={args.ratio:g}", "g", EPS_LABEL)
+    return Result(tables, summary, figure)
 
 
 @command("dos", "windowed quantum density of states against the semiclassical curve",
@@ -505,14 +509,13 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
                              "slope_rel_dev": abs(fit.slope / law.slope - 1.0)}
         summary["log_fit"] = fits
     summary = ("dos_summary.json", summary)
-    series = [
+    return Result(tables, summary, lambda: Figure([
         Series(sc.eps, sc.nu, label="semiclassical", color="#1f77b4"),
         Series(wd.eps, wd.nu, label=f"quantum, N={args.window} window",
                color="#d62728", kind="points", radius=1.8),
         _eps_c_guide(0.0, float(np.nanmax(sc.nu)), horizontal=False),
-    ]
-    return Result(tables, summary, Figure(series, f"density of states, g={g:g}, R={args.ratio:g}",
-                                          EPS_LABEL, "nu(eps) [1/omega0, per unit E]"))
+    ], f"density of states, g={g:g}, R={args.ratio:g}", EPS_LABEL,
+        "nu(eps) [1/omega0, per unit E]"))
 
 
 @command("observables", "photon number and spin expectation values, quantum vs semiclassical",
@@ -554,15 +557,18 @@ def _cmd_observables(args: argparse.Namespace) -> Result:
         args, n_states=len(eps_all), compared_states=int(idx.size),
         nphot_scaled_abs_dev_max=float(np.max(dev_n)) if idx.size else None,
         sz_abs_dev_max=float(np.max(dev_s)) if idx.size else None))
-    series = []
-    for name, semicl, quantum, color in (("nphot_scaled", curve.nphot_scaled, nph_all, "#1f77b4"),
-                                         ("sz", curve.sz, sz_all, "#d62728")):
-        series += [Series(curve.eps, semicl, label=f"{name} (semicl.)", color=color),
-                   Series(eps_all, quantum, label=f"{name} (quantum)", color=color,
-                          kind="points", radius=1.6)]
-    return Result(tables, summary, Figure(
-        series, f"microcanonical observables, g={g:g}, R={args.ratio:g}",
-        EPS_LABEL, "omega0 <a^dag a>/Omega and <sigma_z>"))
+
+    def figure() -> Figure:
+        series = []
+        for name, semicl, quantum, color in (
+                ("nphot_scaled", curve.nphot_scaled, nph_all, "#1f77b4"),
+                ("sz", curve.sz, sz_all, "#d62728")):
+            series += [Series(curve.eps, semicl, label=f"{name} (semicl.)", color=color),
+                       Series(eps_all, quantum, label=f"{name} (quantum)", color=color,
+                              kind="points", radius=1.6)]
+        return Figure(series, f"microcanonical observables, g={g:g}, R={args.ratio:g}",
+                      EPS_LABEL, "omega0 <a^dag a>/Omega and <sigma_z>")
+    return Result(tables, summary, figure)
 
 
 @command("probabilities", "down-spin localization weight of each eigenstate",
@@ -586,12 +592,15 @@ def _cmd_probabilities(args: argparse.Namespace) -> Result:
         **_level_columns(sectors), "eps": np.concatenate([spec.eps for spec in sectors]),
         "p_loc": np.concatenate([spec.observables.p_loc for spec in sectors])})}
     summary = ("probabilities_summary.json", _record(args, peaks=peaks))
-    series = [Series(spec.eps, spec.observables.p_loc, label=f"parity {spec.parity.label}",
-                     color=color, kind="points", radius=1.8)
-              for spec, (_, color) in zip(sectors, SECTOR_COLORS)]
-    series.append(_eps_c_guide(0.0, 1.0, horizontal=False))
-    return Result(tables, summary, Figure(
-        series, f"down-spin localization weight, g={g:g}, R={args.ratio:g}", EPS_LABEL, "p_loc"))
+
+    def figure() -> Figure:
+        series = [Series(spec.eps, spec.observables.p_loc, label=f"parity {spec.parity.label}",
+                         color=color, kind="points", radius=1.8)
+                  for spec, (_, color) in zip(sectors, SECTOR_COLORS)]
+        series.append(_eps_c_guide(0.0, 1.0, horizontal=False))
+        return Figure(series, f"down-spin localization weight, g={g:g}, R={args.ratio:g}",
+                      EPS_LABEL, "p_loc")
+    return Result(tables, summary, figure)
 
 
 @command("asymptotics", "fit of the critical density law (power at g = 1, log for g > 1)",
@@ -649,11 +658,11 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
             summary["sides_rel_diff"] = abs(summary["above"]["slope"]
                                             / summary["below"]["slope"] - 1.0)
     summary = ("asymptotics.json", summary)
-    series = [Series(np.log10(np.abs(curve.eps - EPS_CRITICAL)), curve.nu,
-                     label=f"{side.value} eps_c", color=color, kind="points", radius=2.0)
-              for (side, curve), color in zip(curves.items(), ("#1f77b4", "#d62728"))]
-    return Result(tables, summary, Figure(series, f"critical divergence, g={g:g}",
-                                          "log10 |eps - eps_c|", "nu(eps) [1/omega0]"))
+    return Result(tables, summary, lambda: Figure(
+        [Series(np.log10(np.abs(curve.eps - EPS_CRITICAL)), curve.nu,
+                label=f"{side.value} eps_c", color=color, kind="points", radius=2.0)
+         for (side, curve), color in zip(curves.items(), ("#1f77b4", "#d62728"))],
+        f"critical divergence, g={g:g}", "log10 |eps - eps_c|", "nu(eps) [1/omega0]"))
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -689,15 +698,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         result = COMMANDS[args.command].run(args)
-        # nothing is written before the command has returned
+        # nothing is written before the command and its figure are built
+        fig = result.figure() if args.emit_svg else None
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, table in result.tables.items():
             write_csv(out / name, table.meta, table.columns)
         if result.summary is not None:
             write_json(out / result.summary[0], result.summary[1])
-        if args.emit_svg:
-            fig = result.figure
+        if fig is not None:
             svg_save(out / f"{args.command}.svg", fig.series, title=fig.title,
                      xlabel=fig.xlabel, ylabel=fig.ylabel)
         return 0

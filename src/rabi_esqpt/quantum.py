@@ -111,7 +111,7 @@ import importlib.util
 import math
 import operator
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,10 +194,27 @@ class Parity(enum.Enum):
         return "minus" if self is Parity.MINUS else "plus"
 
 
-def _through_init(record):
-    # a record's __reduce__: pickle rebuilds it through __init__, whose
-    # __post_init__ makes the arrays of an unpickled copy read-only too
-    return type(record), tuple(getattr(record, f.name) for f in fields(record))
+class _Record:
+    """Base of the array records, each a @dataclass(frozen=True, eq=False).
+
+    Their arrays are read-only, also when pickle rebuilds them through
+    __init__.  Records of one type compare field by field, arrays by value
+    with NaN equal to NaN, and stay unhashable.  The instance dict holds the
+    fields alone, in declaration order."""
+
+    def __post_init__(self):
+        for value in self.__dict__.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), tuple(self.__dict__.values())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(a, b, equal_nan=True)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+            for a, b in zip(self.__dict__.values(), other.__dict__.values()))
 
 
 class ConvergenceError(RuntimeError):
@@ -252,18 +269,14 @@ class RabiParams:
         return 0.5 * self.g * math.sqrt(self.omega0 * self.Omega)
 
 
-@dataclass(frozen=True)
-class ParityChain:
+@dataclass(frozen=True, eq=False)
+class ParityChain(_Record):
     """One parity sector of H as a real symmetric tridiagonal matrix."""
 
     params: RabiParams
     parity: Parity
     diag: np.ndarray = field(repr=False)
     offdiag: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.diag.flags.writeable = False
-        self.offdiag.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -289,8 +302,8 @@ class ParityChain:
         return out
 
 
-@dataclass(frozen=True)
-class EigenObservables:
+@dataclass(frozen=True, eq=False)
+class EigenObservables(_Record):
     """Per-eigenstate diagnostics of one window, reduced from its eigenvectors.
 
     n_phot = <a^dag a>; sz = <sigma_z>; p_loc is the weight on the lowest
@@ -305,15 +318,9 @@ class EigenObservables:
     sz: np.ndarray = field(repr=False)
     p_loc: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        for a in (self.n_phot, self.sz, self.p_loc):
-            a.flags.writeable = False
 
-    __reduce__ = _through_init
-
-
-@dataclass(frozen=True)
-class ParitySpectrum:
+@dataclass(frozen=True, eq=False)
+class ParitySpectrum(_Record):
     """The certified solve of one parity chain at truncation dim.
 
     converged_window and converged_levels return one; energies are the
@@ -337,12 +344,6 @@ class ParitySpectrum:
     n_converged: int
     error_bound: np.ndarray = field(repr=False)
     observables: EigenObservables | None = field(repr=False, default=None)
-
-    def __post_init__(self):
-        for a in (self.energies, self.eps, self.error_bound):
-            a.flags.writeable = False
-
-    __reduce__ = _through_init
 
     def __len__(self) -> int:
         return len(self.energies)

@@ -64,6 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .quantum import _Record
+
 __all__ = [
     "DosCurve",
     "ObservableCurve",
@@ -94,8 +96,8 @@ EPS_CRITICAL = -1.0
 CRITICAL_GUARD = 1e-8
 
 
-@dataclass(frozen=True)
-class DosCurve:
+@dataclass(frozen=True, eq=False)
+class DosCurve(_Record):
     """Density of states nu(eps) in 1/omega0 units on an eps grid.
 
     n_cum, when present, is the accumulated count N(eps) in the same
@@ -107,16 +109,13 @@ class DosCurve:
     n_cum: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        self.eps.flags.writeable = False
-        self.nu.flags.writeable = False
-        if self.n_cum is not None:
-            self.n_cum.flags.writeable = False
+        super().__post_init__()
         if len(self.eps) != len(self.nu):
             raise ValueError("eps and nu must have equal length")
 
 
-@dataclass(frozen=True)
-class ObservableCurve:
+@dataclass(frozen=True, eq=False)
+class ObservableCurve(_Record):
     """Microcanonical shell averages on an eps grid.
 
     nphot_scaled = (omega0/Omega) <a^dag a>; sz = <sigma_z>.  At the
@@ -127,10 +126,6 @@ class ObservableCurve:
     eps: np.ndarray = field(repr=False)
     nphot_scaled: np.ndarray = field(repr=False)
     sz: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for a in (self.eps, self.nphot_scaled, self.sz):
-            a.flags.writeable = False
 
 
 def _check_g(g: float) -> float:

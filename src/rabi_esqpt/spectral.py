@@ -26,6 +26,7 @@ from .quantum import (
     ParitySpectrum,
     RabiParams,
     TruncationLimitError,
+    _Record,
     build_parity_chain,
     converged_levels,
 )
@@ -38,8 +39,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WindowedDos:
+@dataclass(frozen=True, eq=False)
+class WindowedDos(_Record):
     """Running-window density estimate from the merged level list.
 
     nu_per_eps[k] = N / (eps[k+N] - eps[k]) levels per unit eps for windows
@@ -58,13 +59,9 @@ class WindowedDos:
     n_levels: int = 0
     truncated: bool = False
 
-    def __post_init__(self):
-        for a in (self.eps, self.nu_per_eps, self.nu):
-            a.flags.writeable = False
 
-
-@dataclass(frozen=True)
-class GapMap:
+@dataclass(frozen=True, eq=False)
+class GapMap(_Record):
     """Signed parity splitting delta_k = eps_k^+ - eps_k^- over a coupling sweep.
 
     Arrays are shaped (n_g, k_max); g, dim and floor hold one entry per
@@ -84,11 +81,6 @@ class GapMap:
     converged: np.ndarray = field(repr=False)
     dim: np.ndarray = field(repr=False)
     floor: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for a in (self.g, self.eps_minus, self.eps_plus, self.delta,
-                  self.eps_mid, self.converged, self.dim, self.floor):
-            a.flags.writeable = False
 
     @property
     def k_max(self) -> int:

@@ -249,6 +249,19 @@ class TestGapmap:
             ".//{http://www.w3.org/2000/svg}polyline")
         assert lines and all(len(line.get("points").split()) >= 2 for line in lines)
 
+    def test_figure_built_only_under_emit_svg(self, tmp_path, capsys, monkeypatch):
+        # the color ramp runs once per converged doublet, for the figure alone
+        def ramp(t):
+            raise RuntimeError("figure built")
+        monkeypatch.setattr(cli, "_ramp", ramp)
+        argv = ["gapmap", "--ratio", "40", "--g-min", "1.2", "--g-max", "1.4",
+                "--g-steps", "2", "--levels", "3"]
+        code, out = run(tmp_path / "plain", *argv)
+        assert code == 0 and (out / "gapmap.csv").exists()
+        code, out = run(tmp_path / "svg", *argv, "--emit-svg")
+        assert code == 1 and "error: figure built" in capsys.readouterr().err
+        assert not out.exists()  # built before any file is written
+
 
 class TestObservables:
     def test_run_and_summary(self, tmp_path):
