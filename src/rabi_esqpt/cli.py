@@ -235,7 +235,8 @@ def _record(args: argparse.Namespace, **results: object) -> dict[str, object]:
 
 def _level_columns(sectors: list[ParitySpectrum]) -> dict[str, object]:
     """The parity and k columns of the levels of sectors, listed sector by sector."""
-    return {"parity": [spec.parity.label for spec in sectors for _ in range(len(spec))],
+    return {"parity": np.repeat([spec.parity.label for spec in sectors],
+                                [len(spec) for spec in sectors]).tolist(),
             "k": np.concatenate([np.arange(len(spec)) for spec in sectors])}
 
 
@@ -410,14 +411,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
     return Result(tables, None, figure)
 
 
-def _ramp(t: float) -> str:
-    """Blue (tiny gap) to red (large gap) color ramp on [0, 1]."""
-    anchors = [(8, 48, 107), (107, 174, 214), (253, 141, 60), (166, 54, 3)]
-    t = min(max(t, 0.0), 1.0) * (len(anchors) - 1)
-    i = min(int(t), len(anchors) - 2)
-    f = t - i
-    rgb = tuple(round(a + (b - a) * f) for a, b in zip(anchors[i], anchors[i + 1]))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _ramp(t: np.ndarray) -> list[str]:
+    """Blue (tiny gap) to red (large gap) color ramp on [0, 1], one color per entry of t."""
+    anchors = np.array([(8, 48, 107), (107, 174, 214), (253, 141, 60), (166, 54, 3)], dtype=float)
+    t = np.clip(t, 0.0, 1.0) * (len(anchors) - 1)
+    i = np.minimum(t.astype(int), len(anchors) - 2)
+    f = (t - i)[:, None]
+    # rint rounds half to even, as Python's round does
+    rgb = np.rint(anchors[i] + (anchors[i + 1] - anchors[i]) * f).astype(int)
+    return list(map("#{:02x}{:02x}{:02x}".format, *rgb.T.tolist()))
 
 
 @command("gapmap", "signed parity splitting of the lowest doublets over a coupling sweep",
@@ -446,7 +448,7 @@ def _cmd_gapmap(args: argparse.Namespace) -> Result:
         tval = (np.log10(np.maximum(abs_delta, 1e-14)) + 14.0) / 14.0  # [1e-14, 1] -> [0, 1]
         series = [
             Series(columns["g"][columns["converged"]], gm.eps_mid[gm.converged], kind="points",
-                   radius=1.6, point_colors=[_ramp(t) for t in tval],
+                   radius=1.6, point_colors=_ramp(tval),
                    label="|delta|: blue small, red large", color="#6baed6"),
             _eps_c_guide(gs[0], gs[-1], horizontal=True),
             Series(gs, np.array([ground_state_eps(float(g)) for g in gs]),

@@ -6,7 +6,8 @@ order as ``# key=value`` header lines, and nothing time- or host-dependent
 is ever written.  Every parameter needed to re-derive a file's rows belongs
 in its header; the CLI meets this by construction, as each header starts
 with every option its command reads.  Tables are columnar: write_csv takes
-each column whole, an array or a list.
+each column whole, an array or a list, and formats a bool, int or float
+array (from its tolist()) or a list of str with no per-cell dispatch.
 """
 
 from __future__ import annotations
@@ -37,12 +38,16 @@ def format_value(v: object) -> str:
     raise TypeError(f"cannot format {type(v).__name__} {v!r}")
 
 
+# format_value of the Python cells that tolist() gives, by array kind
+_FORMAT = {"b": ("false", "true").__getitem__, "i": str, "u": str, "f": repr}
+
+
 def _cells(column: object) -> list[str]:
-    """format_value of each cell, with no per-cell dispatch for a 1-D float64 array."""
-    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "biuf":
-        if column.dtype == np.float64:
-            return list(map(repr, column.tolist()))
-        column = column.tolist()  # Python bools, ints and floats
+    """format_value of each cell; no per-cell dispatch for a 1-D numeric array or a str list."""
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in _FORMAT:
+        return list(map(_FORMAT[column.dtype.kind], column.tolist()))
+    if isinstance(column, list) and set(map(type, column)) <= {str}:
+        return column
     return [format_value(v) for v in column]
 
 

@@ -60,10 +60,12 @@ the chain's leading max(4 k_max, 128) sites, found alone by one stebz
 index bisection (about a fifth of a sterf call at 128 sites).  The probe
 is a leading block of the untruncated chain, so by Cauchy interlacing
 (Parlett, ch. 10) that eigenvalue lies at or above the true k_max-th
-level.  No level a solve reports comes from bisection.  No truncation
-certifies below the precision, which grows with dim, so a chain whose
-precision is at or above tol * omega0 is never solved, the probe
-included: the solve raises ValueError instead.
+level.  A solve that fits inside the probe takes its leading sites as the
+chain: a site's entries depend on its index alone, so they are bit for
+bit the chain built at that size.  No level a solve reports comes from
+bisection.  No truncation certifies below the precision, which grows with
+dim, so a chain whose precision is at or above tol * omega0 is never
+solved, the probe included: the solve raises ValueError instead.
 
 The observables solve takes each level's Ritz value w from that window
 chain, but solves each slice's vectors on the chain cut at the orbit of
@@ -175,6 +177,9 @@ _SLICE_PAD = 24.0
 # The tail bound sums sites outward of n_top - _TAIL_CUT n_top^{1/3}.
 _TAIL_CUT = 3.0
 
+# The unit roundoff of float64, in which every chain is solved.
+_ULP = np.finfo(float).eps
+
 
 class Parity(enum.Enum):
     """Eigenvalue of exp(i pi a^dag a) sigma_z labelling the two chains."""
@@ -184,10 +189,9 @@ class Parity(enum.Enum):
 
     def spin_signs(self, dim: int) -> np.ndarray:
         """sigma_z value carried by chain sites 0..dim-1."""
-        n = np.arange(dim)
-        if self is Parity.MINUS:
-            return -np.where(n % 2 == 0, 1.0, -1.0)
-        return np.where(n % 2 == 0, 1.0, -1.0)
+        signs = np.empty(dim)
+        signs[0::2], signs[1::2] = self.value, -self.value
+        return signs
 
     @property
     def label(self) -> str:
@@ -285,12 +289,12 @@ class ParityChain(_Record):
 
     def norm_bound(self) -> float:
         """Upper bound max|diag| + 2 max|offdiag| on ||H_sector||_2."""
-        off = float(np.max(np.abs(self.offdiag))) if self.dim > 1 else 0.0
-        return float(np.max(np.abs(self.diag))) + 2.0 * off
+        off = float(abs(self.offdiag).max()) if self.dim > 1 else 0.0
+        return float(abs(self.diag).max()) + 2.0 * off
 
     def precision(self) -> float:
         """sterf's eigenvalue precision 4 ulp ||H_sector||, in energy units."""
-        return 4.0 * np.finfo(float).eps * self.norm_bound()
+        return 4.0 * _ULP * self.norm_bound()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v for one vector or a dim x m block of column vectors."""
@@ -363,7 +367,7 @@ def build_parity_chain(params: RabiParams, parity: Parity, dim: int) -> ParityCh
     dim = int(dim)
     n = np.arange(dim, dtype=float)
     diag = params.omega0 * n + 0.5 * params.Omega * parity.spin_signs(dim)
-    offdiag = -params.lam * np.sqrt(n[:-1] + 1.0)
+    offdiag = -params.lam * np.sqrt(n[1:])
     return ParityChain(params=params, parity=parity, diag=diag, offdiag=offdiag)
 
 
@@ -380,8 +384,7 @@ def _diagonal_order(chain: ParityChain) -> np.ndarray | None:
     # a chain whose couplings are all below ulp max|diag| (g = 0, or nearly)
     # is diagonal to working precision: its levels are its sites in stable
     # ascending order of diag, and their unit vectors keep exact ties apart
-    ulp = np.finfo(float).eps
-    if np.max(np.abs(chain.offdiag)) <= ulp * np.max(np.abs(chain.diag)):
+    if np.max(np.abs(chain.offdiag)) <= _ULP * np.max(np.abs(chain.diag)):
         return np.argsort(chain.diag, kind="stable")
     return None
 
@@ -403,7 +406,7 @@ def _slices(chain: ParityChain, w: np.ndarray):
     # range ends only where the next level is at least sqrt(ulp) ||T||
     # higher: closer levels must share a slice, whose solve projects each
     # off the earlier ones, to stay orthogonal
-    gap = math.sqrt(np.finfo(float).eps) * chain.norm_bound()
+    gap = math.sqrt(_ULP) * chain.norm_bound()
     cut = np.append(np.diff(w) >= gap, True)
     a = 0
     while a < len(w):
@@ -421,7 +424,7 @@ def _inverse_iteration(chain: ParityChain,
     # normalized and projected off the earlier vectors of its cluster of
     # levels closer than sqrt(ulp) ||T|| (the module docstring says why).
     # Also returns each vector's in-chain residual ||T z - w z||
-    n, ulp, norm = chain.dim, np.finfo(float).eps, chain.norm_bound()
+    n, norm = chain.dim, chain.norm_bound()
     # a decoupled site of unit pivot borders the chain: the LU of the
     # chain's rows is unchanged, its component stays 0, and scipy's gttrf,
     # which rejects n = 2, gets three sites at least
@@ -430,12 +433,12 @@ def _inverse_iteration(chain: ParityChain,
     z, res = np.empty((n, len(w))), np.empty(len(w))
     tie = 0
     for k, wk in enumerate(w):
-        if k and wk - w[k - 1] >= math.sqrt(ulp) * norm:
+        if k and wk - w[k - 1] >= math.sqrt(_ULP) * norm:
             tie = k
         dl, d, du, du2, ipiv, info = dgttrf(off, np.append(chain.diag - wk, 1.0), off,
                                             overwrite_d=1)
         if info:  # an exact zero pivot of U, perturbed as LAPACK dlagts does
-            d[d == 0.0] = ulp * norm
+            d[d == 0.0] = _ULP * norm
         x = start.copy()
         for _ in range(2):
             x = dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=1)[0]
@@ -485,17 +488,17 @@ def _observed_slice(chain: ParityChain, w: np.ndarray, first: int,
     return (res, *eigen_observables(chain.parity, z))
 
 
-def _orbit_sites(params: RabiParams, eps):
+def _orbit_sites(params: RabiParams, eps: float) -> float:
     # outer turning point of the classical orbit at eps, in chain sites:
-    # n ~ (R/2) u+, u+ the turning point of x^2; elementwise for an array
-    g2 = params.g**2
-    disc = np.maximum(g2 * g2 + 2.0 * eps * g2 + 1.0, 0.0)
-    return 0.5 * params.ratio * np.maximum(eps + g2 + np.sqrt(disc), 0.0)
+    # n ~ (R/2) u+, u+ the turning point of x^2
+    eps, g2 = float(eps), params.g**2
+    disc = max(g2 * g2 + 2.0 * eps * g2 + 1.0, 0.0)
+    return 0.5 * params.ratio * max(eps + g2 + math.sqrt(disc), 0.0)
 
 
 def _orbit_dim(params: RabiParams, eps: float, widths: float = _AIRY_PAD) -> int:
     # the orbit at eps plus `widths` Airy widths n^{1/3}, and 64 sites at least
-    n_cls = float(_orbit_sites(params, eps))
+    n_cls = _orbit_sites(params, eps)
     return max(math.ceil(n_cls + widths * n_cls ** (1.0 / 3.0)), 64)
 
 
@@ -509,11 +512,10 @@ def _tail_bound(chain: ParityChain, w: np.ndarray) -> np.ndarray:
     # bound on |v[dim-1]| for each ascending eigenvalue w of the chain, from
     # one pass of the backward pivots of T - w[-1]; the module docstring
     # gives the derivation and why the pass bounds every lower level too
-    bound = np.empty(len(w))
     if not len(w):
-        return bound
+        return np.empty(0)
     # the top level's orbit, cut at the chain end when it reaches past it
-    n_top = min(float(_orbit_sites(chain.params, 2.0 * w[-1] / chain.params.Omega)), chain.dim)
+    n_top = min(_orbit_sites(chain.params, 2.0 * w[-1] / chain.params.Omega), chain.dim)
     lo = max(math.ceil(n_top - _TAIL_CUT * n_top ** (1.0 / 3.0)), 0)
     # sites dim-1, ..., lo+1 in reverse: the forward pivots of this chain are
     # the backward pivots dm[dim-1], ..., dm[lo+1] of T, and dm[i] gives
@@ -526,27 +528,28 @@ def _tail_bound(chain: ParityChain, w: np.ndarray) -> np.ndarray:
     dm, _, info = dpttrf(a - w[-1], b[:-1])
     m_low = info - 1 if info else len(a)
     m_top = m_low + 1 if info and dm[m_low] != 0.0 else m_low
-    # log 0 = -inf is exact at g = 0: every t is infinite, so v[dim-1] = 0
+    # log |t[i-1] / t[i]| after the initial term t[dim-1] = 1, so the running
+    # sums are log |t|; log 0 = -inf is exact at g = 0: every t is infinite,
+    # so v[dim-1] = 0
+    log_t = np.zeros(m_top + 1)
     with np.errstate(divide="ignore"):
-        log_t2 = 2.0 * np.cumsum(np.log(np.abs(dm[:m_top])) - np.log(np.abs(b[:m_top])))
-    # t[dim-1] = 1 is the initial term
-    log_norm2 = np.logaddexp.accumulate(np.append(0.0, log_t2))
-    bound[:] = np.exp(-0.5 * log_norm2[m_low])
+        np.subtract(np.log(abs(dm[:m_top])), np.log(abs(b[:m_top])), out=log_t[1:])
+    log_norm2 = np.logaddexp.accumulate(2.0 * np.add.accumulate(log_t))
+    bound = np.full(len(w), np.exp(-0.5 * log_norm2[m_low]))
     bound[-1] = np.exp(-0.5 * log_norm2[m_top])
     return bound
 
 
-def _solvable_chain(params: RabiParams, parity: Parity, dim: int, tol: float) -> ParityChain:
-    # the chain at dim, for a solve or the probe: no truncation certifies
-    # below its precision, so a tol at or below that raises before either
-    chain = build_parity_chain(params, parity, dim)
-    precision = chain.precision()
-    if precision >= tol * params.omega0:
+def _solvable_precision(chain: ParityChain, tol: float) -> float:
+    # the precision of a chain to be solved, or of the probe: no truncation
+    # certifies below it, so a tol at or below it raises before any solve
+    precision, omega0 = chain.precision(), chain.params.omega0
+    if precision >= tol * omega0:
         raise ValueError(
             f"tol={tol:g} is at or below the eigenvalue precision "
-            f"{precision / params.omega0:.3e} omega0 of the dim {dim} chain, "
+            f"{precision / omega0:.3e} omega0 of the dim {chain.dim} chain, "
             "so no truncation certifies it")
-    return chain
+    return precision
 
 
 def _certified_spectrum(
@@ -580,6 +583,7 @@ def _certified_spectrum(
     if eps_max is not None and not math.isfinite(eps_max):
         raise ValueError(f"eps_max must be finite, got {eps_max!r}")
     dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
+    probe = None
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
         dim = window_dim(params, eps_max)
@@ -592,7 +596,8 @@ def _certified_spectrum(
         # the probe: its k_max-th Ritz value, bisected alone (range 2 is by
         # index), lies at or above the true k_max-th level (the module
         # docstring), so the orbit there sizes the solve
-        probe = _solvable_chain(params, parity, min(max(4 * k_max, 128), dim_cap), tol)
+        probe = build_parity_chain(params, parity, min(max(4 * k_max, 128), dim_cap))
+        _solvable_precision(probe, tol)
         _, theta, _, _, info = dstebz(probe.diag, probe.offdiag, 2, 0.0, 0.0, k_max, k_max,
                                       0.0, "E")
         if info:
@@ -600,7 +605,12 @@ def _certified_spectrum(
         dim = max(_orbit_dim(params, 2.0 * theta[0] / params.Omega), k_max)
     dim = min(dim, dim_cap)
     while True:
-        chain = _solvable_chain(params, parity, dim, tol)
+        # a chain site's entries depend on its index alone, so a truncation
+        # inside the probe is the probe's leading sites
+        chain = (replace(probe, diag=probe.diag[:dim], offdiag=probe.offdiag[:dim - 1])
+                 if probe is not None and dim <= probe.dim
+                 else build_parity_chain(params, parity, dim))
+        precision = _solvable_precision(chain, tol)
         w = diagonalize(chain)
         w = w[:k_max] if eps_max is None else w[:np.searchsorted(w, e_max, side="right")]
         observables = None
@@ -611,7 +621,7 @@ def _certified_spectrum(
             error, n_phot, sz, p_loc = out
             observables = EigenObservables(n_phot, sz, p_loc)
         else:
-            error = _error_bound(chain, chain.precision(), _tail_bound(chain, w))
+            error = _error_bound(chain, precision, _tail_bound(chain, w))
         certified = error < tol * params.omega0
         n_conv = len(w) if certified.all() else int(np.argmin(certified))
         spec = ParitySpectrum(params, parity, dim, w, 2.0 * w / params.Omega, n_conv, error,

@@ -192,8 +192,10 @@ def gap_map(
         eps_p[i] = plus.eps
         conv[i] = np.arange(k_max) < min(minus.n_converged, plus.n_converged)
         dims[i] = max(minus.dim, plus.dim)
-        precision[i] = max(build_parity_chain(params, parity, int(dims[i])).precision()
-                           for parity in Parity)
+        # the larger of the two sectors' precisions at dims[i]: that of the
+        # chain whose top site has spin up, whose |diag| tops both chains'
+        top_up = Parity.PLUS if dims[i] % 2 else Parity.MINUS
+        precision[i] = build_parity_chain(params, top_up, int(dims[i])).precision()
     return GapMap(
         g=g_values.copy(),
         eps_minus=eps_m,

@@ -94,10 +94,10 @@ def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     ml, mr, mt, mb = 72, 24, 42, 54
     pw, ph = width - ml - mr, height - mt - mb
 
-    def px(v: float) -> float:
+    def px(v: float | np.ndarray) -> float | np.ndarray:
         return ml + (v - x0) / (x1 - x0) * pw
 
-    def py(v: float) -> float:
+    def py(v: float | np.ndarray) -> float | np.ndarray:
         return mt + (y1 - v) / (y1 - y0) * ph
 
     out: list[str] = []
@@ -147,30 +147,25 @@ def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     out.append(f'<clipPath id="frame"><rect x="{ml}" y="{mt}" width="{pw}" height="{ph}"/></clipPath>')
     out.append('<g clip-path="url(#frame)">')
     for s in series:
-        finite = np.isfinite(s.x) & np.isfinite(s.y)
+        idx = np.nonzero(np.isfinite(s.x) & np.isfinite(s.y))[0]
+        xs, ys = px(s.x[idx]).tolist(), py(s.y[idx]).tolist()
         if s.kind == "line":
             # break the polyline at nonfinite samples
-            idx = np.nonzero(finite)[0]
-            if idx.size == 0:
-                continue
-            breaks = np.nonzero(np.diff(idx) > 1)[0]
-            segments = np.split(idx, breaks + 1)
+            bounds = [0, *(np.nonzero(np.diff(idx) > 1)[0] + 1).tolist(), len(idx)]
             dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
-            for seg in segments:
-                if seg.size < 2:
+            for a, b in zip(bounds, bounds[1:]):
+                if b - a < 2:
                     continue
-                pts = " ".join(f"{px(s.x[j]):.2f},{py(s.y[j]):.2f}" for j in seg)
+                pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs[a:b], ys[a:b]))
                 out.append(
                     f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                     f'stroke-width="{s.stroke_width}"{dash}/>'
                 )
         elif s.kind == "points":
-            for j in np.nonzero(finite)[0]:
-                c = s.point_colors[j] if s.point_colors is not None else s.color
-                out.append(
-                    f'<circle cx="{px(s.x[j]):.2f}" cy="{py(s.y[j]):.2f}" '
-                    f'r="{s.radius}" fill="{c}"/>'
-                )
+            colors = ([s.point_colors[j] for j in idx.tolist()] if s.point_colors is not None
+                      else [s.color] * len(idx))
+            out += (f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{s.radius}" fill="{c}"/>'
+                    for x, y, c in zip(xs, ys, colors))
         else:
             raise ValueError(f"unknown series kind {s.kind!r}")
     out.append("</g>")

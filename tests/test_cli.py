@@ -263,6 +263,24 @@ class TestGapmap:
         assert not out.exists()  # built before any file is written
 
 
+def test_ramp_maps_an_array_as_the_per_point_rule_did():
+    # the per-point rule the array ramp replaces: clip, int, then Python round
+    anchors = [(8, 48, 107), (107, 174, 214), (253, 141, 60), (166, 54, 3)]
+
+    def per_point(t):
+        t = min(max(t, 0.0), 1.0) * (len(anchors) - 1)
+        i = min(int(t), len(anchors) - 2)
+        f = t - i
+        rgb = tuple(round(a + (b - a) * f) for a, b in zip(anchors[i], anchors[i + 1]))
+        return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+    t = np.append(np.linspace(-0.1, 1.1, 2001), [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+    colors = cli._ramp(t)
+    assert colors == [per_point(float(x)) for x in t]
+    assert colors[-4:] == ["#08306b", "#6baed6", "#fd8d3c", "#a63603"]
+    assert cli._ramp(np.empty(0)) == []
+
+
 class TestObservables:
     def test_run_and_summary(self, tmp_path):
         code, out = run(tmp_path, "observables", "--g", "1.2", "--ratio", "40",

@@ -116,6 +116,21 @@ class TestChain:
         with pytest.raises(TypeError):
             replace(chain, dim=4)
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(ratio=st.floats(1.0, 1e4), g=st.floats(0.0, 3.0), parity=st.sampled_from(Parity),
+           dims=st.lists(st.integers(2, 600), min_size=2, max_size=2).map(sorted))
+    def test_leading_sites_are_the_shorter_chain(self, ratio, g, parity, dims):
+        # each site's entries depend on its index alone, so a solve may take
+        # its chain as the leading sites of its probe, bit for bit
+        d, dim = dims
+        p = RabiParams(omega0=1.0, Omega=ratio, g=g)
+        chain = build_parity_chain(p, parity, dim)
+        cut = replace(chain, diag=chain.diag[:d], offdiag=chain.offdiag[:d - 1])
+        short = build_parity_chain(p, parity, d)
+        assert short == cut
+        assert short.diag.tobytes() == cut.diag.tobytes()
+        assert short.offdiag.tobytes() == cut.offdiag.tobytes()
+
     def test_norm_bound_dominates_spectrum(self):
         p = RabiParams(omega0=1.0, Omega=30.0, g=2.0)
         chain = build_parity_chain(p, Parity.MINUS, 40)
@@ -618,6 +633,24 @@ class TestOnePivotPass:
         spec = err.value.spectrum
         assert spec.dim == 160 and spec.n_converged == 0
         assert np.all(spec.error_bound >= 1e-8 * p.omega0)
+
+
+class TestProbeReuse:
+    """A values-only count solve whose truncation fits inside its probe
+    takes the probe's leading sites as its chain instead of building one."""
+
+    @pytest.mark.parametrize("g, dim, chains", [(0.5, 85, 1), (3.0, 292, 2)],
+                             ids=["fits-in-probe", "outgrows-probe"])
+    def test_chains_built_per_solve(self, g, dim, chains, monkeypatch):
+        calls = {name: [] for name in ("build_parity_chain", "dstebz", "dsterf", "dpttrf")}
+        for name, log in calls.items():
+            monkeypatch.setattr(quantum, name, lambda *args, _f=getattr(quantum, name), _log=log:
+                                _log.append(args) or _f(*args))
+        spec = converged_levels(RabiParams(1.0, 40.0, g), Parity.MINUS, 20)
+        assert spec.dim == dim and spec.n_converged == len(spec) == 20
+        assert [len(log) for log in calls.values()] == [chains, 1, 1, 1]
+        # the probe's 128 sites first, then the solve's own chain if it outgrows them
+        assert [args[2] for args in calls["build_parity_chain"]] == [128, dim][:chains]
 
 
 class TestLapackFailure:
