@@ -44,8 +44,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import (MIN_FIT_POINTS, LawKind, Side, fit_divergence, geometric_eps_grid,
                           law_log_esqpt, law_power_qpt)
-from .quantum import (Parity, ParitySpectrum, RabiParams, converged_levels, converged_window,
-                      window_dim)
+from .quantum import (Parity, ParitySpectrum, RabiParams, TruncationLimitError, converged_levels,
+                      converged_window, probe_dim, window_dim)
 from .semiclassical import (CRITICAL_GUARD, EPS_CRITICAL, dos_curve, ground_state_eps,
                             observables_microcanonical)
 from .spectral import gap_map, windowed_dos
@@ -289,12 +289,21 @@ def _eps_c_guide(lo: float, hi: float, horizontal: bool) -> Series:
     return Series(x, y, color="#555555", dash="5,4", label="eps_c", stroke_width=1.0)
 
 
-# A window whose first chain has this many sites or more solves its plus
-# sector in a forked child while this process solves the minus one.  A fork
-# round trip costs about 3.5 ms, one sector of 517 sites 7.6 ms values-only
-# and 15.5 ms with vectors.  An R = 40 window at g <= 1.4 starts at 141
-# sites at most, so it stays in-process; the README's R = 1000 windows
-# start at 1786 or more.
+# The two parity sectors run side by side, the plus one in a forked child,
+# when the sterf work one sector starts with reaches FORK_SITES**2: the sum,
+# over the sector's solves, of each solve's start dimension squared, that of
+# a window's first chain (quantum.window_dim) or of a count solve's probe
+# (quantum.probe_dim).  Measured on a 2-core VM: a bare _beside round trip
+# costs 2.75-3.1 ms.  The plus half of a README sweep pickles to 36 KB; its
+# dump and its load in the parent take about 1 ms each.  One window sector
+# of 517 sites takes 7.6 ms values-only and 15.5 ms with vectors.  With the
+# second core free, gapmap at R = 40 with 20 levels took 15.9 ms in-process
+# and 17.5 ms forked at 8 couplings, 26.6 and 24.0 ms at 16, and 97.9 and
+# 70.1 ms at 61: it breaks even between 8 and 16, and 16 probes of 128 sites
+# are FORK_SITES**2.  So the README's R = 1000 windows (1786 sites or more)
+# and its R = 40 sweeps (61 probes) fork; an R = 40 window at g <= 1.4 (141
+# sites at most), a single coupling and a sweep of fewer than 16 stay
+# in-process.  Without a free second core a fork only adds 5-15 ms.
 FORK_SITES = 512
 
 
@@ -304,7 +313,9 @@ def _beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[ob
     The child pickles its result, or the exception it raised, into a pipe
     and always ends with os._exit.  This process raises its own exception
     first, after it has killed and reaped the child, and then the child's:
-    the order of a sequential here(), there().
+    the order of a sequential here(), there().  Its one caller,
+    _both_parities, passes one parity half as each: a window's one solve,
+    or every coupling of a sweep, so one sweep forks once.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -353,26 +364,83 @@ def _beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[ob
     return first, second
 
 
+def _both_parities(solve: Callable[[Parity, int], ParitySpectrum],
+                   start_dims: list[int]) -> tuple[list[ParitySpectrum], list[ParitySpectrum]]:
+    """([solve(MINUS, i) for each i], [solve(PLUS, i) for each i]), i < len(start_dims).
+
+    start_dims[i] is the sites of the i-th solve's first chain, or of its
+    probe.  The decision is made before any chain is solved: from
+    FORK_SITES**2 of their squares summed on, the plus half runs in a
+    forked child (where os.fork exists, and not on macOS, whose system
+    libraries may run threads that a forked child cannot use), by the same
+    calls with the same bits.  A failure raises what the in-process order,
+    i by i and minus before plus at each, meets first.
+    """
+    def half(parity: Parity, stop: int) -> tuple[list[ParitySpectrum], Exception | None]:
+        # the solves before the half's first failure, and that failure; one
+        # at i = 0 comes first whatever the other half does, so it raises
+        # at once, and a child still running is killed
+        done = []
+        try:
+            for i in range(stop):
+                done.append(solve(parity, i))
+        except Exception as exc:
+            if not done:
+                raise
+            return done, exc
+        return done, None
+
+    n = len(start_dims)
+    if (hasattr(os, "fork") and sys.platform != "darwin"
+            and sum(d * d for d in start_dims) >= FORK_SITES**2):
+        (minus, m_exc), (plus, p_exc) = _beside(lambda: half(Parity.MINUS, n),
+                                                lambda: half(Parity.PLUS, n))
+    else:
+        minus, m_exc = half(Parity.MINUS, n)
+        # in order, no plus solve runs past the first minus failure
+        plus, p_exc = half(Parity.PLUS, len(minus))
+    if p_exc is not None and (m_exc is None or len(plus) < len(minus)):
+        raise p_exc
+    if m_exc is not None:
+        raise m_exc
+    return minus, plus
+
+
 def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
                      with_observables: bool = False) -> list[ParitySpectrum]:
     """Minus and plus sectors, certified a little past --eps-max.
 
-    From FORK_SITES sites on, the plus sector is solved in a forked child,
-    by the same call with the same bits.
+    One solve per sector; _both_parities forks for it when the window's
+    first chain has FORK_SITES sites or more.
     """
     pad = 0.05 + 2.0 / params.ratio
     eps_max = args.eps_max + pad
 
-    def solve(parity: Parity) -> ParitySpectrum:
+    def solve(parity: Parity, _: int) -> ParitySpectrum:
         return converged_window(params, parity, eps_max, tol=args.conv_tol,
                                 with_observables=with_observables)[1]
 
-    # never on macOS, whose system libraries may run threads that a forked
-    # child cannot use (why multiprocessing spawns there since Python 3.8)
-    if (hasattr(os, "fork") and sys.platform != "darwin"
-            and window_dim(params, eps_max) >= FORK_SITES):
-        return list(_beside(lambda: solve(Parity.MINUS), lambda: solve(Parity.PLUS)))
-    return [solve(parity) for parity in (Parity.MINUS, Parity.PLUS)]
+    (minus,), (plus,) = _both_parities(solve, [window_dim(params, eps_max)])
+    return [minus, plus]
+
+
+def _sweep_sectors(params: list[RabiParams], k_max: int, tol: float, keep_capped: bool = False
+                   ) -> tuple[list[ParitySpectrum], list[ParitySpectrum]]:
+    """The lowest k_max levels of each sector at each coupling, as (minus, plus) lists.
+
+    The solve loop of spectrum and gapmap.  With keep_capped, a sector that
+    hits the truncation cap gives its solve at the cap, whose n_converged
+    says which levels certified, instead of raising TruncationLimitError.
+    """
+    def solve(parity: Parity, i: int) -> ParitySpectrum:
+        try:
+            return converged_levels(params[i], parity, k_max=k_max, tol=tol)
+        except TruncationLimitError as exc:
+            if not keep_capped:
+                raise
+            return exc.spectrum
+
+    return _both_parities(solve, [probe_dim(p, k_max) for p in params])
 
 
 @command("spectrum", "parity-resolved level energies, single coupling or sweep",
@@ -388,8 +456,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
         gs = np.array([args.g])
     else:
         gs = _g_grid(args)
-    sectors = [converged_levels(_params(args, float(g)), parity, k_max=args.levels,
-                                tol=args.conv_tol) for g in gs for parity, _ in SECTOR_COLORS]
+    minus, plus = _sweep_sectors([_params(args, float(g)) for g in gs], args.levels,
+                                 args.conv_tol)
+    sectors = [spec for pair in zip(minus, plus) for spec in pair]
     eps = np.concatenate([spec.eps for spec in sectors])
     tables = {"spectrum.csv": Table(_record(args), {
         "g": np.repeat(gs, 2 * args.levels), **_level_columns(sectors),
@@ -427,8 +496,8 @@ def _ramp(t: np.ndarray) -> list[str]:
          *G_SWEEP, Opt("--levels", int, 40, "doublets per coupling", minimum=1))
 def _cmd_gapmap(args: argparse.Namespace) -> Result:
     gs = _g_grid(args)
-    gm = gap_map(args.omega0, args.omega0 * args.ratio, gs,
-                 k_max=args.levels, tol=args.conv_tol)
+    gm = gap_map(*_sweep_sectors([_params(args, float(g)) for g in gs], args.levels,
+                                 args.conv_tol, keep_capped=True))
     columns = {"g": np.repeat(gm.g, gm.k_max), "k": np.tile(np.arange(gm.k_max), len(gm.g)),
                "eps_minus": gm.eps_minus.ravel(), "eps_plus": gm.eps_plus.ravel(),
                "eps_mid": gm.eps_mid.ravel(), "delta": gm.delta.ravel(),

@@ -508,6 +508,17 @@ def window_dim(params: RabiParams, eps_max: float) -> int:
     return _orbit_dim(params, eps_max)
 
 
+def probe_dim(params: RabiParams, k_max: int) -> int:
+    """Sites of the probe converged_levels sizes its first chain by, for the
+    lowest k_max levels: max(4 k_max, 128), cut at the cap."""
+    return min(max(4 * k_max, 128), _dim_cap(params))
+
+
+def _dim_cap(params: RabiParams) -> int:
+    # the truncation cap of the certified solves, _CAP_PER_R R max(1, g^2)
+    return math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
+
+
 def _tail_bound(chain: ParityChain, w: np.ndarray) -> np.ndarray:
     # bound on |v[dim-1]| for each ascending eigenvalue w of the chain, from
     # one pass of the backward pivots of T - w[-1]; the module docstring
@@ -582,7 +593,7 @@ def _certified_spectrum(
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if eps_max is not None and not math.isfinite(eps_max):
         raise ValueError(f"eps_max must be finite, got {eps_max!r}")
-    dim_cap = math.ceil(_CAP_PER_R * params.ratio * max(1.0, params.g**2))
+    dim_cap = _dim_cap(params)
     probe = None
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
@@ -596,7 +607,7 @@ def _certified_spectrum(
         # the probe: its k_max-th Ritz value, bisected alone (range 2 is by
         # index), lies at or above the true k_max-th level (the module
         # docstring), so the orbit there sizes the solve
-        probe = build_parity_chain(params, parity, min(max(4 * k_max, 128), dim_cap))
+        probe = build_parity_chain(params, parity, probe_dim(params, k_max))
         _solvable_precision(probe, tol)
         _, theta, _, _, info = dstebz(probe.diag, probe.offdiag, 2, 0.0, 0.0, k_max, k_max,
                                       0.0, "E")

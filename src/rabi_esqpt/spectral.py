@@ -21,15 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import (
-    Parity,
-    ParitySpectrum,
-    RabiParams,
-    TruncationLimitError,
-    _Record,
-    build_parity_chain,
-    converged_levels,
-)
+from .quantum import Parity, ParitySpectrum, _Record, build_parity_chain
 
 __all__ = [
     "WindowedDos",
@@ -152,52 +144,33 @@ def windowed_dos(
                        n_levels=len(eps), truncated=truncated)
 
 
-def _levels_or_last(params: RabiParams, parity: Parity, k_max: int,
-                    tol: float) -> ParitySpectrum:
-    try:
-        return converged_levels(params, parity, k_max=k_max, tol=tol)
-    except TruncationLimitError as exc:
-        return exc.spectrum
+def gap_map(minus: list[ParitySpectrum], plus: list[ParitySpectrum]) -> GapMap:
+    """Parity splittings of the lowest doublets across a coupling sweep.
 
-
-def gap_map(
-    omega0: float,
-    Omega: float,
-    g_values: np.ndarray,
-    k_max: int,
-    tol: float = 1e-8,
-) -> GapMap:
-    """Parity splittings of the lowest k_max doublets across a coupling sweep.
-
-    For every g both sectors come from converged_levels, so each level is
-    certified to within tol * omega0 of the untruncated spectrum.  A sector
-    that hits the truncation cap keeps its last solve, and its uncertified
-    levels are excluded from any claim via the converged mask rather than
-    raising, so one hard point cannot abort a whole sweep.  A values-only
-    solve certifies all its levels or none, so a capped coupling loses all
-    its doublets, not only the top ones.
+    minus[i] and plus[i] are the two sectors at the i-th coupling, each of
+    the same k_max levels, as the gapmap command solves them with
+    converged_levels: a sector that hit the truncation cap comes as its
+    last solve, and its uncertified levels are excluded from any claim via
+    the converged mask, so one hard point cannot abort a whole sweep.  A
+    values-only solve certifies all its levels or none, so a capped
+    coupling loses all its doublets, not only the top ones.
     """
-    g_values = np.atleast_1d(np.asarray(g_values, dtype=float))
-    n_g = len(g_values)
-    eps_m = np.empty((n_g, k_max))
-    eps_p = np.empty((n_g, k_max))
-    conv = np.empty((n_g, k_max), dtype=bool)
-    dims = np.empty(n_g, dtype=int)
-    precision = np.empty(n_g)
-    for i, g in enumerate(g_values):
-        params = RabiParams(omega0=omega0, Omega=Omega, g=float(g))
-        minus, plus = (_levels_or_last(params, parity, k_max, tol)
-                       for parity in (Parity.MINUS, Parity.PLUS))
-        eps_m[i] = minus.eps
-        eps_p[i] = plus.eps
-        conv[i] = np.arange(k_max) < min(minus.n_converged, plus.n_converged)
-        dims[i] = max(minus.dim, plus.dim)
-        # the larger of the two sectors' precisions at dims[i]: that of the
-        # chain whose top site has spin up, whose |diag| tops both chains'
-        top_up = Parity.PLUS if dims[i] % 2 else Parity.MINUS
-        precision[i] = build_parity_chain(params, top_up, int(dims[i])).precision()
+    if not minus or len(minus) != len(plus):
+        raise ValueError("pass one minus and one plus spectrum per coupling")
+    eps_m = np.array([spec.eps for spec in minus])
+    eps_p = np.array([spec.eps for spec in plus])
+    k_max = eps_m.shape[1]
+    conv = np.arange(k_max) < np.minimum([m.n_converged for m in minus],
+                                         [p.n_converged for p in plus])[:, None]
+    dims = np.maximum([m.dim for m in minus], [p.dim for p in plus])
+    # the larger of the two sectors' precisions at each dim: that of the
+    # chain whose top site has spin up, whose |diag| tops both chains'
+    precision = np.array([
+        build_parity_chain(m.params, Parity.PLUS if dim % 2 else Parity.MINUS,
+                           int(dim)).precision() for m, dim in zip(minus, dims)])
+    Omega = minus[0].params.Omega
     return GapMap(
-        g=g_values.copy(),
+        g=np.array([m.params.g for m in minus]),
         eps_minus=eps_m,
         eps_plus=eps_p,
         delta=eps_p - eps_m,

@@ -196,6 +196,12 @@ def test_criterion_5_windowed_density(r1000):
     assert ok
 
 
+def sectors(Omega, g_values, k_max):
+    """Both parity sectors at each coupling, minus first: gap_map's input."""
+    params = [RabiParams(omega0=1.0, Omega=Omega, g=float(g)) for g in g_values]
+    return ([converged_levels(p, parity, k_max=k_max) for p in params] for parity in Parity)
+
+
 def test_criterion_6_gap_map():
     """Degenerate doublets live only at g > 1 below the critical line.
 
@@ -212,14 +218,14 @@ def test_criterion_6_gap_map():
     There the splitting is roundoff, so it is bounded by the floor, not
     ordered in R.
     """
-    gm = gap_map(1.0, 40.0, np.linspace(0.0, 3.0, 61), k_max=20)
+    gm = gap_map(*sectors(40.0, np.linspace(0.0, 3.0, 61), k_max=20))
     tiny = (np.abs(gm.delta) < 1e-3) & gm.converged
     allowed = (gm.g[:, None] > 1.0) & (gm.eps_mid < EPS_CRITICAL + 0.1)
     contained = bool(np.all(allowed[tiny]))
 
     d0, floor = {}, {}
     for ratio in (8.0, 12.0, 16.0, 20.0, 40.0, 80.0):
-        m = gap_map(1.0, ratio, np.array([2.0]), k_max=1)
+        m = gap_map(*sectors(ratio, [2.0], k_max=1))
         assert m.converged.all()
         d0[ratio] = float(abs(m.delta[0, 0]))
         params = RabiParams(omega0=1.0, Omega=ratio, g=2.0)

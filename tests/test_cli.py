@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rabi_esqpt import __version__, cli, quantum, semiclassical
 from rabi_esqpt.cli import COMMANDS, FILES, G_SWEEP, main
 from rabi_esqpt.output import format_value, write_csv
+from test_bench_hooks import RUNS
 
 
 def read_csv(path):
@@ -498,8 +499,10 @@ def assert_no_child_left():
 @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
                     reason="the CLI forks only where os.fork exists, and not on macOS")
 class TestForkedSectors:
-    """A window of cli.FORK_SITES sites or more solves its plus sector in a
-    forked child; the window here is R = 1000 at eps_max = -0.95."""
+    """From cli.FORK_SITES**2 of sterf work per sector on, the plus sector is
+    solved in a forked child: a window of cli.FORK_SITES sites or more, here
+    R = 1000 at eps_max = -0.95, or a sweep of 16 probes of 128 sites or
+    more, here the README's 61 couplings."""
 
     PARAMS = quantum.RabiParams(omega0=1.0, Omega=1000.0, g=1.2)
     ARGS = argparse.Namespace(eps_max=-0.95, conv_tol=1e-8)
@@ -613,16 +616,76 @@ class TestForkedSectors:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["dos", "--g", "1.0", "--window", "4", "--points", "11"],
-        ["observables", "--g", "1.4", "--points", "11"],
-        ["probabilities", "--g", "1.2"],
+        ["dos", "--ratio", "40", "--g", "1.0", "--window", "4", "--points", "11"],
+        ["observables", "--ratio", "40", "--g", "1.4", "--points", "11"],
+        ["probabilities", "--ratio", "40", "--g", "1.2"],
+        ["gapmap", "--g-steps", "3"],
+        ["spectrum", "--g", "1.2"],
+        *RUNS,
     ])
-    def test_ratio_40_windows_never_fork(self, tmp_path, monkeypatch, argv):
+    def test_small_runs_never_fork(self, tmp_path, monkeypatch, argv):
+        # R = 40 windows, a short sweep, a single coupling, and the runs the
+        # benchmark's tracer is tested on, which sees only this process
         def fork():
             raise AssertionError("forked")
         monkeypatch.setattr(os, "fork", fork)
-        code, _ = run(tmp_path, *argv, "--ratio", "40")
+        code, _ = run(tmp_path, *argv)
         assert code == 0
+
+    SWEEP = ["--ratio", "40", "--g-min", "0", "--g-max", "3", "--g-steps", "61",
+             "--levels", "20"]
+    GS = np.linspace(0.0, 3.0, 61)
+
+    @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
+    def test_readme_sweeps_fork(self, tmp_path, capsys, monkeypatch, name):
+        assert 61 * quantum.probe_dim(quantum.RabiParams(1.0, 40.0, 0.0), 20) ** 2 \
+            >= cli.FORK_SITES**2
+
+        def fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", fork)
+        code, out = run(tmp_path, name, *self.SWEEP)
+        assert code == 1 and capsys.readouterr().err == "error: forked\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
+    def test_forked_sweep_writes_the_same_files(self, tmp_path, monkeypatch, name):
+        code, forked = run(tmp_path / "forked", name, *self.SWEEP, "--emit-svg")
+        assert code == 0
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        code, in_process = run(tmp_path / "in_process", name, *self.SWEEP, "--emit-svg")
+        assert code == 0
+        files = sorted(path.name for path in forked.iterdir())
+        assert files == sorted(path.name for path in in_process.iterdir())
+        assert len(files) == (2 if name == "spectrum" else 3)
+        for file in files:
+            assert (forked / file).read_bytes() == (in_process / file).read_bytes(), file
+
+    @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
+    @pytest.mark.parametrize("failures, first", [
+        ({(2, quantum.Parity.PLUS), (5, quantum.Parity.MINUS)}, "plus at g=0.1"),
+        ({(2, quantum.Parity.MINUS), (5, quantum.Parity.PLUS)}, "minus at g=0.1"),
+    ])
+    def test_sweep_failure_exits_as_in_process(self, tmp_path, capsys, monkeypatch,
+                                               name, failures, first):
+        # the in-process order: coupling by coupling, minus before plus at each
+        solve = cli.converged_levels
+        fail_at = {(float(self.GS[i]), parity) for i, parity in failures}
+
+        def levels(params, parity, *args, **kwargs):
+            if (params.g, parity) in fail_at:
+                raise ValueError(f"{parity.label} at g={params.g:g}")
+            return solve(params, parity, *args, **kwargs)
+        monkeypatch.setattr(cli, "converged_levels", levels)
+        code, out = run(tmp_path / "a", name, *self.SWEEP)
+        err = capsys.readouterr().err
+        assert_no_child_left()
+        assert (code, err) == (1, f"error: {first}\n")
+        assert not out.exists()
+        monkeypatch.delattr(os, "fork")
+        assert (code, err) == (run(tmp_path / "b", name, *self.SWEEP)[0],
+                               capsys.readouterr().err)
 
 
 COMMAND_NAMES = ["spectrum", "gapmap", "dos", "observables", "probabilities", "asymptotics"]

@@ -17,7 +17,7 @@ from rabi_esqpt import (
     gap_map,
     windowed_dos,
 )
-from rabi_esqpt import quantum
+from rabi_esqpt import cli, quantum
 
 P40 = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
 
@@ -175,9 +175,15 @@ class TestWindowedDos:
             windowed_dos(minus, plus, window_n=0)
 
 
+def sectors(Omega, g_values, k_max):
+    """Both parity sectors at each coupling, as the gapmap command solves them."""
+    params = [RabiParams(omega0=1.0, Omega=Omega, g=float(g)) for g in g_values]
+    return cli._sweep_sectors(params, k_max, 1e-8, keep_capped=True)
+
+
 class TestGapMap:
     def test_decoupled_splitting(self):
-        gm = gap_map(1.0, 40.0, np.array([0.0]), k_max=15)
+        gm = gap_map(*sectors(40.0, [0.0], k_max=15))
         assert gm.k_max == 15
         # plus tower sits exactly one ladder step 2 omega0/Omega above
         np.testing.assert_allclose(gm.delta[0], 0.05, atol=1e-12)
@@ -186,7 +192,7 @@ class TestGapMap:
         assert gm.n_unconverged == 0
 
     def test_doublet_collapse_supercritical(self):
-        gm = gap_map(1.0, 40.0, np.array([0.5, 2.0]), k_max=6)
+        gm = gap_map(*sectors(40.0, [0.5, 2.0], k_max=6))
         # normal phase: splittings on the ladder scale
         assert np.min(np.abs(gm.delta[0])) > 1e-3
         # broken phase: lowest doublets numerically degenerate
@@ -194,7 +200,7 @@ class TestGapMap:
         assert np.all(gm.eps_mid[1] < -1.0)
 
     def test_splittings_at_precision_floor_unresolved(self):
-        gm = gap_map(1.0, 40.0, np.array([0.5, 2.0]), k_max=6)
+        gm = gap_map(*sectors(40.0, [0.5, 2.0], k_max=6))
         for i, g in enumerate(gm.g):
             params = RabiParams(omega0=1.0, Omega=40.0, g=float(g))
             norm = max(build_parity_chain(params, parity, int(gm.dim[i])).norm_bound()
@@ -210,7 +216,7 @@ class TestGapMap:
     def test_unconverged_reported_not_raised(self, monkeypatch):
         # cap = 0.4 R g^2 = 64 sites, too few for 32 levels at g = 2
         monkeypatch.setattr(quantum, "_CAP_PER_R", 0.4)
-        gm = gap_map(1.0, 40.0, np.array([2.0]), k_max=32)
+        gm = gap_map(*sectors(40.0, [2.0], k_max=32))
         assert gm.dim[0] == 64
         assert gm.delta.shape == (1, 32)
         assert gm.n_unconverged > 0
@@ -222,7 +228,7 @@ class TestGapMap:
         # all its levels or none, so g = 2 keeps no doublet (the per-level
         # bound kept 18) while the sweep goes on to g = 3
         monkeypatch.setattr(quantum, "_CAP_PER_R", 1.0)
-        gm = gap_map(1.0, 40.0, np.array([2.0, 3.0]), k_max=20)
+        gm = gap_map(*sectors(40.0, [2.0, 3.0], k_max=20))
         assert gm.dim[0] == 160
         assert not gm.converged[0].any() and gm.converged[1].all()
         assert gm.n_unconverged == 20
@@ -232,5 +238,5 @@ class TestGapMap:
         calls = []
         monkeypatch.setattr(quantum, "build_parity_chain", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="k_max must be >= 1"):
-            gap_map(1.0, 40.0, np.array([1.0]), k_max=0)
+            gap_map(*sectors(40.0, [1.0], k_max=0))
         assert not calls
