@@ -270,7 +270,17 @@ def _eps_grid(args: argparse.Namespace, g: float) -> np.ndarray:
     if not grid.size:
         raise UsageError(f"every sample up to eps-max={eps_max:.9g} lies within 1e-7 of "
                          f"eps_c = {EPS_CRITICAL:g}, which the grid keeps clear of")
-    return np.unique(grid)
+    # np.unique's bytes by one sort, without the numpy.ma import it makes
+    grid = np.sort(grid)
+    return grid[np.append(True, grid[1:] != grid[:-1])]
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array of magnitudes, by one sort:
+    np.median imports numpy.ma on first use."""
+    s = np.sort(x)
+    m = len(s) // 2
+    return float(s[-1] if np.isnan(s[-1]) else s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2)
 
 
 def _well_depth(g: float) -> float:
@@ -553,7 +563,7 @@ def _cmd_dos(args: argparse.Namespace) -> Result:
     sc_at_q = dos_curve(g, wd.eps[off], omega0=args.omega0).nu
     rel = np.abs(wd.nu[off] / sc_at_q - 1.0)
     off_critical = {"n_points": int(rel.size),
-                    "median_rel_dev": float(np.median(rel)) if rel.size else None,
+                    "median_rel_dev": _median(rel) if rel.size else None,
                     "max_rel_dev": float(np.max(rel)) if rel.size else None}
     summary = _record(args, n_levels=wd.n_levels, truncated=wd.truncated,
                       off_critical=off_critical)

@@ -33,7 +33,10 @@ keeps none: they come in slices of at most 64 levels, and each slice is
 certified, reduced to <a^dag a>, <sigma_z> and p_loc, and dropped on
 arrival.  So the vectors held at any time are one slice, never a dim x k
 block.  Each vector takes two steps of inverse iteration (Parlett, ch. 4):
-one LU of T - w, two solves from a fixed pseudo-random start.  A solve
+one LU of T - w, two solves from a start hashed from the site indices.
+Besides the LU and the solves, the loop makes no BLAS call: its norms,
+residuals and projections are numpy's own sums, which OpenBLAS does not
+thread, so a vector's bytes do not depend on the core count.  A solve
 multiplies the level's own component, against that of a level delta
 away, by delta / |w - E|, with |w - E| about ulp ||T||; so two leave the
 vector orthogonal to working precision to every level at least
@@ -417,19 +420,38 @@ def _slices(chain: ParityChain, w: np.ndarray):
         a = b
 
 
+def _start_vector(n: int) -> np.ndarray:
+    # the start of inverse iteration on n sites: splitmix64 of each site
+    # index, in wrapping uint64 array arithmetic, mapped to [-1, 1).  A
+    # site's entry depends on its index alone, so a cut chain starts from
+    # the leading sites of the whole chain's start
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-52 - 1.0
+
+
+def _norm(x: np.ndarray) -> float:
+    # the 2-norm by numpy's own sum of products: np.linalg.norm is BLAS
+    # ddot, which OpenBLAS runs on its thread pool above 10^4 sites
+    return math.sqrt(np.einsum("i,i->", x, x))
+
+
 def _inverse_iteration(chain: ParityChain,
                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # one eigenvector per ascending level w of the chain: one LU of T - w
-    # (gttrf) and two solves (gttrs) from a fixed pseudo-random start, each
-    # normalized and projected off the earlier vectors of its cluster of
-    # levels closer than sqrt(ulp) ||T|| (the module docstring says why).
-    # Also returns each vector's in-chain residual ||T z - w z||
+    # (gttrf) and two solves (gttrs) from _start_vector, each normalized and
+    # projected off the earlier vectors of its cluster of levels closer than
+    # sqrt(ulp) ||T|| (the module docstring says why).  No BLAS call: the
+    # norms and the projection are einsum sums.  Also returns each vector's
+    # in-chain residual ||T z - w z||
     n, norm = chain.dim, chain.norm_bound()
     # a decoupled site of unit pivot borders the chain: the LU of the
     # chain's rows is unchanged, its component stays 0, and scipy's gttrf,
     # which rejects n = 2, gets three sites at least
     off = np.append(chain.offdiag, 0.0)
-    start = np.append(np.random.default_rng(0).uniform(-1.0, 1.0, n), 0.0)
+    start = np.append(_start_vector(n), 0.0)
     z, res = np.empty((n, len(w))), np.empty(len(w))
     tie = 0
     for k, wk in enumerate(w):
@@ -443,10 +465,11 @@ def _inverse_iteration(chain: ParityChain,
         for _ in range(2):
             x = dgttrs(dl, d, du, du2, ipiv, x, overwrite_b=1)[0]
             if tie < k:
-                x[:n] -= z[:, tie:k] @ (z[:, tie:k].T @ x[:n])
-            x /= np.linalg.norm(x)
+                cluster = z[:, tie:k]
+                x[:n] -= np.einsum("ij,j->i", cluster, np.einsum("ij,i->j", cluster, x[:n]))
+            x /= _norm(x)
         z[:, k] = x[:n]
-        res[k] = np.linalg.norm(chain.matvec(x[:n]) - wk * x[:n])
+        res[k] = _norm(chain.matvec(x[:n]) - wk * x[:n])
     return z, res
 
 

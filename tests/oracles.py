@@ -5,9 +5,12 @@ knows nothing about the chain decomposition; agreement between the two is
 therefore a real cross-check, not a tautology.  The Hellmann-Feynman
 observables differentiate the accumulated level count instead of averaging
 over the orbit shell, so they check the package's shell averages by a
-second route.  The quadrature route evaluates each orbit integral by one
-adaptive quad call, as the package did before its closed forms, and checks
-the closed forms point by point.  The quadrature and shell-average oracle
+second route.  The eigenvalue oracle reads <sigma_z> and p_loc of a
+certified window off chain eigenvalues alone, so it checks the streamed
+eigenvector observables at R = 10^3, where no dense matrix fits.  The
+quadrature route evaluates each orbit integral by one adaptive quad call,
+as the package did before its closed forms, and checks the closed forms
+point by point.  The quadrature and shell-average oracle
 tables were generated with mpmath tanh-sinh integration in x at 40
 significant digits, and the critical pinning constants at 50; all three are
 frozen here so the suite does not depend on mpmath at run time.  Running this file regenerates
@@ -20,8 +23,9 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg.lapack import dsterf
 
-from rabi_esqpt import Parity, RabiParams, dos_curve
+from rabi_esqpt import Parity, ParitySpectrum, RabiParams, build_parity_chain, dos_curve
 
 
 def dense_hamiltonian(params: RabiParams, n_max: int) -> np.ndarray:
@@ -76,6 +80,42 @@ def dense_sector_data(params: RabiParams, n_max: int):
         sel = np.nonzero(np.abs(pexp - sign) < 1e-8)[0]
         out[parity] = (w[sel], n_exp[sel], sz_exp[sel], p_loc[sel])
     return out
+
+
+def observables_from_eigenvalues(spec: ParitySpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(sz, p_loc) of every level of a certified solve, with no eigenvector.
+
+    Both come from LAPACK sterf eigenvalues of the spec.dim-site chain T.
+    <sigma_z>_k is dE_k/dh of T + h diag(spin signs), by a central
+    difference at h = 1e-3.  The weight on site s (0 in the minus sector,
+    1 in the plus one) is, with E the eigenvalues of T and mu those of T
+    with site s removed,
+
+        |v_k[s]|^2 = p_[0,s)(E_k) p_(s,d)(E_k) / p'(E_k)
+                   = prod_i (E_k - mu_i) / prod_{j != k} (E_k - E_j),
+
+    summed in logs; a log 0 is a weight that underflows.  A parity chain
+    is irreducible, so its levels are simple and keep their index under h.
+    """
+    chain = build_parity_chain(spec.params, spec.parity, spec.dim)
+    a, b, k = chain.diag, chain.offdiag, len(spec)
+
+    def levels(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+        w, info = dsterf(diag, offdiag)
+        assert info == 0
+        return w
+
+    h, signs = 1e-3, spec.parity.spin_signs(chain.dim)
+    sz = (levels(a + h * signs, b)[:k] - levels(a - h * signs, b)[:k]) / (2.0 * h)
+    # site s splits T into the sites before it, at most one here, and after
+    s = 0 if spec.parity is Parity.MINUS else 1
+    mu = np.concatenate([a[:s], levels(a[s + 1:], b[s + 1:])])
+    e = levels(a, b)
+    gaps = np.abs(e[:k, None] - e)
+    gaps[np.arange(k), np.arange(k)] = 1.0
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.abs(e[:k, None] - mu)).sum(axis=1) - np.log(gaps).sum(axis=1)
+    return sz, np.exp(log_p)
 
 
 def _count_bare(E: float, omega0: float, Omega: float, lam: float) -> float:

@@ -46,8 +46,8 @@ from rabi_esqpt import (
 )
 from rabi_esqpt.semiclassical import EPS_CRITICAL
 
-from oracles import (PINNING_ORACLE, dense_hamiltonian, observables_hellmann_feynman,
-                     random_params)
+from oracles import (PINNING_ORACLE, dense_hamiltonian, observables_from_eigenvalues,
+                     observables_hellmann_feynman, random_params)
 
 # comparison bands for the windowed-density criteria, intersected with
 # (eps_gs + 0.02, 0]: a quantum level at eps lies on the classical shell at
@@ -321,6 +321,22 @@ def test_criterion_7c_observable_routes_agree():
                     abs(sz_hf - shell.sz[0]))
     ok = worst < 1e-4
     report("criterion 7c", ok, f"worst absolute route difference {worst:.2e} (tol 1e-4)")
+    assert ok
+
+
+def test_criterion_7d_streamed_observables_match_eigenvalues(r1000):
+    """R = 10^3 streamed sz and p_loc match a vector-free eigenvalue oracle."""
+    # measured: sz 7.8e-10 to 2.3e-9, p_loc 3.6e-13 to 1.9e-12; the bounds
+    # are 6.4x and 5.3x the worst
+    worst_s = worst_p = 0.0
+    for g in (1.2, 1.4):
+        for spec in r1000[g][1:]:
+            sz, p_loc = observables_from_eigenvalues(spec)
+            worst_s = max(worst_s, float(np.max(np.abs(spec.observables.sz - sz))))
+            worst_p = max(worst_p, float(np.max(np.abs(spec.observables.p_loc - p_loc))))
+    ok = worst_s < 1.5e-8 and worst_p < 1e-11
+    report("criterion 7d", ok, f"g=1.2 and 1.4, both parities: worst sz {worst_s:.2e} "
+                               f"(tol 1.5e-8), worst p_loc {worst_p:.2e} (tol 1e-11)")
     assert ok
 
 

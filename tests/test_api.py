@@ -82,7 +82,10 @@ def test_cli_commands_run_without_scipy_package_init(tmp_path):
     # chain solves take LAPACK from scipy's compiled extension, loaded by
     # path, so neither scipy.linalg's package init nor the public fallback
     # to it ever runs; and the large window forks with os.fork alone, so no
-    # process-pool package adds to the start
+    # process-pool package adds to the start.  Inverse iteration hashes its
+    # start vector from the site index, so numpy.random and its hashlib and
+    # secrets imports never load, and the sorted grid and the median take
+    # no np.unique or np.median, whose first call imports numpy.ma
     code = (
         "import sys\n"
         "from rabi_esqpt import cli, quantum\n"
@@ -90,7 +93,7 @@ def test_cli_commands_run_without_scipy_package_init(tmp_path):
         f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
         "    assert cli.main([*argv, '--emit-svg', '--out', out]) == 0, argv\n"
         "for mod in ('scipy.special', 'scipy.linalg', 'scipy.integrate',\n"
-        "            'multiprocessing', 'concurrent.futures'):\n"
+        "            'multiprocessing', 'concurrent.futures', 'numpy.random', 'numpy.ma'):\n"
         "    assert mod not in sys.modules, mod + ' loaded'\n"
         "assert quantum.dsterf is sys.modules['scipy.linalg._flapack'].dsterf\n"
     )

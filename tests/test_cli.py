@@ -282,6 +282,27 @@ def test_ramp_maps_an_array_as_the_per_point_rule_did():
     assert cli._ramp(np.empty(0)) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, 1.0, np.inf, np.nan, -np.nan]), min_size=1, max_size=12))
+def test_median_is_numpys(values):
+    # the sort-based median writes np.median's bytes for the magnitudes the
+    # dos summary passes it, NaN included.  np.sort writes every NaN as the
+    # positive quiet one, which np.abs makes of a NaN that arithmetic gives
+    x = np.abs(np.array(values))
+    with np.errstate(over="ignore"):  # both sum the middle pair, to inf alike
+        assert np.float64(cli._median(x)).tobytes() == np.median(x).tobytes()
+
+
+def test_eps_grid_keeps_samples_moved_onto_one_value_once():
+    # two samples within 1e-7 of eps_c both move to eps_c + 1e-7: the grid
+    # holds it once, as np.unique would
+    args = argparse.Namespace(eps_min=-1.00000005, eps_max=-1.0 + 2e-7, points=3)
+    grid = cli._eps_grid(args, 1.2)
+    assert np.count_nonzero(grid == semiclassical.EPS_CRITICAL + 1e-7) == 1
+    assert grid.tobytes() == np.unique(grid).tobytes() and len(grid) == 12
+
+
 class TestObservables:
     def test_run_and_summary(self, tmp_path):
         code, out = run(tmp_path, "observables", "--g", "1.2", "--ratio", "40",

@@ -84,19 +84,19 @@ GOLDEN = {
         "observables.svg":
             "87fe2060bcb87d35f69d5e0a0f75e6b360ce45916a7f054c125aa483115d4801",
         "observables_quantum.csv":
-            "fe2117f332486b4ba19d1dc4ac58ceba0a4ec0631a208914d4454a4b38492506",
+            "aba78b788b6d32d479cc2564dc7e2efe277746c6c780989a7550f4b4fa7542c7",
         "observables_semiclassical.csv":
             "8897b93f85835687d6f09e7172c2696dbb607c3a88e883d857437da52e525278",
         "observables_summary.json":
-            "389f71736f99181c037544eed63a88d9d4222c72b3d4bd9f89b56237d4acd8da",
+            "4bbb7a90e0425ec1da2e78384fd4f3b83097e91af6b388d7dc5b10f64a1ba4a2",
     },
     "probabilities_r1000": {
         "probabilities.csv":
-            "38339d0563b527661bc0f3dc02dfd874219b2641cb0bfac33ca8466215c35ae0",
+            "09764a3579fcae9bcd4f521f632eac2d9b3b87c91472bb4cf66715a13fcbf03c",
         "probabilities.svg":
             "14bcdbab2c58bed3986089917032b93a65ea49154aa5e9b9fc6312fb94c88d7b",
         "probabilities_summary.json":
-            "49f90474e333d53b1d2c658493c66d0bed215e25aae6f7689d88322e8b30a474",
+            "19746c366da456481cbc336d04395ef790d4511ad413dd17d694ea4f4a812a95",
     },
     "asymptotics_power": {
         "asymptotics.json":

@@ -1,10 +1,14 @@
 """Unit tests for the parity-chain construction and eigensolver."""
 
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from rabi_esqpt import (
 from rabi_esqpt import quantum
 
 from oracles import dense_hamiltonian, dense_sector_data, random_params
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def slice_vectors(chain, w):
@@ -296,6 +302,48 @@ class TestDiagonalize:
         assert k > 500 and spec.observables.n_phot.shape == (k,)
         assert peak < 1.6 * dim * quantum._SLICE * 8
         assert peak < dim * k * 8 / 5
+
+    def test_start_vector_is_splitmix64_of_the_site_index(self):
+        # the reference: splitmix64 in Python integers, seeded at 0, its
+        # top 53 bits mapped to [-1, 1)
+        mask, state, ref = 2**64 - 1, 0, []
+        for _ in range(1000):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            ref.append(((z ^ (z >> 31)) >> 11) * 2.0**-52 - 1.0)
+        start = quantum._start_vector(1000)
+        np.testing.assert_array_equal(start, ref)
+        np.testing.assert_array_equal(quantum._start_vector(10), start[:10])
+        assert -1.0 <= start.min() and start.max() < 1.0
+
+    def test_vectors_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS runs a level-1 call above 10^4 sites on its thread pool,
+        # whose partial sums round differently; the loop makes no BLAS call,
+        # so one thread and two give the same bytes.  The levels lie near
+        # eps = -0.3, whose vectors spread over about 7000 sites, so every half of
+        # a split sum carries weight.  Fresh interpreters, since OpenBLAS
+        # reads its thread count when numpy loads
+        code = (
+            "import hashlib\n"
+            "from rabi_esqpt import quantum\n"
+            "p = quantum.RabiParams(omega0=1.0, Omega=4000.0, g=1.4)\n"
+            "chain = quantum.build_parity_chain(p, quantum.Parity.MINUS, 12000)\n"
+            "m, w, _, _, info = quantum.dstebz(chain.diag, chain.offdiag, 2, 0.0, 0.0,\n"
+            "                                  2001, 2008, 0.0, 'E')\n"
+            "assert m == 8 and not info\n"
+            "z, res = quantum._inverse_iteration(chain, w[:m])\n"
+            "print(hashlib.sha256(z.tobytes() + res.tobytes()).hexdigest())\n"
+        )
+        runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True,
+                                 env={**os.environ, "PYTHONPATH": SRC,
+                                      "OPENBLAS_NUM_THREADS": threads})
+                for threads in ("1", "2")]
+        outs = [run.communicate(timeout=60) for run in runs]
+        assert [run.returncode for run in runs] == [0, 0], [err for _, err in outs]
+        (one, _), (two, _) = outs
+        assert one == two
 
     def test_doublets_below_critical_energy(self):
         # broken phase: parity partners degenerate far below eps = -1
