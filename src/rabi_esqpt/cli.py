@@ -30,11 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import pickle
 import re
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -44,8 +41,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (MIN_FIT_POINTS, LawKind, Side, fit_divergence, geometric_eps_grid,
                           law_log_esqpt, law_power_qpt)
-from .quantum import (Parity, ParitySpectrum, RabiParams, TruncationLimitError, converged_levels,
-                      converged_window, probe_dim, window_dim)
+from .quantum import Parity, ParitySpectrum, RabiParams, converged_sectors
 from .semiclassical import (CRITICAL_GUARD, EPS_CRITICAL, dos_curve, ground_state_eps,
                             observables_microcanonical)
 from .spectral import gap_map, windowed_dos
@@ -299,158 +295,13 @@ def _eps_c_guide(lo: float, hi: float, horizontal: bool) -> Series:
     return Series(x, y, color="#555555", dash="5,4", label="eps_c", stroke_width=1.0)
 
 
-# The two parity sectors run side by side, the plus one in a forked child,
-# when the sterf work one sector starts with reaches FORK_SITES**2: the sum,
-# over the sector's solves, of each solve's start dimension squared, that of
-# a window's first chain (quantum.window_dim) or of a count solve's probe
-# (quantum.probe_dim).  Measured on a 2-core VM: a bare _beside round trip
-# costs 2.75-3.1 ms.  The plus half of a README sweep pickles to 36 KB; its
-# dump and its load in the parent take about 1 ms each.  One window sector
-# of 517 sites takes 7.6 ms values-only and 15.5 ms with vectors.  With the
-# second core free, gapmap at R = 40 with 20 levels took 15.9 ms in-process
-# and 17.5 ms forked at 8 couplings, 26.6 and 24.0 ms at 16, and 97.9 and
-# 70.1 ms at 61: it breaks even between 8 and 16, and 16 probes of 128 sites
-# are FORK_SITES**2.  So the README's R = 1000 windows (1786 sites or more)
-# and its R = 40 sweeps (61 probes) fork; an R = 40 window at g <= 1.4 (141
-# sites at most), a single coupling and a sweep of fewer than 16 stay
-# in-process.  Without a free second core a fork only adds 5-15 ms.
-FORK_SITES = 512
-
-
-def _beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[object, object]:
-    """(here(), there()), with there() run meanwhile in a forked child.
-
-    The child pickles its result, or the exception it raised, into a pipe
-    and always ends with os._exit.  This process raises its own exception
-    first, after it has killed and reaped the child, and then the child's:
-    the order of a sequential here(), there().  Its one caller,
-    _both_parities, passes one parity half as each: a window's one solve,
-    or every coupling of a sweep, so one sweep forks once.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork beside other threads; here those
-            # are the BLAS pools, which OpenBLAS quiesces around a fork
-            # itself (pthread_atfork), and the child starts no thread
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                sent = (True, there())
-            except Exception as exc:
-                sent = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            first = here()
-            data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-    except BaseException:
-        import signal  # only on this path: it is not loaded at CLI start
-
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    if status != 0:
-        raise ChildProcessError(f"the forked solve exited with status "
-                                f"{os.waitstatus_to_exitcode(status)} and no result")
-    ok, second = pickle.loads(data)
-    if not ok:
-        raise second
-    return first, second
-
-
-def _both_parities(solve: Callable[[Parity, int], ParitySpectrum],
-                   start_dims: list[int]) -> tuple[list[ParitySpectrum], list[ParitySpectrum]]:
-    """([solve(MINUS, i) for each i], [solve(PLUS, i) for each i]), i < len(start_dims).
-
-    start_dims[i] is the sites of the i-th solve's first chain, or of its
-    probe.  The decision is made before any chain is solved: from
-    FORK_SITES**2 of their squares summed on, the plus half runs in a
-    forked child (where os.fork exists, and not on macOS, whose system
-    libraries may run threads that a forked child cannot use), by the same
-    calls with the same bits.  A failure raises what the in-process order,
-    i by i and minus before plus at each, meets first.
-    """
-    def half(parity: Parity, stop: int) -> tuple[list[ParitySpectrum], Exception | None]:
-        # the solves before the half's first failure, and that failure; one
-        # at i = 0 comes first whatever the other half does, so it raises
-        # at once, and a child still running is killed
-        done = []
-        try:
-            for i in range(stop):
-                done.append(solve(parity, i))
-        except Exception as exc:
-            if not done:
-                raise
-            return done, exc
-        return done, None
-
-    n = len(start_dims)
-    if (hasattr(os, "fork") and sys.platform != "darwin"
-            and sum(d * d for d in start_dims) >= FORK_SITES**2):
-        (minus, m_exc), (plus, p_exc) = _beside(lambda: half(Parity.MINUS, n),
-                                                lambda: half(Parity.PLUS, n))
-    else:
-        minus, m_exc = half(Parity.MINUS, n)
-        # in order, no plus solve runs past the first minus failure
-        plus, p_exc = half(Parity.PLUS, len(minus))
-    if p_exc is not None and (m_exc is None or len(plus) < len(minus)):
-        raise p_exc
-    if m_exc is not None:
-        raise m_exc
-    return minus, plus
-
-
 def _quantum_sectors(params: RabiParams, args: argparse.Namespace,
                      with_observables: bool = False) -> list[ParitySpectrum]:
-    """Minus and plus sectors, certified a little past --eps-max.
-
-    One solve per sector; _both_parities forks for it when the window's
-    first chain has FORK_SITES sites or more.
-    """
+    """Minus and plus sectors, certified a little past --eps-max."""
     pad = 0.05 + 2.0 / params.ratio
-    eps_max = args.eps_max + pad
-
-    def solve(parity: Parity, _: int) -> ParitySpectrum:
-        return converged_window(params, parity, eps_max, tol=args.conv_tol,
-                                with_observables=with_observables)[1]
-
-    (minus,), (plus,) = _both_parities(solve, [window_dim(params, eps_max)])
+    (minus,), (plus,) = converged_sectors([params], args.conv_tol, eps_max=args.eps_max + pad,
+                                          with_observables=with_observables)
     return [minus, plus]
-
-
-def _sweep_sectors(params: list[RabiParams], k_max: int, tol: float, keep_capped: bool = False
-                   ) -> tuple[list[ParitySpectrum], list[ParitySpectrum]]:
-    """The lowest k_max levels of each sector at each coupling, as (minus, plus) lists.
-
-    The solve loop of spectrum and gapmap.  With keep_capped, a sector that
-    hits the truncation cap gives its solve at the cap, whose n_converged
-    says which levels certified, instead of raising TruncationLimitError.
-    """
-    def solve(parity: Parity, i: int) -> ParitySpectrum:
-        try:
-            return converged_levels(params[i], parity, k_max=k_max, tol=tol)
-        except TruncationLimitError as exc:
-            if not keep_capped:
-                raise
-            return exc.spectrum
-
-    return _both_parities(solve, [probe_dim(p, k_max) for p in params])
 
 
 @command("spectrum", "parity-resolved level energies, single coupling or sweep",
@@ -466,8 +317,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> Result:
         gs = np.array([args.g])
     else:
         gs = _g_grid(args)
-    minus, plus = _sweep_sectors([_params(args, float(g)) for g in gs], args.levels,
-                                 args.conv_tol)
+    minus, plus = converged_sectors([_params(args, float(g)) for g in gs], args.conv_tol,
+                                    k_max=args.levels)
     sectors = [spec for pair in zip(minus, plus) for spec in pair]
     eps = np.concatenate([spec.eps for spec in sectors])
     tables = {"spectrum.csv": Table(_record(args), {
@@ -506,8 +357,8 @@ def _ramp(t: np.ndarray) -> list[str]:
          *G_SWEEP, Opt("--levels", int, 40, "doublets per coupling", minimum=1))
 def _cmd_gapmap(args: argparse.Namespace) -> Result:
     gs = _g_grid(args)
-    gm = gap_map(*_sweep_sectors([_params(args, float(g)) for g in gs], args.levels,
-                                 args.conv_tol, keep_capped=True))
+    gm = gap_map(*converged_sectors([_params(args, float(g)) for g in gs], args.conv_tol,
+                                    k_max=args.levels, keep_capped=True))
     columns = {"g": np.repeat(gm.g, gm.k_max), "k": np.tile(np.arange(gm.k_max), len(gm.g)),
                "eps_minus": gm.eps_minus.ravel(), "eps_plus": gm.eps_plus.ravel(),
                "eps_mid": gm.eps_mid.ravel(), "delta": gm.delta.ravel(),

@@ -106,6 +106,20 @@ Past the orbit every level is classically forbidden and the recurrence is
 stable; further in, where v decays toward site 0, it is not, and the sum
 would come out orders of magnitude too small.  The top level's bound is
 about 2x its exact value.
+
+converged_sectors runs the plus half of its solves in a forked child,
+beside the minus half, from _FORK_SITES**2 of sterf work per sector: the
+sum over its solves of each start dimension squared, a window's first
+chain (_orbit_dim) or a count solve's probe (_probe_dim).  It decides
+before any chain is solved, and forks only where os.fork exists, not on
+macOS (whose system libraries may run threads a forked child cannot use),
+and on two CPUs or more where os.sched_getaffinity tells.  On a 2-core VM
+a bare _beside round trip costs 2.75-3.1 ms; gapmap at R = 40 with 20
+levels took 15.9 ms in-process and 17.5 ms forked at 8 couplings, 26.6
+and 24.0 ms at 16, the 16 probes of 128 sites that make _FORK_SITES**2.
+So the README's R = 1000 windows and R = 40 sweeps fork, and no R = 40
+window, single coupling or sweep of fewer than 16 does.  Pinned to one
+CPU the README gapmap took 80.4-87.4 ms forked, 69.8-71.2 ms in-process.
 """
 
 from __future__ import annotations
@@ -114,9 +128,14 @@ import enum
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import operator
 import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -157,6 +176,7 @@ __all__ = [
     "diagonalize",
     "converged_window",
     "converged_levels",
+    "converged_sectors",
     "eigen_observables",
 ]
 
@@ -179,6 +199,9 @@ _SLICE_PAD = 24.0
 
 # The tail bound sums sites outward of n_top - _TAIL_CUT n_top^{1/3}.
 _TAIL_CUT = 3.0
+
+# converged_sectors forks from _FORK_SITES**2 of sterf work per sector.
+_FORK_SITES = 512
 
 # The unit roundoff of float64, in which every chain is solved.
 _ULP = np.finfo(float).eps
@@ -244,6 +267,12 @@ class TruncationLimitError(RuntimeError):
         return type(self), (*self.args, self.spectrum)
 
 
+def _is_real(value: object) -> bool:
+    # a finite real number: a Python or numpy int or float, never a bool
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class RabiParams:
     """Model parameters.  g is the dimensionless coupling 2 lam / sqrt(omega0 Omega)."""
@@ -255,8 +284,8 @@ class RabiParams:
     def __post_init__(self):
         for name in ("omega0", "Omega", "g"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            if not _is_real(v):
+                raise ValueError(f"{name} must be a finite real number, got {v!r}")
             object.__setattr__(self, name, float(v))
         if self.omega0 <= 0 or self.Omega <= 0:
             raise ValueError("omega0 and Omega must be positive")
@@ -525,15 +554,8 @@ def _orbit_dim(params: RabiParams, eps: float, widths: float = _AIRY_PAD) -> int
     return max(math.ceil(n_cls + widths * n_cls ** (1.0 / 3.0)), 64)
 
 
-def window_dim(params: RabiParams, eps_max: float) -> int:
-    """Sites of the first chain converged_window solves for the levels up to
-    eps_max, before the cap: the orbit at eps_max plus 12 Airy widths."""
-    return _orbit_dim(params, eps_max)
-
-
-def probe_dim(params: RabiParams, k_max: int) -> int:
-    """Sites of the probe converged_levels sizes its first chain by, for the
-    lowest k_max levels: max(4 k_max, 128), cut at the cap."""
+def _probe_dim(params: RabiParams, k_max: int) -> int:
+    # the probe converged_levels sizes its first chain by: max(4 k_max, 128) sites, cut at the cap
     return min(max(4 * k_max, 128), _dim_cap(params))
 
 
@@ -620,7 +642,7 @@ def _certified_spectrum(
     probe = None
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
-        dim = window_dim(params, eps_max)
+        dim = _orbit_dim(params, eps_max)
     else:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
@@ -630,7 +652,7 @@ def _certified_spectrum(
         # the probe: its k_max-th Ritz value, bisected alone (range 2 is by
         # index), lies at or above the true k_max-th level (the module
         # docstring), so the orbit there sizes the solve
-        probe = build_parity_chain(params, parity, probe_dim(params, k_max))
+        probe = build_parity_chain(params, parity, _probe_dim(params, k_max))
         _solvable_precision(probe, tol)
         _, theta, _, _, info = dstebz(probe.diag, probe.offdiag, 2, 0.0, 0.0, k_max, k_max,
                                       0.0, "E")
@@ -710,6 +732,132 @@ def converged_levels(
     truncation only when that certificate fails.
     """
     return _certified_spectrum(params, parity, tol, with_observables=False, k_max=k_max)
+
+
+def _beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[object, object]:
+    """(here(), there()), with there() run meanwhile in a forked child.
+
+    The child pickles its result, or the exception it raised, into a pipe
+    and always ends with os._exit.  This process raises its own exception
+    first, after it has killed and reaped the child, and then the child's:
+    the order of a sequential here(), there().
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork beside other threads; here those
+            # are the BLAS pools, which OpenBLAS quiesces around a fork
+            # itself (pthread_atfork), and the child starts no thread
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                sent = (True, there())
+            except Exception as exc:
+                sent = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            first = here()
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        import signal  # only on this path: it is not loaded at CLI start
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if status != 0:
+        raise ChildProcessError(f"the forked solve exited with status "
+                                f"{os.waitstatus_to_exitcode(status)} and no result")
+    ok, second = pickle.loads(data)
+    if not ok:
+        raise second
+    return first, second
+
+
+def converged_sectors(
+    params_list: Iterable[RabiParams],
+    tol: float = 1e-8,
+    *,
+    eps_max: float | None = None,
+    k_max: int | None = None,
+    with_observables: bool = False,
+    keep_capped: bool = False,
+) -> tuple[list[ParitySpectrum], list[ParitySpectrum]]:
+    """Both parity sectors at each coupling, as ([minus, ...], [plus, ...]).
+
+    Give exactly one of eps_max and k_max: each sector is then
+    converged_window's spectrum up to eps_max (with observables under
+    with_observables), or converged_levels' lowest k_max levels.  With
+    keep_capped a sector that hits the truncation cap gives its solve at
+    the cap, whose n_converged says which levels certified, instead of
+    raising TruncationLimitError.  The plus half may run in a forked child
+    (the module docstring), with the same bits; a failure raises what the
+    in-process order, coupling by coupling and minus before plus, meets first.
+    """
+    if (eps_max is None) == (k_max is None):
+        raise ValueError("give exactly one of eps_max and k_max")
+    if with_observables and eps_max is None:
+        raise ValueError("with_observables needs eps_max")
+    if eps_max is not None and not math.isfinite(eps_max):
+        raise ValueError(f"eps_max must be finite, got {eps_max!r}")
+    params_list = list(params_list)
+
+    def solve(params: RabiParams, parity: Parity) -> ParitySpectrum:
+        # through the module globals, where the benchmark's tracer wraps them
+        try:
+            if eps_max is None:
+                return converged_levels(params, parity, k_max=k_max, tol=tol)
+            return converged_window(params, parity, eps_max, tol=tol,
+                                    with_observables=with_observables)[1]
+        except TruncationLimitError as exc:
+            if not keep_capped:
+                raise
+            return exc.spectrum
+
+    def half(parity: Parity, todo: list) -> tuple[list, Exception | None]:
+        # the solves before the half's first failure, and that failure; a
+        # first solve's failure comes first, so it raises at once (and kills a child)
+        done = []
+        try:
+            for params in todo:
+                done.append(solve(params, parity))
+        except Exception as exc:
+            if not done:
+                raise
+            return done, exc
+        return done, None
+
+    work = sum((_orbit_dim(p, eps_max) if k_max is None else _probe_dim(p, k_max)) ** 2
+               for p in params_list)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
+    if (hasattr(os, "fork") and sys.platform != "darwin" and cpus >= 2
+            and work >= _FORK_SITES**2):
+        (minus, m_exc), (plus, p_exc) = _beside(lambda: half(Parity.MINUS, params_list),
+                                                lambda: half(Parity.PLUS, params_list))
+    else:
+        minus, m_exc = half(Parity.MINUS, params_list)
+        # in order, no plus solve runs past the first minus failure
+        plus, p_exc = half(Parity.PLUS, params_list[:len(minus)])
+    if p_exc is not None and (m_exc is None or len(plus) < len(minus)):
+        raise p_exc
+    if m_exc is not None:
+        raise m_exc
+    return minus, plus
 
 
 def eigen_observables(parity: Parity,

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quantum import _Record
+from .quantum import _Record, _is_real
 
 __all__ = [
     "DosCurve",
@@ -129,13 +129,13 @@ class ObservableCurve(_Record):
 
 
 def _check_g(g: float) -> float:
-    if not (isinstance(g, (int, float, np.floating)) and math.isfinite(g) and g >= 0):
+    if not (_is_real(g) and g >= 0):
         raise ValueError(f"g must be finite and non-negative, got {g!r}")
     return float(g)
 
 
 def _check_omega0(omega0: float) -> float:
-    if not 0.0 < omega0 < math.inf:
+    if not (_is_real(omega0) and omega0 > 0):
         raise ValueError(f"omega0 must be finite and positive, got {omega0!r}")
     return float(omega0)
 

@@ -149,11 +149,11 @@ def gap_map(minus: list[ParitySpectrum], plus: list[ParitySpectrum]) -> GapMap:
 
     minus[i] and plus[i] are the two sectors at the i-th coupling, each of
     the same k_max levels, as the gapmap command solves them with
-    converged_levels: a sector that hit the truncation cap comes as its
-    last solve, and its uncertified levels are excluded from any claim via
-    the converged mask, so one hard point cannot abort a whole sweep.  A
-    values-only solve certifies all its levels or none, so a capped
-    coupling loses all its doublets, not only the top ones.
+    converged_sectors(..., k_max=k_max, keep_capped=True): a sector that hit
+    the truncation cap comes as its solve at the cap, and its uncertified
+    levels are excluded from any claim via the converged mask, so one hard
+    point cannot abort a whole sweep.  A values-only solve certifies all
+    its levels or none, so a capped coupling loses all its doublets.
     """
     if not minus or len(minus) != len(plus):
         raise ValueError("pass one minus and one plus spectrum per coupling")

@@ -19,6 +19,7 @@ from rabi_esqpt import __version__, cli, quantum, semiclassical
 from rabi_esqpt.cli import COMMANDS, FILES, G_SWEEP, main
 from rabi_esqpt.output import format_value, write_csv
 from test_bench_hooks import RUNS
+from test_quantum import assert_no_child_left
 
 
 def read_csv(path):
@@ -511,34 +512,34 @@ def raising(exc):
     return action
 
 
-def assert_no_child_left():
-    # every child this process forked has been reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
                     reason="the CLI forks only where os.fork exists, and not on macOS")
 class TestForkedSectors:
-    """From cli.FORK_SITES**2 of sterf work per sector on, the plus sector is
-    solved in a forked child: a window of cli.FORK_SITES sites or more, here
-    R = 1000 at eps_max = -0.95, or a sweep of 16 probes of 128 sites or
-    more, here the README's 61 couplings."""
+    """From quantum._FORK_SITES**2 of sterf work per sector on, the commands'
+    quantum.converged_sectors call solves the plus sector in a forked child:
+    a window of quantum._FORK_SITES sites or more, here R = 1000 at
+    eps_max = -0.95, or a sweep of 16 probes of 128 sites or more, here the
+    README's 61 couplings.  Each test sees two CPUs, as the rule needs, unless
+    it says otherwise."""
 
     PARAMS = quantum.RabiParams(omega0=1.0, Omega=1000.0, g=1.2)
     ARGS = argparse.Namespace(eps_max=-0.95, conv_tol=1e-8)
 
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     @pytest.fixture
     def instead(self, monkeypatch):
-        """Make cli's converged_window call actions[parity]() for those parities."""
-        solve = cli.converged_window
+        """Make quantum's converged_window call actions[parity]() for those parities."""
+        solve = quantum.converged_window
 
         def patch(actions):
             def window(params, parity, *args, **kwargs):
                 if parity in actions:
                     return actions[parity]()
                 return solve(params, parity, *args, **kwargs)
-            monkeypatch.setattr(cli, "converged_window", window)
+            monkeypatch.setattr(quantum, "converged_window", window)
         return patch
 
     def sectors(self):
@@ -546,26 +547,13 @@ class TestForkedSectors:
 
     def test_the_window_forks(self, monkeypatch):
         pad = 0.05 + 2.0 / self.PARAMS.ratio
-        assert quantum.window_dim(self.PARAMS, self.ARGS.eps_max + pad) >= cli.FORK_SITES
+        assert quantum._orbit_dim(self.PARAMS, self.ARGS.eps_max + pad) >= quantum._FORK_SITES
 
         def fork():
             raise AssertionError("forked")
         monkeypatch.setattr(os, "fork", fork)
         with pytest.raises(AssertionError, match="forked"):
             self.sectors()
-
-    def test_same_spectra_as_in_process(self, monkeypatch):
-        forked = self.sectors()
-        assert_no_child_left()
-        monkeypatch.delattr(os, "fork")
-        for a, b in zip(forked, self.sectors(), strict=True):
-            assert (a.parity, a.dim, a.n_converged) == (b.parity, b.dim, b.n_converged)
-            for name in ("energies", "error_bound"):
-                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-            for name in ("n_phot", "sz", "p_loc"):
-                np.testing.assert_array_equal(getattr(a.observables, name),
-                                              getattr(b.observables, name))
-            assert not a.eps.flags.writeable and not a.observables.p_loc.flags.writeable
 
     @pytest.mark.parametrize("exc", [
         ValueError("plus sector refused"),
@@ -659,8 +647,8 @@ class TestForkedSectors:
 
     @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
     def test_readme_sweeps_fork(self, tmp_path, capsys, monkeypatch, name):
-        assert 61 * quantum.probe_dim(quantum.RabiParams(1.0, 40.0, 0.0), 20) ** 2 \
-            >= cli.FORK_SITES**2
+        assert 61 * quantum._probe_dim(quantum.RabiParams(1.0, 40.0, 0.0), 20) ** 2 \
+            >= quantum._FORK_SITES**2
 
         def fork():
             raise AssertionError("forked")
@@ -668,6 +656,16 @@ class TestForkedSectors:
         code, out = run(tmp_path, name, *self.SWEEP)
         assert code == 1 and capsys.readouterr().err == "error: forked\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
+    def test_one_cpu_never_forks(self, tmp_path, monkeypatch, name):
+        # a forked child only waits for the one CPU the process may run on
+        def fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, out = run(tmp_path, name, *self.SWEEP)
+        assert code == 0 and out.exists()
 
     @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
     def test_forked_sweep_writes_the_same_files(self, tmp_path, monkeypatch, name):
@@ -691,14 +689,14 @@ class TestForkedSectors:
     def test_sweep_failure_exits_as_in_process(self, tmp_path, capsys, monkeypatch,
                                                name, failures, first):
         # the in-process order: coupling by coupling, minus before plus at each
-        solve = cli.converged_levels
+        solve = quantum.converged_levels
         fail_at = {(float(self.GS[i]), parity) for i, parity in failures}
 
         def levels(params, parity, *args, **kwargs):
             if (params.g, parity) in fail_at:
                 raise ValueError(f"{parity.label} at g={params.g:g}")
             return solve(params, parity, *args, **kwargs)
-        monkeypatch.setattr(cli, "converged_levels", levels)
+        monkeypatch.setattr(quantum, "converged_levels", levels)
         code, out = run(tmp_path / "a", name, *self.SWEEP)
         err = capsys.readouterr().err
         assert_no_child_left()

@@ -22,6 +22,7 @@ from rabi_esqpt import (
     TruncationLimitError,
     build_parity_chain,
     converged_levels,
+    converged_sectors,
     converged_window,
     diagonalize,
     eigen_observables,
@@ -715,6 +716,80 @@ class TestLapackFailure:
             converged_levels(RabiParams(1.0, 40.0, 1.2), Parity.MINUS, 5)
 
 
+def assert_no_child_left():
+    # every child this process forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestConvergedSectors:
+    """Both parities in one call; the fork rule's cases are in
+    tests/test_cli.py::TestForkedSectors, through the commands."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({}, "exactly one of eps_max and k_max"),
+        ({"eps_max": 0.0, "k_max": 4}, "exactly one of eps_max and k_max"),
+        ({"k_max": 4, "with_observables": True}, "with_observables needs eps_max"),
+        ({"eps_max": math.nan}, "eps_max must be finite"),
+    ])
+    def test_bad_arguments_raise_before_any_chain(self, monkeypatch, kwargs, message):
+        calls = []
+        monkeypatch.setattr(quantum, "build_parity_chain", lambda *a: calls.append(a))
+        monkeypatch.setattr(os, "fork", lambda: calls.append("fork"), raising=False)
+        # enough couplings at R = 1000 that a valid call would fork
+        params = [RabiParams(1.0, 1000.0, g) for g in (0.5, 1.2)]
+        with pytest.raises(ValueError, match=message):
+            converged_sectors(params, **kwargs)
+        assert not calls
+
+    def test_order_of_the_lists(self):
+        params = [RabiParams(1.0, 40.0, g) for g in (0.5, 1.2)]
+        minus, plus = converged_sectors(params, k_max=3)
+        assert [(s.params, s.parity) for s in minus] == [(p, Parity.MINUS) for p in params]
+        assert plus == [converged_levels(p, Parity.PLUS, 3) for p in params]
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
+                        reason="converged_sectors forks only where os.fork exists, not on macOS")
+    def test_same_spectra_as_in_process(self, monkeypatch):
+        # a window of 512 sites or more forks (tests/test_cli.py::TestForkedSectors)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        params = [RabiParams(omega0=1.0, Omega=1000.0, g=1.2)]
+        eps_max = -0.95 + 0.05 + 2.0 / 1000.0
+
+        def sectors():
+            (minus,), (plus,) = converged_sectors(params, eps_max=eps_max,
+                                                  with_observables=True)
+            return [minus, plus]
+        forked = sectors()
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        for a, b in zip(forked, sectors(), strict=True):
+            assert (a.parity, a.dim, a.n_converged) == (b.parity, b.dim, b.n_converged)
+            for name in ("energies", "error_bound"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            for name in ("n_phot", "sz", "p_loc"):
+                np.testing.assert_array_equal(getattr(a.observables, name),
+                                              getattr(b.observables, name))
+            assert not a.eps.flags.writeable and not a.observables.p_loc.flags.writeable
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
+                        reason="converged_sectors forks only where os.fork exists, not on macOS")
+    def test_same_levels_as_in_process(self, monkeypatch):
+        # the README sweep's 61 probes of 128 sites fork; a capped sector
+        # crosses the pipe as its last solve
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 2.0)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        params = [RabiParams(1.0, 40.0, float(g)) for g in np.linspace(0.0, 3.0, 61)]
+        forked = converged_sectors(params, k_max=20, keep_capped=True)
+        assert_no_child_left()
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        assert forked == converged_sectors(params, k_max=20, keep_capped=True)
+        assert any(spec.n_converged < 20 for spec in forked[1])
+
+
 class TestObservables:
     def test_requires_vectors(self):
         # observables come only from the vector solve: a values-only window
@@ -855,7 +930,7 @@ class TestStreamedObservables:
                                        getattr(ref.observables, name), rtol=1e-12, atol=1e-12)
 
     def test_truncation_limit_error_pickles_with_its_spectrum(self, monkeypatch):
-        # the CLI's forked window solve sends its exception back pickled
+        # a forked converged_sectors solve sends its exception back pickled
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
         monkeypatch.setattr(quantum, "_CAP_PER_R", 0.2)
         with pytest.raises(TruncationLimitError) as err:

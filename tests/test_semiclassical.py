@@ -13,6 +13,7 @@ from rabi_esqpt import (
     RabiParams,
     dos_curve,
     ground_state_eps,
+    law_log_esqpt,
     observables_microcanonical,
 )
 from rabi_esqpt import semiclassical
@@ -276,6 +277,30 @@ def test_entry_points_share_one_domain_check(g, eps, message):
         messages[name] = str(err.value)
     assert len(set(messages.values())) == 1, messages
     assert message in messages["dos_curve"]
+
+
+# every entry point that takes a coupling or a frequency, by the argument
+NUMBER_TAKERS = {
+    "RabiParams-omega0": lambda x: RabiParams(x, 40.0, 1.2),
+    "RabiParams-g": lambda x: RabiParams(1.0, 40.0, x),
+    "dos_curve": lambda x: dos_curve(x, [0.0]),
+    "ground_state_eps": ground_state_eps,
+    "law_log_esqpt-omega0": lambda x: law_log_esqpt(x, 1.2),
+    "law_log_esqpt-g": lambda x: law_log_esqpt(1.0, x),
+}
+
+
+@pytest.mark.parametrize("take", NUMBER_TAKERS.values(), ids=list(NUMBER_TAKERS))
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), np.float64(2.0)],
+                         ids=["int", "int64", "float32", "float64"])
+def test_numpy_scalars_are_numbers(take, value):
+    assert take(value) == take(2.0)
+
+
+@pytest.mark.parametrize("take", NUMBER_TAKERS.values(), ids=list(NUMBER_TAKERS))
+def test_a_bool_is_not_a_number(take):
+    with pytest.raises(ValueError, match="got True$"):
+        take(True)
 
 
 QUADRATURE_G = (0.0, 1e-4, 0.5, 1.0, 1.001, 1.2, 1.4, 2.0, 3.0, 5.0)

@@ -17,7 +17,7 @@ from rabi_esqpt import (
     gap_map,
     windowed_dos,
 )
-from rabi_esqpt import cli, quantum
+from rabi_esqpt import quantum
 
 P40 = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
 
@@ -178,7 +178,7 @@ class TestWindowedDos:
 def sectors(Omega, g_values, k_max):
     """Both parity sectors at each coupling, as the gapmap command solves them."""
     params = [RabiParams(omega0=1.0, Omega=Omega, g=float(g)) for g in g_values]
-    return cli._sweep_sectors(params, k_max, 1e-8, keep_capped=True)
+    return quantum.converged_sectors(params, 1e-8, k_max=k_max, keep_capped=True)
 
 
 class TestGapMap:
