@@ -28,7 +28,7 @@ Diagonalization never densifies the chain.  Every eigenvalue a solve
 reports comes from one call of LAPACK sterf (root-free QL/QR, O(dim^2), no
 workspace); at g = 0 the chain is diagonal and sterf returns its sorted
 diagonal exactly.  Only the observables solve,
-converged_window(with_observables=True), computes eigenvectors, and it
+converged_spectrum(with_observables=True), computes eigenvectors, and it
 keeps none: they come in slices of at most 64 levels, and each slice is
 certified, reduced to <a^dag a>, <sigma_z> and p_loc, and dropped on
 arrival.  So the vectors held at any time are one slice, never a dim x k
@@ -45,7 +45,8 @@ projected off the earlier ones.  A chain whose couplings are all below ulp max|d
 or nearly) takes unit vectors on its sites, in ascending order, instead,
 so that its exact ties stay site vectors.
 
-The truncated chain is certified against the untruncated one in a single
+converged_spectrum is the one certified solve of a sector.  Its
+truncated chain is certified against the untruncated one in a single
 solve.  Padding an eigenvector v of a d-site chain with zeros, its
 residual against the infinite chain gains one component beyond the
 in-chain one: the tail residual lam sqrt(d) |v[d-1]|, from the only
@@ -54,21 +55,21 @@ the total residual of the Ritz value (Parlett, The Symmetric Eigenvalue
 Problem, ch. 10-11).  That total, hypot(in-chain term, tail term), is
 each level's one error bound, in every solve.  With vectors the in-chain
 term is the measured residual; without them it is sterf's precision
-4 ulp ||T|| (ParityChain.precision).  converged_window and
-converged_levels solve once at a truncation of the classical orbit's n_cls
-sites plus 12 Airy widths n_cls^{1/3}, and re-solve only when a level's
-bound is not below tol * omega0.  converged_window takes the orbit at
-eps_max.  converged_levels takes it at the k_max-th eigenvalue of a probe,
-the chain's leading max(4 k_max, 128) sites, found alone by one stebz
-index bisection (about a fifth of a sterf call at 128 sites).  The probe
-is a leading block of the untruncated chain, so by Cauchy interlacing
-(Parlett, ch. 10) that eigenvalue lies at or above the true k_max-th
-level.  A solve that fits inside the probe takes its leading sites as the
-chain: a site's entries depend on its index alone, so they are bit for
-bit the chain built at that size.  No level a solve reports comes from
-bisection.  No truncation certifies below the precision, which grows with
-dim, so a chain whose precision is at or above tol * omega0 is never
-solved, the probe included: the solve raises ValueError instead.
+4 ulp ||T|| (ParityChain.precision).  converged_spectrum solves once at a
+truncation of the classical orbit's n_cls sites plus 12 Airy widths
+n_cls^{1/3}, and re-solves only when a level's bound is not below
+tol * omega0.  A window (eps_max) takes the orbit at eps_max.  A count
+(k_max) takes it at the k_max-th eigenvalue of a probe, the chain's
+leading max(4 k_max, 128) sites, found alone by one stebz index bisection
+(about a fifth of a sterf call at 128 sites).  The probe is a leading
+block of the untruncated chain, so by Cauchy interlacing (Parlett, ch. 10)
+that eigenvalue lies at or above the true k_max-th level.  A solve that
+fits inside the probe takes its leading sites as the chain: a site's
+entries depend on its index alone, so they are bit for bit the chain
+built at that size.  No level a solve reports comes from bisection.  No
+truncation certifies below the precision, which grows with dim, so a
+chain whose precision is at or above tol * omega0 is never solved, the
+probe included: the solve raises ValueError instead.
 
 The observables solve takes each level's Ritz value w from that window
 chain, but solves each slice's vectors on the chain cut at the orbit of
@@ -174,8 +175,7 @@ __all__ = [
     "TruncationLimitError",
     "build_parity_chain",
     "diagonalize",
-    "converged_window",
-    "converged_levels",
+    "converged_spectrum",
     "converged_sectors",
     "eigen_observables",
 ]
@@ -273,6 +273,11 @@ def _is_real(value: object) -> bool:
             and math.isfinite(value))
 
 
+def _is_count(value: object) -> bool:
+    # an integer: a Python or numpy int, never a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RabiParams:
     """Model parameters.  g is the dimensionless coupling 2 lam / sqrt(omega0 Omega)."""
@@ -345,9 +350,9 @@ class EigenObservables(_Record):
     n_phot = <a^dag a>; sz = <sigma_z>; p_loc is the weight on the lowest
     chain site whose spin is down (site 0 in the minus sector, site 1 in
     the plus sector), the localization marker of the critical eigenstate.
-    converged_window fills them one slice of vectors at a time, and keeps
-    no vector.  The parity and the levels are those of the ParitySpectrum
-    that holds them.
+    converged_spectrum fills them one slice of vectors at a time, and
+    keeps no vector.  The parity and the levels are those of the
+    ParitySpectrum that holds them.
     """
 
     n_phot: np.ndarray = field(repr=False)
@@ -359,7 +364,7 @@ class EigenObservables(_Record):
 class ParitySpectrum(_Record):
     """The certified solve of one parity chain at truncation dim.
 
-    converged_window and converged_levels return one; energies are the
+    converged_spectrum returns one; energies are the
     ascending bare levels, eps = 2 E / Omega.  error_bound bounds each
     eigenvalue's distance to the untruncated spectrum: the residual,
     against the untruncated chain, of the level's zero-padded eigenvector.
@@ -368,7 +373,7 @@ class ParitySpectrum(_Record):
     chain's precision and the tail part uses the backward-pivot bound on
     |v[dim-1]|.  n_converged counts the leading levels whose bound is
     below tol * omega0.  observables, set by
-    converged_window(with_observables=True), holds <a^dag a>, <sigma_z>
+    converged_spectrum(with_observables=True), holds <a^dag a>, <sigma_z>
     and p_loc of every level.
     """
 
@@ -384,17 +389,10 @@ class ParitySpectrum(_Record):
     def __len__(self) -> int:
         return len(self.energies)
 
-    @property
-    def vectors(self) -> None:
-        """Always None: each slice of eigenvectors is reduced to observables
-        as it arrives, so no spectrum holds a dim x k block.  The name stays
-        because perfbench/tracing.py reads it."""
-        return None
-
 
 def build_parity_chain(params: RabiParams, parity: Parity, dim: int) -> ParityChain:
     """Assemble one parity sector at truncation dim (chain sites 0..dim-1)."""
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
+    if not _is_count(dim) or dim < 2:
         raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
     dim = int(dim)
     n = np.arange(dim, dtype=float)
@@ -424,7 +422,7 @@ def _diagonal_order(chain: ParityChain) -> np.ndarray | None:
 def diagonalize(chain: ParityChain) -> np.ndarray:
     """Every eigenvalue of a parity chain, ascending, from one sterf call.
 
-    No eigenvector is computed here: converged_window reduces them to
+    No eigenvector is computed here: converged_spectrum reduces them to
     observables slice by slice.  Raises ConvergenceError if sterf fails.
     """
     w, info = dsterf(chain.diag, chain.offdiag)
@@ -555,7 +553,7 @@ def _orbit_dim(params: RabiParams, eps: float, widths: float = _AIRY_PAD) -> int
 
 
 def _probe_dim(params: RabiParams, k_max: int) -> int:
-    # the probe converged_levels sizes its first chain by: max(4 k_max, 128) sites, cut at the cap
+    # the probe a count solve sizes its first chain by: max(4 k_max, 128) sites, cut at the cap
     return min(max(4 * k_max, 128), _dim_cap(params))
 
 
@@ -608,44 +606,59 @@ def _solvable_precision(chain: ParityChain, tol: float) -> float:
     return precision
 
 
-def _certified_spectrum(
-    params: RabiParams,
-    parity: Parity,
-    tol: float,
-    with_observables: bool,
-    k_max: int | None = None,
-    eps_max: float | None = None,
-) -> ParitySpectrum:
-    """One certified solve: the lowest k_max levels, or every level below eps_max.
-
-    The one place a ParitySpectrum is built, and the one check of k_max
-    (1 <= k_max <= the cap), made before any chain is.  Each level w is
-    certified when its error bound is below tol * omega0.  Without
-    with_observables no vector is computed: the bound's in-chain term is
-    the chain's precision, and _tail_bound stands in for |v[dim-1]|.
-    With it, each slice's vectors are certified on arrival, reduced to
-    observables and dropped.  The first solve is sized to the orbit at
-    eps_max, or at the probe's k_max-th Ritz value (the module docstring
-    says why that is safe), and holds k_max sites at least.  Only a failed
-    certificate re-solves, at a truncation sized to the top Ritz value, up
-    to the cap of _CAP_PER_R R max(1, g^2).  A chain whose precision is at
-    or above tol * omega0 raises ValueError before it is solved, the probe
-    included.
-    """
+def _check_request(tol: float, eps_max: float | None, k_max: int | None,
+                   with_observables: bool) -> None:
+    # every check of a solve request that needs no chain, made before any
+    # chain is built or any fork is made
+    if (eps_max is None) == (k_max is None):
+        raise ValueError("give exactly one of eps_max and k_max")
+    if with_observables and eps_max is None:
+        raise ValueError("with_observables needs eps_max")
     # NaN must fail here: no error bound is below it, so the solve would
     # regrow to the cap before raising
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if eps_max is not None and not math.isfinite(eps_max):
         raise ValueError(f"eps_max must be finite, got {eps_max!r}")
+    if k_max is not None and not (_is_count(k_max) and k_max >= 1):
+        raise ValueError(f"k_max must be >= 1 and an integer, got {k_max!r}")
+
+
+def converged_spectrum(
+    params: RabiParams,
+    parity: Parity,
+    tol: float = 1e-8,
+    *,
+    eps_max: float | None = None,
+    k_max: int | None = None,
+    with_observables: bool = False,
+) -> ParitySpectrum:
+    """One certified solve: the lowest k_max levels, or every level below eps_max.
+
+    Give exactly one of eps_max and k_max.  The one place a ParitySpectrum
+    is built; every argument is checked before any chain is, k_max also
+    against the cap.  Each level w is certified when its error bound is
+    below tol * omega0.  Without with_observables no vector is computed:
+    the bound's in-chain term is the chain's precision, and _tail_bound
+    stands in for |v[dim-1]|.  With it (eps_max only), the spectrum's
+    observables hold <a^dag a>, <sigma_z> and p_loc of every level: each
+    slice of at most _SLICE vectors is certified on arrival, reduced by
+    eigen_observables and dropped, so no dim x k block is ever held.  The
+    first solve is sized to the orbit at eps_max, or at the probe's
+    k_max-th Ritz value (the module docstring says why that is safe), and
+    holds k_max sites at least.  Only a failed certificate re-solves, at a
+    truncation sized to the top Ritz value, up to the cap of
+    _CAP_PER_R R max(1, g^2); there TruncationLimitError is raised.  A
+    chain whose precision is at or above tol * omega0 raises ValueError
+    before it is solved, the probe included.
+    """
+    _check_request(tol, eps_max, k_max, with_observables)
     dim_cap = _dim_cap(params)
     probe = None
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
         dim = _orbit_dim(params, eps_max)
     else:
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
         # the chain holds at least k_max sites, so above the cap it would outgrow it
         if k_max > dim_cap:
             raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
@@ -692,46 +705,6 @@ def _certified_spectrum(
                 spectrum=spec,
             )
         dim = min(max(2 * dim, _orbit_dim(params, float(spec.eps[-1]))), dim_cap)
-
-
-def converged_window(
-    params: RabiParams,
-    parity: Parity,
-    eps_max: float,
-    tol: float = 1e-8,
-    with_observables: bool = False,
-) -> tuple[int, ParitySpectrum]:
-    """Every level with eps <= eps_max, each certified to within tol * omega0.
-
-    Solves once at a truncation sized to the classical orbit at eps_max and
-    certifies every level against the untruncated chain.  Without
-    with_observables no eigenvector is computed.  With it, the spectrum's
-    observables hold <a^dag a>, <sigma_z> and p_loc of every level: the
-    eigenvectors are computed in slices of at most _SLICE levels, each on
-    the chain cut at its own orbit, and each slice is certified, reduced
-    by eigen_observables and dropped on arrival, so no dim x k block of
-    vectors is ever held.  Returns (dim, spectrum) with
-    spectrum.n_converged the level count.  Raises TruncationLimitError when
-    the cap (200 R max(1, g^2)) is hit first.
-    """
-    spec = _certified_spectrum(params, parity, tol, with_observables, eps_max=eps_max)
-    return spec.dim, spec
-
-
-def converged_levels(
-    params: RabiParams,
-    parity: Parity,
-    k_max: int,
-    tol: float = 1e-8,
-) -> ParitySpectrum:
-    """The lowest k_max levels, each certified to within tol * omega0.
-
-    Count-based companion of converged_window: solves once at the orbit
-    of the k_max-th level of a max(4 k_max, 128)-site probe, plus 12 Airy
-    widths, and certifies every level by its error bound, growing the
-    truncation only when that certificate fails.
-    """
-    return _certified_spectrum(params, parity, tol, with_observables=False, k_max=k_max)
 
 
 def _beside(here: Callable[[], object], there: Callable[[], object]) -> tuple[object, object]:
@@ -800,30 +773,23 @@ def converged_sectors(
 ) -> tuple[list[ParitySpectrum], list[ParitySpectrum]]:
     """Both parity sectors at each coupling, as ([minus, ...], [plus, ...]).
 
-    Give exactly one of eps_max and k_max: each sector is then
-    converged_window's spectrum up to eps_max (with observables under
-    with_observables), or converged_levels' lowest k_max levels.  With
+    Each sector is converged_spectrum's solve with the same arguments:
+    every level up to eps_max (with observables under with_observables),
+    or the lowest k_max levels; give exactly one of the two.  With
     keep_capped a sector that hits the truncation cap gives its solve at
     the cap, whose n_converged says which levels certified, instead of
     raising TruncationLimitError.  The plus half may run in a forked child
     (the module docstring), with the same bits; a failure raises what the
     in-process order, coupling by coupling and minus before plus, meets first.
     """
-    if (eps_max is None) == (k_max is None):
-        raise ValueError("give exactly one of eps_max and k_max")
-    if with_observables and eps_max is None:
-        raise ValueError("with_observables needs eps_max")
-    if eps_max is not None and not math.isfinite(eps_max):
-        raise ValueError(f"eps_max must be finite, got {eps_max!r}")
+    _check_request(tol, eps_max, k_max, with_observables)
     params_list = list(params_list)
 
     def solve(params: RabiParams, parity: Parity) -> ParitySpectrum:
-        # through the module globals, where the benchmark's tracer wraps them
+        # through the module global, where the benchmark's tracer wraps it
         try:
-            if eps_max is None:
-                return converged_levels(params, parity, k_max=k_max, tol=tol)
-            return converged_window(params, parity, eps_max, tol=tol,
-                                    with_observables=with_observables)[1]
+            return converged_spectrum(params, parity, tol, eps_max=eps_max, k_max=k_max,
+                                      with_observables=with_observables)
         except TruncationLimitError as exc:
             if not keep_capped:
                 raise
@@ -866,7 +832,7 @@ def eigen_observables(parity: Parity,
 
     vectors is a d x m block, one eigenvector of the parity chain per
     column in the sites 0..d-1; returns (n_phot, sz, p_loc), one value per
-    column.  converged_window(with_observables=True) applies this to each
+    column.  converged_spectrum(with_observables=True) applies this to each
     slice of vectors as it arrives.  No d x m temporary is made.
     """
     d = vectors.shape[0]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import Parity, ParitySpectrum, _Record, build_parity_chain
+from .quantum import Parity, ParitySpectrum, _Record, _is_count, build_parity_chain
 
 __all__ = [
     "WindowedDos",
@@ -105,8 +105,8 @@ def windowed_dos(
     truncated when the kept windows end more than one window width short of
     eps_max.
     """
-    if window_n < 1:
-        raise ValueError("window_n must be >= 1")
+    if not (_is_count(window_n) and window_n >= 1):
+        raise ValueError(f"window_n must be >= 1 and an integer, got {window_n!r}")
     if minus.parity is not Parity.MINUS or plus.parity is not Parity.PLUS:
         raise ValueError("pass the minus-sector spectrum first, then the plus sector")
     if minus.params != plus.params:
@@ -115,7 +115,7 @@ def windowed_dos(
     if n_m == 0 or n_p == 0:
         raise ValueError(
             "windowed_dos needs converged levels in both sectors; use "
-            "converged_window or converged_levels to produce the spectra"
+            "converged_spectrum or converged_sectors to produce the spectra"
         )
     energies = np.sort(np.concatenate([minus.energies[:n_m], plus.energies[:n_p]]))
     energies = energies[energies <= min(minus.energies[n_m - 1], plus.energies[n_p - 1])]

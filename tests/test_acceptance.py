@@ -31,8 +31,7 @@ from rabi_esqpt import (
     RabiParams,
     Side,
     build_parity_chain,
-    converged_levels,
-    converged_window,
+    converged_spectrum,
     diagonalize,
     dos_curve,
     fit_divergence,
@@ -77,10 +76,10 @@ def r1000():
     out = {}
     for g in (1.2, 1.4):
         params = RabiParams(omega0=1.0, Omega=1000.0, g=g)
-        _, minus = converged_window(params, Parity.MINUS, eps_max=0.08,
-                                    with_observables=True)
-        _, plus = converged_window(params, Parity.PLUS, eps_max=0.08,
+        minus = converged_spectrum(params, Parity.MINUS, eps_max=0.08,
                                    with_observables=True)
+        plus = converged_spectrum(params, Parity.PLUS, eps_max=0.08,
+                                  with_observables=True)
         out[g] = (params, minus, plus)
     return out
 
@@ -110,7 +109,7 @@ def test_criterion_2_decoupled_limit():
     p = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
     worst_q = 0.0
     for parity, s0 in ((Parity.MINUS, -1.0), (Parity.PLUS, 1.0)):
-        spec = converged_levels(p, parity, k_max=40)
+        spec = converged_spectrum(p, parity, k_max=40)
         n = np.arange(spec.dim)
         exact = np.sort(2.0 * n * p.omega0 / p.Omega + s0 * (-1.0) ** n)[:40]
         worst_q = max(worst_q, float(np.max(np.abs(spec.eps - exact))))
@@ -199,7 +198,7 @@ def test_criterion_5_windowed_density(r1000):
 def sectors(Omega, g_values, k_max):
     """Both parity sectors at each coupling, minus first: gap_map's input."""
     params = [RabiParams(omega0=1.0, Omega=Omega, g=float(g)) for g in g_values]
-    return ([converged_levels(p, parity, k_max=k_max) for p in params] for parity in Parity)
+    return ([converged_spectrum(p, parity, k_max=k_max) for p in params] for parity in Parity)
 
 
 def test_criterion_6_gap_map():
@@ -381,4 +380,66 @@ def test_criterion_9_window_insensitivity(r1000):
         details.append(f"g={g}: N=4 vs N=10 band dev {band_rel:.4f} (tol 0.05); "
                        f"near-critical dev N=40 {devs[40]:.3f} > N=10 {devs[10]:.3f}")
     report("criterion 9", ok, "; ".join(details))
+    assert ok
+
+
+# the lowest levels e_j of p^2 + x^4 (Hioe and Montroll, J. Math. Phys. 16,
+# 1945 (1975)); a 400-state harmonic-basis matrix gives the same eight digits
+QUARTIC_LEVELS = np.array([1.0603621, 3.7996730, 7.4556979, 11.6447455])
+
+
+def merged_levels(R: float, g: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest k_max certified levels of each parity at omega0 = 1, merged
+    in ascending order, with the parity of each (-1 minus, +1 plus)."""
+    p = RabiParams(omega0=1.0, Omega=R, g=g)
+    e = np.concatenate([converged_spectrum(p, parity, k_max=k_max).energies
+                        for parity in Parity])
+    order = np.argsort(e, kind="stable")
+    return e[order], np.repeat([parity.value for parity in Parity], k_max)[order]
+
+
+def test_criterion_10_low_energy_effective_theory():
+    """The lowest levels across the QPT against the Schrieffer-Wolff limit.
+
+    Eliminating the spin (Hwang, Puebla and Plenio, PRL 115, 180404 (2015))
+    leaves, at omega0 = 1, a soft mode of frequency sqrt(1 - g^2) for g < 1,
+    a pure quartic p^2/2 + x^4/(4R) at g = 1, and for g > 1 two wells whose
+    doublets are spaced sqrt(1 - g^-4), with the ground energy
+    -(R/4)(g^2 + g^-2) + (sqrt(1 - g^-4) - 1)/2.  At g = 1 the gaps scale as
+    R^{1/3}(E_j - E_0) -> 2^{-4/3}(e_j - e_0), and 1 - ratio falls as
+    R^{-2/3}: measured 0.84-1.27 R^{-2/3} for j = 1-3 at R = 10^3-10^6.
+    Each bound is 5x the largest measured deviation.  g = 2 runs at R = 10^3:
+    at 10^4 its count solve sizes each sector's chain to 29658 sites, about
+    13 s of sterf per sector on a 2-core VM.
+    """
+    details, ok = [], True
+    # g = 1, the quartic oscillator; a coupling off by 1e-4 moves the
+    # R = 10^5 first-gap ratio to 0.86 or 1.13
+    first = []
+    for R in (1e3, 1e4, 1e5, 1e6):
+        e, _ = merged_levels(R, 1.0, 2)
+        ratio = R ** (1 / 3) * (e[1:] - e[0]) / (
+            2 ** (-4 / 3) * (QUARTIC_LEVELS[1:] - QUARTIC_LEVELS[0]))
+        dev = 1.0 - ratio
+        ok &= bool(np.all(np.abs(dev) < 5 * 1.27 * R ** (-2 / 3)))
+        first.append(dev[0])
+        details.append(f"g=1 R={R:.0e}: 1 - ratio {np.array2string(dev, precision=6)}")
+    # the decade-to-decade exponent of 1 - ratio: 0.663, 0.666, 0.667
+    exponents = -np.diff(np.log10(first))
+    ok &= bool(np.all(np.abs(exponents - 2 / 3) < 0.02))
+    details.append(f"exponents {np.array2string(exponents, precision=4)} (2/3 within 0.02)")
+    # g = 0.5: alternating parities, spaced sqrt(1 - g^2) to 7.2e-6 j at R = 10^4
+    e, parity = merged_levels(1e4, 0.5, 2)
+    dev = np.diff(e) / math.sqrt(1 - 0.5**2) - 1.0
+    ok &= bool(np.all(np.abs(dev) < 5 * 2.2e-5) and np.all(parity == [-1, 1, -1, 1]))
+    details.append(f"g=0.5: spacing dev {np.max(np.abs(dev)):.2e} (tol 1.1e-4)")
+    # g = 2: the doublet spacing to 5.2e-5, the ground energy to 8.3e-6
+    g, R = 2.0, 1e3
+    e, _ = merged_levels(R, g, 2)
+    spacing = (e[2] - e[0]) / math.sqrt(1 - g**-4) - 1.0
+    offset = e[0] + (R / 4) * (g**2 + g**-2) - (math.sqrt(1 - g**-4) - 1) / 2
+    ok &= abs(spacing) < 5 * 5.2e-5 and abs(offset) < 5 * 8.3e-6
+    details.append(f"g=2: spacing dev {spacing:.2e} (tol 2.6e-4), "
+                   f"ground offset dev {offset:.2e} (tol 4.2e-5)")
+    report("criterion 10", ok, "; ".join(details))
     assert ok

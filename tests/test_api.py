@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "__version__",
     "Parity", "RabiParams", "ParityChain", "ParitySpectrum", "EigenObservables",
     "ConvergenceError", "TruncationLimitError", "build_parity_chain", "diagonalize",
-    "converged_window", "converged_levels", "converged_sectors", "eigen_observables",
+    "converged_spectrum", "converged_sectors", "eigen_observables",
     "DosCurve", "ObservableCurve", "EPS_CRITICAL", "ground_state_eps",
     "dos_curve", "observables_microcanonical",
     "LawKind", "Side", "CriticalLaw", "FitReport", "law_power_qpt", "law_log_esqpt",

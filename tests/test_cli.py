@@ -531,15 +531,15 @@ class TestForkedSectors:
 
     @pytest.fixture
     def instead(self, monkeypatch):
-        """Make quantum's converged_window call actions[parity]() for those parities."""
-        solve = quantum.converged_window
+        """Make quantum's converged_spectrum call actions[parity]() for those parities."""
+        solve = quantum.converged_spectrum
 
         def patch(actions):
             def window(params, parity, *args, **kwargs):
                 if parity in actions:
                     return actions[parity]()
                 return solve(params, parity, *args, **kwargs)
-            monkeypatch.setattr(quantum, "converged_window", window)
+            monkeypatch.setattr(quantum, "converged_spectrum", window)
         return patch
 
     def sectors(self):
@@ -572,8 +572,8 @@ class TestForkedSectors:
         assert str(forked.value) == str(in_process.value) == str(exc)
 
     def test_child_truncation_limit_keeps_its_spectrum(self, instead):
-        _, spec = quantum.converged_window(quantum.RabiParams(1.0, 40.0, 1.2),
-                                           quantum.Parity.PLUS, -0.5)
+        spec = quantum.converged_spectrum(quantum.RabiParams(1.0, 40.0, 1.2),
+                                          quantum.Parity.PLUS, eps_max=-0.5)
         instead({quantum.Parity.PLUS: raising(quantum.TruncationLimitError("cap hit", spec))})
         with pytest.raises(quantum.TruncationLimitError, match="^cap hit$") as err:
             self.sectors()
@@ -689,14 +689,14 @@ class TestForkedSectors:
     def test_sweep_failure_exits_as_in_process(self, tmp_path, capsys, monkeypatch,
                                                name, failures, first):
         # the in-process order: coupling by coupling, minus before plus at each
-        solve = quantum.converged_levels
+        solve = quantum.converged_spectrum
         fail_at = {(float(self.GS[i]), parity) for i, parity in failures}
 
         def levels(params, parity, *args, **kwargs):
             if (params.g, parity) in fail_at:
                 raise ValueError(f"{parity.label} at g={params.g:g}")
             return solve(params, parity, *args, **kwargs)
-        monkeypatch.setattr(quantum, "converged_levels", levels)
+        monkeypatch.setattr(quantum, "converged_spectrum", levels)
         code, out = run(tmp_path / "a", name, *self.SWEEP)
         err = capsys.readouterr().err
         assert_no_child_left()

@@ -21,11 +21,11 @@ from rabi_esqpt import (
     RabiParams,
     TruncationLimitError,
     build_parity_chain,
-    converged_levels,
     converged_sectors,
-    converged_window,
+    converged_spectrum,
     diagonalize,
     eigen_observables,
+    windowed_dos,
 )
 from rabi_esqpt import quantum
 
@@ -294,15 +294,15 @@ class TestDiagonalize:
         p = RabiParams(omega0=1.0, Omega=1000.0, g=1.4)
         tracemalloc.start()
         try:
-            dim, spec = converged_window(p, Parity.MINUS, eps_max=0.052,
-                                         with_observables=True)
+            spec = converged_spectrum(p, Parity.MINUS, eps_max=0.052,
+                                      with_observables=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         k = len(spec)
         assert k > 500 and spec.observables.n_phot.shape == (k,)
-        assert peak < 1.6 * dim * quantum._SLICE * 8
-        assert peak < dim * k * 8 / 5
+        assert peak < 1.6 * spec.dim * quantum._SLICE * 8
+        assert peak < spec.dim * k * 8 / 5
 
     def test_start_vector_is_splitmix64_of_the_site_index(self):
         # the reference: splitmix64 in Python integers, seeded at 0, its
@@ -350,7 +350,7 @@ class TestDiagonalize:
         # broken phase: parity partners degenerate far below eps = -1
         p = RabiParams(omega0=1.0, Omega=40.0, g=2.0)
         specs = {
-            parity: converged_levels(p, parity, k_max=10)
+            parity: converged_spectrum(p, parity, k_max=10)
             for parity in (Parity.MINUS, Parity.PLUS)
         }
         gap = np.abs(specs[Parity.MINUS].eps - specs[Parity.PLUS].eps)
@@ -359,7 +359,7 @@ class TestDiagonalize:
 
     def test_ground_state_near_classical_limit(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=2.0)
-        spec = converged_levels(p, Parity.MINUS, k_max=1)
+        spec = converged_spectrum(p, Parity.MINUS, k_max=1)
         eps_cls = -0.5 * (2.0**2 + 2.0**-2)
         assert abs(spec.eps[0] - eps_cls) < 2.0 / p.ratio
 
@@ -367,25 +367,24 @@ class TestDiagonalize:
 class TestConvergedWindow:
     def test_g0_level_count_and_values(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
-        dim_m, minus = converged_window(p, Parity.MINUS, eps_max=0.0)
-        dim_p, plus = converged_window(p, Parity.PLUS, eps_max=0.0)
+        minus = converged_spectrum(p, Parity.MINUS, eps_max=0.0)
+        plus = converged_spectrum(p, Parity.PLUS, eps_max=0.0)
         # minus sector: eps_n = n/20 - 1 for even n <= 20
         assert minus.n_converged == 11
         np.testing.assert_allclose(minus.eps, np.arange(0, 21, 2) / 20.0 - 1.0, atol=1e-13)
         # plus sector: eps_n = n/20 - 1 for odd n <= 19
         assert plus.n_converged == 10
         np.testing.assert_allclose(plus.eps, np.arange(1, 20, 2) / 20.0 - 1.0, atol=1e-13)
-        assert minus.dim == dim_m and plus.dim == dim_p
 
     def test_empty_window(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=0.0)
-        _, spec = converged_window(p, Parity.MINUS, eps_max=-2.0)
+        spec = converged_spectrum(p, Parity.MINUS, eps_max=-2.0)
         assert spec.n_converged == 0 and len(spec) == 0
 
-    def test_agrees_with_converged_levels(self):
+    def test_agrees_with_the_count_solve(self):
         p = RabiParams(omega0=1.0, Omega=60.0, g=1.2)
-        _, win = converged_window(p, Parity.MINUS, eps_max=-0.5)
-        lev = converged_levels(p, Parity.MINUS, k_max=win.n_converged)
+        win = converged_spectrum(p, Parity.MINUS, eps_max=-0.5)
+        lev = converged_spectrum(p, Parity.MINUS, k_max=win.n_converged)
         np.testing.assert_allclose(win.energies, lev.energies, atol=1e-7)
 
     def test_truncation_cap_raises(self, monkeypatch):
@@ -393,7 +392,7 @@ class TestConvergedWindow:
         # cap = ceil(0.2 R g^2) = ceil(11.52) = 12
         monkeypatch.setattr(quantum, "_CAP_PER_R", 0.2)
         with pytest.raises(TruncationLimitError) as err:
-            converged_window(p, Parity.MINUS, eps_max=0.0, with_observables=True)
+            converged_spectrum(p, Parity.MINUS, eps_max=0.0, with_observables=True)
         # the spectrum of the solve at the cap, which alone says its truncation
         spec = err.value.spectrum
         assert spec.dim == 12 and spec.n_converged < len(spec)
@@ -415,15 +414,15 @@ class TestConvergedWindow:
         calls = []
         monkeypatch.setattr(quantum, "build_parity_chain", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match=message):
-            converged_levels(p, Parity.MINUS, k_max=k_max)
+            converged_spectrum(p, Parity.MINUS, k_max=k_max)
         assert not calls
 
     def test_tol_validation(self):
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.0)
         with pytest.raises(ValueError):
-            converged_window(p, Parity.MINUS, eps_max=0.0, tol=0.0)
+            converged_spectrum(p, Parity.MINUS, eps_max=0.0, tol=0.0)
         with pytest.raises(ValueError):
-            converged_levels(p, Parity.MINUS, k_max=0)
+            converged_spectrum(p, Parity.MINUS, k_max=0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_tol_must_be_finite_and_positive(self, tol):
@@ -431,9 +430,9 @@ class TestConvergedWindow:
         # truncation cap before it fails
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
-            converged_window(p, Parity.MINUS, eps_max=0.0, tol=tol)
+            converged_spectrum(p, Parity.MINUS, eps_max=0.0, tol=tol)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
-            converged_levels(p, Parity.PLUS, k_max=5, tol=tol)
+            converged_spectrum(p, Parity.PLUS, k_max=5, tol=tol)
 
     @pytest.mark.parametrize("eps_max", [math.nan, math.inf])
     def test_eps_max_must_be_finite(self, eps_max):
@@ -441,7 +440,7 @@ class TestConvergedWindow:
         # to an integer with an error that does not name eps_max
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
         with pytest.raises(ValueError, match="eps_max must be finite"):
-            converged_window(p, Parity.MINUS, eps_max=eps_max)
+            converged_spectrum(p, Parity.MINUS, eps_max=eps_max)
 
     @pytest.mark.parametrize("with_observables", [False, True])
     def test_tol_below_the_start_chain_precision_fails_before_any_solve(
@@ -459,12 +458,12 @@ class TestConvergedWindow:
         message = (f"tol={0.99 * precision / p.omega0:g} is at or below the eigenvalue "
                    f"precision {precision / p.omega0:.3e} omega0 of the dim {dim} chain")
         with pytest.raises(ValueError, match=re.escape(message)):
-            converged_window(p, Parity.MINUS, eps_max=-0.5, tol=0.99 * precision / p.omega0,
-                             with_observables=with_observables)
+            converged_spectrum(p, Parity.MINUS, eps_max=-0.5, tol=0.99 * precision / p.omega0,
+                               with_observables=with_observables)
         assert built == [dim] and not solved
         tol = 10.0 * precision / p.omega0
-        _, spec = converged_window(p, Parity.MINUS, eps_max=-0.5, tol=tol,
-                                   with_observables=with_observables)
+        spec = converged_spectrum(p, Parity.MINUS, eps_max=-0.5, tol=tol,
+                                  with_observables=with_observables)
         assert spec.n_converged == len(spec) > 10
         assert np.all(spec.error_bound < tol * p.omega0)
 
@@ -472,7 +471,7 @@ class TestConvergedWindow:
         # without vectors the in-chain term is the chain's precision, so no
         # level's bound is below it, however small its tail
         p = RabiParams(omega0=1.0, Omega=40.0, g=0.2)
-        spec = converged_levels(p, Parity.PLUS, k_max=5)
+        spec = converged_spectrum(p, Parity.PLUS, k_max=5)
         precision = build_parity_chain(p, Parity.PLUS, spec.dim).precision()
         assert np.all(spec.error_bound >= precision)
         np.testing.assert_allclose(spec.error_bound, precision, rtol=1e-6)
@@ -489,7 +488,7 @@ class TestConvergedWindow:
         solved = []
         solve = quantum.diagonalize
         monkeypatch.setattr(quantum, "diagonalize", lambda c: solved.append(c.dim) or solve(c))
-        spec = converged_levels(p, Parity.MINUS, k_max=1, tol=tol)
+        spec = converged_spectrum(p, Parity.MINUS, k_max=1, tol=tol)
         assert solved == dims and spec.dim == dims[-1]
         assert spec.n_converged == 1
         ref = diagonalize(build_parity_chain(p, Parity.MINUS, 4 * spec.dim))[:1]
@@ -498,16 +497,16 @@ class TestConvergedWindow:
     def test_window_reports_error_bounds(self):
         p = RabiParams(omega0=1.0, Omega=60.0, g=1.4)
         tol = 1e-8
-        dim, spec = converged_window(p, Parity.PLUS, eps_max=-0.5, tol=tol,
-                                     with_observables=True)
+        spec = converged_spectrum(p, Parity.PLUS, eps_max=-0.5, tol=tol,
+                                  with_observables=True)
         assert spec.n_converged == len(spec) > 0
         assert spec.error_bound.shape == (len(spec),)
         assert np.all(spec.error_bound < tol * p.omega0)
-        assert spec.dim == dim and spec.observables.n_phot.shape == (len(spec),)
+        assert spec.observables.n_phot.shape == (len(spec),)
 
 
 class TestLevelsProbe:
-    """converged_levels sizes its one solve from the probe chain's k-th
+    """A count solve sizes its one solve from the probe chain's k-th
     Ritz value, bisected by stebz; sterf gives every reported level."""
 
     def test_readme_sweep_solves_once_per_sector(self, monkeypatch):
@@ -518,7 +517,7 @@ class TestLevelsProbe:
         for g in np.linspace(0.0, 3.0, 61):
             p = RabiParams(omega0=1.0, Omega=40.0, g=float(g))
             for parity in Parity:
-                assert converged_levels(p, parity, k_max=20).n_converged == 20
+                assert converged_spectrum(p, parity, k_max=20).n_converged == 20
         assert len(solved) == 122
 
     @pytest.mark.parametrize("ratio", [4.0, 40.0, 200.0])
@@ -541,7 +540,7 @@ class TestLevelsProbe:
                 specs = []
                 for k_max in (1, 5, 20, 40):
                     ritz.clear()
-                    spec = converged_levels(p, parity, k_max=k_max, tol=tol)
+                    spec = converged_spectrum(p, parity, k_max=k_max, tol=tol)
                     case = (ratio, float(g), parity.label, k_max)
                     assert len(ritz) == 1 and ritz[0] >= spec.energies[-1] - tol, case
                     specs.append(spec)
@@ -611,11 +610,11 @@ class TestValuesOnlySolve:
         for name in ("_inverse_iteration", "dgttrf", "dgttrs"):
             monkeypatch.setattr(quantum, name, no_vectors)
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.4)
-        _, win = converged_window(p, Parity.MINUS, eps_max=-0.5)
-        assert win.vectors is None and win.observables is None
+        win = converged_spectrum(p, Parity.MINUS, eps_max=-0.5)
+        assert win.observables is None
         assert win.n_converged == len(win) > 0
-        lev = converged_levels(p, Parity.PLUS, k_max=20)
-        assert lev.vectors is None and lev.n_converged == 20
+        lev = converged_spectrum(p, Parity.PLUS, k_max=20)
+        assert lev.n_converged == 20
 
     @pytest.mark.parametrize("g", [1.2, 1.4])
     def test_readme_windows_solve_once_per_sector(self, g, monkeypatch):
@@ -630,7 +629,7 @@ class TestValuesOnlySolve:
         p = RabiParams(omega0=1.0, Omega=1000.0, g=g)
         for parity in Parity:
             calls.clear()
-            _, spec = converged_window(p, parity, eps_max=self.EPS_MAX)
+            spec = converged_spectrum(p, parity, eps_max=self.EPS_MAX)
             assert len(calls) == 1, (parity, calls)
             assert spec.n_converged == len(spec) > 500
 
@@ -642,12 +641,12 @@ class TestValuesOnlySolve:
         p = RabiParams(omega0=1.0, Omega=1000.0, g=1.2)
         tracemalloc.start()
         try:
-            dim, spec = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX)
+            spec = converged_spectrum(p, Parity.MINUS, eps_max=self.EPS_MAX)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(spec) > 500
-        assert peak < dim * len(spec) * 8 / 10
+        assert peak < spec.dim * len(spec) * 8 / 10
 
 
 class TestOnePivotPass:
@@ -655,8 +654,9 @@ class TestOnePivotPass:
     and that pass bounds every level below it: all of them certify, or none."""
 
     @pytest.mark.parametrize("solve, n_levels", [
-        (lambda: converged_levels(RabiParams(1.0, 40.0, 1.4), Parity.MINUS, 20), 20),
-        (lambda: converged_window(RabiParams(1.0, 1000.0, 1.2), Parity.MINUS, 0.052)[1], 526),
+        (lambda: converged_spectrum(RabiParams(1.0, 40.0, 1.4), Parity.MINUS, k_max=20), 20),
+        (lambda: converged_spectrum(RabiParams(1.0, 1000.0, 1.2), Parity.MINUS, eps_max=0.052),
+         526),
     ], ids=["readme-sweep-chain", "readme-window"])
     def test_one_dpttrf_call_per_solve(self, solve, n_levels, monkeypatch):
         calls, factor = [], quantum.dpttrf
@@ -678,7 +678,7 @@ class TestOnePivotPass:
         monkeypatch.setattr(quantum, "_CAP_PER_R", 1.0)
         p = RabiParams(omega0=1.0, Omega=40.0, g=2.0)
         with pytest.raises(TruncationLimitError, match="20 of 20 levels not certified") as err:
-            converged_levels(p, Parity.MINUS, 20)
+            converged_spectrum(p, Parity.MINUS, k_max=20)
         spec = err.value.spectrum
         assert spec.dim == 160 and spec.n_converged == 0
         assert np.all(spec.error_bound >= 1e-8 * p.omega0)
@@ -695,7 +695,7 @@ class TestProbeReuse:
         for name, log in calls.items():
             monkeypatch.setattr(quantum, name, lambda *args, _f=getattr(quantum, name), _log=log:
                                 _log.append(args) or _f(*args))
-        spec = converged_levels(RabiParams(1.0, 40.0, g), Parity.MINUS, 20)
+        spec = converged_spectrum(RabiParams(1.0, 40.0, g), Parity.MINUS, k_max=20)
         assert spec.dim == dim and spec.n_converged == len(spec) == 20
         assert [len(log) for log in calls.values()] == [chains, 1, 1, 1]
         # the probe's 128 sites first, then the solve's own chain if it outgrows them
@@ -713,7 +713,7 @@ class TestLapackFailure:
         bisect = quantum.dstebz
         monkeypatch.setattr(quantum, "dstebz", lambda *args: (*bisect(*args)[:4], 1))
         with pytest.raises(quantum.ConvergenceError, match="stebz: level 5 failed"):
-            converged_levels(RabiParams(1.0, 40.0, 1.2), Parity.MINUS, 5)
+            converged_spectrum(RabiParams(1.0, 40.0, 1.2), Parity.MINUS, k_max=5)
 
 
 def assert_no_child_left():
@@ -722,31 +722,74 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+P40 = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
+
+
+@pytest.fixture(scope="module")
+def g0_sectors():
+    """Both sectors at g = 0 up to eps = 0, windowed_dos' input."""
+    return [converged_spectrum(RabiParams(1.0, 40.0, 0.0), parity, eps_max=0.0)
+            for parity in Parity]
+
+
 class TestConvergedSectors:
     """Both parities in one call; the fork rule's cases are in
     tests/test_cli.py::TestForkedSectors, through the commands."""
 
+    @pytest.mark.parametrize("solve", [
+        lambda params, **kwargs: converged_spectrum(params[0], Parity.MINUS, **kwargs),
+        converged_sectors,
+    ], ids=["converged_spectrum", "converged_sectors"])
     @pytest.mark.parametrize("kwargs, message", [
         ({}, "exactly one of eps_max and k_max"),
         ({"eps_max": 0.0, "k_max": 4}, "exactly one of eps_max and k_max"),
         ({"k_max": 4, "with_observables": True}, "with_observables needs eps_max"),
         ({"eps_max": math.nan}, "eps_max must be finite"),
+        ({"eps_max": 0.0, "tol": 0.0}, "tol must be finite and positive"),
+        ({"k_max": 4, "tol": math.nan}, "tol must be finite and positive"),
+        ({"k_max": 2.5}, "k_max must be >= 1 and an integer"),
     ])
-    def test_bad_arguments_raise_before_any_chain(self, monkeypatch, kwargs, message):
+    def test_bad_arguments_raise_before_any_chain(self, monkeypatch, solve, kwargs, message):
         calls = []
         monkeypatch.setattr(quantum, "build_parity_chain", lambda *a: calls.append(a))
         monkeypatch.setattr(os, "fork", lambda: calls.append("fork"), raising=False)
         # enough couplings at R = 1000 that a valid call would fork
         params = [RabiParams(1.0, 1000.0, g) for g in (0.5, 1.2)]
         with pytest.raises(ValueError, match=message):
-            converged_sectors(params, **kwargs)
+            solve(params, **kwargs)
         assert not calls
+
+    @pytest.mark.parametrize("count", [2.5, np.float64(3.0), True])
+    @pytest.mark.parametrize("solve, message", [
+        (lambda n, _: converged_spectrum(P40, Parity.MINUS, k_max=n),
+         "k_max must be >= 1 and an integer"),
+        (lambda n, _: converged_sectors([P40] * 16, k_max=n),
+         "k_max must be >= 1 and an integer"),
+        (lambda n, sectors: windowed_dos(*sectors, window_n=n),
+         "window_n must be >= 1 and an integer"),
+        (lambda n, _: build_parity_chain(P40, Parity.MINUS, n), "dim must be an integer >= 2"),
+    ], ids=["converged_spectrum", "converged_sectors", "windowed_dos", "build_parity_chain"])
+    def test_a_count_is_an_integer(self, monkeypatch, g0_sectors, solve, message, count):
+        # a float or a bool count used to fail late, in a slice, or pass as 1;
+        # 16 probes of 128 sites would fork
+        calls = []
+        monkeypatch.setattr(quantum, "build_parity_chain", lambda *a: calls.append(a))
+        monkeypatch.setattr(os, "fork", lambda: calls.append("fork"), raising=False)
+        with pytest.raises(ValueError, match=message):
+            solve(count, g0_sectors)
+        assert not calls
+
+    def test_a_numpy_integer_is_a_count(self, g0_sectors):
+        assert (converged_spectrum(P40, Parity.MINUS, k_max=np.int64(5))
+                == converged_spectrum(P40, Parity.MINUS, k_max=5))
+        assert (windowed_dos(*g0_sectors, window_n=np.int64(2))
+                == windowed_dos(*g0_sectors, window_n=2))
 
     def test_order_of_the_lists(self):
         params = [RabiParams(1.0, 40.0, g) for g in (0.5, 1.2)]
         minus, plus = converged_sectors(params, k_max=3)
         assert [(s.params, s.parity) for s in minus] == [(p, Parity.MINUS) for p in params]
-        assert plus == [converged_levels(p, Parity.PLUS, 3) for p in params]
+        assert plus == [converged_spectrum(p, Parity.PLUS, k_max=3) for p in params]
 
     @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin",
                         reason="converged_sectors forks only where os.fork exists, not on macOS")
@@ -795,9 +838,9 @@ class TestObservables:
         # observables come only from the vector solve: a values-only window
         # has none
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.0)
-        _, spec = converged_window(p, Parity.MINUS, eps_max=-0.5)
+        spec = converged_spectrum(p, Parity.MINUS, eps_max=-0.5)
         assert spec.observables is None
-        _, spec = converged_window(p, Parity.MINUS, eps_max=-0.5, with_observables=True)
+        spec = converged_spectrum(p, Parity.MINUS, eps_max=-0.5, with_observables=True)
         assert spec.observables.n_phot.shape == (len(spec),)
 
     def test_g0_site_diagnostics(self):
@@ -880,12 +923,12 @@ class TestStreamedObservables:
         p = RabiParams(omega0=1.0, Omega=ratio, g=1.4)
         tol = 1e-8
         dims = _record_slice_chains(monkeypatch)
-        dim, spec = converged_window(p, parity, eps_max=self.EPS_MAX, tol=tol,
-                                     with_observables=True)
-        assert min(dims) < dim  # the low slices ran on cut chains
+        spec = converged_spectrum(p, parity, eps_max=self.EPS_MAX, tol=tol,
+                                  with_observables=True)
+        assert min(dims) < spec.dim  # the low slices ran on cut chains
         assert spec.n_converged == len(spec) > 100
         assert np.all(spec.error_bound < tol * p.omega0)
-        chain = build_parity_chain(p, parity, dim)
+        chain = build_parity_chain(p, parity, spec.dim)
         n_phot, sz, p_loc = eigen_observables(parity, slice_vectors(chain, spec.energies))
         obs = spec.observables
         np.testing.assert_allclose(obs.n_phot, n_phot, rtol=1e-12, atol=0)
@@ -912,13 +955,14 @@ class TestStreamedObservables:
         # other: its slice is solved again on the whole window chain, whose
         # observables match the uncorrupted solve
         p = RabiParams(omega0=1.0, Omega=200.0, g=1.4)
-        _, ref = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
+        ref = converged_spectrum(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
         corrupted = _corrupt_level_3(monkeypatch, on_chain=lambda dim: dim < ref.dim)
         # cap ceil(2 R g^2) = 784, above the window: a missed fallback fails fast
         monkeypatch.setattr(quantum, "_CAP_PER_R", 2.0)
         dims = _record_slice_chains(monkeypatch)
-        dim, spec = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX,
-                                     with_observables=True)
+        spec = converged_spectrum(p, Parity.MINUS, eps_max=self.EPS_MAX,
+                                  with_observables=True)
+        dim = spec.dim
         assert dim == ref.dim and corrupted
         # every corrupted cut-chain slice was followed by a window-chain solve
         assert dims.count(dim) == len(list(quantum._slices(
@@ -934,7 +978,7 @@ class TestStreamedObservables:
         p = RabiParams(omega0=1.0, Omega=40.0, g=1.2)
         monkeypatch.setattr(quantum, "_CAP_PER_R", 0.2)
         with pytest.raises(TruncationLimitError) as err:
-            converged_window(p, Parity.MINUS, eps_max=0.0, with_observables=True)
+            converged_spectrum(p, Parity.MINUS, eps_max=0.0, with_observables=True)
         copy = pickle.loads(pickle.dumps(err.value))
         assert type(copy) is TruncationLimitError and copy.args == err.value.args
         spec, back = err.value.spectrum, copy.spectrum
@@ -955,7 +999,7 @@ class TestStreamedObservables:
         monkeypatch.setattr(quantum, "_CAP_PER_R", 5.0)  # cap ceil(5 R g^2) = 392
         dims = _corrupt_level_3(monkeypatch)
         with pytest.raises(TruncationLimitError) as err:
-            converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
+            converged_spectrum(p, Parity.MINUS, eps_max=self.EPS_MAX, with_observables=True)
         spec = err.value.spectrum
         assert spec.dim == max(dims) == 392 and len(set(dims)) > 2
         assert spec.n_converged == 3 and spec.error_bound[3] >= 1e-8 * p.omega0
@@ -967,17 +1011,18 @@ class TestStreamedObservables:
         # time, and still certify
         p = RabiParams(omega0=1.0, Omega=1000.0, g=1.4)
         tol = 1e-8
-        _, ref = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, tol=tol,
-                                  with_observables=True)
+        ref = converged_spectrum(p, Parity.MINUS, eps_max=self.EPS_MAX, tol=tol,
+                                 with_observables=True)
         monkeypatch.setattr(quantum, "_SLICE_PAD", quantum._AIRY_PAD)
         dims = _record_slice_chains(monkeypatch)
         tracemalloc.start()
         try:
-            dim, spec = converged_window(p, Parity.MINUS, eps_max=self.EPS_MAX, tol=tol,
-                                         with_observables=True)
+            spec = converged_spectrum(p, Parity.MINUS, eps_max=self.EPS_MAX, tol=tol,
+                                      with_observables=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        dim = spec.dim
         assert dim == ref.dim
         # the cut chain's vectors are dropped before the window chain's arrive
         assert peak < 1.6 * dim * quantum._SLICE * 8

@@ -10,7 +10,7 @@ from rabi_esqpt import (
     ParitySpectrum,
     RabiParams,
     Side,
-    converged_window,
+    converged_spectrum,
     diagonalize,
     build_parity_chain,
     fit_divergence,
@@ -36,8 +36,8 @@ def make_spectrum(parity, energies, params=P40, n_converged=None):
 
 
 def g0_sectors(eps_max=0.5):
-    minus = converged_window(P40, Parity.MINUS, eps_max=eps_max)[1]
-    plus = converged_window(P40, Parity.PLUS, eps_max=eps_max)[1]
+    minus = converged_spectrum(P40, Parity.MINUS, eps_max=eps_max)
+    plus = converged_spectrum(P40, Parity.PLUS, eps_max=eps_max)
     return minus, plus
 
 
@@ -63,7 +63,7 @@ class TestMergedLevels:
         with pytest.raises(ValueError, match="minus-sector spectrum first"):
             windowed_dos(plus, minus)
         other = RabiParams(omega0=1.0, Omega=40.0, g=0.5)
-        minus_other = converged_window(other, Parity.MINUS, eps_max=0.5)[1]
+        minus_other = converged_spectrum(other, Parity.MINUS, eps_max=0.5)
         with pytest.raises(ValueError, match="different Hamiltonians"):
             windowed_dos(minus_other, plus)
 
@@ -106,8 +106,8 @@ class TestWindowedDos:
 
     def test_nu_is_nu_per_eps_rescaled_to_bare_energy(self):
         p = RabiParams(omega0=1.0, Omega=100.0, g=1.2)
-        minus = converged_window(p, Parity.MINUS, eps_max=-0.3)[1]
-        plus = converged_window(p, Parity.PLUS, eps_max=-0.3)[1]
+        minus = converged_spectrum(p, Parity.MINUS, eps_max=-0.3)
+        plus = converged_spectrum(p, Parity.PLUS, eps_max=-0.3)
         for eps_max in (None, -0.6):
             wd = windowed_dos(minus, plus, window_n=10, eps_max=eps_max)
             # the dos_quantum.csv columns: same bits as the product, not close
@@ -117,8 +117,8 @@ class TestWindowedDos:
     def test_fit_divergence_takes_the_windowed_dos(self):
         # the well at g = 1.4 is 0.235 deep, so both sides hold a window
         p = RabiParams(omega0=1.0, Omega=100.0, g=1.4)
-        minus = converged_window(p, Parity.MINUS, eps_max=-0.3)[1]
-        plus = converged_window(p, Parity.PLUS, eps_max=-0.3)[1]
+        minus = converged_spectrum(p, Parity.MINUS, eps_max=-0.3)
+        plus = converged_spectrum(p, Parity.PLUS, eps_max=-0.3)
         wd = windowed_dos(minus, plus, window_n=10)
         for side in Side:
             direct = fit_divergence(wd, LawKind.LOG_ESQPT, side=side, window=(0.03, 0.2))
@@ -129,8 +129,8 @@ class TestWindowedDos:
 
     def test_window_count_telescopes(self):
         p = RabiParams(omega0=1.0, Omega=100.0, g=1.2)
-        minus = converged_window(p, Parity.MINUS, eps_max=-0.3)[1]
-        plus = converged_window(p, Parity.PLUS, eps_max=-0.3)[1]
+        minus = converged_spectrum(p, Parity.MINUS, eps_max=-0.3)
+        plus = converged_spectrum(p, Parity.PLUS, eps_max=-0.3)
         n = 10
         wd = windowed_dos(minus, plus, window_n=n)
         # the merged list, rebuilt here: both sectors, cut at the lower top
@@ -145,8 +145,8 @@ class TestWindowedDos:
 
     def test_peak_tracks_critical_energy(self):
         p = RabiParams(omega0=1.0, Omega=100.0, g=1.2)
-        minus = converged_window(p, Parity.MINUS, eps_max=-0.3)[1]
-        plus = converged_window(p, Parity.PLUS, eps_max=-0.3)[1]
+        minus = converged_spectrum(p, Parity.MINUS, eps_max=-0.3)
+        plus = converged_spectrum(p, Parity.PLUS, eps_max=-0.3)
         wd = windowed_dos(minus, plus, window_n=10)
         peak = int(np.argmax(wd.nu_per_eps))
         width = 10.0 / wd.nu_per_eps[peak]
