@@ -55,7 +55,8 @@ the total residual of the Ritz value (Parlett, The Symmetric Eigenvalue
 Problem, ch. 10-11).  That total, hypot(in-chain term, tail term), is
 each level's one error bound, in every solve.  With vectors the in-chain
 term is the measured residual; without them it is sterf's precision
-4 ulp ||T|| (ParityChain.precision).  converged_spectrum solves once at a
+4 ulp ||T|| (ParityChain.precision), which every solve records as
+ParitySpectrum.precision.  converged_spectrum solves once at a
 truncation of the classical orbit's n_cls sites plus 12 Airy widths
 n_cls^{1/3}, and re-solves only when a level's bound is not below
 tol * omega0.  A window (eps_max) takes the orbit at eps_max.  A count
@@ -63,13 +64,12 @@ tol * omega0.  A window (eps_max) takes the orbit at eps_max.  A count
 leading max(4 k_max, 128) sites, found alone by one stebz index bisection
 (about a fifth of a sterf call at 128 sites).  The probe is a leading
 block of the untruncated chain, so by Cauchy interlacing (Parlett, ch. 10)
-that eigenvalue lies at or above the true k_max-th level.  A solve that
-fits inside the probe takes its leading sites as the chain: a site's
-entries depend on its index alone, so they are bit for bit the chain
-built at that size.  No level a solve reports comes from bisection.  No
-truncation certifies below the precision, which grows with dim, so a
-chain whose precision is at or above tol * omega0 is never solved, the
-probe included: the solve raises ValueError instead.
+that eigenvalue lies at or above the true k_max-th level.  No level a
+solve reports comes from bisection, and every chain it solves is built
+afresh by build_parity_chain.  No truncation certifies below the
+precision, which grows with dim, so a chain whose precision is at or
+above tol * omega0 is never solved, the probe included: the solve raises
+ValueError instead.
 
 The observables solve takes each level's Ritz value w from that window
 chain, but solves each slice's vectors on the chain cut at the orbit of
@@ -110,8 +110,8 @@ about 2x its exact value.
 
 converged_sectors runs the plus half of its solves in a forked child,
 beside the minus half, from _FORK_SITES**2 of sterf work per sector: the
-sum over its solves of each start dimension squared, a window's first
-chain (_orbit_dim) or a count solve's probe (_probe_dim).  It decides
+sum over its solves of each start dimension squared (_start_dim: a
+window's first chain or a count solve's probe).  It decides
 before any chain is solved, and forks only where os.fork exists, not on
 macOS (whose system libraries may run threads a forked child cannot use),
 and on two CPUs or more where os.sched_getaffinity tells.  On a 2-core VM
@@ -372,7 +372,9 @@ class ParitySpectrum(_Record):
     cut to or on the whole chain; without them the in-chain part is the
     chain's precision and the tail part uses the backward-pivot bound on
     |v[dim-1]|.  n_converged counts the leading levels whose bound is
-    below tol * omega0.  observables, set by
+    below tol * omega0.  precision is the solved chain's
+    ParityChain.precision, the in-chain term of the values-only bound; a
+    splitting at or below it is roundoff.  observables, set by
     converged_spectrum(with_observables=True), holds <a^dag a>, <sigma_z>
     and p_loc of every level.
     """
@@ -384,6 +386,7 @@ class ParitySpectrum(_Record):
     eps: np.ndarray = field(repr=False)
     n_converged: int
     error_bound: np.ndarray = field(repr=False)
+    precision: float
     observables: EigenObservables | None = field(repr=False, default=None)
 
     def __len__(self) -> int:
@@ -552,8 +555,11 @@ def _orbit_dim(params: RabiParams, eps: float, widths: float = _AIRY_PAD) -> int
     return max(math.ceil(n_cls + widths * n_cls ** (1.0 / 3.0)), 64)
 
 
-def _probe_dim(params: RabiParams, k_max: int) -> int:
-    # the probe a count solve sizes its first chain by: max(4 k_max, 128) sites, cut at the cap
+def _start_dim(params: RabiParams, eps_max: float | None, k_max: int | None) -> int:
+    # the first chain a solve builds: a window's orbit at eps_max, or the
+    # probe that sizes a count solve, max(4 k_max, 128) sites cut at the cap
+    if k_max is None:
+        return _orbit_dim(params, eps_max)
     return min(max(4 * k_max, 128), _dim_cap(params))
 
 
@@ -654,18 +660,17 @@ def converged_spectrum(
     """
     _check_request(tol, eps_max, k_max, with_observables)
     dim_cap = _dim_cap(params)
-    probe = None
+    # the chain holds at least k_max sites, so above the cap it would outgrow it
+    if k_max is not None and k_max > dim_cap:
+        raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
+    dim = _start_dim(params, eps_max, k_max)
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
-        dim = _orbit_dim(params, eps_max)
     else:
-        # the chain holds at least k_max sites, so above the cap it would outgrow it
-        if k_max > dim_cap:
-            raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
         # the probe: its k_max-th Ritz value, bisected alone (range 2 is by
         # index), lies at or above the true k_max-th level (the module
         # docstring), so the orbit there sizes the solve
-        probe = build_parity_chain(params, parity, _probe_dim(params, k_max))
+        probe = build_parity_chain(params, parity, dim)
         _solvable_precision(probe, tol)
         _, theta, _, _, info = dstebz(probe.diag, probe.offdiag, 2, 0.0, 0.0, k_max, k_max,
                                       0.0, "E")
@@ -674,11 +679,7 @@ def converged_spectrum(
         dim = max(_orbit_dim(params, 2.0 * theta[0] / params.Omega), k_max)
     dim = min(dim, dim_cap)
     while True:
-        # a chain site's entries depend on its index alone, so a truncation
-        # inside the probe is the probe's leading sites
-        chain = (replace(probe, diag=probe.diag[:dim], offdiag=probe.offdiag[:dim - 1])
-                 if probe is not None and dim <= probe.dim
-                 else build_parity_chain(params, parity, dim))
+        chain = build_parity_chain(params, parity, dim)
         precision = _solvable_precision(chain, tol)
         w = diagonalize(chain)
         w = w[:k_max] if eps_max is None else w[:np.searchsorted(w, e_max, side="right")]
@@ -694,7 +695,7 @@ def converged_spectrum(
         certified = error < tol * params.omega0
         n_conv = len(w) if certified.all() else int(np.argmin(certified))
         spec = ParitySpectrum(params, parity, dim, w, 2.0 * w / params.Omega, n_conv, error,
-                              observables)
+                              precision, observables)
         if n_conv == len(w):
             return spec
         if dim >= dim_cap:
@@ -808,8 +809,7 @@ def converged_sectors(
             return done, exc
         return done, None
 
-    work = sum((_orbit_dim(p, eps_max) if k_max is None else _probe_dim(p, k_max)) ** 2
-               for p in params_list)
+    work = sum(_start_dim(p, eps_max, k_max) ** 2 for p in params_list)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
     if (hasattr(os, "fork") and sys.platform != "darwin" and cpus >= 2
             and work >= _FORK_SITES**2):

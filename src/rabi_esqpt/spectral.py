@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import Parity, ParitySpectrum, _Record, _is_count, build_parity_chain
+from .quantum import Parity, ParitySpectrum, _Record, _is_count
 
 __all__ = [
     "WindowedDos",
@@ -56,13 +56,13 @@ class WindowedDos(_Record):
 class GapMap(_Record):
     """Signed parity splitting delta_k = eps_k^+ - eps_k^- over a coupling sweep.
 
-    Arrays are shaped (n_g, k_max); g, dim and floor hold one entry per
-    coupling.  converged marks levels whose energies in both sectors passed
-    the truncation certificate; unconverged entries stay in the arrays for
+    Arrays are shaped (n_g, k_max); g and dim hold one entry per coupling.
+    converged marks levels whose energies in both sectors passed the
+    truncation certificate; unconverged entries stay in the arrays for
     inspection but carry no physics claim.  dim holds the larger of the two
-    sector truncations, and floor, in eps, the larger sector's
-    ParityChain.precision at that dim.  A converged splitting at or below
-    floor is roundoff and counts as unresolved.
+    sector truncations.  unresolved marks the converged splittings at or
+    below the larger of the two sectors' own precisions
+    (ParitySpectrum.precision), in eps: those are roundoff.
     """
 
     g: np.ndarray = field(repr=False)
@@ -72,7 +72,7 @@ class GapMap(_Record):
     eps_mid: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
     dim: np.ndarray = field(repr=False)
-    floor: np.ndarray = field(repr=False)
+    unresolved: np.ndarray = field(repr=False)
 
     @property
     def k_max(self) -> int:
@@ -81,11 +81,6 @@ class GapMap(_Record):
     @property
     def n_unconverged(self) -> int:
         return int(self.converged.size - np.count_nonzero(self.converged))
-
-    @property
-    def unresolved(self) -> np.ndarray:
-        """Converged splittings at or below the precision floor."""
-        return self.converged & (np.abs(self.delta) <= self.floor[:, None])
 
 
 def windowed_dos(
@@ -162,20 +157,17 @@ def gap_map(minus: list[ParitySpectrum], plus: list[ParitySpectrum]) -> GapMap:
     k_max = eps_m.shape[1]
     conv = np.arange(k_max) < np.minimum([m.n_converged for m in minus],
                                          [p.n_converged for p in plus])[:, None]
-    dims = np.maximum([m.dim for m in minus], [p.dim for p in plus])
-    # the larger of the two sectors' precisions at each dim: that of the
-    # chain whose top site has spin up, whose |diag| tops both chains'
-    precision = np.array([
-        build_parity_chain(m.params, Parity.PLUS if dim % 2 else Parity.MINUS,
-                           int(dim)).precision() for m, dim in zip(minus, dims)])
-    Omega = minus[0].params.Omega
+    # each sector's own precision, in eps
+    floor = (np.maximum([m.precision for m in minus], [p.precision for p in plus])
+             * 2.0 / minus[0].params.Omega)
+    delta = eps_p - eps_m
     return GapMap(
         g=np.array([m.params.g for m in minus]),
         eps_minus=eps_m,
         eps_plus=eps_p,
-        delta=eps_p - eps_m,
+        delta=delta,
         eps_mid=0.5 * (eps_p + eps_m),
         converged=conv,
-        dim=dims,
-        floor=precision * 2.0 / Omega,
+        dim=np.maximum([m.dim for m in minus], [p.dim for p in plus]),
+        unresolved=conv & (np.abs(delta) <= floor[:, None]),
     )

@@ -45,8 +45,9 @@ from rabi_esqpt import (
 )
 from rabi_esqpt.semiclassical import EPS_CRITICAL
 
-from oracles import (PINNING_ORACLE, dense_hamiltonian, observables_from_eigenvalues,
-                     observables_hellmann_feynman, random_params)
+from oracles import (PINNING_ORACLE, dense_hamiltonian, n_phot_from_eigenvalues,
+                     observables_from_eigenvalues, observables_hellmann_feynman,
+                     random_params)
 
 # comparison bands for the windowed-density criteria, intersected with
 # (eps_gs + 0.02, 0]: a quantum level at eps lies on the classical shell at
@@ -336,6 +337,20 @@ def test_criterion_7d_streamed_observables_match_eigenvalues(r1000):
     ok = worst_s < 1.5e-8 and worst_p < 1e-11
     report("criterion 7d", ok, f"g=1.2 and 1.4, both parities: worst sz {worst_s:.2e} "
                                f"(tol 1.5e-8), worst p_loc {worst_p:.2e} (tol 1e-11)")
+    assert ok
+
+
+def test_criterion_7e_streamed_photon_number_matches_eigenvalues(r1000):
+    """R = 10^3 streamed <a^dag a> matches a vector-free eigenvalue oracle."""
+    # measured: relative 2.1e-10 to 8.2e-10; the bound is 6.1x the worst
+    worst = 0.0
+    for g in (1.2, 1.4):
+        for spec in r1000[g][1:]:
+            n_phot = n_phot_from_eigenvalues(spec)
+            worst = max(worst, float(np.max(np.abs(spec.observables.n_phot - n_phot) / n_phot)))
+    ok = worst < 5e-9
+    report("criterion 7e", ok, f"g=1.2 and 1.4, both parities: worst relative n_phot "
+                               f"{worst:.2e} (tol 5e-9)")
     assert ok
 
 

@@ -150,10 +150,16 @@ def _is_record(cls: ast.ClassDef) -> bool:
 
 
 def _attribute_reads(tree: ast.Module, skip: str) -> set[str]:
-    """Attributes the module loads, outside the top-level definition named skip."""
+    """Attributes the module loads, outside the top-level definition named skip.
+
+    A load on a name an import binds (math.floor, np.dot) reads a module or
+    an imported class, not a record."""
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     return {node.attr for top in tree.body if getattr(top, "name", None) != skip
             for node in ast.walk(top)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and getattr(node.value, "id", None) not in imported}
 
 
 # the per-level certificate, read so far by tests alone; the run report of

@@ -647,7 +647,7 @@ class TestForkedSectors:
 
     @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
     def test_readme_sweeps_fork(self, tmp_path, capsys, monkeypatch, name):
-        assert 61 * quantum._probe_dim(quantum.RabiParams(1.0, 40.0, 0.0), 20) ** 2 \
+        assert 61 * quantum._start_dim(quantum.RabiParams(1.0, 40.0, 0.0), None, 20) ** 2 \
             >= quantum._FORK_SITES**2
 
         def fork():

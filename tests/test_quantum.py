@@ -684,22 +684,48 @@ class TestOnePivotPass:
         assert np.all(spec.error_bound >= 1e-8 * p.omega0)
 
 
-class TestProbeReuse:
-    """A values-only count solve whose truncation fits inside its probe
-    takes the probe's leading sites as its chain instead of building one."""
+class TestCountSolveChains:
+    """A values-only count solve builds its probe, then its own chain, each
+    by build_parity_chain, whether or not the chain fits inside the probe."""
 
-    @pytest.mark.parametrize("g, dim, chains", [(0.5, 85, 1), (3.0, 292, 2)],
+    @pytest.mark.parametrize("g, dim", [(0.5, 85), (3.0, 292)],
                              ids=["fits-in-probe", "outgrows-probe"])
-    def test_chains_built_per_solve(self, g, dim, chains, monkeypatch):
+    def test_chains_built_per_solve(self, g, dim, monkeypatch):
         calls = {name: [] for name in ("build_parity_chain", "dstebz", "dsterf", "dpttrf")}
         for name, log in calls.items():
             monkeypatch.setattr(quantum, name, lambda *args, _f=getattr(quantum, name), _log=log:
                                 _log.append(args) or _f(*args))
         spec = converged_spectrum(RabiParams(1.0, 40.0, g), Parity.MINUS, k_max=20)
         assert spec.dim == dim and spec.n_converged == len(spec) == 20
-        assert [len(log) for log in calls.values()] == [chains, 1, 1, 1]
-        # the probe's 128 sites first, then the solve's own chain if it outgrows them
-        assert [args[2] for args in calls["build_parity_chain"]] == [128, dim][:chains]
+        assert [len(log) for log in calls.values()] == [2, 1, 1, 1]
+        # the probe's 128 sites first, then the solve's own chain
+        assert [args[2] for args in calls["build_parity_chain"]] == [128, dim]
+
+
+class TestPrecision:
+    """ParitySpectrum.precision is the ParityChain.precision of the chain
+    the solve certified its levels on."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eps_max": -0.5},
+        {"k_max": 20},
+        {"eps_max": -0.5, "with_observables": True},
+    ], ids=["window", "count", "observables"])
+    def test_precision_is_the_solved_chains(self, kwargs):
+        spec = converged_spectrum(RabiParams(1.0, 40.0, 1.4), Parity.PLUS, **kwargs)
+        assert spec.precision == build_parity_chain(spec.params, spec.parity,
+                                                    spec.dim).precision()
+
+    def test_capped_spectrum_carries_its_precision(self, monkeypatch):
+        monkeypatch.setattr(quantum, "_CAP_PER_R", 1.0)  # cap = R g^2 = 160 sites
+        with pytest.raises(TruncationLimitError) as err:
+            converged_spectrum(RabiParams(1.0, 40.0, 2.0), Parity.MINUS, k_max=20)
+        spec = err.value.spectrum
+        assert spec.dim == 160
+        assert spec.precision == build_parity_chain(spec.params, spec.parity,
+                                                    spec.dim).precision()
+        assert pickle.loads(pickle.dumps(err.value)).spectrum == spec
+        assert replace(spec, precision=2.0 * spec.precision) != spec
 
 
 class TestLapackFailure:

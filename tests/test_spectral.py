@@ -32,6 +32,7 @@ def make_spectrum(parity, energies, params=P40, n_converged=None):
         eps=2.0 * energies / params.Omega,
         n_converged=len(energies) if n_converged is None else n_converged,
         error_bound=np.zeros(len(energies)),
+        precision=0.0,
     )
 
 
@@ -201,17 +202,20 @@ class TestGapMap:
 
     def test_splittings_at_precision_floor_unresolved(self):
         gm = gap_map(*sectors(40.0, [0.5, 2.0], k_max=6))
-        for i, g in enumerate(gm.g):
-            params = RabiParams(omega0=1.0, Omega=40.0, g=float(g))
-            norm = max(build_parity_chain(params, parity, int(gm.dim[i])).norm_bound()
-                       for parity in Parity)
-            assert gm.floor[i] == pytest.approx(4.0 * np.finfo(float).eps * norm * 2.0 / 40.0,
-                                                rel=1e-15)
         # normal phase resolved; the g = 2 doublets (roundoff below 1e-14) not
         assert not gm.unresolved[0].any()
         assert gm.unresolved[1].all()
+
+    def test_unresolved_reads_each_sectors_own_precision(self):
+        # at 20 levels the two sectors' truncations differ at g = 1.5 and
+        # 1.75, so their precisions do; the floor is the larger, in eps
+        minus, plus = sectors(40.0, [1.5, 1.75, 2.0], k_max=20)
+        assert [m.dim != p.dim for m, p in zip(minus, plus)] == [True, True, False]
+        gm = gap_map(minus, plus)
+        floor = np.array([max(m.precision, p.precision) for m, p in zip(minus, plus)])
         np.testing.assert_array_equal(
-            gm.unresolved, gm.converged & (np.abs(gm.delta) <= gm.floor[:, None]))
+            gm.unresolved, gm.converged & (np.abs(gm.delta) <= floor[:, None] * 2.0 / 40.0))
+        assert 0 < np.count_nonzero(gm.unresolved) < gm.unresolved.size
 
     def test_unconverged_reported_not_raised(self, monkeypatch):
         # cap = 0.4 R g^2 = 64 sites, too few for 32 levels at g = 2
