@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .quantum import _is_count
 from .semiclassical import EPS_CRITICAL, DosCurve, _check_g, _check_omega0
 
 if TYPE_CHECKING:
@@ -132,8 +133,10 @@ def geometric_eps_grid(
     """
     if not (0.0 < d_min < d_max < math.inf):
         raise ValueError(f"need 0 < d_min < d_max < inf, got {d_min!r}, {d_max!r}")
-    if n < 2:
-        raise ValueError("need at least two grid points")
+    if not (_is_count(n) and n >= 2):
+        raise ValueError(f"need at least two grid points: n must be an integer >= 2, got {n!r}")
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, got {side!r}")
     d = np.geomspace(d_min, d_max, n)
     eps = EPS_CRITICAL + d if side is Side.ABOVE else EPS_CRITICAL - d
     return np.sort(eps)
@@ -157,6 +160,10 @@ def fit_divergence(
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):
         raise ValueError("window must satisfy 0 < lo < hi")
+    if not isinstance(kind, LawKind):
+        raise ValueError(f"kind must be a LawKind, got {kind!r}")
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side, got {side!r}")
     eps = np.asarray(curve.eps, dtype=float)
     nu = np.asarray(curve.nu, dtype=float)
     delta = eps - EPS_CRITICAL if side is Side.ABOVE else EPS_CRITICAL - eps

@@ -612,8 +612,8 @@ def _solvable_precision(chain: ParityChain, tol: float) -> float:
     return precision
 
 
-def _check_request(tol: float, eps_max: float | None, k_max: int | None,
-                   with_observables: bool) -> None:
+def _check_request(params_list: list[RabiParams], tol: float, eps_max: float | None,
+                   k_max: int | None, with_observables: bool) -> None:
     # every check of a solve request that needs no chain, made before any
     # chain is built or any fork is made
     if (eps_max is None) == (k_max is None):
@@ -628,6 +628,10 @@ def _check_request(tol: float, eps_max: float | None, k_max: int | None,
         raise ValueError(f"eps_max must be finite, got {eps_max!r}")
     if k_max is not None and not (_is_count(k_max) and k_max >= 1):
         raise ValueError(f"k_max must be >= 1 and an integer, got {k_max!r}")
+    # a chain holds at least k_max sites, so above its cap it would outgrow it
+    for params in params_list:
+        if k_max is not None and k_max > _dim_cap(params):
+            raise ValueError(f"k_max={k_max} levels exceed the dim cap {_dim_cap(params)}")
 
 
 def converged_spectrum(
@@ -658,11 +662,8 @@ def converged_spectrum(
     chain whose precision is at or above tol * omega0 raises ValueError
     before it is solved, the probe included.
     """
-    _check_request(tol, eps_max, k_max, with_observables)
+    _check_request([params], tol, eps_max, k_max, with_observables)
     dim_cap = _dim_cap(params)
-    # the chain holds at least k_max sites, so above the cap it would outgrow it
-    if k_max is not None and k_max > dim_cap:
-        raise ValueError(f"k_max={k_max} levels exceed the dim cap {dim_cap}")
     dim = _start_dim(params, eps_max, k_max)
     if eps_max is not None:
         e_max = 0.5 * eps_max * params.Omega
@@ -780,11 +781,11 @@ def converged_sectors(
     keep_capped a sector that hits the truncation cap gives its solve at
     the cap, whose n_converged says which levels certified, instead of
     raising TruncationLimitError.  The plus half may run in a forked child
-    (the module docstring), with the same bits; a failure raises what the
-    in-process order, coupling by coupling and minus before plus, meets first.
+    (the module docstring), with the same bits.  A failure raises the minus
+    half's first, else the plus half's first: the in-process order.
     """
-    _check_request(tol, eps_max, k_max, with_observables)
     params_list = list(params_list)
+    _check_request(params_list, tol, eps_max, k_max, with_observables)
 
     def solve(params: RabiParams, parity: Parity) -> ParitySpectrum:
         # through the module global, where the benchmark's tracer wraps it
@@ -796,34 +797,15 @@ def converged_sectors(
                 raise
             return exc.spectrum
 
-    def half(parity: Parity, todo: list) -> tuple[list, Exception | None]:
-        # the solves before the half's first failure, and that failure; a
-        # first solve's failure comes first, so it raises at once (and kills a child)
-        done = []
-        try:
-            for params in todo:
-                done.append(solve(params, parity))
-        except Exception as exc:
-            if not done:
-                raise
-            return done, exc
-        return done, None
+    def half(parity: Parity) -> list[ParitySpectrum]:
+        return [solve(params, parity) for params in params_list]
 
     work = sum(_start_dim(p, eps_max, k_max) ** 2 for p in params_list)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 2
     if (hasattr(os, "fork") and sys.platform != "darwin" and cpus >= 2
             and work >= _FORK_SITES**2):
-        (minus, m_exc), (plus, p_exc) = _beside(lambda: half(Parity.MINUS, params_list),
-                                                lambda: half(Parity.PLUS, params_list))
-    else:
-        minus, m_exc = half(Parity.MINUS, params_list)
-        # in order, no plus solve runs past the first minus failure
-        plus, p_exc = half(Parity.PLUS, params_list[:len(minus)])
-    if p_exc is not None and (m_exc is None or len(plus) < len(minus)):
-        raise p_exc
-    if m_exc is not None:
-        raise m_exc
-    return minus, plus
+        return _beside(lambda: half(Parity.MINUS), lambda: half(Parity.PLUS))
+    return half(Parity.MINUS), half(Parity.PLUS)
 
 
 def eigen_observables(parity: Parity,

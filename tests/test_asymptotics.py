@@ -83,6 +83,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             geometric_eps_grid(1e-6, 1e-3, 1)
 
+    @pytest.mark.parametrize("n", [1, 2.5, np.float64(3.0), True])
+    def test_a_point_count_is_an_integer_of_two_or_more(self, n):
+        # 2.5 used to reach np.geomspace, which raised TypeError
+        with pytest.raises(ValueError, match="^need at least two grid points"):
+            geometric_eps_grid(1e-6, 1e-3, n)
+
+    def test_side_must_be_a_side(self):
+        # "above" used to give the below grid
+        with pytest.raises(ValueError, match="side must be a Side, got 'above'"):
+            geometric_eps_grid(1e-6, 1e-3, 3, side="above")
+
+    def test_a_numpy_integer_is_a_point_count(self):
+        np.testing.assert_array_equal(geometric_eps_grid(1e-6, 1e-3, np.int64(3)),
+                                      geometric_eps_grid(1e-6, 1e-3, 3))
+
     @pytest.mark.parametrize("d_max", [math.inf, math.nan])
     def test_ends_must_be_finite(self, d_max):
         # an infinite end used to reach np.geomspace, which warns and
@@ -119,6 +134,17 @@ class TestFit:
         rep = fit_divergence(synthetic_curve(eps, nu), LawKind.POWER_QPT)
         assert rep.n_points == 8
         assert rep.slope == pytest.approx(-0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": LawKind.LOG_ESQPT, "side": "above"}, "side must be a Side, got 'above'"),
+        ({"kind": "log", "side": Side.BELOW}, "kind must be a LawKind, got 'log'"),
+        ({"kind": None, "side": Side.BELOW}, "kind must be a LawKind, got None"),
+    ])
+    def test_kind_and_side_must_be_members(self, kwargs, message):
+        # each used to fit silently: "above" the below side, "log" and None the log law
+        eps = geometric_eps_grid(1e-6, 1e-3, 9, side=Side.BELOW)
+        with pytest.raises(ValueError, match=message):
+            fit_divergence(synthetic_curve(eps, np.ones_like(eps)), **kwargs)
 
     def test_too_few_points_raises(self):
         eps = geometric_eps_grid(1e-6, 1e-3, MIN_FIT_POINTS - 1)

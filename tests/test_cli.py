@@ -683,12 +683,12 @@ class TestForkedSectors:
 
     @pytest.mark.parametrize("name", ["spectrum", "gapmap"])
     @pytest.mark.parametrize("failures, first", [
-        ({(2, quantum.Parity.PLUS), (5, quantum.Parity.MINUS)}, "plus at g=0.1"),
+        ({(2, quantum.Parity.PLUS), (5, quantum.Parity.MINUS)}, "minus at g=0.25"),
         ({(2, quantum.Parity.MINUS), (5, quantum.Parity.PLUS)}, "minus at g=0.1"),
     ])
     def test_sweep_failure_exits_as_in_process(self, tmp_path, capsys, monkeypatch,
                                                name, failures, first):
-        # the in-process order: coupling by coupling, minus before plus at each
+        # the in-process order: the minus half's first failure, else the plus half's
         solve = quantum.converged_spectrum
         fail_at = {(float(self.GS[i]), parity) for i, parity in failures}
 
@@ -705,6 +705,44 @@ class TestForkedSectors:
         monkeypatch.delattr(os, "fork")
         assert (code, err) == (run(tmp_path / "b", name, *self.SWEEP)[0],
                                capsys.readouterr().err)
+
+    @pytest.fixture
+    def minus_fails_at_5(self, monkeypatch):
+        """Fail the sweep's minus solve at coupling 5, g = 0.25, and record every solve."""
+        solve, calls = quantum.converged_spectrum, []
+
+        def levels(params, parity, *args, **kwargs):
+            calls.append((params.g, parity))
+            if (params.g, parity) == (float(self.GS[5]), quantum.Parity.MINUS):
+                raise ValueError("minus at g=0.25")
+            return solve(params, parity, *args, **kwargs)
+        monkeypatch.setattr(quantum, "converged_spectrum", levels)
+        return calls
+
+    def test_minus_sweep_failure_kills_the_child(self, tmp_path, capsys, monkeypatch,
+                                                 minus_fails_at_5):
+        # the child would sleep for a minute in its first plus solve; the
+        # parent must not wait for it
+        levels = quantum.converged_spectrum
+
+        def sleepy(params, parity, *args, **kwargs):
+            if (params.g, parity) == (0.0, quantum.Parity.PLUS):
+                time.sleep(60)
+            return levels(params, parity, *args, **kwargs)
+        monkeypatch.setattr(quantum, "converged_spectrum", sleepy)
+        t0 = time.perf_counter()
+        code, out = run(tmp_path, "spectrum", *self.SWEEP)
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
+        assert (code, capsys.readouterr().err) == (1, "error: minus at g=0.25\n")
+        assert not out.exists()
+
+    def test_in_process_no_plus_solve_follows_a_minus_failure(self, tmp_path, capsys,
+                                                              monkeypatch, minus_fails_at_5):
+        monkeypatch.delattr(os, "fork")
+        code, out = run(tmp_path, "spectrum", *self.SWEEP)
+        assert (code, capsys.readouterr().err) == (1, "error: minus at g=0.25\n")
+        assert minus_fails_at_5 == [(float(g), quantum.Parity.MINUS) for g in self.GS[:6]]
 
 
 COMMAND_NAMES = ["spectrum", "gapmap", "dos", "observables", "probabilities", "asymptotics"]

@@ -774,11 +774,14 @@ class TestConvergedSectors:
         ({"eps_max": 0.0, "tol": 0.0}, "tol must be finite and positive"),
         ({"k_max": 4, "tol": math.nan}, "tol must be finite and positive"),
         ({"k_max": 2.5}, "k_max must be >= 1 and an integer"),
+        # above the first coupling's cap of 200000 sites
+        ({"k_max": 250000}, "^k_max=250000 levels exceed the dim cap 200000$"),
     ])
     def test_bad_arguments_raise_before_any_chain(self, monkeypatch, solve, kwargs, message):
         calls = []
         monkeypatch.setattr(quantum, "build_parity_chain", lambda *a: calls.append(a))
         monkeypatch.setattr(os, "fork", lambda: calls.append("fork"), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         # enough couplings at R = 1000 that a valid call would fork
         params = [RabiParams(1.0, 1000.0, g) for g in (0.5, 1.2)]
         with pytest.raises(ValueError, match=message):
