@@ -16,9 +16,10 @@ and every summary starts with one record: the tool, version and command,
 then each option the command declares with its resolved value (the FILES
 options and those left unset aside, such as the sweep options of a single
 coupling), then the command's results.  `main` is the one place that creates
---out and writes files, and it builds and writes the figure only under
---emit-svg.  It writes once the command and the figure are done, so a failed
-run leaves nothing behind.  Two identical invocations produce byte-identical files.
+--out and writes files, and it builds, renders and writes the figure only
+under --emit-svg.  It writes once the command has run and the figure is
+rendered, so a failed run leaves nothing behind.  Two identical invocations
+produce byte-identical files.
 
 Options may come from a JSON config file (--config); explicit flags win.
 Bad options, whether flags or config values, exit with status 2 before any
@@ -46,7 +47,7 @@ from .semiclassical import (CRITICAL_GUARD, EPS_CRITICAL, dos_curve, ground_stat
                             observables_microcanonical)
 from .spectral import gap_map, windowed_dos
 from .output import write_csv, write_json
-from .svgplot import Series, save as svg_save
+from .svgplot import Figure, Series, render, save as svg_save
 
 __all__ = ["main"]
 
@@ -178,16 +179,9 @@ class Table(NamedTuple):
     columns: dict[str, object]
 
 
-class Figure(NamedTuple):
-    series: list[Series]
-    title: str
-    xlabel: str
-    ylabel: str
-
-
 class Result(NamedTuple):
     """One command's outputs: tables and summary by file name in --out, and
-    the function that builds the figure written as <command>.svg under --emit-svg."""
+    the function that builds the figure rendered to <command>.svg under --emit-svg."""
 
     tables: dict[str, Table]
     summary: tuple[str, dict[str, object]] | None
@@ -555,7 +549,11 @@ def _cmd_asymptotics(args: argparse.Namespace) -> Result:
         windows[Side.BELOW] = (args.delta_min, edge)
     grids = {side: geometric_eps_grid(*window, args.points, side=side)
              for side, window in windows.items()}
-    # dos_curve's guard, on the samples: -1 + 1e-8 itself rounds inside it
+    # dos_curve's domain, on the samples: -1 + 1e-17 rounds onto eps_c, and
+    # -1 + 1e-8 itself rounds inside the guard
+    if at_threshold and np.any(grids[Side.ABOVE] <= EPS_CRITICAL):
+        raise UsageError(f"--delta-min must keep every sample above eps_c at g = 1; "
+                         f"{args.delta_min:g} does not")
     if not at_threshold and any(np.any(np.abs(eps - EPS_CRITICAL) < CRITICAL_GUARD)
                                 for eps in grids.values()):
         raise UsageError(f"--delta-min must keep every sample at least {CRITICAL_GUARD:g} "
@@ -630,17 +628,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         result = COMMANDS[args.command].run(args)
-        # nothing is written before the command and its figure are built
-        fig = result.figure() if args.emit_svg else None
+        # nothing is written before the command and its figure are done
+        svg = render(result.figure()) if args.emit_svg else None
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, table in result.tables.items():
             write_csv(out / name, table.meta, table.columns)
         if result.summary is not None:
             write_json(out / result.summary[0], result.summary[1])
-        if fig is not None:
-            svg_save(out / f"{args.command}.svg", fig.series, title=fig.title,
-                     xlabel=fig.xlabel, ylabel=fig.ylabel)
+        if svg is not None:
+            svg_save(out / f"{args.command}.svg", svg)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
 """Minimal SVG 1.1 line/scatter plots with no plotting dependency.
 
-Good enough for the figures this package emits: framed axes with nice
-decimal ticks, light gridlines, a legend, line series and scatter series
-(optionally colored per point).  Output is deterministic text: coordinates
-are fixed to two decimals and nothing depends on run time or host.
-Axes are linear; callers wanting a log view transform the data and label
-the axis accordingly.
+Framed axes with nice decimal ticks, light gridlines, a legend, line series
+and scatter series (optionally colored per point).  `render` turns a Figure
+into text that depends on nothing else, computed coordinates fixed to two
+decimals; `save` only writes that text, so a figure can be drawn before any
+file is written.  Axes are linear; callers wanting a log view transform the
+data and label the axis accordingly.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Series", "render", "save"]
+__all__ = ["Figure", "Series", "render", "save"]
 
 
 def _escape(text: str) -> str:
@@ -44,6 +45,15 @@ class Series:
     point_colors: list[str] | None = field(default=None, repr=False)
 
 
+class Figure(NamedTuple):
+    """One figure: its series, drawn in order, its title and its axis labels."""
+
+    series: list[Series]
+    title: str
+    xlabel: str
+    ylabel: str
+
+
 def _nice_step(span: float) -> float:
     # the least 1, 2, 2.5, 5 or 10 times a power of ten that covers span / 6
     raw = span / 6
@@ -55,42 +65,52 @@ def _ticks(lo: float, hi: float) -> list[float]:
     # lo < hi, as _data_range makes them; a tick within roundoff of zero is
     # 0.0, so no label reads -0
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # a span below roundoff, where t would never move
+            break
         t += step
     return ticks
 
 
 def _data_range(series: list[Series]) -> tuple[float, float, float, float]:
-    xs, ys = [], []
-    for s in series:
-        m = np.isfinite(s.x) & np.isfinite(s.y)
-        if np.any(m):
-            xs.append(s.x[m])
-            ys.append(s.y[m])
-    if not xs:
+    finite = [np.isfinite(s.x) & np.isfinite(s.y) for s in series]
+    if not any(map(np.any, finite)):
         raise ValueError("nothing finite to plot")
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    x0, x1 = float(np.min(x)), float(np.max(x))
-    y0, y1 = float(np.min(y)), float(np.max(y))
-    if x1 == x0:
-        x0, x1 = x0 - 1.0, x1 + 1.0
-    if y1 == y0:
-        y0, y1 = y0 - 1.0, y1 + 1.0
-    pad_x, pad_y = 0.04 * (x1 - x0), 0.05 * (y1 - y0)
-    return x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
+    bounds = []
+    for v, pad in ((np.concatenate([s.x[m] for s, m in zip(series, finite)]), 0.04),
+                   (np.concatenate([s.y[m] for s, m in zip(series, finite)]), 0.05)):
+        lo, hi = float(np.min(v)), float(np.max(v))
+        if hi == lo:
+            lo, hi = lo - 1.0, hi + 1.0
+        bounds += [lo - pad * (hi - lo), hi + pad * (hi - lo)]
+    return tuple(bounds)
 
 
-def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
-    """Render the series list to a standalone 720 x 480 SVG document string."""
-    if not series:
+def _coord(v: float) -> str:
+    # a computed position has two decimals; a layout constant is an int
+    return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: float) -> str:
+    return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" y2="{_coord(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x: float, y: float, size: int, body: str, anchor: str = "", extra: str = "") -> str:
+    anchor = anchor and f' text-anchor="{anchor}"'
+    return (f'<text x="{_coord(x)}" y="{_coord(y)}" font-size="{size}" '
+            f'font-family="sans-serif"{anchor}{extra}>{_escape(body)}</text>')
+
+
+def render(figure: Figure) -> str:
+    """Render the figure to a standalone 720 x 480 SVG document string."""
+    if not figure.series:
         raise ValueError("no series to plot")
     width, height = 720, 480
-    x0, x1, y0, y1 = _data_range(series)
+    x0, x1, y0, y1 = _data_range(figure.series)
     ml, mr, mt, mb = 72, 24, 42, 54
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -100,53 +120,30 @@ def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     def py(v: float | np.ndarray) -> float | np.ndarray:
         return mt + (y1 - v) / (y1 - y0) * ph
 
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
+    out: list[str] = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
 
-    # gridlines and ticks
-    xticks, yticks = _ticks(x0, x1), _ticks(y0, y1)
-    for t in xticks:
+    # gridlines, ticks and their labels
+    for t in _ticks(x0, x1):
         X = px(t)
-        out.append(
-            f'<line x1="{X:.2f}" y1="{mt}" x2="{X:.2f}" y2="{mt + ph}" '
-            f'stroke="#dddddd" stroke-width="0.5"/>'
-        )
-        out.append(
-            f'<line x1="{X:.2f}" y1="{mt + ph}" x2="{X:.2f}" y2="{mt + ph + 5}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{X:.2f}" y="{mt + ph + 18}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="middle">{t:.6g}</text>'
-        )
-    for t in yticks:
+        out += [_line(X, mt, X, mt + ph, "#dddddd", 0.5),
+                _line(X, mt + ph, X, mt + ph + 5, "#000000", 1),
+                _text(X, mt + ph + 18, 11, f"{t:.6g}", "middle")]
+    for t in _ticks(y0, y1):
         Y = py(t)
-        out.append(
-            f'<line x1="{ml}" y1="{Y:.2f}" x2="{ml + pw}" y2="{Y:.2f}" '
-            f'stroke="#dddddd" stroke-width="0.5"/>'
-        )
-        out.append(
-            f'<line x1="{ml - 5}" y1="{Y:.2f}" x2="{ml}" y2="{Y:.2f}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{ml - 8}" y="{Y + 4:.2f}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="end">{t:.6g}</text>'
-        )
-    out.append(
-        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
-        f'fill="none" stroke="#000000" stroke-width="1"/>'
-    )
+        out += [_line(ml, Y, ml + pw, Y, "#dddddd", 0.5),
+                _line(ml - 5, Y, ml, Y, "#000000", 1),
+                _text(ml - 8, Y + 4, 11, f"{t:.6g}", "end")]
+    frame = f'x="{ml}" y="{mt}" width="{pw}" height="{ph}"'
+    out.append(f'<rect {frame} fill="none" stroke="#000000" stroke-width="1"/>')
 
     # series, clipped to the frame
-    out.append(f'<clipPath id="frame"><rect x="{ml}" y="{mt}" width="{pw}" height="{ph}"/></clipPath>')
-    out.append('<g clip-path="url(#frame)">')
-    for s in series:
+    out += [f'<clipPath id="frame"><rect {frame}/></clipPath>', '<g clip-path="url(#frame)">']
+    for s in figure.series:
         idx = np.nonzero(np.isfinite(s.x) & np.isfinite(s.y))[0]
         xs, ys = px(s.x[idx]).tolist(), py(s.y[idx]).tolist()
         if s.kind == "line":
@@ -154,13 +151,10 @@ def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
             bounds = [0, *(np.nonzero(np.diff(idx) > 1)[0] + 1).tolist(), len(idx)]
             dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
             for a, b in zip(bounds, bounds[1:]):
-                if b - a < 2:
-                    continue
-                pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs[a:b], ys[a:b]))
-                out.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
-                    f'stroke-width="{s.stroke_width}"{dash}/>'
-                )
+                if b - a > 1:  # a run of one point draws nothing
+                    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs[a:b], ys[a:b]))
+                    out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
+                               f'stroke-width="{s.stroke_width}"{dash}/>')
         elif s.kind == "points":
             colors = ([s.point_colors[j] for j in idx.tolist()] if s.point_colors is not None
                       else [s.color] * len(idx))
@@ -171,45 +165,26 @@ def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
     out.append("</g>")
 
     # labels and legend
-    out.append(
-        f'<text x="{width / 2:.2f}" y="24" font-size="14" font-family="sans-serif" '
-        f'text-anchor="middle">{_escape(title)}</text>'
-    )
-    out.append(
-        f'<text x="{ml + pw / 2:.2f}" y="{height - 12}" font-size="12" '
-        f'font-family="sans-serif" text-anchor="middle">{_escape(xlabel)}</text>'
-    )
     yc = mt + ph / 2
-    out.append(
-        f'<text x="18" y="{yc:.2f}" font-size="12" font-family="sans-serif" '
-        f'text-anchor="middle" transform="rotate(-90 18 {yc:.2f})">{_escape(ylabel)}</text>'
-    )
-    labeled = [s for s in series if s.label]
+    out += [_text(width / 2, 24, 14, figure.title, "middle"),
+            _text(ml + pw / 2, height - 12, 12, figure.xlabel, "middle"),
+            _text(18, yc, 12, figure.ylabel, "middle", f' transform="rotate(-90 18 {yc:.2f})"')]
+    labeled = [s for s in figure.series if s.label]
     if labeled:
         lx, ly = ml + pw - 170, mt + 10
-        out.append(
-            f'<rect x="{lx - 8}" y="{ly - 4}" width="178" height="{16 * len(labeled) + 8}" '
-            f'fill="#ffffff" fill-opacity="0.85" stroke="#bbbbbb" stroke-width="0.5"/>'
-        )
+        out.append(f'<rect x="{lx - 8}" y="{ly - 4}" width="178" height="{16 * len(labeled) + 8}" '
+                   f'fill="#ffffff" fill-opacity="0.85" stroke="#bbbbbb" stroke-width="0.5"/>')
         for row, s in enumerate(labeled):
             Y = ly + 16 * row + 8
-            if s.kind == "line":
-                out.append(
-                    f'<line x1="{lx}" y1="{Y}" x2="{lx + 22}" y2="{Y}" '
-                    f'stroke="{s.color}" stroke-width="{s.stroke_width}"/>'
-                )
-            else:
-                out.append(f'<circle cx="{lx + 11}" cy="{Y}" r="{s.radius}" fill="{s.color}"/>')
-            out.append(
-                f'<text x="{lx + 28}" y="{Y + 4}" font-size="11" '
-                f'font-family="sans-serif">{_escape(s.label)}</text>'
-            )
+            out.append(_line(lx, Y, lx + 22, Y, s.color, s.stroke_width) if s.kind == "line"
+                       else f'<circle cx="{lx + 11}" cy="{Y}" r="{s.radius}" fill="{s.color}"/>')
+            out.append(_text(lx + 28, Y + 4, 11, s.label))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def save(path: str | Path, series: list[Series], **kwargs) -> Path:
-    """Render and write one SVG file; kwargs pass through to render."""
+def save(path: str | Path, svg: str) -> Path:
+    """Write one rendered SVG document and return its path."""
     path = Path(path)
-    path.write_text(render(series, **kwargs), encoding="utf-8")
+    path.write_text(svg, encoding="utf-8")
     return path

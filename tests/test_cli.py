@@ -263,6 +263,14 @@ class TestGapmap:
         code, out = run(tmp_path / "svg", *argv, "--emit-svg")
         assert code == 1 and "error: figure built" in capsys.readouterr().err
         assert not out.exists()  # built before any file is written
+        # and rendered before any file is written
+        def render(figure):
+            raise RuntimeError("figure rendered")
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "render", render)
+        code, out = run(tmp_path / "render", *argv, "--emit-svg")
+        assert code == 1 and "error: figure rendered" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_ramp_maps_an_array_as_the_per_point_rule_did():
@@ -428,6 +436,19 @@ class TestAsymptotics:
         assert code == 0
         assert json.loads((out / "asymptotics.json").read_text())["kind"] == kind
 
+    def test_delta_min_onto_eps_c_at_threshold_is_a_usage_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # -1 + 1e-17 rounds to -1, where no orbit lies above the ground state;
+        # refused before any orbit integral, as the guard is for g > 1
+        def no_integrals(*args):
+            raise AssertionError("orbit integral evaluated")
+        monkeypatch.setattr(semiclassical, "_orbit_integrals", no_integrals)
+        code, out = run(tmp_path, "asymptotics", "--g", "1.0", "--delta-min", "1e-17")
+        assert code == 2
+        assert capsys.readouterr().err == ("usage error: --delta-min must keep every sample "
+                                           "above eps_c at g = 1; 1e-17 does not\n")
+        assert not out.exists()
+
     def test_delta_min_below_the_guard_at_threshold(self, tmp_path):
         # nu stays finite at eps_c for g = 1, so the guard does not apply
         code, out = run(tmp_path, "asymptotics", "--g", "1.0", "--delta-min", "1e-9",
@@ -448,6 +469,15 @@ class TestFailedRunWritesNothing:
         code, out = run(tmp_path, "observables", "--ratio", "8", "--g", "1.2",
                         "--points", "11", "--conv-tol", "1e-300")
         assert code == 1
+        assert not out.exists()
+
+    def test_figure_that_fails_to_render(self, tmp_path, capsys):
+        # a sweep span of 5e-324 underflows the tick step to zero: the figure
+        # fails after the tables are built, and before any is written
+        code, out = run(tmp_path, "spectrum", "--ratio", "40", "--g-min", "0",
+                        "--g-max", "5e-324", "--g-steps", "2", "--levels", "2", "--emit-svg")
+        assert code == 1
+        assert "error: math domain error" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -7,7 +7,11 @@ reach the remaining branches: a single-coupling spectrum, a dos run at g = 1
 (no log fit) and one whose well is too shallow for the below-eps_c fit.
 The top-level and the six subcommand --help texts are frozen the same way,
 wrapped at COLUMNS=80; argparse's layout may differ in another Python
-minor version.
+minor version.  The seven help hashes were found to match on Python 3.10.13
+and 3.12.1, as on 3.11.7 (the CLI imported with numpy and scipy stubbed out,
+since argparse alone writes the help); on 3.13.0 the top-level help wraps
+differently, so 3.13 needs its own HELP table.  The file hashes are verified
+on 3.11 only.
 
 The table was frozen with the numpy and scipy versions in FROZEN_WITH.  A
 change of either may move last digits; the test still runs then, and the
